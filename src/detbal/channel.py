@@ -8,6 +8,7 @@ W[:, 0::n].
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -111,11 +112,19 @@ def block(W: np.ndarray, d: int, n: int, j: int, k: int) -> np.ndarray:
 def blockwise_dagger(W: np.ndarray, d: int, n: int) -> np.ndarray:
     """W^c: replace every block by its own adjoint, indices in place."""
     R = as_complex(W).reshape(d, n, d, n)
-    out = np.empty_like(R)
-    for j in range(n):
-        for k in range(n):
-            out[:, j, :, k] = dag(R[:, j, :, k])
-    return out.reshape(d * n, d * n)
+    return R.conj().transpose(2, 1, 0, 3).reshape(d * n, d * n)
+
+
+def require_invertible_F(F: np.ndarray) -> None:
+    s = np.linalg.svd(F, compute_uv=False)
+    if s[-1] <= 1e-12 * s[0]:
+        raise ValueError("F must be invertible")
+
+
+def f_conjugate(W: np.ndarray, F: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The F-conjugate dilation (1 (x) F) W^c (1 (x) F^-1)."""
+    Wc = blockwise_dagger(W, d, n)
+    return np.kron(np.eye(d), F) @ Wc @ np.kron(np.eye(d), np.linalg.inv(F))
 
 
 def first_block_column(W: np.ndarray, d: int, n: int):
@@ -282,11 +291,33 @@ def index_words(n: int, m: int):
 
 
 def word_operator(K, w) -> np.ndarray:
-    d = K[0].shape[0]
-    A = np.eye(d, dtype=complex)
-    for k in w:
-        A = A @ K[k]
-    return A
+    return functools.reduce(np.matmul, (K[k] for k in w), np.eye(K[0].shape[0], dtype=complex))
+
+
+def word_stack(ops, m: int) -> np.ndarray:
+    """Every length-m product K_{w1}...K_{wm} as an (n**m, d, d) array.
+
+    Row a is the word at position a of index_words(n, m), so the
+    leftmost letter is the most significant digit of a in base n.
+    """
+    K = np.asarray(tuple(ops), dtype=complex)
+    n, d, _ = K.shape
+    W = np.eye(d, dtype=complex)[np.newaxis]
+    for _ in range(m):
+        W = np.matmul(W[:, np.newaxis], K[np.newaxis]).reshape(-1, d, d)
+    return W
+
+
+def gram(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt pairings G[a, b] = Tr(X_a Y_b*) of two operator stacks."""
+    return X.reshape(len(X), -1) @ Y.reshape(len(Y), -1).conj().T
+
+
+def pair_sum(X: np.ndarray, C: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The operator sum over a, b of C[a, b] X_a Y_b for stacks X, Y."""
+    N, d, _ = Y.shape
+    CY = (C @ Y.reshape(N, -1)).reshape(N, d, d)
+    return np.einsum("aij,ajk->ik", X, CY)
 
 
 def power_kraus(K: KrausSet, m: int, max_dim: int = MAX_DIM):
@@ -300,10 +331,8 @@ def power_kraus(K: KrausSet, m: int, max_dim: int = MAX_DIM):
         raise ValueError("m must be nonnegative")
     if K.n ** m > max_dim:
         raise ValueError("word count exceeds dimension budget")
-    ws = index_words(K.n, m)
-    ops = [word_operator(K.ops, w) for w in ws]
-    labels = [Word(tuple(k + 1 for k in w)) for w in ws]
-    return labels, ops
+    labels = [Word(tuple(k + 1 for k in w)) for w in index_words(K.n, m)]
+    return labels, list(word_stack(K.ops, m))
 
 
 # ---------------------------------------------------------------------------
@@ -313,24 +342,23 @@ def power_kraus(K: KrausSet, m: int, max_dim: int = MAX_DIM):
 def minimal_kraus(K: KrausSet, rank_tol: float = RANK_TOL) -> KrausSet:
     """Remix to a linearly independent Kraus set for the same channel.
 
-    Diagonalizes the Gram matrix Tr(K_j* K_k) and keeps the eigencolumns
+    Diagonalizes the Gram matrix Tr(K_j K_k*) and keeps the eigencolumns
     above threshold.  The output basis is one of many; the channel is
     unchanged.
     """
-    n = K.n
-    G = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            G[j, k] = np.trace(dag(K[j]) @ K[k])
+    A = word_stack(K.ops, 1)
+    G = gram(A, A)
     w, U = np.linalg.eigh((G + dag(G)) / 2)
     order = np.argsort(w)[::-1]
     w, U = w[order], U[:, order]
     keep = w > rank_tol * max(w[0], 0.0)
-    ops = []
-    for r in range(n):
-        if keep[r]:
-            ops.append(sum(np.conj(U[j, r]) * K[j] for j in range(n)))
-    return KrausSet(ops)
+    return remix(A, U[:, keep])
+
+
+def remix(ops, U: np.ndarray) -> KrausSet:
+    """The Kraus set whose r-th operator is sum_j conj(U[j, r]) K_j."""
+    A = np.asarray(tuple(ops), dtype=complex)
+    return KrausSet(np.tensordot(U.conj(), A, axes=(0, 0)))
 
 
 def channel_choi(K: KrausSet) -> np.ndarray:

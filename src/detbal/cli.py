@@ -125,6 +125,8 @@ def cmd_stinespring(args) -> int:
         return _fail(str(exc))
     tol = float(spec.options["residual_tol"])
     rank_tol = float(spec.options["rank_tol"])
+    if args.max_level < 1:
+        return _fail(f"--max-level must be at least 1 (got {args.max_level})")
     K = minimal_kraus(spec.kraus, rank_tol)
     try:
         S = build_subproduct(K, args.max_level, rank_tol)

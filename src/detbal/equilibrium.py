@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausSet, index_words, word_operator
+from .channel import KrausSet, gram, remix, symmetric_unitary_first_col, word_stack
 from .errors import HypothesisFailure
 from .matcore import RANK_TOL, RESIDUAL_TOL, as_complex, dag, is_hermitian, spectral_norm
-from .stinespring import SubproductSystem, check_Q_compatibility
-from .channel import symmetric_unitary_first_col
+from .stinespring import SubproductSystem, _tensor_power, check_Q_compatibility
 
 NORMALIZATIONS = ("raw", "trace_balanced", "first_entry")
 
@@ -88,13 +87,6 @@ def _normalize(q: np.ndarray, normalization: str) -> np.ndarray:
     raise ValueError(f"unknown normalization {normalization!r}")
 
 
-def _tensor_power(Q: np.ndarray, m: int) -> np.ndarray:
-    Qf = Q.copy()
-    for _ in range(m - 1):
-        Qf = np.kron(Qf, Q)
-    return Qf
-
-
 def correlation_matrix(K: KrausSet, rho0, normalization: str = "trace_balanced",
                        rank_tol: float = RANK_TOL) -> CorrelationData:
     """Correlation matrix of rho0 for the Kraus set, in the given normalization.
@@ -105,11 +97,8 @@ def correlation_matrix(K: KrausSet, rho0, normalization: str = "trace_balanced",
     rho0 = check_state(rho0)
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
-    n = K.n
-    q = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            q[j, k] = np.trace(K[j] @ rho0 @ dag(K[k]))
+    A = word_stack(K.ops, 1)
+    q = gram(A @ rho0, A)
     q = (q + dag(q)) / 2
     diag = np.diag(q).real
     if np.any(diag <= 1e-12):
@@ -160,7 +149,7 @@ def orthogonalize_kraus(K: KrausSet, rho0, tol: float = 1e-10):
         col = U[:, r]
         i0 = int(np.argmax(np.abs(col)))
         U[:, r] = col / (col[i0] / abs(col[i0]))
-    Kp = KrausSet([sum(np.conj(U[j, r]) * K[j] for j in range(n)) for r in range(n)])
+    Kp = remix(K.ops, U)
     Qd = correlation_matrix(Kp, rho0, "raw")
     if not Qd.is_diagonal(tol):
         raise ValueError("orthogonalization failed to diagonalize the correlation matrix")
@@ -193,12 +182,11 @@ def _require_compat(Qd: CorrelationData, S: SubproductSystem, m: int,
         )
 
 
-def _qm_function(Qd: CorrelationData, S: SubproductSystem, m: int, fn,
+def _qm_function(Q: np.ndarray, S: SubproductSystem, m: int, fn,
                  rank_tol: float = RANK_TOL) -> np.ndarray:
     """Apply a scalar function to Q_m on the range of p_m, zero elsewhere."""
     p = S.level(m).p
-    Qf = _tensor_power(Qd.Q, m)
-    H = p @ Qf @ p
+    H = p @ _tensor_power(Q, m) @ p
     H = (H + dag(H)) / 2
     w, U = np.linalg.eigh(H)
     keep = w > rank_tol * max(abs(w[-1]), 1e-300)
@@ -223,22 +211,17 @@ def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSys
     """
     rho0 = check_state(rho0)
     _require_compat(Qd, S, m, tol)
-    ws = index_words(K.n, m)
+    if ordering not in ("normal", "antinormal"):
+        raise ValueError("ordering must be 'normal' or 'antinormal'")
     p = S.level(m).p
     Qm = _tensor_power(Qd.Q, m) @ p
     trq = float(np.trace(Qm).real)
-    ops = [word_operator(K.ops, w) for w in ws]
-    mx = 0.0
-    for a in range(len(ws)):
-        for b in range(len(ws)):
-            if ordering == "normal":
-                v = np.trace(ops[a] @ rho0 @ dag(ops[b])) - Qm[a, b] / trq
-            elif ordering == "antinormal":
-                v = np.trace(rho0 @ ops[a] @ dag(ops[b])) - p[a, b] / trq
-            else:
-                raise ValueError("ordering must be 'normal' or 'antinormal'")
-            mx = max(mx, abs(v))
-    return mx
+    A = word_stack(K.ops, m)
+    if ordering == "normal":
+        dev = gram(A @ rho0, A) - Qm / trq
+    else:
+        dev = gram(rho0 @ A, A) - p / trq
+    return float(np.max(np.abs(dev)))
 
 
 def modular_flow(Qd: CorrelationData, S: SubproductSystem, word, t,
@@ -253,10 +236,8 @@ def modular_flow(Qd: CorrelationData, S: SubproductSystem, word, t,
     letters = tuple(word.letters) if hasattr(word, "letters") else tuple(word)
     m = len(letters)
     _require_compat(Qd, S, m, tol)
-    Qit = _qm_function(Qd, S, m, lambda w: np.power(w, -1j * complex(t)))
-    ws = index_words(S.n, m)
-    row = ws.index(tuple(k - 1 for k in letters))
-    return Qit[row, :]
+    Qit = _qm_function(Qd.Q, S, m, lambda w: np.power(w, -1j * complex(t)))
+    return Qit[np.ravel_multi_index(tuple(k - 1 for k in letters), (S.n,) * m), :]
 
 
 def kms_state_eval(Qd: CorrelationData, S: SubproductSystem, j, k,
@@ -274,9 +255,8 @@ def kms_state_eval(Qd: CorrelationData, S: SubproductSystem, j, k,
     m = len(jl)
     if m == 0:
         return 1.0 + 0.0j
-    ws = index_words(S.n, m)
-    a = ws.index(tuple(x - 1 for x in jl))
-    b = ws.index(tuple(x - 1 for x in kl))
+    a = np.ravel_multi_index(tuple(x - 1 for x in jl), (S.n,) * m)
+    b = np.ravel_multi_index(tuple(x - 1 for x in kl), (S.n,) * m)
     p = S.level(m).p
     Qm = _tensor_power(Qd.Q, m) @ p
     trq = np.trace(Qm).real
@@ -306,15 +286,10 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
             raise HypothesisFailure(
                 f"normal-ordered correlations fail at level {mp} (residual {norm_res:.3g})"
             )
-        Qinv = _qm_function(Qd, S, mp, lambda w: 1.0 / w)
-        ws = index_words(K.n, mp)
-        ops = [word_operator(K.ops, w) for w in ws]
-        for a in range(len(ws)):
-            for b in range(len(ws)):
-                lhs = np.trace(rho0 @ ops[a] @ dag(ops[b]))
-                rhs = sum(
-                    Qinv[a, r] * np.trace(rho0 @ dag(ops[b]) @ ops[r])
-                    for r in range(len(ws))
-                )
-                mx = max(mx, abs(lhs - rhs))
+        Qinv = _qm_function(Qd.Q, S, mp, lambda w: 1.0 / w)
+        A = word_stack(K.ops, mp)
+        # lhs[a, b] = Tr(rho0 K_a K_b*), rhs[a, b] = sum_r Qinv[a, r] Tr(rho0 K_b* K_r)
+        lhs = gram(rho0 @ A, A)
+        rhs = Qinv @ gram(A @ rho0, A)
+        mx = max(mx, float(np.max(np.abs(lhs - rhs))))
     return mx

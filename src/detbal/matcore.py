@@ -17,8 +17,8 @@ MAX_DIM = 4096
 
 
 def dag(A: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return A.conj().T
+    """Conjugate transpose; of every matrix in a stack when A.ndim > 2."""
+    return A.conj().swapaxes(-1, -2)
 
 
 def spectral_norm(A: np.ndarray) -> float:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import KrausSet, block, blockwise_dagger
-from .equilibrium import balance_scalar, check_state, _tensor_power
+from .channel import KrausSet, block, f_conjugate, pair_sum, require_invertible_F, word_stack
+from .equilibrium import _qm_function, balance_scalar, check_state
 from .matcore import (
     RANK_TOL,
     RESIDUAL_TOL,
@@ -23,7 +23,6 @@ from .matcore import (
 )
 from .report import CheckRecord, RelationsReport
 from .stinespring import SubproductSystem
-from .channel import index_words, word_operator
 
 
 def _relation_record(name: str, R: np.ndarray, tol: float) -> CheckRecord:
@@ -41,20 +40,13 @@ def _relation_record(name: str, R: np.ndarray, tol: float) -> CheckRecord:
     )
 
 
-def _conjugate_matrix(W: np.ndarray, F: np.ndarray, d: int, n: int) -> np.ndarray:
-    Wc = blockwise_dagger(W, d, n)
-    return np.kron(np.eye(d), F) @ Wc @ np.kron(np.eye(d), np.linalg.inv(F))
-
-
 def _shapes(W: np.ndarray, F: np.ndarray):
     W = as_complex(W)
     F = as_complex(F)
     n = F.shape[0]
     if F.shape != (n, n):
         raise ValueError("F must be square")
-    s = np.linalg.svd(F, compute_uv=False)
-    if s[-1] <= 1e-12 * s[0]:
-        raise ValueError("F must be invertible")
+    require_invertible_F(F)
     if W.shape[0] != W.shape[1] or W.shape[0] % n != 0:
         raise ValueError("W must be square with n x n block structure")
     return W, F, W.shape[0] // n, n
@@ -68,7 +60,7 @@ def au_relations_check(W, F, tol: float = RESIDUAL_TOL) -> RelationsReport:
     """
     W, F, d, n = _shapes(W, F)
     I = np.eye(d * n)
-    Wc_F = _conjugate_matrix(W, F, d, n)
+    Wc_F = f_conjugate(W, F, d, n)
     checks = [
         _relation_record("W_unitary_left", dag(W) @ W - I, tol),
         _relation_record("W_unitary_right", W @ dag(W) - I, tol),
@@ -90,7 +82,7 @@ def bu_relations_check(W, F, tol: float = RESIDUAL_TOL) -> RelationsReport:
     """
     W, F, d, n = _shapes(W, F)
     rep = au_relations_check(W, F, tol)
-    Wc_F = _conjugate_matrix(W, F, d, n)
+    Wc_F = f_conjugate(W, F, d, n)
     checks = list(rep.checks)
     checks.append(_relation_record("self_conjugacy", W - Wc_F, tol))
     FFc = F @ F.conj()
@@ -181,21 +173,10 @@ def first_row_q_sphere(W, F, S: SubproductSystem, m: int,
     e1[0] = 1.0
     hyp_q11 = float(abs(Q[0, 0] - 1.0))
     hyp_e1 = float(np.linalg.norm(p[:, 0] - e1))
-    z = [block(W, d, n, 0, k) for k in range(n)]
-    Qf = _tensor_power(Q, m)
-    H = p @ Qf @ p
-    H = (H + dag(H)) / 2
-    w, U = np.linalg.eigh(H)
-    keep = w > rank_tol * max(abs(w[-1]), 1e-300)
-    Qinv = (U[:, keep] * (1.0 / w[keep])) @ dag(U[:, keep])
-    ws = index_words(n, m)
-    zops = [word_operator(z, wd) for wd in ws]
-    G_row = np.zeros((d, d), dtype=complex)
-    G_mirror = np.zeros((d, d), dtype=complex)
-    for a_ in range(len(ws)):
-        for b in range(len(ws)):
-            G_row += Qinv[b, a_] * dag(zops[a_]) @ zops[b]
-            G_mirror += Qinv[b, a_] * zops[a_] @ dag(zops[b])
+    Qinv = _qm_function(Q, S, m, lambda w: 1.0 / w, rank_tol)
+    Z = word_stack((block(W, d, n, 0, k) for k in range(n)), m)
+    G_row = pair_sum(dag(Z), Qinv.T, Z)
+    G_mirror = pair_sum(Z, Qinv.T, dag(Z))
     I = np.eye(d)
     checks = [
         CheckRecord(name="hypothesis_Q11", residual=hyp_q11, tolerance=tol,

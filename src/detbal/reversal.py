@@ -9,12 +9,13 @@ import numpy as np
 
 from .channel import (
     KrausSet,
-    blockwise_dagger,
     channel_distance,
     dilation_from_kraus,
-    index_words,
+    f_conjugate,
     kraus_from_dilation,
-    word_operator,
+    pair_sum,
+    require_invertible_F,
+    word_stack,
 )
 from .equilibrium import (
     CorrelationData,
@@ -50,14 +51,9 @@ def q_sphere_residual(K: KrausSet, Qd: CorrelationData, S: SubproductSystem,
     localizes boundary effects of truncated representations.
     """
     _require_compat(Qd, S, m, tol)
-    Qinv = _qm_function(Qd, S, m, lambda w: 1.0 / w, rank_tol)
-    ws = index_words(K.n, m)
-    ops = [word_operator(K.ops, w) for w in ws]
-    Sm = np.zeros((K.d, K.d), dtype=complex)
-    for a in range(len(ws)):
-        for b in range(len(ws)):
-            Sm += Qinv[b, a] * ops[a] @ dag(ops[b])
-    R = Sm - np.eye(K.d)
+    Qinv = _qm_function(Qd.Q, S, m, lambda w: 1.0 / w, rank_tol)
+    A = word_stack(K.ops, m)
+    R = pair_sum(A, Qinv.T, dag(A)) - np.eye(K.d)
     P, _ = eig_projector(R, tol)
     return spectral_norm(R), P
 
@@ -73,13 +69,10 @@ def reversed_unitary(W: np.ndarray, F: np.ndarray, d: int, n: int,
     F = as_complex(F)
     if W.shape != (d * n, d * n) or F.shape != (n, n):
         raise ValueError("shape mismatch")
-    s = np.linalg.svd(F, compute_uv=False)
-    if s[-1] <= 1e-12 * s[0]:
-        raise ValueError("F must be invertible")
+    require_invertible_F(F)
     if spectral_norm(dag(W) @ W - np.eye(d * n)) > tol:
         raise ValueError("W must be unitary")
-    Wc = blockwise_dagger(W, d, n)
-    Wbar = np.kron(np.eye(d), F) @ Wc @ np.kron(np.eye(d), np.linalg.inv(F))
+    Wbar = f_conjugate(W, F, d, n)
     res = spectral_norm(dag(Wbar) @ Wbar - np.eye(d * n))
     return Wbar, res
 
@@ -124,10 +117,13 @@ def crooks_check(K: KrausSet, Kbar: KrausSet, rho0, m: int) -> float:
     rho0 = check_state(rho0)
     mx = 0.0
     for mp in range(1, m + 1):
-        for w in index_words(K.n, mp):
-            A = word_operator(K.ops, w)
-            B = word_operator(Kbar.ops, tuple(reversed(w)))
-            mx = max(mx, abs(np.trace(rho0 @ dag(B) @ B) - np.trace(rho0 @ dag(A) @ A)))
+        # word probabilities Tr(rho0 X_w* X_w) = Tr(X_w rho0 X_w*), one per word
+        A, B = word_stack(K.ops, mp), word_stack(Kbar.ops, mp)
+        pA = np.einsum("aij,aij->a", A @ rho0, A.conj())
+        pB = np.einsum("aij,aij->a", B @ rho0, B.conj())
+        # reading every word backwards transposes the (n,)*mp index grid
+        pB = pB.reshape((K.n,) * mp).transpose().reshape(-1)
+        mx = max(mx, float(np.max(np.abs(pB - pA))))
     return float(mx)
 
 
@@ -174,6 +170,8 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
     every residual is below tol and no hypothesis fails; a false verdict
     names the sphere condition whenever that stage is implicated.
     """
+    if M < 1:
+        raise ValueError(f"max level M must be at least 1 (got M={M})")
     rho0 = check_state(rho0)
     if K.unital_residual >= tol:
         raise ValueError("detailed balance verdict requires a channel")

@@ -8,11 +8,12 @@ range(p_m) (x) range(p_l).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausSet, Word, index_words, minimal_kraus, word_operator, apply
+from .channel import KrausSet, Word, apply, index_words, minimal_kraus, word_stack
 from .errors import HypothesisFailure
 from .matcore import MAX_DIM, RANK_TOL, RESIDUAL_TOL, as_complex, dag, spectral_norm
 
@@ -36,14 +37,16 @@ class SubproductSystem:
         return self.levels[m]
 
 
+def _tensor_power(Q: np.ndarray, m: int) -> np.ndarray:
+    return functools.reduce(np.kron, [Q] * m, np.ones((1, 1)))
+
+
 def _level_projector(K: KrausSet, m: int, rank_tol: float):
-    ws = index_words(K.n, m)
-    cols = [dag(word_operator(K.ops, w)).reshape(-1) for w in ws]
-    A = np.column_stack(cols)  # d^2 x n^m
-    _, s, Vh = np.linalg.svd(A, full_matrices=True)
+    A = dag(word_stack(K.ops, m)).reshape(K.n ** m, -1).T  # d^2 x n^m
+    _, s, Vh = np.linalg.svd(A, full_matrices=False)
     r = int(np.sum(s > rank_tol * s[0])) if s.size else 0
     Vr = Vh.conj().T[:, :r]
-    return Vr @ dag(Vr), r, ws
+    return Vr @ dag(Vr), r, index_words(K.n, m)
 
 
 def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL,
@@ -89,10 +92,7 @@ def check_Q_compatibility(S: SubproductSystem, Q: np.ndarray, m: int) -> float:
         raise ValueError("level out of range")
     if m == 0:
         return 0.0
-    Q = as_complex(Q)
-    Qf = Q.copy()
-    for _ in range(m - 1):
-        Qf = np.kron(Qf, Q)
+    Qf = _tensor_power(as_complex(Q), m)
     p = S.level(m).p
     return spectral_norm(Qf @ p - p @ Qf)
 
@@ -111,17 +111,17 @@ def verify_power_dilation(K: KrausSet, S: SubproductSystem, m: int, A: np.ndarra
     A = as_complex(A)
     lev = S.level(m)
     p = lev.p
-    e1 = np.zeros(K.n ** m)
+    N = K.n ** m
+    e1 = np.zeros(N)
     e1[0] = 1.0
     defect = float(np.linalg.norm(p[:, 0] - e1))
     if defect > tol:
         raise HypothesisFailure(
             f"e_1^(x){m} not in the level-{m} subspace (defect {defect:.3g})"
         )
-    ws = index_words(K.n, m)
-    Vm = np.zeros((K.d * K.n ** m, K.d), dtype=complex)
-    for idx, w in enumerate(ws):
-        Vm += np.kron(word_operator(K.ops, w), p[:, idx].reshape(-1, 1))
+    # V_m as a (d, n^m, d) array: V_m[i, x, j] = sum_w p[x, w] K_w[i, j]
+    Vm = (p @ word_stack(K.ops, m).reshape(N, -1)).reshape(N, K.d, K.d)
+    Vm = Vm.transpose(1, 0, 2).reshape(K.d * N, K.d)
     # whiten with the Gram pseudo-inverse square root (a no-op when V_m
     # is already an isometry, which the word relations guarantee)
     G = dag(Vm) @ Vm
@@ -129,7 +129,7 @@ def verify_power_dilation(K: KrausSet, S: SubproductSystem, m: int, A: np.ndarra
     keep = wG > rank_tol * max(wG[-1], 0.0)
     Ginvh = (UG[:, keep] * (1.0 / np.sqrt(wG[keep]))) @ dag(UG[:, keep])
     Vm = Vm @ Ginvh
-    lhs = dag(Vm) @ np.kron(A, np.eye(K.n ** m)) @ Vm
+    lhs = dag(Vm) @ (A @ Vm.reshape(K.d, -1)).reshape(Vm.shape)
     rhs = A.copy()
     for _ in range(m):
         rhs = apply(K, rhs, "heisenberg")

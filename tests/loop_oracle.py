@@ -1,0 +1,174 @@
+"""Word-at-a-time reference implementations of the word-stack checks.
+
+These are the loop versions that the library replaced with contractions
+over ``word_stack``: each builds its words one at a time with
+``word_operator`` and walks word pairs in Python.  ``test_word_stack``
+compares the library against them.  They are slow (cubic in the word
+count for the KMS residual), so keep their inputs small.
+"""
+import numpy as np
+
+from detbal.channel import KrausSet, apply, block, index_words, word_operator
+from detbal.equilibrium import _qm_function, _require_compat, check_state
+from detbal.errors import HypothesisFailure
+from detbal.matcore import RANK_TOL, RESIDUAL_TOL, as_complex, dag, eig_projector, spectral_norm
+from detbal.qgroup import _relation_record, _shapes
+from detbal.report import CheckRecord, RelationsReport
+from detbal.stinespring import _tensor_power
+
+
+def check_phi_symmetric(K, rho0, Qd, S, m, ordering="normal", tol=RESIDUAL_TOL):
+    rho0 = check_state(rho0)
+    _require_compat(Qd, S, m, tol)
+    ws = index_words(K.n, m)
+    p = S.level(m).p
+    Qm = _tensor_power(Qd.Q, m) @ p
+    trq = float(np.trace(Qm).real)
+    ops = [word_operator(K.ops, w) for w in ws]
+    mx = 0.0
+    for a in range(len(ws)):
+        for b in range(len(ws)):
+            if ordering == "normal":
+                v = np.trace(ops[a] @ rho0 @ dag(ops[b])) - Qm[a, b] / trq
+            elif ordering == "antinormal":
+                v = np.trace(rho0 @ ops[a] @ dag(ops[b])) - p[a, b] / trq
+            else:
+                raise ValueError("ordering must be 'normal' or 'antinormal'")
+            mx = max(mx, abs(v))
+    return mx
+
+
+def kms_condition_residual(K, rho0, Qd, S, m, tol=RESIDUAL_TOL):
+    rho0 = check_state(rho0)
+    mx = 0.0
+    for mp in range(1, m + 1):
+        _require_compat(Qd, S, mp, tol)
+        norm_res = check_phi_symmetric(K, rho0, Qd, S, mp, "normal", tol)
+        if norm_res > tol:
+            raise HypothesisFailure(
+                f"normal-ordered correlations fail at level {mp} (residual {norm_res:.3g})"
+            )
+        Qinv = _qm_function(Qd.Q, S, mp, lambda w: 1.0 / w)
+        ws = index_words(K.n, mp)
+        ops = [word_operator(K.ops, w) for w in ws]
+        for a in range(len(ws)):
+            for b in range(len(ws)):
+                lhs = np.trace(rho0 @ ops[a] @ dag(ops[b]))
+                rhs = sum(
+                    Qinv[a, r] * np.trace(rho0 @ dag(ops[b]) @ ops[r])
+                    for r in range(len(ws))
+                )
+                mx = max(mx, abs(lhs - rhs))
+    return mx
+
+
+def q_sphere_residual(K, Qd, S, m, tol=RESIDUAL_TOL, rank_tol=RANK_TOL):
+    _require_compat(Qd, S, m, tol)
+    Qinv = _qm_function(Qd.Q, S, m, lambda w: 1.0 / w, rank_tol)
+    ws = index_words(K.n, m)
+    ops = [word_operator(K.ops, w) for w in ws]
+    Sm = np.zeros((K.d, K.d), dtype=complex)
+    for a in range(len(ws)):
+        for b in range(len(ws)):
+            Sm += Qinv[b, a] * ops[a] @ dag(ops[b])
+    R = Sm - np.eye(K.d)
+    P, _ = eig_projector(R, tol)
+    return spectral_norm(R), P
+
+
+def first_row_q_sphere(W, F, S, m, tol=RESIDUAL_TOL, rank_tol=RANK_TOL):
+    W, F, d, n = _shapes(W, F)
+    if n != S.n:
+        raise ValueError("subproduct system size mismatch")
+    Q = dag(F) @ F
+    lev = S.level(m)
+    p = lev.p
+    e1 = np.zeros(n ** m)
+    e1[0] = 1.0
+    hyp_q11 = float(abs(Q[0, 0] - 1.0))
+    hyp_e1 = float(np.linalg.norm(p[:, 0] - e1))
+    z = [block(W, d, n, 0, k) for k in range(n)]
+    Qf = _tensor_power(Q, m)
+    H = p @ Qf @ p
+    H = (H + dag(H)) / 2
+    w, U = np.linalg.eigh(H)
+    keep = w > rank_tol * max(abs(w[-1]), 1e-300)
+    Qinv = (U[:, keep] * (1.0 / w[keep])) @ dag(U[:, keep])
+    ws = index_words(n, m)
+    zops = [word_operator(z, wd) for wd in ws]
+    G_row = np.zeros((d, d), dtype=complex)
+    G_mirror = np.zeros((d, d), dtype=complex)
+    for a_ in range(len(ws)):
+        for b in range(len(ws)):
+            G_row += Qinv[b, a_] * dag(zops[a_]) @ zops[b]
+            G_mirror += Qinv[b, a_] * zops[a_] @ dag(zops[b])
+    I = np.eye(d)
+    checks = [
+        CheckRecord(name="hypothesis_Q11", residual=hyp_q11, tolerance=tol,
+                    passed=bool(hyp_q11 < tol), level=m),
+        CheckRecord(name="hypothesis_boundary_vector", residual=hyp_e1,
+                    tolerance=tol, passed=bool(hyp_e1 < tol), level=m),
+        _relation_record("row_sphere", G_row - I, tol),
+        _relation_record("mirror_sphere", G_mirror - I, tol),
+    ]
+    for c_ in checks[2:]:
+        c_.level = m
+    return RelationsReport(
+        relation="first_row_q_sphere",
+        verdict=all(c.passed for c in checks),
+        tolerance=tol,
+        checks=checks,
+        info={"Q_diag": [float(x) for x in np.diag(Q).real]},
+    )
+
+
+def crooks_check(K, Kbar, rho0, m):
+    if K.n != Kbar.n or K.d != Kbar.d:
+        raise ValueError("Kraus sets must share shape")
+    rho0 = check_state(rho0)
+    mx = 0.0
+    for mp in range(1, m + 1):
+        for w in index_words(K.n, mp):
+            A = word_operator(K.ops, w)
+            B = word_operator(Kbar.ops, tuple(reversed(w)))
+            mx = max(mx, abs(np.trace(rho0 @ dag(B) @ B) - np.trace(rho0 @ dag(A) @ A)))
+    return float(mx)
+
+
+def _level_projector(K: KrausSet, m: int, rank_tol: float):
+    ws = index_words(K.n, m)
+    cols = [dag(word_operator(K.ops, w)).reshape(-1) for w in ws]
+    A = np.column_stack(cols)  # d^2 x n^m
+    _, s, Vh = np.linalg.svd(A, full_matrices=True)
+    r = int(np.sum(s > rank_tol * s[0])) if s.size else 0
+    Vr = Vh.conj().T[:, :r]
+    return Vr @ dag(Vr), r, ws
+
+
+def verify_power_dilation(K, S, m, A, tol=RESIDUAL_TOL, rank_tol=RANK_TOL):
+    if m > S.M:
+        raise ValueError("level out of range")
+    A = as_complex(A)
+    lev = S.level(m)
+    p = lev.p
+    e1 = np.zeros(K.n ** m)
+    e1[0] = 1.0
+    defect = float(np.linalg.norm(p[:, 0] - e1))
+    if defect > tol:
+        raise HypothesisFailure(
+            f"e_1^(x){m} not in the level-{m} subspace (defect {defect:.3g})"
+        )
+    ws = index_words(K.n, m)
+    Vm = np.zeros((K.d * K.n ** m, K.d), dtype=complex)
+    for idx, w in enumerate(ws):
+        Vm += np.kron(word_operator(K.ops, w), p[:, idx].reshape(-1, 1))
+    G = dag(Vm) @ Vm
+    wG, UG = np.linalg.eigh((G + dag(G)) / 2)
+    keep = wG > rank_tol * max(wG[-1], 0.0)
+    Ginvh = (UG[:, keep] * (1.0 / np.sqrt(wG[keep]))) @ dag(UG[:, keep])
+    Vm = Vm @ Ginvh
+    lhs = dag(Vm) @ np.kron(A, np.eye(K.n ** m)) @ Vm
+    rhs = A.copy()
+    for _ in range(m):
+        rhs = apply(K, rhs, "heisenberg")
+    return spectral_norm(lhs - rhs)

@@ -105,6 +105,13 @@ def test_analyze_gad_fails_with_sphere_reason(tmp_path, capsys):
     assert abs(sphere[0]["residual"] - 0.5) < 1e-9
 
 
+def test_analyze_rejects_max_level_below_one(tmp_path, capsys):
+    # a level-0 run checks nothing but a vacuous KMS condition
+    path = write_example(tmp_path, "gad")
+    assert main(["analyze", path, "--max-level", "0"]) == 2
+    assert "M=0" in capsys.readouterr().err
+
+
 def test_analyze_missing_and_corrupt_files(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -162,6 +169,14 @@ def test_stinespring_command(tmp_path, capsys):
     assert data["ranks"]["1"] == 2 or data["ranks"][1] == 2
     assert all(v < 1e-9 for v in data["inclusion_residuals"].values())
     assert isinstance(data["power_dilation_residuals"]["2"], str)  # hypothesis failure
+
+
+def test_stinespring_rejects_max_level_below_one(tmp_path, capsys):
+    path = write_example(tmp_path, "commuting_db")
+    assert main(["stinespring", path, "--max-level", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "--max-level" in captured.err
+    assert captured.out == ""
 
 
 def test_qgroup_check_suq2(tmp_path, capsys):
