@@ -18,7 +18,7 @@ import numpy as np
 from .channel import KrausSet, gram, remix, symmetric_unitary_first_col, word_stack
 from .errors import HypothesisFailure
 from .matcore import RANK_TOL, RESIDUAL_TOL, as_complex, dag, is_hermitian, spectral_norm
-from .stinespring import SubproductSystem, _tensor_power, check_Q_compatibility
+from .stinespring import SubproductSystem, _q_level, check_Q_compatibility
 
 NORMALIZATIONS = ("raw", "trace_balanced", "first_entry")
 
@@ -46,7 +46,6 @@ class CorrelationData:
     Q: np.ndarray
     normalization: str
     raw: np.ndarray
-    levels: dict = field(default_factory=dict)  # m -> Q_m = Q^(x)m p_m
     compat_residuals: dict = field(default_factory=dict)
 
     @property
@@ -58,10 +57,8 @@ class CorrelationData:
         return spectral_norm(off) <= tol * max(1.0, spectral_norm(self.Q))
 
     def attach_levels(self, S: SubproductSystem):
-        """Cache Q_m and the compatibility residual for every built level."""
+        """Cache the compatibility residual for every built level."""
         for m in range(1, S.M + 1):
-            Qf = _tensor_power(self.Q, m)
-            self.levels[m] = Qf @ S.level(m).p
             self.compat_residuals[m] = check_Q_compatibility(S, self.Q, m)
 
     def with_normalization(self, normalization: str) -> "CorrelationData":
@@ -184,19 +181,20 @@ def _require_compat(Qd: CorrelationData, S: SubproductSystem, m: int,
 
 def _qm_function(Q: np.ndarray, S: SubproductSystem, m: int, fn,
                  rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Apply a scalar function to Q_m on the range of p_m, zero elsewhere."""
-    p = S.level(m).p
-    H = p @ _tensor_power(Q, m) @ p
-    H = (H + dag(H)) / 2
-    w, U = np.linalg.eigh(H)
+    """Apply a scalar function to Q_m on the range of p_m, zero elsewhere.
+
+    Diagonalizes the r x r compression V* Q^(x)m V and lifts it by V.
+    """
+    V, _, H = _q_level(Q, S, m)
+    w, U = np.linalg.eigh((H + dag(H)) / 2)
     keep = w > rank_tol * max(abs(w[-1]), 1e-300)
-    return (U[:, keep] * fn(w[keep].astype(complex))) @ dag(U[:, keep])
+    VU = V @ U[:, keep]
+    return (VU * fn(w[keep].astype(complex))) @ dag(VU)
 
 
 def trace_qm(Qd: CorrelationData, S: SubproductSystem, m: int) -> float:
     """Trace of Q_m = Q^(x)m p_m over the full m-fold tensor power."""
-    p = S.level(m).p
-    return float(np.trace(_tensor_power(Qd.Q, m) @ p).real)
+    return float(np.trace(_q_level(Qd.Q, S, m)[2]).real)
 
 
 def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSystem,
@@ -213,14 +211,13 @@ def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSys
     _require_compat(Qd, S, m, tol)
     if ordering not in ("normal", "antinormal"):
         raise ValueError("ordering must be 'normal' or 'antinormal'")
-    p = S.level(m).p
-    Qm = _tensor_power(Qd.Q, m) @ p
-    trq = float(np.trace(Qm).real)
+    V, QV, H = _q_level(Qd.Q, S, m)
+    trq = float(np.trace(H).real)
     A = word_stack(K.ops, m)
     if ordering == "normal":
-        dev = gram(A @ rho0, A) - Qm / trq
+        dev = gram(A @ rho0, A) - QV @ dag(V) / trq
     else:
-        dev = gram(rho0 @ A, A) - p / trq
+        dev = gram(rho0 @ A, A) - V @ dag(V) / trq
     return float(np.max(np.abs(dev)))
 
 
@@ -253,17 +250,14 @@ def kms_state_eval(Qd: CorrelationData, S: SubproductSystem, j, k,
     if len(jl) != len(kl):
         return 0.0 + 0.0j
     m = len(jl)
-    if m == 0:
-        return 1.0 + 0.0j
     a = np.ravel_multi_index(tuple(x - 1 for x in jl), (S.n,) * m)
     b = np.ravel_multi_index(tuple(x - 1 for x in kl), (S.n,) * m)
-    p = S.level(m).p
-    Qm = _tensor_power(Qd.Q, m) @ p
-    trq = np.trace(Qm).real
+    V, QV, H = _q_level(Qd.Q, S, m)
+    trq = np.trace(H).real
     if ordering == "normal":
-        return complex(Qm[b, a] / trq)
+        return complex(QV[b] @ V[a].conj() / trq)
     if ordering == "antinormal":
-        return complex(p[a, b] / trq)
+        return complex(V[a] @ V[b].conj() / trq)
     raise ValueError("ordering must be 'normal' or 'antinormal'")
 
 
@@ -280,7 +274,6 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
     rho0 = check_state(rho0)
     mx = 0.0
     for mp in range(1, m + 1):
-        _require_compat(Qd, S, mp, tol)
         norm_res = check_phi_symmetric(K, rho0, Qd, S, mp, "normal", tol)
         if norm_res > tol:
             raise HypothesisFailure(

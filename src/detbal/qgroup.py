@@ -167,12 +167,8 @@ def first_row_q_sphere(W, F, S: SubproductSystem, m: int,
     if n != S.n:
         raise ValueError("subproduct system size mismatch")
     Q = dag(F) @ F
-    lev = S.level(m)
-    p = lev.p
-    e1 = np.zeros(n ** m)
-    e1[0] = 1.0
     hyp_q11 = float(abs(Q[0, 0] - 1.0))
-    hyp_e1 = float(np.linalg.norm(p[:, 0] - e1))
+    hyp_e1 = S.level(m).boundary_defect()
     Qinv = _qm_function(Q, S, m, lambda w: 1.0 / w, rank_tol)
     Z = word_stack((block(W, d, n, 0, k) for k in range(n)), m)
     G_row = pair_sum(dag(Z), Qinv.T, Z)

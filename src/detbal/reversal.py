@@ -172,6 +172,9 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
     """
     if M < 1:
         raise ValueError(f"max level M must be at least 1 (got M={M})")
+    for name, value in (("tol", tol), ("rank_tol", rank_tol)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive (got {name}={value})")
     rho0 = check_state(rho0)
     if K.unital_residual >= tol:
         raise ValueError("detailed balance verdict requires a channel")

@@ -121,9 +121,15 @@ def parse_channel_spec(payload: dict) -> ChannelSpec:
         dn = kraus.d * kraus.n
         if spec.dilation.shape != (dn, dn):
             raise SpecFileError("dilation dimension mismatch")
-    opts = dict(DEFAULT_OPTIONS)
-    opts.update(payload.get("options", {}))
-    spec.options = opts
+    options = payload.get("options", {})
+    if not isinstance(options, dict):
+        raise SpecFileError("options must be an object")
+    spec.options = {**DEFAULT_OPTIONS, **options}
+    for key in ("max_level", "residual_tol", "rank_tol"):
+        v, kind = spec.options[key], int if key == "max_level" else (int, float)
+        if isinstance(v, bool) or not isinstance(v, kind) or not 0 < v < np.inf:
+            what = "an integer >= 1" if kind is int else "a finite number > 0"
+            raise SpecFileError(f"options.{key} must be {what} (got {v!r})")
     return spec
 
 

@@ -1,10 +1,11 @@
 """Subproduct systems generated by a Kraus set.
 
-Level m of the system is the pair (p_m, n_m): the projector, inside the
-m-fold tensor power of the auxiliary space, onto the orthogonal
-complement of the kernel of the word map e_k -> adjoint Kraus product,
-together with its rank.  The levels nest: range(p_{m+l}) sits inside
-range(p_m) (x) range(p_l).
+Level m of the system is the pair (V_m, words): the n^m x r isometry
+whose columns span the orthogonal complement of the kernel of the word
+map e_k -> adjoint Kraus product inside the m-fold tensor power of the
+auxiliary space, and the words labelling its rows.  The level projector
+is p_m = V_m V_m*, and r <= d^2 is the rank.  The levels nest:
+range(p_{m+l}) sits inside range(p_m) (x) range(p_l).
 """
 from __future__ import annotations
 
@@ -20,9 +21,21 @@ from .matcore import MAX_DIM, RANK_TOL, RESIDUAL_TOL, as_complex, dag, spectral_
 
 @dataclass(frozen=True)
 class Level:
-    p: np.ndarray
-    rank: int
-    words: tuple  # 1-based Word labels indexing the rows/columns of p
+    V: np.ndarray  # n^m x rank isometry onto the level subspace
+    words: tuple  # 1-based Word labels indexing the rows of V
+
+    @property
+    def rank(self) -> int:
+        return self.V.shape[1]
+
+    @property
+    def p(self) -> np.ndarray:
+        """The dense level projector V V*, formed on request."""
+        return self.V @ dag(self.V)
+
+    def boundary_defect(self) -> float:
+        """||p e_1 - e_1||: how far e_1^(x)m lies from the level subspace."""
+        return float(np.linalg.norm(self.V @ self.V[0].conj() - np.eye(len(self.V), 1)[:, 0]))
 
 
 @dataclass(frozen=True)
@@ -37,16 +50,17 @@ class SubproductSystem:
         return self.levels[m]
 
 
-def _tensor_power(Q: np.ndarray, m: int) -> np.ndarray:
-    return functools.reduce(np.kron, [Q] * m, np.ones((1, 1)))
+def _q_level(Q: np.ndarray, S: SubproductSystem, m: int):
+    """(V_m, Q^(x)m V_m, V_m* Q^(x)m V_m): Q_m = Q^(x)m p_m in level coordinates."""
+    V = S.level(m).V
+    QV = (functools.reduce(np.kron, [Q] * m) if m else np.ones((1, 1))) @ V
+    return V, QV, dag(V) @ QV
 
 
-def _level_projector(K: KrausSet, m: int, rank_tol: float):
+def _level_isometry(K: KrausSet, m: int, rank_tol: float) -> np.ndarray:
     A = dag(word_stack(K.ops, m)).reshape(K.n ** m, -1).T  # d^2 x n^m
     _, s, Vh = np.linalg.svd(A, full_matrices=False)
-    r = int(np.sum(s > rank_tol * s[0])) if s.size else 0
-    Vr = Vh.conj().T[:, :r]
-    return Vr @ dag(Vr), r, index_words(K.n, m)
+    return dag(Vh[:int(np.sum(s > rank_tol * s[0]))])
 
 
 def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL,
@@ -58,78 +72,64 @@ def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL,
     """
     if K.n ** M > max_dim:
         raise ValueError("level dimension exceeds budget")
-    p1, r1, _ = _level_projector(K, 1, rank_tol)
-    if r1 < K.n:
+    if _level_isometry(K, 1, rank_tol).shape[1] < K.n:
         K = minimal_kraus(K, rank_tol)
-        p1, r1, _ = _level_projector(K, 1, rank_tol)
-        if r1 < K.n:
+        if _level_isometry(K, 1, rank_tol).shape[1] < K.n:
             raise ValueError("level-1 dependence survived minimization")
-    levels = {0: Level(np.eye(1, dtype=complex), 1, (Word(()),))}
-    for m in range(1, M + 1):
-        p, r, ws = _level_projector(K, m, rank_tol)
-        labels = tuple(Word(tuple(k + 1 for k in w)) for w in ws)
-        levels[m] = Level(p, r, labels)
+    levels = {m: Level(_level_isometry(K, m, rank_tol),
+                       tuple(Word(tuple(k + 1 for k in w)) for w in index_words(K.n, m)))
+              for m in range(M + 1)}
     return SubproductSystem(n=K.n, M=M, levels=levels)
 
 
 def check_subproduct_inclusion(S: SubproductSystem, m: int, l: int) -> float:
     """Residual of range(p_{m+l}) within range(p_m (x) p_l)."""
-    if m + l > S.M:
-        raise ValueError("level out of range")
-    pm = S.level(m).p
-    pl = S.level(l).p
-    pml = S.level(m + l).p
-    return spectral_norm(np.kron(pm, pl) @ pml - pml)
+    W = np.kron(S.level(m).V, S.level(l).V)
+    V = S.level(m + l).V
+    return spectral_norm(V - W @ (dag(W) @ V))
 
 
 def check_Q_compatibility(S: SubproductSystem, Q: np.ndarray, m: int) -> float:
     """Norm of the commutator of the m-fold power of Q with p_m.
 
     Zero certifies that Q^{(x)m} preserves the level-m subspace, the
-    standing hypothesis of every Q-weighted level-m quantity.
+    standing hypothesis of every Q-weighted level-m quantity.  The two
+    terms of (1 - p) Q^(x)m p - p Q^(x)m (1 - p) map between orthogonal
+    subspaces, so the norm is the larger of ||(1 - p) (Q^(x)m)^(*) V||.
     """
-    if m > S.M:
-        raise ValueError("level out of range")
-    if m == 0:
-        return 0.0
-    Qf = _tensor_power(as_complex(Q), m)
-    p = S.level(m).p
-    return spectral_norm(Qf @ p - p @ Qf)
+    Q = as_complex(Q)
+    V, QV, _ = _q_level(Q, S, m)
+    _, QhV, _ = _q_level(dag(Q), S, m)
+    return max(spectral_norm(X - V @ (dag(V) @ X)) for X in (QV, QhV))
 
 
 def verify_power_dilation(K: KrausSet, S: SubproductSystem, m: int, A: np.ndarray,
                           tol: float = RESIDUAL_TOL, rank_tol: float = RANK_TOL) -> float:
-    """Residual of the level-m dilation identity V_m*(A (x) 1)V_m = Phi^m(A).
+    """Residual of the level-m dilation identity D_m*(A (x) 1)D_m = Phi^m(A).
 
-    V_m maps xi to the sum over words of K_w xi (x) p_m e_w.  Requires
+    D_m maps xi to the sum over words of K_w xi (x) p_m e_w.  Requires
     the reference vector e_1^{(x)m} to lie in the level-m subspace;
     otherwise a HypothesisFailure is raised (the first-column reading of
     the blocks is not available).
     """
-    if m > S.M:
-        raise ValueError("level out of range")
     A = as_complex(A)
-    lev = S.level(m)
-    p = lev.p
-    N = K.n ** m
-    e1 = np.zeros(N)
-    e1[0] = 1.0
-    defect = float(np.linalg.norm(p[:, 0] - e1))
+    defect = S.level(m).boundary_defect()
     if defect > tol:
         raise HypothesisFailure(
             f"e_1^(x){m} not in the level-{m} subspace (defect {defect:.3g})"
         )
-    # V_m as a (d, n^m, d) array: V_m[i, x, j] = sum_w p[x, w] K_w[i, j]
-    Vm = (p @ word_stack(K.ops, m).reshape(N, -1)).reshape(N, K.d, K.d)
-    Vm = Vm.transpose(1, 0, 2).reshape(K.d * N, K.d)
-    # whiten with the Gram pseudo-inverse square root (a no-op when V_m
+    # D_m in level coordinates (p_m e_w -> V_m* e_w) as a (d, r, d) array
+    V = S.level(m).V
+    D = (dag(V) @ word_stack(K.ops, m).reshape(V.shape[0], -1)).reshape(-1, K.d, K.d)
+    D = D.transpose(1, 0, 2).reshape(-1, K.d)
+    # whiten with the Gram pseudo-inverse square root (a no-op when D_m
     # is already an isometry, which the word relations guarantee)
-    G = dag(Vm) @ Vm
+    G = dag(D) @ D
     wG, UG = np.linalg.eigh((G + dag(G)) / 2)
     keep = wG > rank_tol * max(wG[-1], 0.0)
     Ginvh = (UG[:, keep] * (1.0 / np.sqrt(wG[keep]))) @ dag(UG[:, keep])
-    Vm = Vm @ Ginvh
-    lhs = dag(Vm) @ (A @ Vm.reshape(K.d, -1)).reshape(Vm.shape)
+    D = D @ Ginvh
+    lhs = dag(D) @ (A @ D.reshape(K.d, -1)).reshape(D.shape)
     rhs = A.copy()
     for _ in range(m):
         rhs = apply(K, rhs, "heisenberg")

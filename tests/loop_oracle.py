@@ -1,20 +1,82 @@
-"""Word-at-a-time reference implementations of the word-stack checks.
+"""Word-at-a-time and dense-projector reference implementations.
 
 These are the loop versions that the library replaced with contractions
 over ``word_stack``: each builds its words one at a time with
-``word_operator`` and walks word pairs in Python.  ``test_word_stack``
+``word_operator`` and walks word pairs in Python.  The level functions
+(``_qm_function``, ``trace_qm``, ``kms_state_eval``,
+``check_Q_compatibility``, ``check_subproduct_inclusion``) work on the
+dense n^m x n^m projector ``p_m`` and the dense power ``Q^(x)m``, which
+the library replaced with the level isometry ``V_m``.  ``test_word_stack``
 compares the library against them.  They are slow (cubic in the word
 count for the KMS residual), so keep their inputs small.
 """
+import functools
+
 import numpy as np
 
 from detbal.channel import KrausSet, apply, block, index_words, word_operator
-from detbal.equilibrium import _qm_function, _require_compat, check_state
+from detbal.equilibrium import _require_compat, check_state
 from detbal.errors import HypothesisFailure
 from detbal.matcore import RANK_TOL, RESIDUAL_TOL, as_complex, dag, eig_projector, spectral_norm
 from detbal.qgroup import _relation_record, _shapes
 from detbal.report import CheckRecord, RelationsReport
-from detbal.stinespring import _tensor_power
+
+
+def _tensor_power(Q, m):
+    return functools.reduce(np.kron, [Q] * m, np.ones((1, 1)))
+
+
+def _qm_function(Q, S, m, fn, rank_tol=RANK_TOL):
+    p = S.level(m).p
+    H = p @ _tensor_power(Q, m) @ p
+    H = (H + dag(H)) / 2
+    w, U = np.linalg.eigh(H)
+    keep = w > rank_tol * max(abs(w[-1]), 1e-300)
+    return (U[:, keep] * fn(w[keep].astype(complex))) @ dag(U[:, keep])
+
+
+def trace_qm(Qd, S, m):
+    p = S.level(m).p
+    return float(np.trace(_tensor_power(Qd.Q, m) @ p).real)
+
+
+def kms_state_eval(Qd, S, j, k, ordering="normal"):
+    jl = tuple(j.letters) if hasattr(j, "letters") else tuple(j)
+    kl = tuple(k.letters) if hasattr(k, "letters") else tuple(k)
+    if len(jl) != len(kl):
+        return 0.0 + 0.0j
+    m = len(jl)
+    if m == 0:
+        return 1.0 + 0.0j
+    a = np.ravel_multi_index(tuple(x - 1 for x in jl), (S.n,) * m)
+    b = np.ravel_multi_index(tuple(x - 1 for x in kl), (S.n,) * m)
+    p = S.level(m).p
+    Qm = _tensor_power(Qd.Q, m) @ p
+    trq = np.trace(Qm).real
+    if ordering == "normal":
+        return complex(Qm[b, a] / trq)
+    if ordering == "antinormal":
+        return complex(p[a, b] / trq)
+    raise ValueError("ordering must be 'normal' or 'antinormal'")
+
+
+def check_subproduct_inclusion(S, m, l):
+    if m + l > S.M:
+        raise ValueError("level out of range")
+    pm = S.level(m).p
+    pl = S.level(l).p
+    pml = S.level(m + l).p
+    return spectral_norm(np.kron(pm, pl) @ pml - pml)
+
+
+def check_Q_compatibility(S, Q, m):
+    if m > S.M:
+        raise ValueError("level out of range")
+    if m == 0:
+        return 0.0
+    Qf = _tensor_power(as_complex(Q), m)
+    p = S.level(m).p
+    return spectral_norm(Qf @ p - p @ Qf)
 
 
 def check_phi_symmetric(K, rho0, Qd, S, m, ordering="normal", tol=RESIDUAL_TOL):
@@ -88,12 +150,7 @@ def first_row_q_sphere(W, F, S, m, tol=RESIDUAL_TOL, rank_tol=RANK_TOL):
     hyp_q11 = float(abs(Q[0, 0] - 1.0))
     hyp_e1 = float(np.linalg.norm(p[:, 0] - e1))
     z = [block(W, d, n, 0, k) for k in range(n)]
-    Qf = _tensor_power(Q, m)
-    H = p @ Qf @ p
-    H = (H + dag(H)) / 2
-    w, U = np.linalg.eigh(H)
-    keep = w > rank_tol * max(abs(w[-1]), 1e-300)
-    Qinv = (U[:, keep] * (1.0 / w[keep])) @ dag(U[:, keep])
+    Qinv = _qm_function(Q, S, m, lambda w: 1.0 / w, rank_tol)
     ws = index_words(n, m)
     zops = [word_operator(z, wd) for wd in ws]
     G_row = np.zeros((d, d), dtype=complex)

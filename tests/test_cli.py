@@ -179,6 +179,34 @@ def test_stinespring_rejects_max_level_below_one(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("options, key, commands", [
+    ({"max_level": "two"}, "max_level", ["analyze"]),
+    ({"max_level": 2.5}, "max_level", ["analyze"]),
+    ({"max_level": True}, "max_level", ["analyze"]),
+    ({"rank_tol": "x"}, "rank_tol", ["analyze", "stinespring"]),
+    ({"rank_tol": -1}, "rank_tol", ["analyze"]),
+    ({"residual_tol": 0}, "residual_tol", ["analyze"]),
+    ([1, 2], "options", ["analyze"]),
+], ids=["max_level-str", "max_level-float", "max_level-bool", "rank_tol-str",
+        "rank_tol-negative", "residual_tol-zero", "options-list"])
+def test_bad_spec_options_exit_two(tmp_path, capsys, options, key, commands):
+    payload = gen_example("gad")
+    payload["options"] = {**payload["options"], **options} if isinstance(options, dict) else options
+    path = tmp_path / "bad_options.json"
+    dump_payload(payload, str(path))
+    for command in commands:
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert captured.out == ""
+
+
+def test_analyze_rejects_negative_rank_tol_flag(tmp_path, capsys):
+    path = write_example(tmp_path, "gad")
+    assert main(["analyze", path, "--rank-tol", "-1"]) == 2
+    assert "rank_tol" in capsys.readouterr().err
+
+
 def test_qgroup_check_suq2(tmp_path, capsys):
     path = write_example(tmp_path, "suq2")
     assert main(["qgroup-check", path, "--relation", "bu", "--json"]) == 1

@@ -211,6 +211,17 @@ def test_verdict_requires_channel():
         detailed_balance_verdict(KrausSet([0.5 * np.eye(2)]), MIXED2)
 
 
+def test_verdict_rejects_non_positive_tol():
+    # a negative tol used to be reported as "requires a channel"
+    with pytest.raises(ValueError, match=r"^tol must be positive"):
+        detailed_balance_verdict(commuting_db_kraus(np.pi / 6), MIXED2, tol=-1.0)
+
+
+def test_verdict_rejects_non_positive_rank_tol():
+    with pytest.raises(ValueError, match=r"^rank_tol must be positive"):
+        detailed_balance_verdict(commuting_db_kraus(np.pi / 6), MIXED2, rank_tol=-1.0)
+
+
 def test_verdict_report_serializes():
     rep = detailed_balance_verdict(commuting_db_kraus(np.pi / 6), MIXED2, M=2)
     d = rep.to_dict()

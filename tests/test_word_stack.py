@@ -1,6 +1,7 @@
-"""The word-stack contractions against the word-at-a-time loops they replaced.
+"""The word-stack contractions and level-coordinate functions against the
+word-at-a-time loops and dense-projector bodies they replaced.
 
-Every residual must match its loop oracle (``loop_oracle``) to
+Every residual must match its oracle (``loop_oracle``) to
 1e-12 * max(1, |ref|), and every HypothesisFailure message must match
 exactly, on the acceptance pool: random channels over the (d, n) grid,
 gad, commuting_db and the truncated SU_q(2) ladder.
@@ -20,20 +21,29 @@ from detbal.channel import (
 )
 from detbal.equilibrium import (
     CorrelationData,
+    _qm_function,
     check_phi_symmetric,
     correlation_matrix,
     kms_condition_residual,
     kms_state_eval,
     modular_flow,
     orthogonalize_kraus,
+    trace_qm,
 )
 from detbal.errors import HypothesisFailure
 from detbal.factories import commuting_db_kraus, gad_kraus
+from detbal.matcore import dag
 from detbal.qgroup import first_row_q_sphere, suq2_dilation, suq2_generators
 from detbal.reversal import crooks_check, crooks_dual, q_sphere_residual
-from detbal.stinespring import _level_projector, build_subproduct, verify_power_dilation
+from detbal.stinespring import (
+    _level_isometry,
+    build_subproduct,
+    check_Q_compatibility,
+    check_subproduct_inclusion,
+    verify_power_dilation,
+)
 
-from conftest import random_channel, random_hermitian
+from conftest import random_channel, random_hermitian, random_unitary
 
 RTOL = 1e-12
 
@@ -135,12 +145,62 @@ def test_levels_and_dilations_match_loop_oracle(case):
     K, _, _, S, M = CASES[case]()
     A = random_hermitian(K.d, 5)
     for m in range(1, M + 1):
-        p, r, ws = _level_projector(K, m, 1e-9)
+        V = _level_isometry(K, m, 1e-9)
         p_ref, r_ref, ws_ref = oracle._level_projector(K, m, 1e-9)
-        assert (r, ws) == (r_ref, ws_ref)
-        np.testing.assert_allclose(p, p_ref, rtol=0, atol=RTOL)
+        assert V.shape == (len(ws_ref), r_ref)
+        np.testing.assert_allclose(V @ dag(V), p_ref, rtol=0, atol=RTOL)
+        assert [w.letters for w in S.level(m).words] == \
+            [tuple(k + 1 for k in w) for w in ws_ref]
         assert_matches(outcome(verify_power_dilation, K, S, m, A),
                        outcome(oracle.verify_power_dilation, K, S, m, A))
+
+
+def test_power_dilation_on_a_complex_deficient_level():
+    # Weyl clock and shift obey XZ = w ZX, a complex word relation that
+    # leaves e_1^(x)2 in a rank-8 level 2, so the dilation identity is
+    # evaluated on a level whose projector is neither real nor the identity
+    w = np.exp(2j * np.pi / 3)
+    X = np.roll(np.eye(3), 1, axis=0).astype(complex)
+    Z = np.diag([1, w, w * w])
+    K = KrausSet([U / np.sqrt(3) for U in (random_unitary(3, 1), X, Z)])
+    S = build_subproduct(K, 2)
+    assert S.level(2).rank == 8
+    A = random_hermitian(3, 5)
+    for m in (1, 2):
+        assert_matches(verify_power_dilation(K, S, m, A),
+                       oracle.verify_power_dilation(K, S, m, A))
+
+
+def assert_matrix_matches(new, ref):
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert float(np.max(np.abs(new - ref))) <= RTOL * scale
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_level_functions_match_dense_oracle(case):
+    K, _, Qd, S, M = CASES[case]()
+    rng = np.random.default_rng(3)
+    # a non-Hermitian Q makes the two commutator terms differ
+    Qc = rng.normal(size=(S.n, S.n)) + 1j * rng.normal(size=(S.n, S.n))
+    for m in range(M + 1):
+        for Q in (Qd.Q, Qc):
+            assert_matches(check_Q_compatibility(S, Q, m),
+                           oracle.check_Q_compatibility(S, Q, m))
+        for l in range(1, M - m + 1):
+            assert_matches(check_subproduct_inclusion(S, m, l),
+                           oracle.check_subproduct_inclusion(S, m, l))
+    for m in range(1, M + 1):
+        assert_matches(trace_qm(Qd, S, m), oracle.trace_qm(Qd, S, m))
+        for fn in (lambda w: 1.0 / w, lambda w: np.power(w, -0.7j)):
+            assert_matrix_matches(_qm_function(Qd.Q, S, m, fn),
+                                  oracle._qm_function(Qd.Q, S, m, fn))
+        words = [w.letters for w in S.level(m).words]
+        for j in words:
+            for k in words:
+                for ordering in ("normal", "antinormal"):
+                    new = kms_state_eval(Qd, S, j, k, ordering)
+                    ref = oracle.kms_state_eval(Qd, S, j, k, ordering)
+                    assert abs(new - ref) <= RTOL * max(1.0, abs(ref)), (j, k, new, ref)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
