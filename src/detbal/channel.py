@@ -1,10 +1,13 @@
 """Kraus sets, channel application, dilations, minimality and Choi data.
 
+A Kraus set holds its operators as one complex (n, d, d) array, so every
+channel quantity is a contraction over the leading Kraus index.
+
 A unitary W on the product of the d-dimensional system space and the
 n-dimensional auxiliary space is handled as an n x n matrix of d x d
 blocks, system index major: block (j, k) is W.reshape(d,n,d,n)[:, j, :, k],
 and the first block-column occupies the interleaved scalar columns
-W[:, 0::n].
+W[:, 0::n]; first_block_column returns those n blocks as an (n, d, d) stack.
 """
 from __future__ import annotations
 
@@ -31,8 +34,9 @@ ZERO_OP_TOL = 1e-12
 class KrausSet:
     """An ordered family of equal-shaped square operators on the system.
 
-    Zero operators are rejected at construction: they carry no dynamics
-    and make the correlation matrix singular.
+    ``ops`` holds the family as one complex (n, d, d) array.  Zero
+    operators are rejected at construction: they carry no dynamics and
+    make the correlation matrix singular.
     """
 
     def __init__(self, ops):
@@ -40,17 +44,17 @@ class KrausSet:
         if len(ops) == 0:
             raise ValueError("need at least one Kraus operator")
         d = ops[0].shape[0]
-        for K in ops:
-            if K.shape != (d, d):
-                raise ValueError("Kraus operators must share a square shape")
-            if spectral_norm(K) <= ZERO_OP_TOL:
-                raise ValueError("zero Kraus operator rejected")
-        self.ops = tuple(ops)
+        if any(K.shape != (d, d) for K in ops):
+            raise ValueError("Kraus operators must share a square shape")
+        A = np.array(ops)
+        if np.any(np.linalg.norm(A, 2, axis=(1, 2)) <= ZERO_OP_TOL):
+            raise ValueError("zero Kraus operator rejected")
+        self.ops = A
         self.d = d
-        self.n = len(ops)
+        self.n = len(A)
         I = np.eye(d)
-        self.unital_residual = spectral_norm(sum(dag(K) @ K for K in ops) - I)
-        self.cotrace_residual = spectral_norm(sum(K @ dag(K) for K in ops) - I)
+        self.unital_residual = spectral_norm((dag(A) @ A).sum(0) - I)
+        self.cotrace_residual = spectral_norm((A @ dag(A)).sum(0) - I)
 
     def __iter__(self):
         return iter(self.ops)
@@ -95,9 +99,9 @@ def apply(K: KrausSet, X: np.ndarray, picture: str = "heisenberg") -> np.ndarray
     if X.shape != (K.d, K.d):
         raise ValueError("operand dimension mismatch")
     if picture == "heisenberg":
-        return sum(dag(Kk) @ X @ Kk for Kk in K)
+        return (dag(K.ops) @ X @ K.ops).sum(0)
     if picture == "schrodinger":
-        return sum(Kk @ X @ dag(Kk) for Kk in K)
+        return (K.ops @ X @ dag(K.ops)).sum(0)
     raise ValueError("picture must be 'heisenberg' or 'schrodinger'")
 
 
@@ -127,8 +131,9 @@ def f_conjugate(W: np.ndarray, F: np.ndarray, d: int, n: int) -> np.ndarray:
     return np.kron(np.eye(d), F) @ Wc @ np.kron(np.eye(d), np.linalg.inv(F))
 
 
-def first_block_column(W: np.ndarray, d: int, n: int):
-    return [block(W, d, n, j, 0) for j in range(n)]
+def first_block_column(W: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The blocks W_{j0} as an (n, d, d) stack."""
+    return W.reshape(d, n, d, n)[..., 0].transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -137,39 +142,28 @@ def first_block_column(W: np.ndarray, d: int, n: int):
 
 def isometry_from_kraus(K: KrausSet) -> np.ndarray:
     """V xi = sum_k K_k xi (x) e_k, shape (d*n, d)."""
-    V = np.zeros((K.d * K.n, K.d), dtype=complex)
-    for k, Kk in enumerate(K):
-        e = np.zeros((K.n, 1))
-        e[k] = 1.0
-        V += np.kron(Kk, e)
-    return V
+    return K.ops.transpose(1, 0, 2).reshape(K.d * K.n, K.d)
 
 
 def is_star_commuting(K: KrausSet, tol: float = 1e-10) -> bool:
-    for A in K:
-        for B in K:
-            scale = max(1.0, spectral_norm(A) * spectral_norm(B))
-            if spectral_norm(A @ B - B @ A) > tol * scale:
-                return False
-            if spectral_norm(A @ dag(B) - dag(B) @ A) > tol * scale:
-                return False
-    return True
+    A, B = K.ops[:, np.newaxis], K.ops[np.newaxis]
+    norms = np.linalg.norm(K.ops, 2, axis=(1, 2))
+    scale = tol * np.maximum(1.0, np.outer(norms, norms))
+    comm = np.linalg.norm(A @ B - B @ A, 2, axis=(2, 3))
+    star = np.linalg.norm(A @ dag(B) - dag(B) @ A, 2, axis=(2, 3))
+    return bool(np.all(np.maximum(comm, star) <= scale))
 
 
 def _simultaneous_diag(K: KrausSet, tol: float = 1e-9) -> np.ndarray:
     """Unitary T with T* K_j T diagonal for a commuting *-family."""
     rng = np.random.default_rng(12345)
+    scale = tol * np.maximum(1.0, np.linalg.norm(K.ops, 2, axis=(1, 2)))
+    off_diag = 1.0 - np.eye(K.d)
     for _ in range(20):
         c = rng.normal(size=K.n) + 1j * rng.normal(size=K.n)
-        H = sum(cj * Kj + np.conj(cj) * dag(Kj) for cj, Kj in zip(c, K))
-        _, T = np.linalg.eigh(H)
-        ok = True
-        for Kj in K:
-            D = dag(T) @ Kj @ T
-            if np.max(np.abs(D - np.diag(np.diag(D)))) > tol * max(1.0, spectral_norm(Kj)):
-                ok = False
-                break
-        if ok:
+        C = np.tensordot(c, K.ops, axes=1)
+        _, T = np.linalg.eigh(C + dag(C))
+        if np.all(np.abs((dag(T) @ K.ops @ T) * off_diag).max(axis=(1, 2)) <= scale):
             return T
     raise ValueError("simultaneous diagonalization failed")
 
@@ -179,23 +173,20 @@ def symmetric_unitary_first_col(v: np.ndarray) -> np.ndarray:
 
     Built as D H D with H the real Householder reflection taking e_1 to
     the modulus vector of v and D a phase diagonal splitting the first
-    phase evenly, which keeps S symmetric.
+    phase evenly, which keeps S symmetric.  A stack of vectors along the
+    last axis gives the stack of their unitaries.
     """
-    v = as_complex(v).reshape(-1)
-    nv = v.shape[0]
-    mod_v = np.abs(v)
-    u = mod_v - np.eye(nv)[:, 0]
-    nu = np.linalg.norm(u)
-    if nu < 1e-14:
-        H = np.eye(nv)
-    else:
-        u = u / nu
-        H = np.eye(nv) - 2.0 * np.outer(u, u)
+    v = as_complex(v)
+    nv = v.shape[-1]
+    u = np.abs(v) - np.eye(nv)[0]
+    nu = np.linalg.norm(u, axis=-1, keepdims=True)
+    u = u / np.where(nu < 1e-14, np.inf, nu)  # H = 1 when |v| is already e_1
+    H = np.eye(nv) - 2.0 * u[..., :, np.newaxis] * u[..., np.newaxis, :]
     phases = np.angle(v)
-    phi = phases - phases[0] / 2.0
-    phi[0] = phases[0] / 2.0
-    D = np.diag(np.exp(1j * phi))
-    return D @ H @ D
+    phi = phases - phases[..., :1] / 2.0
+    phi[..., 0] = phases[..., 0] / 2.0
+    D = np.exp(1j * phi)
+    return D[..., :, np.newaxis] * H * D[..., np.newaxis, :]
 
 
 def _completion_structured(K: KrausSet) -> np.ndarray:
@@ -207,18 +198,10 @@ def _completion_structured(K: KrausSet) -> np.ndarray:
     the blockwise-dagger matrix exactly unitary as well.
     """
     T = _simultaneous_diag(K)
-    diags = [np.diag(dag(T) @ Kj @ T) for Kj in K]
-    slots = []
-    for i in range(K.d):
-        v = np.array([diags[j][i] for j in range(K.n)])
-        slots.append(symmetric_unitary_first_col(v))
-    W = np.zeros((K.d * K.n, K.d * K.n), dtype=complex)
-    R = W.reshape(K.d, K.n, K.d, K.n)
-    for j in range(K.n):
-        for k in range(K.n):
-            D = np.diag([slots[i][j, k] for i in range(K.d)])
-            R[:, j, :, k] = T @ D @ dag(T)
-    return W
+    # slot i holds the vector (T* K_j T)_ii over j, one (n, n) unitary each
+    slots = symmetric_unitary_first_col(np.diagonal(dag(T) @ K.ops @ T, axis1=1, axis2=2).T)
+    W = np.einsum("ai,ijk,bi->ajbk", T, slots, T.conj())
+    return W.reshape(K.d * K.n, K.d * K.n)
 
 
 def dilation_from_kraus(K: KrausSet, tol: float = RESIDUAL_TOL):
@@ -273,11 +256,9 @@ def kraus_from_dilation(W: np.ndarray, d: int, n: int, mode: str = "first_column
             probs = sigma.real
         if probs.shape != (n,) or np.any(probs < -1e-12) or abs(probs.sum() - 1) > 1e-10:
             raise ValueError("sigma must be an n-point probability vector")
-        ops = []
-        for j in range(n):
-            for k in range(n):
-                ops.append(np.sqrt(max(probs[k], 0.0)) * block(W, d, n, j, k))
-        return KrausSet(ops)
+        blocks = W.reshape(d, n, d, n).transpose(1, 3, 0, 2)  # [j, k] is W_{jk}
+        scale = np.sqrt(np.maximum(probs, 0.0))[:, np.newaxis, np.newaxis]
+        return KrausSet((blocks * scale).reshape(n * n, d, d))
     raise ValueError("mode must be 'first_column' or 'general_state'")
 
 
@@ -295,16 +276,16 @@ def word_operator(K, w) -> np.ndarray:
 
 
 def word_stack(ops, m: int) -> np.ndarray:
-    """Every length-m product K_{w1}...K_{wm} as an (n**m, d, d) array.
+    """Every length-m product K_{w1}...K_{wm} of an (n, d, d) array as an
+    (n**m, d, d) array.
 
     Row a is the word at position a of index_words(n, m), so the
     leftmost letter is the most significant digit of a in base n.
     """
-    K = np.asarray(tuple(ops), dtype=complex)
-    n, d, _ = K.shape
+    d = ops.shape[1]
     W = np.eye(d, dtype=complex)[np.newaxis]
     for _ in range(m):
-        W = np.matmul(W[:, np.newaxis], K[np.newaxis]).reshape(-1, d, d)
+        W = np.matmul(W[:, np.newaxis], ops[np.newaxis]).reshape(-1, d, d)
     return W
 
 
@@ -346,28 +327,23 @@ def minimal_kraus(K: KrausSet, rank_tol: float = RANK_TOL) -> KrausSet:
     above threshold.  The output basis is one of many; the channel is
     unchanged.
     """
-    A = word_stack(K.ops, 1)
-    G = gram(A, A)
+    G = gram(K.ops, K.ops)
     w, U = np.linalg.eigh((G + dag(G)) / 2)
     order = np.argsort(w)[::-1]
     w, U = w[order], U[:, order]
     keep = w > rank_tol * max(w[0], 0.0)
-    return remix(A, U[:, keep])
+    return remix(K.ops, U[:, keep])
 
 
 def remix(ops, U: np.ndarray) -> KrausSet:
     """The Kraus set whose r-th operator is sum_j conj(U[j, r]) K_j."""
-    A = np.asarray(tuple(ops), dtype=complex)
-    return KrausSet(np.tensordot(U.conj(), A, axes=(0, 0)))
+    return KrausSet(np.tensordot(U.conj(), ops, axes=(0, 0)))
 
 
 def channel_choi(K: KrausSet) -> np.ndarray:
     """Choi matrix sum_{ij} |i><j| (x) Phi_*(|i><j|), a d^2 x d^2 PSD matrix."""
-    C = np.zeros((K.d * K.d, K.d * K.d), dtype=complex)
-    for Kk in K:
-        w = Kk.T.reshape(-1)
-        C += np.outer(w, w.conj())
-    return C
+    B = K.ops.transpose(0, 2, 1).reshape(K.n, -1)  # row k is K_k^T flattened
+    return B.T @ B.conj()
 
 
 def channel_distance(K1: KrausSet, K2: KrausSet) -> float:

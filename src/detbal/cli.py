@@ -83,6 +83,8 @@ def cmd_reverse(args) -> int:
         spec = _load_channel(args.spec)
     except SpecFileError as exc:
         return _fail(str(exc))
+    if args.depth < 1:
+        return _fail(f"--depth must be at least 1 (got {args.depth})")
     tol = float(spec.options["residual_tol"])
     rho0 = _default_rho0(spec)
     try:
@@ -165,7 +167,12 @@ def cmd_qgroup_check(args) -> int:
     try:
         spec = _load_channel(args.spec)
         if args.F is not None:
-            F = decode_matrix(load_payload(args.F).get("matrix"))
+            fobj = load_payload(args.F)
+            if not isinstance(fobj, dict):
+                raise SpecFileError("--F payload must be an object carrying a matrix")
+            F = decode_matrix(fobj.get("matrix"))
+            if F.shape != (spec.kraus.n, spec.kraus.n):
+                raise SpecFileError("F dimension mismatch")
         elif spec.F is not None:
             F = spec.F
         else:

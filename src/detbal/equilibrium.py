@@ -94,8 +94,7 @@ def correlation_matrix(K: KrausSet, rho0, normalization: str = "trace_balanced",
     rho0 = check_state(rho0)
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
-    A = word_stack(K.ops, 1)
-    q = gram(A @ rho0, A)
+    q = gram(K.ops @ rho0, K.ops)
     q = (q + dag(q)) / 2
     diag = np.diag(q).real
     if np.any(diag <= 1e-12):
@@ -133,7 +132,7 @@ def orthogonalize_kraus(K: KrausSet, rho0, tol: float = 1e-10):
         if i == n or abs(lam[i] - lam[start]) > 1e-8 * max(1.0, abs(lam[start])):
             groups.append((start, i))
             start = i
-    t = np.array([np.trace(rho0 @ Kj) for Kj in K])
+    t = np.trace(rho0 @ K.ops, axis1=1, axis2=2)
     for a, b in groups:
         if b - a > 1:
             blockU = U[:, a:b]
@@ -142,10 +141,8 @@ def orthogonalize_kraus(K: KrausSet, rho0, tol: float = 1e-10):
             if np.linalg.norm(w) > tol:
                 R = symmetric_unitary_first_col(w / np.linalg.norm(w))
                 U[:, a:b] = blockU @ R
-    for r in range(n):
-        col = U[:, r]
-        i0 = int(np.argmax(np.abs(col)))
-        U[:, r] = col / (col[i0] / abs(col[i0]))
+    pivots = U[np.argmax(np.abs(U), axis=0), np.arange(n)]
+    U = U / (pivots / np.abs(pivots))
     Kp = remix(K.ops, U)
     Qd = correlation_matrix(Kp, rho0, "raw")
     if not Qd.is_diagonal(tol):
@@ -161,7 +158,7 @@ def zero_mean_check(K: KrausSet, rho0) -> list[float]:
     caller decides what to do when several survive.
     """
     rho0 = check_state(rho0)
-    return [float(abs(np.trace(rho0 @ Kj))) for Kj in K]
+    return np.abs(np.trace(rho0 @ K.ops, axis1=1, axis2=2)).tolist()
 
 
 # ---------------------------------------------------------------------------

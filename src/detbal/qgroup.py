@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import KrausSet, block, f_conjugate, pair_sum, require_invertible_F, word_stack
+from .channel import KrausSet, f_conjugate, pair_sum, require_invertible_F, word_stack
 from .equilibrium import _qm_function, balance_scalar, check_state
 from .matcore import (
     RANK_TOL,
@@ -170,7 +170,7 @@ def first_row_q_sphere(W, F, S: SubproductSystem, m: int,
     hyp_q11 = float(abs(Q[0, 0] - 1.0))
     hyp_e1 = S.level(m).boundary_defect()
     Qinv = _qm_function(Q, S, m, lambda w: 1.0 / w, rank_tol)
-    Z = word_stack((block(W, d, n, 0, k) for k in range(n)), m)
+    Z = word_stack(W.reshape(d, n, d, n)[:, 0].transpose(2, 0, 1), m)  # z_k = W_{0k}
     G_row = pair_sum(dag(Z), Qinv.T, Z)
     G_mirror = pair_sum(Z, Qinv.T, dag(Z))
     I = np.eye(d)

@@ -88,8 +88,7 @@ def reversed_kraus(K: KrausSet, Qd: CorrelationData) -> KrausSet:
         raise ValueError("reversed_kraus requires first-entry normalization")
     if not Qd.is_diagonal():
         raise ValueError("reversed_kraus requires diagonal Q; orthogonalize first")
-    qkk = np.diag(Qd.Q).real
-    return KrausSet([dag(Kk) / np.sqrt(qkk[k]) for k, Kk in enumerate(K)])
+    return KrausSet(dag(K.ops) / np.sqrt(np.diag(Qd.Q).real)[:, np.newaxis, np.newaxis])
 
 
 def crooks_dual(K: KrausSet, rho0, rank_tol: float = RANK_TOL) -> KrausSet:
@@ -103,7 +102,7 @@ def crooks_dual(K: KrausSet, rho0, rank_tol: float = RANK_TOL) -> KrausSet:
         raise ValueError("crooks_dual requires an invertible state")
     rh = (U * np.sqrt(w)) @ dag(U)
     rih = (U * (1.0 / np.sqrt(w))) @ dag(U)
-    return KrausSet([rh @ dag(Kj) @ rih for Kj in K])
+    return KrausSet(rh @ dag(K.ops) @ rih)
 
 
 def crooks_check(K: KrausSet, Kbar: KrausSet, rho0, m: int) -> float:
@@ -112,6 +111,8 @@ def crooks_check(K: KrausSet, Kbar: KrausSet, rho0, m: int) -> float:
     Compares Tr(rho0 Kbar_w~* Kbar_w~) with Tr(rho0 K_w* K_w), where w~
     is w read backwards.
     """
+    if m < 1:
+        raise ValueError(f"word length m must be at least 1 (got m={m})")
     if K.n != Kbar.n or K.d != Kbar.d:
         raise ValueError("Kraus sets must share shape")
     rho0 = check_state(rho0)

@@ -116,6 +116,8 @@ def parse_channel_spec(payload: dict) -> ChannelSpec:
             raise SpecFileError("Q dimension mismatch")
     if "F" in payload:
         spec.F = decode_matrix(payload["F"])
+        if spec.F.shape != (kraus.n, kraus.n):
+            raise SpecFileError("F dimension mismatch")
     if "dilation" in payload:
         spec.dilation = decode_matrix(payload["dilation"])
         dn = kraus.d * kraus.n

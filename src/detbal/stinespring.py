@@ -9,7 +9,6 @@ range(p_{m+l}) sits inside range(p_m) (x) range(p_l).
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,9 +50,16 @@ class SubproductSystem:
 
 
 def _q_level(Q: np.ndarray, S: SubproductSystem, m: int):
-    """(V_m, Q^(x)m V_m, V_m* Q^(x)m V_m): Q_m = Q^(x)m p_m in level coordinates."""
+    """(V_m, Q^(x)m V_m, V_m* Q^(x)m V_m): Q_m = Q^(x)m p_m in level coordinates.
+
+    Q^(x)m V_m is applied one tensor factor at a time (mode products), so
+    the n^m x n^m power is never formed.
+    """
     V = S.level(m).V
-    QV = (functools.reduce(np.kron, [Q] * m) if m else np.ones((1, 1))) @ V
+    n = len(Q)
+    QV = V
+    for k in range(m):
+        QV = (Q @ QV.reshape(n ** k, n, -1)).reshape(V.shape)
     return V, QV, dag(V) @ QV
 
 

@@ -9,12 +9,26 @@ dense n^m x n^m projector ``p_m`` and the dense power ``Q^(x)m``, which
 the library replaced with the level isometry ``V_m``.  ``test_word_stack``
 compares the library against them.  They are slow (cubic in the word
 count for the KMS residual), so keep their inputs small.
+
+The per-operator bodies at the end (Kraus residuals, ``apply``, the
+isometry, the star-commutation test, the structured completion, the
+general-state extraction, the Choi matrix, the means and the two
+reversals) walk the Kraus set one operator at a time, as the library did
+before it held the set as one (n, d, d) array; ``test_kraus_array``
+compares the library against them.
 """
 import functools
 
 import numpy as np
 
-from detbal.channel import KrausSet, apply, block, index_words, word_operator
+from detbal.channel import (
+    KrausSet,
+    apply,
+    block,
+    index_words,
+    symmetric_unitary_first_col,
+    word_operator,
+)
 from detbal.equilibrium import _require_compat, check_state
 from detbal.errors import HypothesisFailure
 from detbal.matcore import RANK_TOL, RESIDUAL_TOL, as_complex, dag, eig_projector, spectral_norm
@@ -229,3 +243,118 @@ def verify_power_dilation(K, S, m, A, tol=RESIDUAL_TOL, rank_tol=RANK_TOL):
     for _ in range(m):
         rhs = apply(K, rhs, "heisenberg")
     return spectral_norm(lhs - rhs)
+
+
+# ---------------------------------------------------------------------------
+# per-operator bodies
+
+
+def kraus_residuals(K):
+    I = np.eye(K.d)
+    unital = spectral_norm(sum(dag(Kk) @ Kk for Kk in K) - I)
+    cotrace = spectral_norm(sum(Kk @ dag(Kk) for Kk in K) - I)
+    return unital, cotrace
+
+
+def apply_loop(K, X, picture="heisenberg"):
+    X = as_complex(X)
+    if picture == "heisenberg":
+        return sum(dag(Kk) @ X @ Kk for Kk in K)
+    if picture == "schrodinger":
+        return sum(Kk @ X @ dag(Kk) for Kk in K)
+    raise ValueError("picture must be 'heisenberg' or 'schrodinger'")
+
+
+def isometry_from_kraus(K):
+    V = np.zeros((K.d * K.n, K.d), dtype=complex)
+    for k, Kk in enumerate(K):
+        e = np.zeros((K.n, 1))
+        e[k] = 1.0
+        V += np.kron(Kk, e)
+    return V
+
+
+def first_block_column(W, d, n):
+    return [block(W, d, n, j, 0) for j in range(n)]
+
+
+def is_star_commuting(K, tol=1e-10):
+    for A in K:
+        for B in K:
+            scale = max(1.0, spectral_norm(A) * spectral_norm(B))
+            if spectral_norm(A @ B - B @ A) > tol * scale:
+                return False
+            if spectral_norm(A @ dag(B) - dag(B) @ A) > tol * scale:
+                return False
+    return True
+
+
+def _simultaneous_diag(K, tol=1e-9):
+    rng = np.random.default_rng(12345)
+    for _ in range(20):
+        c = rng.normal(size=K.n) + 1j * rng.normal(size=K.n)
+        H = sum(cj * Kj + np.conj(cj) * dag(Kj) for cj, Kj in zip(c, K))
+        _, T = np.linalg.eigh(H)
+        ok = True
+        for Kj in K:
+            D = dag(T) @ Kj @ T
+            if np.max(np.abs(D - np.diag(np.diag(D)))) > tol * max(1.0, spectral_norm(Kj)):
+                ok = False
+                break
+        if ok:
+            return T
+    raise ValueError("simultaneous diagonalization failed")
+
+
+def _completion_structured(K):
+    T = _simultaneous_diag(K)
+    diags = [np.diag(dag(T) @ Kj @ T) for Kj in K]
+    slots = []
+    for i in range(K.d):
+        v = np.array([diags[j][i] for j in range(K.n)])
+        slots.append(symmetric_unitary_first_col(v))
+    W = np.zeros((K.d * K.n, K.d * K.n), dtype=complex)
+    R = W.reshape(K.d, K.n, K.d, K.n)
+    for j in range(K.n):
+        for k in range(K.n):
+            D = np.diag([slots[i][j, k] for i in range(K.d)])
+            R[:, j, :, k] = T @ D @ dag(T)
+    return W
+
+
+def general_state_kraus(W, d, n, probs):
+    """The ops of kraus_from_dilation(W, d, n, "general_state", probs)."""
+    ops = []
+    for j in range(n):
+        for k in range(n):
+            ops.append(np.sqrt(max(probs[k], 0.0)) * block(W, d, n, j, k))
+    return ops
+
+
+def channel_choi(K):
+    C = np.zeros((K.d * K.d, K.d * K.d), dtype=complex)
+    for Kk in K:
+        w = Kk.T.reshape(-1)
+        C += np.outer(w, w.conj())
+    return C
+
+
+def means(K, rho0):
+    """The mean vector Tr(rho0 K_j) of orthogonalize_kraus and zero_mean_check."""
+    return np.array([np.trace(rho0 @ Kj) for Kj in K])
+
+
+def reversed_kraus(K, Qd):
+    qkk = np.diag(Qd.Q).real
+    return KrausSet([dag(Kk) / np.sqrt(qkk[k]) for k, Kk in enumerate(K)])
+
+
+def crooks_dual(K, rho0, rank_tol=RANK_TOL):
+    rho0 = check_state(rho0)
+    w, U = np.linalg.eigh((rho0 + dag(rho0)) / 2)
+    if w[0] <= rank_tol * w[-1]:
+        raise ValueError("crooks_dual requires an invertible state")
+    rh = (U * np.sqrt(w)) @ dag(U)
+    rih = (U * (1.0 / np.sqrt(w))) @ dag(U)
+    return KrausSet([rh @ dag(Kj) @ rih for Kj in K])
+

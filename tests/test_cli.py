@@ -161,6 +161,18 @@ def test_reverse_default_output_path(tmp_path, capsys):
     assert rev.kraus.unital_residual < 1e-10
 
 
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_reverse_rejects_depth_below_one(tmp_path, capsys, depth):
+    path = write_example(tmp_path, "gad")
+    out_path = tmp_path / "rev.json"
+    assert main(["reverse", path, "--mode", "crooks", "--depth", depth,
+                 "-o", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert "--depth" in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
 def test_stinespring_command(tmp_path, capsys):
     path = write_example(tmp_path, "commuting_db")
     assert main(["stinespring", path, "--max-level", "3", "--json"]) == 0
@@ -225,6 +237,30 @@ def test_qgroup_check_au_with_F_file(tmp_path, capsys):
     assert main(["qgroup-check", path, "--relation", "au", "--F", str(f_path)]) == 1
     out = capsys.readouterr().out
     assert "au relations: false" in out
+
+
+def test_qgroup_check_rejects_spec_F_of_wrong_size(tmp_path, capsys):
+    # an 8 x 8 F for gad's n = 4 would otherwise be read as d = 1, n = 8
+    payload = gen_example("gad")
+    payload["F"] = encode_matrix(np.eye(8))
+    path = tmp_path / "gad_F8.json"
+    dump_payload(payload, str(path))
+    assert main(["qgroup-check", str(path), "--relation", "au"]) == 2
+    captured = capsys.readouterr()
+    assert "F dimension mismatch" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("f_payload", [[1, 2], {"matrix": encode_matrix(np.eye(3))}],
+                         ids=["list", "3x3"])
+def test_qgroup_check_rejects_bad_F_file(tmp_path, capsys, f_payload):
+    path = write_example(tmp_path, "suq2")
+    f_path = tmp_path / "F.json"
+    f_path.write_text(json.dumps(f_payload))
+    assert main(["qgroup-check", path, "--relation", "au", "--F", str(f_path)]) == 2
+    captured = capsys.readouterr()
+    assert "F" in captured.err
+    assert captured.out == ""
 
 
 def test_qgroup_check_dilation_key_preferred(tmp_path, capsys):

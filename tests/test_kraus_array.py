@@ -1,0 +1,105 @@
+"""The (n, d, d) Kraus-array contractions against the per-operator loops
+they replaced.
+
+Every quantity must match its oracle (``loop_oracle``) to
+1e-12 * max(1, |ref|) entrywise on random channels over the (d, n) grid,
+gad, commuting_db, a measurement channel (whose commuting family takes
+the structured completion) and the truncated SU_q(2) ladder.
+"""
+import numpy as np
+import pytest
+
+import loop_oracle as oracle
+from detbal.channel import (
+    KrausSet,
+    _completion_structured,
+    apply,
+    channel_choi,
+    dilation_from_kraus,
+    first_block_column,
+    is_star_commuting,
+    isometry_from_kraus,
+    kraus_from_dilation,
+)
+from detbal.equilibrium import orthogonalize_kraus, zero_mean_check
+from detbal.factories import commuting_db_kraus, gad_kraus, measurement_channel
+from detbal.qgroup import suq2_generators
+from detbal.reversal import crooks_dual, reversed_kraus
+
+from conftest import random_channel, random_hermitian, random_unitary
+
+RTOL = 1e-12
+
+CASES = {
+    **{f"random-d{d}-n{n}": (lambda d=d, n=n: random_channel(d, n, 7000 + 3 * d + n))
+       for d in (2, 3, 4) for n in (2, 3, 4)},
+    "gad": lambda: gad_kraus(0.75, 0.5),
+    "commuting_db": lambda: commuting_db_kraus(np.pi / 6),
+    "measurement": lambda: measurement_channel()[0],
+    "suq2": lambda: suq2_generators(0.5, 6)[2],
+}
+COMMUTING = ("commuting_db", "measurement")
+
+
+def assert_close(new, ref):
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.shape == ref.shape
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert float(np.max(np.abs(new - ref))) <= RTOL * scale
+
+
+def full_rank_state(d, seed):
+    X = random_hermitian(d, seed)
+    rho = X @ X + np.eye(d)
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_channel_quantities_match_loop_oracle(case):
+    K = CASES[case]()
+    unital, cotrace = oracle.kraus_residuals(K)
+    assert_close(K.unital_residual, unital)
+    assert_close(K.cotrace_residual, cotrace)
+    X = random_hermitian(K.d, 1) + 1j * random_hermitian(K.d, 2)
+    for picture in ("heisenberg", "schrodinger"):
+        assert_close(apply(K, X, picture), oracle.apply_loop(K, X, picture))
+    assert_close(isometry_from_kraus(K), oracle.isometry_from_kraus(K))
+    assert_close(channel_choi(K), oracle.channel_choi(K))
+    assert is_star_commuting(K) == oracle.is_star_commuting(K)
+    assert is_star_commuting(K) == (case in COMMUTING)
+    rho0 = full_rank_state(K.d, 3)
+    assert_close(zero_mean_check(K, rho0), np.abs(oracle.means(K, rho0)))
+    assert_close(crooks_dual(K, rho0).ops, oracle.crooks_dual(K, rho0).ops)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_dilation_blocks_match_loop_oracle(case):
+    K = CASES[case]()
+    _, W = dilation_from_kraus(K)
+    assert_close(first_block_column(W, K.d, K.n), oracle.first_block_column(W, K.d, K.n))
+    # a Haar unitary has no zero blocks, which KrausSet would reject
+    U = random_unitary(K.d * K.n, 5)
+    probs = np.arange(1.0, K.n + 1) / (K.n * (K.n + 1) / 2)
+    assert_close(kraus_from_dilation(U, K.d, K.n, "general_state", probs).ops,
+                 oracle.general_state_kraus(U, K.d, K.n, probs))
+    if case in COMMUTING:
+        assert_close(_completion_structured(K), oracle._completion_structured(K))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_reversed_kraus_matches_loop_oracle(case):
+    K = CASES[case]()
+    rho0 = full_rank_state(K.d, 4)
+    Kp, Qraw, _ = orthogonalize_kraus(K, rho0)
+    Qfe = Qraw.with_normalization("first_entry")
+    assert_close(reversed_kraus(Kp, Qfe).ops, oracle.reversed_kraus(Kp, Qfe).ops)
+
+
+def test_star_commuting_when_only_the_last_pair_fails():
+    # every pair commutes, and only (N, N) fails [A, B*] = 0: the loop
+    # reaches that pair last, so the all-pairs form must still see it
+    N = np.array([[0.0, 1.0], [0.0, 0.0]])
+    K = KrausSet([0.5 * np.eye(2), 0.3 * np.eye(2), N])
+    assert oracle.is_star_commuting(K) is False
+    assert is_star_commuting(K) is False
+    assert is_star_commuting(KrausSet([0.5 * np.eye(2), 0.3 * np.eye(2), N + N.T])) is True

@@ -149,6 +149,13 @@ def test_crooks_check_shape_mismatch():
         crooks_check(gad_kraus(0.75, 0.5), commuting_db_kraus(0.3), GAD_RHO, 1)
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_crooks_check_rejects_word_length_below_one(m):
+    K = gad_kraus(0.75, 0.5)
+    with pytest.raises(ValueError, match=f"m={m}"):
+        crooks_check(K, K, GAD_RHO, m)
+
+
 def test_time_reversal_invariance_commuting_db():
     tri = time_reversal_invariance(commuting_db_kraus(np.pi / 6), np.eye(2))
     assert tri.invariant
