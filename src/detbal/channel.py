@@ -234,8 +234,10 @@ def kraus_from_dilation(W: np.ndarray, d: int, n: int, mode: str = "first_column
 
     mode "first_column" reads the n blocks of the first block-column.
     mode "general_state" takes a diagonal bath density sigma (matrix or
-    vector of probabilities) and returns the n*n operators
-    sqrt(sigma_k) * W_{jk}, ordered with j major.
+    vector of probabilities) and returns the products sqrt(sigma_k) W_{jk},
+    ordered with j major.  Products of spectral norm at most ZERO_OP_TOL
+    (zero blocks, zero-weight bath states) carry no dynamics and are
+    dropped.
     """
     W = as_complex(W)
     if W.shape != (d * n, d * n):
@@ -258,7 +260,8 @@ def kraus_from_dilation(W: np.ndarray, d: int, n: int, mode: str = "first_column
             raise ValueError("sigma must be an n-point probability vector")
         blocks = W.reshape(d, n, d, n).transpose(1, 3, 0, 2)  # [j, k] is W_{jk}
         scale = np.sqrt(np.maximum(probs, 0.0))[:, np.newaxis, np.newaxis]
-        return KrausSet((blocks * scale).reshape(n * n, d, d))
+        ops = (blocks * scale).reshape(n * n, d, d)
+        return KrausSet(ops[np.linalg.norm(ops, 2, axis=(1, 2)) > ZERO_OP_TOL])
     raise ValueError("mode must be 'first_column' or 'general_state'")
 
 
@@ -269,6 +272,18 @@ def kraus_from_dilation(W: np.ndarray, d: int, n: int, mode: str = "first_column
 def index_words(n: int, m: int):
     """All length-m words over {0,...,n-1}, leftmost letter most significant."""
     return list(itertools.product(range(n), repeat=m))
+
+
+def word_labels(n: int, m: int) -> list:
+    """The 1-based Word labels of index_words(n, m), in the same order."""
+    return [Word(tuple(k + 1 for k in w)) for w in index_words(n, m)]
+
+
+def require_word_budget(n: int, m: int, max_dim: int = MAX_DIM) -> None:
+    """Refuse a level of more than max_dim words of length m over n letters."""
+    if n ** m > max_dim:
+        raise ValueError(f"level of {n}**{m} = {n ** m} words exceeds the budget "
+                         f"of {max_dim} words per level")
 
 
 def word_operator(K, w) -> np.ndarray:
@@ -294,13 +309,6 @@ def gram(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X.reshape(len(X), -1) @ Y.reshape(len(Y), -1).conj().T
 
 
-def pair_sum(X: np.ndarray, C: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """The operator sum over a, b of C[a, b] X_a Y_b for stacks X, Y."""
-    N, d, _ = Y.shape
-    CY = (C @ Y.reshape(N, -1)).reshape(N, d, d)
-    return np.einsum("aij,ajk->ik", X, CY)
-
-
 def power_kraus(K: KrausSet, m: int, max_dim: int = MAX_DIM):
     """All n**m ordered Kraus products of length m.
 
@@ -310,10 +318,8 @@ def power_kraus(K: KrausSet, m: int, max_dim: int = MAX_DIM):
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if K.n ** m > max_dim:
-        raise ValueError("word count exceeds dimension budget")
-    labels = [Word(tuple(k + 1 for k in w)) for w in index_words(K.n, m)]
-    return labels, list(word_stack(K.ops, m))
+    require_word_budget(K.n, m, max_dim)
+    return word_labels(K.n, m), list(word_stack(K.ops, m))
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +338,12 @@ def minimal_kraus(K: KrausSet, rank_tol: float = RANK_TOL) -> KrausSet:
     order = np.argsort(w)[::-1]
     w, U = w[order], U[:, order]
     keep = w > rank_tol * max(w[0], 0.0)
-    return remix(K.ops, U[:, keep])
+    return KrausSet(remix(K.ops, U[:, keep]))
 
 
-def remix(ops, U: np.ndarray) -> KrausSet:
-    """The Kraus set whose r-th operator is sum_j conj(U[j, r]) K_j."""
-    return KrausSet(np.tensordot(U.conj(), ops, axes=(0, 0)))
+def remix(ops: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """The stack whose r-th operator is sum_j conj(U[j, r]) ops_j."""
+    return np.tensordot(U.conj(), ops, axes=(0, 0))
 
 
 def channel_choi(K: KrausSet) -> np.ndarray:

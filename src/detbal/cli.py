@@ -62,40 +62,28 @@ def _default_rho0(spec):
 
 
 def cmd_analyze(args) -> int:
-    try:
-        spec = _load_channel(args.spec)
-    except SpecFileError as exc:
-        return _fail(str(exc))
+    spec = _load_channel(args.spec)
     opts = spec.options
     M = args.max_level if args.max_level is not None else int(opts["max_level"])
     tol = args.residual_tol if args.residual_tol is not None else float(opts["residual_tol"])
     rank_tol = args.rank_tol if args.rank_tol is not None else float(opts["rank_tol"])
-    try:
-        report = detailed_balance_verdict(spec.kraus, _default_rho0(spec), M, tol, rank_tol)
-    except ValueError as exc:
-        return _fail(str(exc))
+    report = detailed_balance_verdict(spec.kraus, _default_rho0(spec), M, tol, rank_tol)
     _emit(report.to_dict(), report.render(), args.json)
     return 0 if report.verdict else 1
 
 
 def cmd_reverse(args) -> int:
-    try:
-        spec = _load_channel(args.spec)
-    except SpecFileError as exc:
-        return _fail(str(exc))
+    spec = _load_channel(args.spec)
     if args.depth < 1:
         return _fail(f"--depth must be at least 1 (got {args.depth})")
     tol = float(spec.options["residual_tol"])
     rho0 = _default_rho0(spec)
-    try:
-        if args.mode == "qsphere":
-            Kfwd, Qraw, _ = orthogonalize_kraus(spec.kraus, rho0)
-            Kbar = reversed_kraus(Kfwd, Qraw.with_normalization("first_entry"))
-        else:
-            Kfwd = spec.kraus
-            Kbar = crooks_dual(spec.kraus, rho0)
-    except ValueError as exc:
-        return _fail(str(exc))
+    if args.mode == "qsphere":
+        Kfwd, Qraw, _ = orthogonalize_kraus(spec.kraus, rho0)
+        Kbar = reversed_kraus(Kfwd, Qraw.with_normalization("first_entry"))
+    else:
+        Kfwd = spec.kraus
+        Kbar = crooks_dual(spec.kraus, rho0)
     kind = classify(Kbar, tol).classification
     if kind == "operation":
         print("warning: reversed set is an operation, not a channel", file=sys.stderr)
@@ -121,19 +109,13 @@ def cmd_reverse(args) -> int:
 
 
 def cmd_stinespring(args) -> int:
-    try:
-        spec = _load_channel(args.spec)
-    except SpecFileError as exc:
-        return _fail(str(exc))
+    spec = _load_channel(args.spec)
     tol = float(spec.options["residual_tol"])
     rank_tol = float(spec.options["rank_tol"])
     if args.max_level < 1:
         return _fail(f"--max-level must be at least 1 (got {args.max_level})")
     K = minimal_kraus(spec.kraus, rank_tol)
-    try:
-        S = build_subproduct(K, args.max_level, rank_tol)
-    except ValueError as exc:
-        return _fail(str(exc))
+    S = build_subproduct(K, args.max_level, rank_tol)
     ranks = {m: S.level(m).rank for m in range(S.M + 1)}
     inclusions = {}
     for m in range(1, S.M):
@@ -164,46 +146,31 @@ def cmd_stinespring(args) -> int:
 
 
 def cmd_qgroup_check(args) -> int:
-    try:
-        spec = _load_channel(args.spec)
-        if args.F is not None:
-            fobj = load_payload(args.F)
-            if not isinstance(fobj, dict):
-                raise SpecFileError("--F payload must be an object carrying a matrix")
-            F = decode_matrix(fobj.get("matrix"))
-            if F.shape != (spec.kraus.n, spec.kraus.n):
-                raise SpecFileError("F dimension mismatch")
-        elif spec.F is not None:
-            F = spec.F
-        else:
-            F = np.eye(spec.kraus.n, dtype=complex)
-    except SpecFileError as exc:
-        return _fail(str(exc))
-    if spec.dilation is not None:
-        W = spec.dilation
+    spec = _load_channel(args.spec)
+    if args.F is not None:
+        fobj = load_payload(args.F)
+        if not isinstance(fobj, dict):
+            raise SpecFileError("--F payload must be an object carrying a matrix")
+        F = decode_matrix(fobj.get("matrix"))
+        if F.shape != (spec.kraus.n, spec.kraus.n):
+            raise SpecFileError("F dimension mismatch")
+    elif spec.F is not None:
+        F = spec.F
     else:
-        try:
-            _, W = dilation_from_kraus(spec.kraus)
-        except ValueError as exc:
-            return _fail(str(exc))
+        F = np.eye(spec.kraus.n, dtype=complex)
+    W = spec.dilation if spec.dilation is not None else dilation_from_kraus(spec.kraus)[1]
     tol = float(spec.options["residual_tol"])
-    try:
-        if args.relation == "au":
-            report = au_relations_check(W, F, tol)
-        else:
-            report = bu_relations_check(W, F, tol)
-    except ValueError as exc:
-        return _fail(str(exc))
+    if args.relation == "au":
+        report = au_relations_check(W, F, tol)
+    else:
+        report = bu_relations_check(W, F, tol)
     _emit(report.to_dict(), report.render(), args.json)
     return 0 if report.verdict else 1
 
 
 def cmd_classical(args) -> int:
-    try:
-        M, pi = parse_classical_spec(load_payload(args.spec))
-        chain = ClassicalChain(M, pi)
-    except (SpecFileError, ValueError) as exc:
-        return _fail(str(exc))
+    M, pi = parse_classical_spec(load_payload(args.spec))
+    chain = ClassicalChain(M, pi)
     Mhat, db, residual = classical_reverse(chain)
     report = {
         "detailed_balance": db,
@@ -225,14 +192,7 @@ def cmd_classical(args) -> int:
 
 
 def cmd_gen_example(args) -> int:
-    try:
-        params = json.loads(args.params) if args.params else {}
-    except json.JSONDecodeError as exc:
-        return _fail(f"invalid params JSON: {exc}")
-    try:
-        payload = gen_example(args.name, params)
-    except ValueError as exc:
-        return _fail(str(exc))
+    payload = gen_example(args.name, json.loads(args.params) if args.params else {})
     out_path = args.output or f"{args.name}.json"
     dump_payload(payload, out_path)
     print(f"wrote {out_path}")
@@ -298,7 +258,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # SpecFileError, LinAlgError and JSONDecodeError too
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

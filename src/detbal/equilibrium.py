@@ -143,7 +143,7 @@ def orthogonalize_kraus(K: KrausSet, rho0, tol: float = 1e-10):
                 U[:, a:b] = blockU @ R
     pivots = U[np.argmax(np.abs(U), axis=0), np.arange(n)]
     U = U / (pivots / np.abs(pivots))
-    Kp = remix(K.ops, U)
+    Kp = KrausSet(remix(K.ops, U))
     Qd = correlation_matrix(Kp, rho0, "raw")
     if not Qd.is_diagonal(tol):
         raise ValueError("orthogonalization failed to diagonalize the correlation matrix")
@@ -176,17 +176,17 @@ def _require_compat(Qd: CorrelationData, S: SubproductSystem, m: int,
         )
 
 
-def _qm_function(Q: np.ndarray, S: SubproductSystem, m: int, fn,
-                 rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Apply a scalar function to Q_m on the range of p_m, zero elsewhere.
+def _qm_eig(Q: np.ndarray, S: SubproductSystem, m: int,
+            rank_tol: float = RANK_TOL):
+    """Eigenpair (VU, w) of Q_m on the range of p_m: Q_m = VU diag(w) VU*.
 
-    Diagonalizes the r x r compression V* Q^(x)m V and lifts it by V.
+    Diagonalizes the r x r compression V* Q^(x)m V and drops eigenvalues
+    below the rank cutoff; f(Q_m) is then VU diag(f(w)) VU*.
     """
     V, _, H = _q_level(Q, S, m)
     w, U = np.linalg.eigh((H + dag(H)) / 2)
     keep = w > rank_tol * max(abs(w[-1]), 1e-300)
-    VU = V @ U[:, keep]
-    return (VU * fn(w[keep].astype(complex))) @ dag(VU)
+    return V @ U[:, keep], w[keep]
 
 
 def trace_qm(Qd: CorrelationData, S: SubproductSystem, m: int) -> float:
@@ -230,8 +230,9 @@ def modular_flow(Qd: CorrelationData, S: SubproductSystem, word, t,
     letters = tuple(word.letters) if hasattr(word, "letters") else tuple(word)
     m = len(letters)
     _require_compat(Qd, S, m, tol)
-    Qit = _qm_function(Qd.Q, S, m, lambda w: np.power(w, -1j * complex(t)))
-    return Qit[np.ravel_multi_index(tuple(k - 1 for k in letters), (S.n,) * m), :]
+    VU, w = _qm_eig(Qd.Q, S, m)
+    a = np.ravel_multi_index(tuple(k - 1 for k in letters), (S.n,) * m)
+    return (VU[a] * np.power(w, -1j * complex(t))) @ dag(VU)
 
 
 def kms_state_eval(Qd: CorrelationData, S: SubproductSystem, j, k,
@@ -276,10 +277,11 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
             raise HypothesisFailure(
                 f"normal-ordered correlations fail at level {mp} (residual {norm_res:.3g})"
             )
-        Qinv = _qm_function(Qd.Q, S, mp, lambda w: 1.0 / w)
+        VU, w = _qm_eig(Qd.Q, S, mp)
         A = word_stack(K.ops, mp)
-        # lhs[a, b] = Tr(rho0 K_a K_b*), rhs[a, b] = sum_r Qinv[a, r] Tr(rho0 K_b* K_r)
+        # lhs[a, b] = Tr(rho0 K_a K_b*), rhs[a, b] = sum_r Qinv[a, r] Tr(rho0 K_b* K_r),
+        # with Qinv = VU diag(1/w) VU* and VU* applied to the stack, not to the Gram
         lhs = gram(rho0 @ A, A)
-        rhs = Qinv @ gram(A @ rho0, A)
+        rhs = VU @ (gram(remix(A, VU) @ rho0, A) / w[:, np.newaxis])
         mx = max(mx, float(np.max(np.abs(lhs - rhs))))
     return mx

@@ -71,41 +71,59 @@ def gen_example(name: str, params: dict | None = None) -> dict:
     """Build the named example as a spec dictionary.
 
     Recognized names: measurement (A, B), gad (p, gamma),
-    commuting_db (theta), suq2 (q, N), classical (M, pi).
+    commuting_db (theta), suq2 (q, N), classical (M, pi); A, B and M
+    are lists of rows of numbers, pi a list, the rest numbers.
     """
+    if params is not None and not isinstance(params, dict):
+        raise ValueError(f"params must be an object of named parameters (got {params!r})")
     params = dict(params or {})
     if name == "measurement":
-        A = params.pop("A", None)
-        B = params.pop("B", None)
+        A = _param(params, "A", None, 2)
+        B = _param(params, "B", None, 2)
         _check_no_extras(name, params)
         K, W = measurement_channel(A, B)
         rho0 = np.eye(K.d) / K.d
         return channel_spec_dict(K, rho0=rho0, dilation=W)
     if name == "gad":
-        p = float(params.pop("p", 0.75))
-        gamma = float(params.pop("gamma", 0.5))
+        p = _param(params, "p", 0.75)
+        gamma = _param(params, "gamma", 0.5)
         _check_no_extras(name, params)
         K = gad_kraus(p, gamma)
         rho0 = np.diag([p, 1.0 - p]).astype(complex)
         return channel_spec_dict(K, rho0=rho0)
     if name == "commuting_db":
-        theta = float(params.pop("theta", np.pi / 6))
+        theta = _param(params, "theta", np.pi / 6)
         _check_no_extras(name, params)
         K = commuting_db_kraus(theta)
         return channel_spec_dict(K, rho0=np.eye(2, dtype=complex) / 2)
     if name == "suq2":
-        q = float(params.pop("q", 0.5))
-        N = int(params.pop("N", 6))
+        q = _param(params, "q", 0.5)
+        N = int(_param(params, "N", 6))
         _check_no_extras(name, params)
         a, c, K, F = suq2_generators(q, N)
         W = suq2_dilation(a, c, q)
         return channel_spec_dict(K, F=F, dilation=W)
     if name == "classical":
-        M = params.pop("M", _CYCLE3)
-        pi = params.pop("pi", None)
+        M = _param(params, "M", _CYCLE3, 2)
+        pi = _param(params, "pi", None, 1)
         _check_no_extras(name, params)
         return classical_spec_dict(M, pi)
     raise ValueError(f"unknown example name {name!r}")
+
+
+def _param(params: dict, key: str, default, ndim: int = 0):
+    """Pop params[key], a number or an ndim-deep list of numbers; default when absent."""
+    if key not in params:
+        return default
+    value = params.pop(key)
+    try:
+        a = np.asarray(value)
+    except ValueError:  # ragged nesting
+        a = None
+    if a is None or a.dtype.kind not in "iuf" or a.ndim != ndim:
+        what = ("a number", "a list of numbers", "a list of rows of numbers")[ndim]
+        raise ValueError(f"parameter {key!r} must be {what} (got {value!r})")
+    return float(a) if ndim == 0 else a
 
 
 def _check_no_extras(name: str, params: dict) -> None:

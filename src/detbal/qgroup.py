@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import KrausSet, f_conjugate, pair_sum, require_invertible_F, word_stack
-from .equilibrium import _qm_function, balance_scalar, check_state
+from .channel import KrausSet, f_conjugate, remix, require_invertible_F, word_stack
+from .equilibrium import _qm_eig, balance_scalar, check_state
 from .matcore import (
     RANK_TOL,
     RESIDUAL_TOL,
@@ -169,10 +169,12 @@ def first_row_q_sphere(W, F, S: SubproductSystem, m: int,
     Q = dag(F) @ F
     hyp_q11 = float(abs(Q[0, 0] - 1.0))
     hyp_e1 = S.level(m).boundary_defect()
-    Qinv = _qm_function(Q, S, m, lambda w: 1.0 / w, rank_tol)
+    VU, w = _qm_eig(Q, S, m, rank_tol)
     Z = word_stack(W.reshape(d, n, d, n)[:, 0].transpose(2, 0, 1), m)  # z_k = W_{0k}
-    G_row = pair_sum(dag(Z), Qinv.T, Z)
-    G_mirror = pair_sum(Z, Qinv.T, dag(Z))
+    # Qinv = VU diag(1/w) VU*, so each sum is one remixed stack times its adjoint
+    B, C = (remix(Z, U) / np.sqrt(w)[:, np.newaxis, np.newaxis] for U in (VU, VU.conj()))
+    G_row = (dag(C) @ C).sum(0)
+    G_mirror = (B @ dag(B)).sum(0)
     I = np.eye(d)
     checks = [
         CheckRecord(name="hypothesis_Q11", residual=hyp_q11, tolerance=tol,

@@ -13,13 +13,14 @@ from .channel import (
     dilation_from_kraus,
     f_conjugate,
     kraus_from_dilation,
-    pair_sum,
+    remix,
     require_invertible_F,
+    require_word_budget,
     word_stack,
 )
 from .equilibrium import (
     CorrelationData,
-    _qm_function,
+    _qm_eig,
     _require_compat,
     check_phi_symmetric,
     check_state,
@@ -46,14 +47,16 @@ def q_sphere_residual(K: KrausSet, Qd: CorrelationData, S: SubproductSystem,
     """Deviation of the level-m weighted word sum from the identity.
 
     Evaluates sum over word pairs of Qinv[k,j] K_j K_k* minus 1, where
-    Qinv inverts Q^(x)m on the level subspace.  Returns the spectral
-    norm together with the projector onto the defect eigenspace, which
-    localizes boundary effects of truncated representations.
+    Qinv inverts Q^(x)m on the level subspace; with Q_m = VU diag(w) VU*
+    the sum is sum_r B_r B_r* / w_r, B_r = sum_a conj(VU[a,r]) K_a.
+    Returns the spectral norm together with the projector onto the
+    defect eigenspace, which localizes boundary effects of truncated
+    representations.
     """
     _require_compat(Qd, S, m, tol)
-    Qinv = _qm_function(Qd.Q, S, m, lambda w: 1.0 / w, rank_tol)
-    A = word_stack(K.ops, m)
-    R = pair_sum(A, Qinv.T, dag(A)) - np.eye(K.d)
+    VU, w = _qm_eig(Qd.Q, S, m, rank_tol)
+    B = remix(word_stack(K.ops, m), VU) / np.sqrt(w)[:, np.newaxis, np.newaxis]
+    R = (B @ dag(B)).sum(0) - np.eye(K.d)
     P, _ = eig_projector(R, tol)
     return spectral_norm(R), P
 
@@ -115,6 +118,7 @@ def crooks_check(K: KrausSet, Kbar: KrausSet, rho0, m: int) -> float:
         raise ValueError(f"word length m must be at least 1 (got m={m})")
     if K.n != Kbar.n or K.d != Kbar.d:
         raise ValueError("Kraus sets must share shape")
+    require_word_budget(K.n, m)
     rho0 = check_state(rho0)
     mx = 0.0
     for mp in range(1, m + 1):

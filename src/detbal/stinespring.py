@@ -1,11 +1,11 @@
 """Subproduct systems generated by a Kraus set.
 
-Level m of the system is the pair (V_m, words): the n^m x r isometry
-whose columns span the orthogonal complement of the kernel of the word
-map e_k -> adjoint Kraus product inside the m-fold tensor power of the
-auxiliary space, and the words labelling its rows.  The level projector
-is p_m = V_m V_m*, and r <= d^2 is the rank.  The levels nest:
-range(p_{m+l}) sits inside range(p_m) (x) range(p_l).
+Level m of the system is (V_m, n, m): the n^m x r isometry whose columns
+span the orthogonal complement of the kernel of the word map e_k ->
+adjoint Kraus product inside the m-fold tensor power of the auxiliary
+space; its row a is word a of index_words(n, m), labelled on request.
+The level projector is p_m = V_m V_m*, and r <= d^2 is the rank.  The
+levels nest: range(p_{m+l}) sits inside range(p_m) (x) range(p_l).
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausSet, Word, apply, index_words, minimal_kraus, word_stack
+from .channel import KrausSet, apply, minimal_kraus, require_word_budget, word_labels, word_stack
 from .errors import HypothesisFailure
 from .matcore import MAX_DIM, RANK_TOL, RESIDUAL_TOL, as_complex, dag, spectral_norm
 
@@ -21,7 +21,13 @@ from .matcore import MAX_DIM, RANK_TOL, RESIDUAL_TOL, as_complex, dag, spectral_
 @dataclass(frozen=True)
 class Level:
     V: np.ndarray  # n^m x rank isometry onto the level subspace
-    words: tuple  # 1-based Word labels indexing the rows of V
+    n: int  # alphabet size; n = 1 leaves m unreadable from len(V)
+    m: int  # word length
+
+    @property
+    def words(self) -> tuple:
+        """The 1-based Word labels indexing the rows of V, built on request."""
+        return tuple(word_labels(self.n, self.m))
 
     @property
     def rank(self) -> int:
@@ -76,15 +82,12 @@ def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL,
     K is reduced to a linearly independent set first when needed; the
     level-1 projector of the reduced set is then the full identity.
     """
-    if K.n ** M > max_dim:
-        raise ValueError("level dimension exceeds budget")
+    require_word_budget(K.n, M, max_dim)
     if _level_isometry(K, 1, rank_tol).shape[1] < K.n:
         K = minimal_kraus(K, rank_tol)
         if _level_isometry(K, 1, rank_tol).shape[1] < K.n:
             raise ValueError("level-1 dependence survived minimization")
-    levels = {m: Level(_level_isometry(K, m, rank_tol),
-                       tuple(Word(tuple(k + 1 for k in w)) for w in index_words(K.n, m)))
-              for m in range(M + 1)}
+    levels = {m: Level(_level_isometry(K, m, rank_tol), K.n, m) for m in range(M + 1)}
     return SubproductSystem(n=K.n, M=M, levels=levels)
 
 

@@ -151,6 +151,22 @@ def test_general_state_mode():
         kraus_from_dilation(W, 2, 3, "general_state", np.array([0.7, 0.4, -0.1]))
 
 
+@pytest.mark.parametrize("W, d, n, sigma", [
+    # the library's own gad dilation has zero blocks
+    (dilation_from_kraus(gad_kraus(0.75, 0.5))[1], 2, 4, [0.25] * 4),
+    # a zero-weight bath state leaves a zero product in every row
+    (np.eye(4), 2, 2, [1.0, 0.0]),
+])
+def test_general_state_mode_drops_zero_products(W, d, n, sigma):
+    assert kraus_from_dilation(W, d, n, "general_state", sigma).unital_residual <= 1e-12
+
+
+def test_general_state_mode_on_gad_with_a_pure_bath_matches_first_column():
+    _, W = dilation_from_kraus(gad_kraus(0.75, 0.5))
+    K = kraus_from_dilation(W, 2, 4, "general_state", [1.0, 0.0, 0.0, 0.0])
+    assert channel_distance(K, kraus_from_dilation(W, 2, 4, "first_column")) <= 1e-12
+
+
 def test_index_words_order():
     assert index_words(2, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert index_words(3, 0) == [()]

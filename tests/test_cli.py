@@ -173,6 +173,24 @@ def test_reverse_rejects_depth_below_one(tmp_path, capsys, depth):
     assert not out_path.exists()
 
 
+def test_reverse_refuses_depth_over_the_word_budget(tmp_path, capsys):
+    path = write_example(tmp_path, "gad")
+    out_path = tmp_path / "rev.json"
+    assert main(["reverse", path, "--mode", "crooks", "--depth", "7",
+                 "-o", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert "4**7" in captured.err and "4096" in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
+def test_analyze_names_the_word_budget(tmp_path, capsys):
+    path = write_example(tmp_path, "commuting_db")
+    assert main(["analyze", path, "--max-level", "13"]) == 2
+    err = capsys.readouterr().err
+    assert "2**13" in err and "4096" in err
+
+
 def test_stinespring_command(tmp_path, capsys):
     path = write_example(tmp_path, "commuting_db")
     assert main(["stinespring", path, "--max-level", "3", "--json"]) == 0
@@ -326,6 +344,16 @@ def test_gen_example_params_and_errors(tmp_path, capsys):
     assert main(["gen-example", "--name", "gad",
                  "--params", '{"decay": 1}', "-o", out]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("params, named", [
+    ("[1, 2]", "params"), ("5", "params"), ('{"p": null}', "'p'"), ('{"p": [1]}', "'p'"),
+])
+def test_gen_example_rejects_non_numeric_params(tmp_path, capsys, params, named):
+    out = tmp_path / "g.json"
+    assert main(["gen-example", "--name", "gad", "--params", params, "-o", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_example_measurement_rejects_decoupled_interaction(tmp_path, capsys):

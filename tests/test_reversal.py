@@ -156,6 +156,13 @@ def test_crooks_check_rejects_word_length_below_one(m):
         crooks_check(K, K, GAD_RHO, m)
 
 
+def test_crooks_check_refuses_levels_over_the_word_budget():
+    # 4**7 = 16384 words at the deepest level, over MAX_DIM = 4096
+    K = gad_kraus(0.75, 0.5)
+    with pytest.raises(ValueError, match=r"4\*\*7 = 16384 words exceeds the budget of 4096"):
+        crooks_check(K, K, GAD_RHO, 7)
+
+
 def test_time_reversal_invariance_commuting_db():
     tri = time_reversal_invariance(commuting_db_kraus(np.pi / 6), np.eye(2))
     assert tri.invariant

@@ -21,7 +21,7 @@ from detbal.channel import (
 )
 from detbal.equilibrium import (
     CorrelationData,
-    _qm_function,
+    _qm_eig,
     check_phi_symmetric,
     correlation_matrix,
     kms_condition_residual,
@@ -191,9 +191,21 @@ def test_level_functions_match_dense_oracle(case):
                            oracle.check_subproduct_inclusion(S, m, l))
     for m in range(1, M + 1):
         assert_matches(trace_qm(Qd, S, m), oracle.trace_qm(Qd, S, m))
+        VU, w = _qm_eig(Qd.Q, S, m)
         for fn in (lambda w: 1.0 / w, lambda w: np.power(w, -0.7j)):
-            assert_matrix_matches(_qm_function(Qd.Q, S, m, fn),
+            assert_matrix_matches((VU * fn(w.astype(complex))) @ dag(VU),
                                   oracle._qm_function(Qd.Q, S, m, fn))
+        # one flowed row per word; levels where Q^(x)m fails to preserve the
+        # subspace must refuse the flow instead
+        compat = Qd.compat_residuals[m] <= 1e-8
+        for t in (0.3, -1j, 0.4 - 0.2j):
+            Qit = oracle._qm_function(Qd.Q, S, m, lambda w: np.power(w, -1j * t))
+            for a, word in enumerate(S.level(m).words):
+                row = outcome(modular_flow, Qd, S, word, t)
+                if compat:
+                    assert_matrix_matches(row, Qit[a])
+                else:
+                    assert isinstance(row, HypothesisFailure)
         words = [w.letters for w in S.level(m).words]
         for j in words:
             for k in words:
