@@ -24,6 +24,7 @@ from .matcore import (
     as_complex,
     dag,
     frobenius_norm,
+    isometry_defect,
     orthonormal_completion,
     spectral_norm,
 )
@@ -221,7 +222,7 @@ def dilation_from_kraus(K: KrausSet, tol: float = RESIDUAL_TOL):
             W = _completion_structured(K)
         except ValueError:
             W = None
-        if W is not None and spectral_norm(dag(W) @ W - np.eye(K.d * K.n)) > 1e-10:
+        if W is not None and np.abs(isometry_defect(W)).max() > 1e-10:
             W = None
     if W is None:
         W = orthonormal_completion(V)
@@ -242,7 +243,7 @@ def kraus_from_dilation(W: np.ndarray, d: int, n: int, mode: str = "first_column
     W = as_complex(W)
     if W.shape != (d * n, d * n):
         raise ValueError("dilation shape mismatch")
-    if spectral_norm(dag(W) @ W - np.eye(d * n)) > tol:
+    if np.abs(isometry_defect(W)).max() > tol:
         raise ValueError("dilation is not unitary within tolerance")
     if mode == "first_column":
         return KrausSet(first_block_column(W, d, n))

@@ -98,7 +98,7 @@ def gen_example(name: str, params: dict | None = None) -> dict:
         return channel_spec_dict(K, rho0=np.eye(2, dtype=complex) / 2)
     if name == "suq2":
         q = _param(params, "q", 0.5)
-        N = int(_param(params, "N", 6))
+        N = _param(params, "N", 6)
         _check_no_extras(name, params)
         a, c, K, F = suq2_generators(q, N)
         W = suq2_dilation(a, c, q)

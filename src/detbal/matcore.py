@@ -22,7 +22,13 @@ def dag(A: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(A: np.ndarray) -> float:
-    return float(np.linalg.norm(A, 2))
+    return float(np.linalg.svd(A, compute_uv=False).max(initial=0.0))
+
+
+def isometry_defect(X: np.ndarray) -> np.ndarray:
+    """Eigenvalues s^2 - 1 of X*X - 1 (and of XX* - 1 for square X), s the singular values of X."""
+    s = np.linalg.svd(X, compute_uv=False)
+    return (s - 1) * (s + 1)
 
 
 def frobenius_norm(A: np.ndarray) -> float:
@@ -104,7 +110,7 @@ def orthonormal_completion(V: np.ndarray, tol: float = RESIDUAL_TOL) -> np.ndarr
     if dn % d != 0:
         raise ValueError("isometry rows must be a multiple of its columns")
     n = dn // d
-    if spectral_norm(dag(V) @ V - np.eye(d)) > tol:
+    if np.abs(isometry_defect(V)).max() > tol:
         raise ValueError("input is not an isometry within tolerance")
     # Gram-Schmidt over [V | I]; V's columns survive unchanged.
     cols = [V[:, i].copy() for i in range(d)]

@@ -19,6 +19,7 @@ from .matcore import (
     dag,
     eig_projector,
     frobenius_norm,
+    isometry_defect,
     spectral_norm,
 )
 from .report import CheckRecord, RelationsReport
@@ -26,6 +27,8 @@ from .stinespring import SubproductSystem
 
 
 def _relation_record(name: str, R: np.ndarray, tol: float) -> CheckRecord:
+    """Record of a general residual R; only self_conjugacy (W - Wc_F is not
+    Hermitian) comes here, every Hermitian residual goes through _spectrum_record."""
     res = spectral_norm(R)
     P, rank = eig_projector(R, tol)
     Pc = np.eye(R.shape[0]) - P
@@ -40,6 +43,16 @@ def _relation_record(name: str, R: np.ndarray, tol: float) -> CheckRecord:
     )
 
 
+def _spectrum_record(name: str, w: np.ndarray, tol: float) -> CheckRecord:
+    """The _relation_record of a Hermitian residual, read from its eigenvalues w: the
+    unitarity residuals (w from isometry_defect) and the first-row sphere sums (eigvalsh)."""
+    a = np.abs(w)
+    res = float(a.max())
+    return CheckRecord(name=name, residual=res, tolerance=tol, passed=bool(res < tol),
+                       frobenius=float(np.linalg.norm(w)), defect_rank=int(np.sum(a > tol)),
+                       off_defect_residual=float(a[a <= tol].max(initial=0.0)))
+
+
 def _shapes(W: np.ndarray, F: np.ndarray):
     W = as_complex(W)
     F = as_complex(F)
@@ -52,6 +65,13 @@ def _shapes(W: np.ndarray, F: np.ndarray):
     return W, F, W.shape[0] // n, n
 
 
+def _au_records(W: np.ndarray, Wc_F: np.ndarray, tol: float) -> list[CheckRecord]:
+    # X*X - 1 and XX* - 1 of a square X share the eigenvalues isometry_defect(X)
+    return [_spectrum_record(f"{name}_unitary_{side}", w, tol)
+            for name, w in (("W", isometry_defect(W)), ("conjugate", isometry_defect(Wc_F)))
+            for side in ("left", "right")]
+
+
 def au_relations_check(W, F, tol: float = RESIDUAL_TOL) -> RelationsReport:
     """Unitarity of W and of its F-conjugate, blockwise.
 
@@ -59,14 +79,7 @@ def au_relations_check(W, F, tol: float = RESIDUAL_TOL) -> RelationsReport:
     relations with weight F*F at this representation.
     """
     W, F, d, n = _shapes(W, F)
-    I = np.eye(d * n)
-    Wc_F = f_conjugate(W, F, d, n)
-    checks = [
-        _relation_record("W_unitary_left", dag(W) @ W - I, tol),
-        _relation_record("W_unitary_right", W @ dag(W) - I, tol),
-        _relation_record("conjugate_unitary_left", dag(Wc_F) @ Wc_F - I, tol),
-        _relation_record("conjugate_unitary_right", Wc_F @ dag(Wc_F) - I, tol),
-    ]
+    checks = _au_records(W, f_conjugate(W, F, d, n), tol)
     return RelationsReport(
         relation="au",
         verdict=all(c.passed for c in checks),
@@ -81,9 +94,8 @@ def bu_relations_check(W, F, tol: float = RESIDUAL_TOL) -> RelationsReport:
     battery, plus the requirement that F Fbar be scalar.
     """
     W, F, d, n = _shapes(W, F)
-    rep = au_relations_check(W, F, tol)
     Wc_F = f_conjugate(W, F, d, n)
-    checks = list(rep.checks)
+    checks = _au_records(W, Wc_F, tol)
     checks.append(_relation_record("self_conjugacy", W - Wc_F, tol))
     FFc = F @ F.conj()
     lam = np.trace(FFc) / n
@@ -128,8 +140,9 @@ def suq2_generators(q: float, N: int):
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    if N < 2:
-        raise ValueError("N must be at least 2")
+    if not float(N).is_integer() or N < 2:
+        raise ValueError(f"N must be an integer of at least 2 (got {N!r})")
+    N = int(N)
     a = np.zeros((N, N), dtype=complex)
     for k in range(1, N):
         a[k - 1, k] = np.sqrt(1.0 - q ** (2 * k))
@@ -173,16 +186,14 @@ def first_row_q_sphere(W, F, S: SubproductSystem, m: int,
     Z = word_stack(W.reshape(d, n, d, n)[:, 0].transpose(2, 0, 1), m)  # z_k = W_{0k}
     # Qinv = VU diag(1/w) VU*, so each sum is one remixed stack times its adjoint
     B, C = (remix(Z, U) / np.sqrt(w)[:, np.newaxis, np.newaxis] for U in (VU, VU.conj()))
-    G_row = (dag(C) @ C).sum(0)
-    G_mirror = (B @ dag(B)).sum(0)
-    I = np.eye(d)
+    sums = {"row_sphere": (dag(C) @ C).sum(0), "mirror_sphere": (B @ dag(B)).sum(0)}
     checks = [
         CheckRecord(name="hypothesis_Q11", residual=hyp_q11, tolerance=tol,
                     passed=bool(hyp_q11 < tol), level=m),
         CheckRecord(name="hypothesis_boundary_vector", residual=hyp_e1,
                     tolerance=tol, passed=bool(hyp_e1 < tol), level=m),
-        _relation_record("row_sphere", G_row - I, tol),
-        _relation_record("mirror_sphere", G_mirror - I, tol),
+        *(_spectrum_record(name, np.linalg.eigvalsh((G + dag(G)) / 2) - 1, tol)
+          for name, G in sums.items()),
     ]
     for c_ in checks[2:]:
         c_.level = m

@@ -35,6 +35,7 @@ from .matcore import (
     as_complex,
     dag,
     eig_projector,
+    isometry_defect,
     spectral_norm,
 )
 from .report import AnalysisReport, CheckRecord
@@ -73,11 +74,10 @@ def reversed_unitary(W: np.ndarray, F: np.ndarray, d: int, n: int,
     if W.shape != (d * n, d * n) or F.shape != (n, n):
         raise ValueError("shape mismatch")
     require_invertible_F(F)
-    if spectral_norm(dag(W) @ W - np.eye(d * n)) > tol:
+    if np.abs(isometry_defect(W)).max() > tol:
         raise ValueError("W must be unitary")
     Wbar = f_conjugate(W, F, d, n)
-    res = spectral_norm(dag(Wbar) @ Wbar - np.eye(d * n))
-    return Wbar, res
+    return Wbar, float(np.abs(isometry_defect(Wbar)).max())
 
 
 def reversed_kraus(K: KrausSet, Qd: CorrelationData) -> KrausSet:

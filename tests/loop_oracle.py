@@ -16,6 +16,15 @@ general-state extraction, the Choi matrix, the means and the two
 reversals) walk the Kraus set one operator at a time, as the library did
 before it held the set as one (n, d, d) array; ``test_kraus_array``
 compares the library against them.
+
+The relation records at the end (``_relation_record``,
+``au_relations_check``, ``bu_relations_check``) take every residual
+through the dense record: a spectral norm, the defect projector of
+``eig_projector`` and the norm of the residual on its complement, as
+the library did before it read Hermitian residuals from their spectra.
+``first_row_q_sphere`` above records through the same dense
+``_relation_record``; ``test_relation_records`` and ``test_word_stack``
+compare the library against them.
 """
 import functools
 
@@ -25,14 +34,23 @@ from detbal.channel import (
     KrausSet,
     apply,
     block,
+    f_conjugate,
     index_words,
     symmetric_unitary_first_col,
     word_operator,
 )
 from detbal.equilibrium import _require_compat, check_state
 from detbal.errors import HypothesisFailure
-from detbal.matcore import RANK_TOL, RESIDUAL_TOL, as_complex, dag, eig_projector, spectral_norm
-from detbal.qgroup import _relation_record, _shapes
+from detbal.matcore import (
+    RANK_TOL,
+    RESIDUAL_TOL,
+    as_complex,
+    dag,
+    eig_projector,
+    frobenius_norm,
+    spectral_norm,
+)
+from detbal.qgroup import _shapes
 from detbal.report import CheckRecord, RelationsReport
 
 
@@ -358,3 +376,60 @@ def crooks_dual(K, rho0, rank_tol=RANK_TOL):
     rih = (U * (1.0 / np.sqrt(w))) @ dag(U)
     return KrausSet([rh @ dag(Kj) @ rih for Kj in K])
 
+
+
+def _relation_record(name: str, R: np.ndarray, tol: float) -> CheckRecord:
+    res = spectral_norm(R)
+    P, rank = eig_projector(R, tol)
+    Pc = np.eye(R.shape[0]) - P
+    return CheckRecord(
+        name=name,
+        residual=res,
+        tolerance=tol,
+        passed=bool(res < tol),
+        frobenius=frobenius_norm(R),
+        defect_rank=rank,
+        off_defect_residual=spectral_norm(Pc @ R @ Pc),
+    )
+
+
+def au_relations_check(W, F, tol: float = RESIDUAL_TOL) -> RelationsReport:
+    W, F, d, n = _shapes(W, F)
+    I = np.eye(d * n)
+    Wc_F = f_conjugate(W, F, d, n)
+    checks = [
+        _relation_record("W_unitary_left", dag(W) @ W - I, tol),
+        _relation_record("W_unitary_right", W @ dag(W) - I, tol),
+        _relation_record("conjugate_unitary_left", dag(Wc_F) @ Wc_F - I, tol),
+        _relation_record("conjugate_unitary_right", Wc_F @ dag(Wc_F) - I, tol),
+    ]
+    return RelationsReport(
+        relation="au",
+        verdict=all(c.passed for c in checks),
+        tolerance=tol,
+        checks=checks,
+        info={"d": d, "n": n},
+    )
+
+
+def bu_relations_check(W, F, tol: float = RESIDUAL_TOL) -> RelationsReport:
+    W, F, d, n = _shapes(W, F)
+    rep = au_relations_check(W, F, tol)
+    Wc_F = f_conjugate(W, F, d, n)
+    checks = list(rep.checks)
+    checks.append(_relation_record("self_conjugacy", W - Wc_F, tol))
+    FFc = F @ F.conj()
+    lam = np.trace(FFc) / n
+    if abs(lam) < 1e-14:
+        scalar_res = float("inf")
+    else:
+        scalar_res = spectral_norm(FFc - lam * np.eye(n)) / abs(lam)
+    checks.append(CheckRecord(name="F_Fc_scalar", residual=float(scalar_res),
+                              tolerance=tol, passed=bool(scalar_res < tol)))
+    return RelationsReport(
+        relation="bu",
+        verdict=all(c.passed for c in checks),
+        tolerance=tol,
+        checks=checks,
+        info={"d": d, "n": n, "lambda": [float(lam.real), float(lam.imag)]},
+    )

@@ -356,6 +356,18 @@ def test_gen_example_rejects_non_numeric_params(tmp_path, capsys, params, named)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("N", ["6.5", "Infinity"])
+def test_gen_example_suq2_rejects_non_integer_N(tmp_path, capsys, N):
+    out = tmp_path / "s.json"
+    params = f'{{"N": {N}}}'
+    assert main(["gen-example", "--name", "suq2", "--params", params, "-o", str(out)]) == 2
+    assert "N must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["gen-example", "--name", "suq2", "--params", '{"N": 6}', "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert parse_channel_spec(load_payload(str(out))).d == 6
+
+
 def test_gen_example_measurement_rejects_decoupled_interaction(tmp_path, capsys):
     # a diagonal auxiliary operator produces a zero Kraus block
     out = str(tmp_path / "m.json")

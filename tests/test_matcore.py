@@ -28,6 +28,14 @@ def test_dag_and_norms():
     assert abs(frobenius_norm(np.eye(3)) - np.sqrt(3)) < 1e-15
 
 
+def test_spectral_norm_is_bitwise_numpy_two_norm():
+    rng = np.random.default_rng(11)
+    for shape in [(1, 1), (4, 4), (5, 7), (7, 5), (9, 2)] * 20:
+        A = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert spectral_norm(A) == float(np.linalg.norm(A, 2))
+    assert spectral_norm(np.zeros((3, 0))) == 0.0
+
+
 def test_is_hermitian():
     H = random_hermitian(4, 3)
     assert is_hermitian(H)

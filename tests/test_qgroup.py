@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from detbal.channel import block, dilation_from_kraus
-from detbal.factories import commuting_db_kraus
+from detbal.factories import commuting_db_kraus, gen_example
 from detbal.matcore import dag, spectral_norm
 from detbal.qgroup import (
     au_relations_check,
@@ -144,6 +144,12 @@ def test_suq2_generator_validation():
         suq2_generators(1.0, 6)
     with pytest.raises(ValueError):
         suq2_generators(0.5, 1)
+    for N in (6.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="N must be an integer"):
+            suq2_generators(0.5, N)
+    with pytest.raises(ValueError, match="N must be an integer"):
+        gen_example("suq2", {"N": 6.5})
+    assert suq2_generators(0.5, 6.0)[0].shape == (6, 6)
 
 
 def test_suq2_dilation_blocks():

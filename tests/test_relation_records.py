@@ -1,0 +1,79 @@
+"""Relation records read from spectra against the dense records they replaced.
+
+The au/bu unitarity records take the eigenvalues s^2 - 1 of W*W - 1 and
+WW* - 1 from the singular values of W.  Every field must match the dense
+record of ``loop_oracle`` (spectral norm, ``eig_projector`` rank, residual
+off the defect) to 1e-12 * max(1, |ref|), with pass flags and defect
+ranks equal.  The first-row sphere records are compared with the same
+oracle in ``test_word_stack``.
+"""
+import numpy as np
+import pytest
+
+import loop_oracle as oracle
+from conftest import random_unitary
+from detbal.channel import dilation_from_kraus
+from detbal.factories import commuting_db_kraus
+from detbal.matcore import dag
+from detbal.qgroup import au_relations_check, bu_relations_check, suq2_dilation, suq2_generators
+
+RTOL = 1e-12
+SUQ2 = [(0.3, 4), (0.55, 6), (0.8, 9)]
+F_COMPLEX = np.array([[1.0, 0.3j], [0.2, 0.8]])
+
+
+def _suq2(q, N):
+    a, c, K, F = suq2_generators(q, N)
+    return suq2_dilation(a, c, q), F
+
+
+def _near_isometry(dn, seed):
+    """U diag(s) V* with s within 3e-9 of 1 but for s^2 - 1 = 3e-8 and -0.75:
+    defect rank 2 and a nonzero residual off the defect at the default tol 1e-8."""
+    rng = np.random.default_rng(seed)
+    s = 1.0 + rng.uniform(-3e-9, 3e-9, dn)
+    s[-2:] = np.sqrt(1 + 3e-8), 0.5
+    return (random_unitary(dn, seed) * s) @ dag(random_unitary(dn, seed + 1))
+
+
+def _cases():
+    for q, N in SUQ2:
+        W, F = _suq2(q, N)
+        yield f"suq2-{q}-{N}", W, F
+        yield f"suq2-{q}-{N}-diagF", W, np.diag([1.0, q])
+    U = random_unitary(6, 42)
+    yield "haar-diagF", U, np.diag([1.0, 0.7])
+    yield "haar-complexF", U, F_COMPLEX
+    yield "commuting", dilation_from_kraus(commuting_db_kraus(np.pi / 6))[1], np.eye(2)
+    yield "scaled-haar", 1.1 * U, F_COMPLEX
+    yield "near-isometry", _near_isometry(6, 5), np.diag([1.0, 0.7])
+
+
+CASES = list(_cases())
+
+
+def assert_records_match(new, ref):
+    assert (new.relation, new.verdict, new.info) == (ref.relation, ref.verdict, ref.info)
+    for c, c_ref in zip(new.checks, ref.checks, strict=True):
+        assert (c.name, c.passed, c.level, c.defect_rank, c.tolerance) == \
+            (c_ref.name, c_ref.passed, c_ref.level, c_ref.defect_rank, c_ref.tolerance)
+        for field in ("residual", "frobenius", "off_defect_residual"):
+            got, want = getattr(c, field), getattr(c_ref, field)
+            assert (got is None) == (want is None), (c.name, field)
+            if want is not None:
+                assert abs(got - want) <= RTOL * max(1.0, abs(want)), (c.name, field, got, want)
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("check", ["au_relations_check", "bu_relations_check"])
+def test_relation_records_match_dense_oracle(case, check):
+    _, W, F = case
+    assert_records_match(globals()[check](W, F), getattr(oracle, check)(W, F))
+
+
+def test_near_isometry_case_has_a_defect_and_an_off_defect_residual():
+    rep = au_relations_check(_near_isometry(6, 5), np.diag([1.0, 0.7]))
+    left = rep.check("W_unitary_left")
+    assert left.defect_rank == 2
+    assert 1e-10 < left.off_defect_residual < left.tolerance
+    assert rep.check("W_unitary_right").defect_rank == 2

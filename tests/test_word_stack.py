@@ -227,9 +227,9 @@ def test_crooks_matches_loop_oracle(case):
 
 
 def _first_row_cases():
-    q, N = 0.5, 6
-    a, c, K, F = suq2_generators(q, N)
-    yield suq2_dilation(a, c, q), F, build_subproduct(K, 2)
+    for q, N, M in [(0.5, 6, 2), (0.3, 4, 3), (0.55, 7, 3), (0.8, 9, 3)]:
+        a, c, K, F = suq2_generators(q, N)
+        yield suq2_dilation(a, c, q), F, build_subproduct(K, M)
     Kc = commuting_db_kraus(0.4)
     _, W = dilation_from_kraus(Kc)
     Sc = build_subproduct(Kc, 3)
@@ -240,7 +240,7 @@ def _first_row_cases():
     yield dilation_from_kraus(Kr)[1], np.array([[1.0, 0.3j], [0.2, 0.8]]), build_subproduct(Kr, 2)
 
 
-@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("index", range(7))
 def test_first_row_q_sphere_matches_loop_oracle(index):
     W, F, S = list(_first_row_cases())[index]
     for m in range(1, S.M + 1):
