@@ -38,6 +38,12 @@ class KrausSet:
     ``ops`` holds the family as one complex (n, d, d) array.  Zero
     operators are rejected at construction: they carry no dynamics and
     make the correlation matrix singular.
+
+    ``ops`` is read-only: the attribute cannot be rebound and the array
+    cannot be written in place.  That keeps the memo of ``word_stack``
+    valid: the stack of length-m words is built once per m, from the
+    stack of length m - 1, and kept (read-only) for the lifetime of the
+    set, sum over the built m of n^m d^2 complex entries.
     """
 
     def __init__(self, ops):
@@ -50,12 +56,26 @@ class KrausSet:
         A = np.array(ops)
         if np.any(np.linalg.norm(A, 2, axis=(1, 2)) <= ZERO_OP_TOL):
             raise ValueError("zero Kraus operator rejected")
-        self.ops = A
+        A.flags.writeable = False
+        self._ops = A
+        self._words = [_read_only(np.eye(d, dtype=complex)[np.newaxis])]
         self.d = d
         self.n = len(A)
         I = np.eye(d)
         self.unital_residual = spectral_norm((dag(A) @ A).sum(0) - I)
         self.cotrace_residual = spectral_norm((A @ dag(A)).sum(0) - I)
+
+    @property
+    def ops(self) -> np.ndarray:
+        return self._ops
+
+    def word_stack(self, m: int) -> np.ndarray:
+        """word_stack(self.ops, m), memoized by m and read-only."""
+        if m < 0:
+            raise ValueError("m must be nonnegative")
+        while len(self._words) <= m:
+            self._words.append(_read_only(_append_letter(self._words[-1], self._ops)))
+        return self._words[m]
 
     def __iter__(self):
         return iter(self.ops)
@@ -291,17 +311,28 @@ def word_operator(K, w) -> np.ndarray:
     return functools.reduce(np.matmul, (K[k] for k in w), np.eye(K[0].shape[0], dtype=complex))
 
 
+def _append_letter(W: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Every word of the stack W followed by every letter of ops, words major."""
+    d = ops.shape[1]
+    return np.matmul(W[:, np.newaxis], ops[np.newaxis]).reshape(-1, d, d)
+
+
+def _read_only(X: np.ndarray) -> np.ndarray:
+    X.flags.writeable = False
+    return X
+
+
 def word_stack(ops, m: int) -> np.ndarray:
     """Every length-m product K_{w1}...K_{wm} of an (n, d, d) array as an
     (n**m, d, d) array.
 
     Row a is the word at position a of index_words(n, m), so the
     leftmost letter is the most significant digit of a in base n.
+    KrausSet.word_stack returns the same array, memoized.
     """
-    d = ops.shape[1]
-    W = np.eye(d, dtype=complex)[np.newaxis]
+    W = np.eye(ops.shape[1], dtype=complex)[np.newaxis]
     for _ in range(m):
-        W = np.matmul(W[:, np.newaxis], ops[np.newaxis]).reshape(-1, d, d)
+        W = _append_letter(W, ops)
     return W
 
 
@@ -320,7 +351,7 @@ def power_kraus(K: KrausSet, m: int, max_dim: int = MAX_DIM):
     if m < 0:
         raise ValueError("m must be nonnegative")
     require_word_budget(K.n, m, max_dim)
-    return word_labels(K.n, m), list(word_stack(K.ops, m))
+    return word_labels(K.n, m), list(K.word_stack(m))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausSet, gram, remix, symmetric_unitary_first_col, word_stack
+from .channel import KrausSet, gram, remix, symmetric_unitary_first_col
 from .errors import HypothesisFailure
 from .matcore import RANK_TOL, RESIDUAL_TOL, as_complex, dag, is_hermitian, spectral_norm
 from .stinespring import SubproductSystem, _q_level, check_Q_compatibility
@@ -31,7 +31,7 @@ def check_state(rho, atol: float = 1e-12) -> np.ndarray:
     rho = as_complex(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("state must be a square matrix")
-    if not is_hermitian(rho, 1e-10):
+    if not np.array_equal(rho, dag(rho)) and not is_hermitian(rho, 1e-10):
         raise ValueError("state must be Hermitian")
     w = np.linalg.eigvalsh((rho + dag(rho)) / 2)
     if w[0] < -atol:
@@ -181,12 +181,16 @@ def _qm_eig(Q: np.ndarray, S: SubproductSystem, m: int,
     """Eigenpair (VU, w) of Q_m on the range of p_m: Q_m = VU diag(w) VU*.
 
     Diagonalizes the r x r compression V* Q^(x)m V and drops eigenvalues
-    below the rank cutoff; f(Q_m) is then VU diag(f(w)) VU*.
+    below the rank cutoff; f(Q_m) is then VU diag(f(w)) VU*.  Memoized on
+    the level per (Q, rank_tol).
     """
-    V, _, H = _q_level(Q, S, m)
-    w, U = np.linalg.eigh((H + dag(H)) / 2)
-    keep = w > rank_tol * max(abs(w[-1]), 1e-300)
-    return V @ U[:, keep], w[keep]
+    def compute():
+        V, _, H = _q_level(Q, S, m)
+        w, U = np.linalg.eigh((H + dag(H)) / 2)
+        keep = w > rank_tol * max(abs(w[-1]), 1e-300)
+        return V @ U[:, keep], w[keep]
+
+    return S.level(m).derived(Q, compute, "qm_eig", rank_tol)
 
 
 def trace_qm(Qd: CorrelationData, S: SubproductSystem, m: int) -> float:
@@ -210,7 +214,7 @@ def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSys
         raise ValueError("ordering must be 'normal' or 'antinormal'")
     V, QV, H = _q_level(Qd.Q, S, m)
     trq = float(np.trace(H).real)
-    A = word_stack(K.ops, m)
+    A = K.word_stack(m)
     if ordering == "normal":
         dev = gram(A @ rho0, A) - QV @ dag(V) / trq
     else:
@@ -278,7 +282,7 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
                 f"normal-ordered correlations fail at level {mp} (residual {norm_res:.3g})"
             )
         VU, w = _qm_eig(Qd.Q, S, mp)
-        A = word_stack(K.ops, mp)
+        A = K.word_stack(mp)
         # lhs[a, b] = Tr(rho0 K_a K_b*), rhs[a, b] = sum_r Qinv[a, r] Tr(rho0 K_b* K_r),
         # with Qinv = VU diag(1/w) VU* and VU* applied to the stack, not to the Gram
         lhs = gram(rho0 @ A, A)

@@ -28,10 +28,18 @@ from .stinespring import SubproductSystem
 
 def _relation_record(name: str, R: np.ndarray, tol: float) -> CheckRecord:
     """Record of a general residual R; only self_conjugacy (W - Wc_F is not
-    Hermitian) comes here, every Hermitian residual goes through _spectrum_record."""
+    Hermitian) comes here, every Hermitian residual goes through _spectrum_record.
+
+    When no eigenvalue of the Hermitian part of R exceeds tol in modulus the
+    defect projector is 0, so the rank is 0 and the off-defect residual is
+    the residual itself; only otherwise is the projector formed.
+    """
     res = spectral_norm(R)
-    P, rank = eig_projector(R, tol)
-    Pc = np.eye(R.shape[0]) - P
+    rank, off_defect = 0, res
+    if np.any(np.abs(np.linalg.eigvalsh((R + dag(R)) / 2)) > tol):
+        P, rank = eig_projector(R, tol)
+        Pc = np.eye(R.shape[0]) - P
+        off_defect = spectral_norm(Pc @ R @ Pc)
     return CheckRecord(
         name=name,
         residual=res,
@@ -39,7 +47,7 @@ def _relation_record(name: str, R: np.ndarray, tol: float) -> CheckRecord:
         passed=bool(res < tol),
         frobenius=frobenius_norm(R),
         defect_rank=rank,
-        off_defect_residual=spectral_norm(Pc @ R @ Pc),
+        off_defect_residual=off_defect,
     )
 
 

@@ -16,7 +16,6 @@ from .channel import (
     remix,
     require_invertible_F,
     require_word_budget,
-    word_stack,
 )
 from .equilibrium import (
     CorrelationData,
@@ -56,7 +55,7 @@ def q_sphere_residual(K: KrausSet, Qd: CorrelationData, S: SubproductSystem,
     """
     _require_compat(Qd, S, m, tol)
     VU, w = _qm_eig(Qd.Q, S, m, rank_tol)
-    B = remix(word_stack(K.ops, m), VU) / np.sqrt(w)[:, np.newaxis, np.newaxis]
+    B = remix(K.word_stack(m), VU) / np.sqrt(w)[:, np.newaxis, np.newaxis]
     R = (B @ dag(B)).sum(0) - np.eye(K.d)
     P, _ = eig_projector(R, tol)
     return spectral_norm(R), P
@@ -123,7 +122,7 @@ def crooks_check(K: KrausSet, Kbar: KrausSet, rho0, m: int) -> float:
     mx = 0.0
     for mp in range(1, m + 1):
         # word probabilities Tr(rho0 X_w* X_w) = Tr(X_w rho0 X_w*), one per word
-        A, B = word_stack(K.ops, mp), word_stack(Kbar.ops, mp)
+        A, B = K.word_stack(mp), Kbar.word_stack(mp)
         pA = np.einsum("aij,aij->a", A @ rho0, A.conj())
         pB = np.einsum("aij,aij->a", B @ rho0, B.conj())
         # reading every word backwards transposes the (n,)*mp index grid
@@ -216,14 +215,18 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
         run("phi_symmetric_antinormal", m,
             lambda m=m: check_phi_symmetric(Kp, rho0, Qtb, S, m, "antinormal", tol))
 
-        def sphere(m=m):
+        # the defect rank comes back through a dict: a function that stored it on
+        # itself would hold itself, and with it Kp, Qtb and S, in a reference cycle
+        sphere = {}
+
+        def sphere_residual(m=m):
             res, P = q_sphere_residual(Kp, Qtb, S, m, tol, rank_tol)
-            sphere.rank = int(round(np.trace(P).real))
+            sphere["rank"] = int(round(np.trace(P).real))
             return res
 
-        rec = run("q_sphere", m, sphere)
+        rec = run("q_sphere", m, sphere_residual)
         if rec is not None:
-            rec.defect_rank = sphere.rank
+            rec.defect_rank = sphere["rank"]
 
     run("kms_condition", M,
         lambda: kms_condition_residual(Kp, rho0, Qtb, S, M, tol))

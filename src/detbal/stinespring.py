@@ -6,6 +6,11 @@ adjoint Kraus product inside the m-fold tensor power of the auxiliary
 space; its row a is word a of index_words(n, m), labelled on request.
 The level projector is p_m = V_m V_m*, and r <= d^2 is the rank.  The
 levels nest: range(p_{m+l}) sits inside range(p_m) (x) range(p_l).
+
+V_m is read-only, and each level memoizes what is derived from it and a
+weight Q (Level.derived), so the checks of one verdict share the mode
+products and eigenpairs of every level.  The word stacks come from the
+Kraus set's own memo (KrausSet.word_stack).
 """
 from __future__ import annotations
 
@@ -13,16 +18,41 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausSet, apply, minimal_kraus, require_word_budget, word_labels, word_stack
+from .channel import KrausSet, apply, minimal_kraus, require_word_budget, word_labels
 from .errors import HypothesisFailure
 from .matcore import MAX_DIM, RANK_TOL, RESIDUAL_TOL, as_complex, dag, spectral_norm
 
 
 @dataclass(frozen=True)
 class Level:
+    """One level (V_m, n, m) of a subproduct system.
+
+    V is read-only.  What the level derives from an n x n matrix Q (the
+    action of Q^(x)m on V, the eigenpair of Q_m) is memoized on the level
+    by ``derived``, keyed by the kind of data, Q's dtype, shape and bytes
+    and any further parameter, so a different Q never reads a stale
+    entry.  The memo lives as long as the level.
+    """
+
     V: np.ndarray  # n^m x rank isometry onto the level subspace
     n: int  # alphabet size; n = 1 leaves m unreadable from len(V)
     m: int  # word length
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        V = self.V.view()
+        V.flags.writeable = False
+        object.__setattr__(self, "V", V)
+
+    def derived(self, Q: np.ndarray, compute, *key) -> tuple:
+        """compute()'s tuple of arrays for Q, built once per (key, Q) and read-only."""
+        k = (*key, Q.dtype.str, Q.shape, Q.tobytes())
+        if k not in self._memo:
+            out = compute()
+            for X in out:
+                X.flags.writeable = False
+            self._memo[k] = out
+        return self._memo[k]
 
     @property
     def words(self) -> tuple:
@@ -59,18 +89,21 @@ def _q_level(Q: np.ndarray, S: SubproductSystem, m: int):
     """(V_m, Q^(x)m V_m, V_m* Q^(x)m V_m): Q_m = Q^(x)m p_m in level coordinates.
 
     Q^(x)m V_m is applied one tensor factor at a time (mode products), so
-    the n^m x n^m power is never formed.
+    the n^m x n^m power is never formed.  Memoized on the level per Q.
     """
-    V = S.level(m).V
-    n = len(Q)
-    QV = V
-    for k in range(m):
-        QV = (Q @ QV.reshape(n ** k, n, -1)).reshape(V.shape)
-    return V, QV, dag(V) @ QV
+    def compute():
+        V = S.level(m).V
+        n = len(Q)
+        QV = V
+        for k in range(m):
+            QV = (Q @ QV.reshape(n ** k, n, -1)).reshape(V.shape)
+        return V, QV, dag(V) @ QV
+
+    return S.level(m).derived(Q, compute, "q_level")
 
 
 def _level_isometry(K: KrausSet, m: int, rank_tol: float) -> np.ndarray:
-    A = dag(word_stack(K.ops, m)).reshape(K.n ** m, -1).T  # d^2 x n^m
+    A = dag(K.word_stack(m)).reshape(K.n ** m, -1).T  # d^2 x n^m
     _, s, Vh = np.linalg.svd(A, full_matrices=False)
     return dag(Vh[:int(np.sum(s > rank_tol * s[0]))])
 
@@ -108,8 +141,9 @@ def check_Q_compatibility(S: SubproductSystem, Q: np.ndarray, m: int) -> float:
     """
     Q = as_complex(Q)
     V, QV, _ = _q_level(Q, S, m)
-    _, QhV, _ = _q_level(dag(Q), S, m)
-    return max(spectral_norm(X - V @ (dag(V) @ X)) for X in (QV, QhV))
+    # a Q equal to its adjoint (as every trace-balanced Q is) gives the same term twice
+    terms = [QV] if np.array_equal(Q, dag(Q)) else [QV, _q_level(dag(Q), S, m)[1]]
+    return max(spectral_norm(X - V @ (dag(V) @ X)) for X in terms)
 
 
 def verify_power_dilation(K: KrausSet, S: SubproductSystem, m: int, A: np.ndarray,
@@ -129,7 +163,7 @@ def verify_power_dilation(K: KrausSet, S: SubproductSystem, m: int, A: np.ndarra
         )
     # D_m in level coordinates (p_m e_w -> V_m* e_w) as a (d, r, d) array
     V = S.level(m).V
-    D = (dag(V) @ word_stack(K.ops, m).reshape(V.shape[0], -1)).reshape(-1, K.d, K.d)
+    D = (dag(V) @ K.word_stack(m).reshape(V.shape[0], -1)).reshape(-1, K.d, K.d)
     D = D.transpose(1, 0, 2).reshape(-1, K.d)
     # whiten with the Gram pseudo-inverse square root (a no-op when D_m
     # is already an isometry, which the word relations guarantee)

@@ -44,6 +44,18 @@ def test_check_state_rejections():
         check_state(np.diag([0.7, 0.7]))
 
 
+def test_check_state_decides_near_hermitian_states_by_tolerance():
+    # only a state equal to its adjoint skips the tolerance test
+    rho = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]])
+    for eps, ok in ((1e-13, True), (1e-6, False)):
+        near = rho + np.array([[0.0, eps], [0.0, 0.0]])
+        if ok:
+            check_state(near)
+        else:
+            with pytest.raises(ValueError, match="Hermitian"):
+                check_state(near)
+
+
 def test_gad_raw_correlation_matrix():
     cd = correlation_matrix(gad_kraus(0.75, 0.5), GAD_RHO, "raw")
     q = cd.raw

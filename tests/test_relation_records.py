@@ -5,17 +5,25 @@ WW* - 1 from the singular values of W.  Every field must match the dense
 record of ``loop_oracle`` (spectral norm, ``eig_projector`` rank, residual
 off the defect) to 1e-12 * max(1, |ref|), with pass flags and defect
 ranks equal.  The first-row sphere records are compared with the same
-oracle in ``test_word_stack``.
+oracle in ``test_word_stack``.  The general record of a non-Hermitian
+residual skips the defect projector when it would be 0; it is compared
+with the dense record directly, on both sides of that shortcut.
 """
 import numpy as np
 import pytest
 
 import loop_oracle as oracle
 from conftest import random_unitary
-from detbal.channel import dilation_from_kraus
+from detbal.channel import dilation_from_kraus, f_conjugate
 from detbal.factories import commuting_db_kraus
 from detbal.matcore import dag
-from detbal.qgroup import au_relations_check, bu_relations_check, suq2_dilation, suq2_generators
+from detbal.qgroup import (
+    _relation_record,
+    au_relations_check,
+    bu_relations_check,
+    suq2_dilation,
+    suq2_generators,
+)
 
 RTOL = 1e-12
 SUQ2 = [(0.3, 4), (0.55, 6), (0.8, 9)]
@@ -77,3 +85,31 @@ def test_near_isometry_case_has_a_defect_and_an_off_defect_residual():
     assert left.defect_rank == 2
     assert 1e-10 < left.off_defect_residual < left.tolerance
     assert rep.check("W_unitary_right").defect_rank == 2
+
+
+def _general_residuals():
+    """(id, R, defect rank) with R not Hermitian."""
+    W, F = _suq2(0.55, 32)
+    yield "suq2-self-conjugacy", W - f_conjugate(W, F, 32, 2), 0
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    v = random_unitary(6, 9)[:, 0]
+    yield "rank-one-defect", 0.5 * np.outer(v, v.conj()) + 1e-10 * X, 1
+    yield "defect-just-above-tol", 3e-8 * np.outer(v, v.conj()) + 1e-10 * X, 1
+    yield "full-defect", X, 6
+    yield "skew-hermitian", X - dag(X), 0  # Hermitian part 0, residual far above tol
+
+
+GENERAL = list(_general_residuals())
+
+
+@pytest.mark.parametrize("case", GENERAL, ids=[c[0] for c in GENERAL])
+def test_general_record_matches_dense_oracle(case):
+    name, R, rank = case
+    new, ref = _relation_record(name, R, 1e-8), oracle._relation_record(name, R, 1e-8)
+    assert ref.defect_rank == rank
+    assert (new.name, new.passed, new.defect_rank, new.tolerance) == \
+        (ref.name, ref.passed, ref.defect_rank, ref.tolerance)
+    for field in ("residual", "frobenius", "off_defect_residual"):
+        got, want = getattr(new, field), getattr(ref, field)
+        assert abs(got - want) <= RTOL * max(1.0, abs(want)), (field, got, want)
