@@ -26,6 +26,7 @@ from .matcore import (
     frobenius_norm,
     isometry_defect,
     orthonormal_completion,
+    rank_mask,
     spectral_norm,
 )
 
@@ -362,15 +363,12 @@ def minimal_kraus(K: KrausSet, rank_tol: float = RANK_TOL) -> KrausSet:
     """Remix to a linearly independent Kraus set for the same channel.
 
     Diagonalizes the Gram matrix Tr(K_j K_k*) and keeps the eigencolumns
-    above threshold.  The output basis is one of many; the channel is
-    unchanged.
+    the rank rule keeps, largest eigenvalue first.  The output basis is
+    one of many; the channel is unchanged.
     """
     G = gram(K.ops, K.ops)
     w, U = np.linalg.eigh((G + dag(G)) / 2)
-    order = np.argsort(w)[::-1]
-    w, U = w[order], U[:, order]
-    keep = w > rank_tol * max(w[0], 0.0)
-    return KrausSet(remix(K.ops, U[:, keep]))
+    return KrausSet(remix(K.ops, U[:, rank_mask(w, rank_tol)][:, ::-1]))
 
 
 def remix(ops: np.ndarray, U: np.ndarray) -> np.ndarray:

@@ -127,7 +127,7 @@ def cmd_stinespring(args) -> int:
     dilations = {}
     for m in range(1, S.M + 1):
         try:
-            dilations[str(m)] = verify_power_dilation(K, S, m, A, tol, rank_tol)
+            dilations[str(m)] = verify_power_dilation(K, S, m, A, tol)
         except HypothesisFailure as exc:
             dilations[str(m)] = f"hypothesis failure: {exc}"
     ok = all(v < tol for v in inclusions.values())

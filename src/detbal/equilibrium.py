@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import KrausSet, gram, remix, symmetric_unitary_first_col
 from .errors import HypothesisFailure
-from .matcore import RANK_TOL, RESIDUAL_TOL, as_complex, dag, is_hermitian, spectral_norm
+from .matcore import RANK_TOL, RESIDUAL_TOL, as_complex, dag, is_hermitian, rank_mask, spectral_norm
 from .stinespring import SubproductSystem, _q_level, check_Q_compatibility
 
 NORMALIZATIONS = ("raw", "trace_balanced", "first_entry")
@@ -57,7 +57,7 @@ class CorrelationData:
         return spectral_norm(off) <= tol * max(1.0, spectral_norm(self.Q))
 
     def attach_levels(self, S: SubproductSystem):
-        """Cache the compatibility residual for every built level."""
+        """Record the compatibility residual of every built level, for the report."""
         for m in range(1, S.M + 1):
             self.compat_residuals[m] = check_Q_compatibility(S, self.Q, m)
 
@@ -99,8 +99,7 @@ def correlation_matrix(K: KrausSet, rho0, normalization: str = "trace_balanced",
     diag = np.diag(q).real
     if np.any(diag <= 1e-12):
         raise ValueError("a Kraus operator annihilates the state (zero diagonal entry)")
-    w = np.linalg.eigvalsh(q)
-    if w[0] <= rank_tol * w[-1]:
+    if not rank_mask(np.linalg.eigvalsh(q), rank_tol).all():
         raise ValueError("correlation matrix is singular")
     return CorrelationData(Q=_normalize(q, normalization), normalization=normalization, raw=q)
 
@@ -167,30 +166,27 @@ def zero_mean_check(K: KrausSet, rho0) -> list[float]:
 
 def _require_compat(Qd: CorrelationData, S: SubproductSystem, m: int,
                     tol: float) -> None:
-    res = Qd.compat_residuals.get(m)
-    if res is None:
-        res = check_Q_compatibility(S, Qd.Q, m)
+    res = check_Q_compatibility(S, Qd.Q, m)
     if res > tol:
         raise HypothesisFailure(
             f"Q^(x){m} does not preserve the level-{m} subspace (residual {res:.3g})"
         )
 
 
-def _qm_eig(Q: np.ndarray, S: SubproductSystem, m: int,
-            rank_tol: float = RANK_TOL):
+def _qm_eig(Q: np.ndarray, S: SubproductSystem, m: int):
     """Eigenpair (VU, w) of Q_m on the range of p_m: Q_m = VU diag(w) VU*.
 
-    Diagonalizes the r x r compression V* Q^(x)m V and drops eigenvalues
-    below the rank cutoff; f(Q_m) is then VU diag(f(w)) VU*.  Memoized on
-    the level per (Q, rank_tol).
+    Diagonalizes the r x r compression V* Q^(x)m V and keeps the
+    eigenvalues the rank rule keeps at the system's rank_tol; f(Q_m) is
+    then VU diag(f(w)) VU*.  Memoized on the level per Q.
     """
     def compute():
         V, _, H = _q_level(Q, S, m)
         w, U = np.linalg.eigh((H + dag(H)) / 2)
-        keep = w > rank_tol * max(abs(w[-1]), 1e-300)
+        keep = rank_mask(w, S.rank_tol)
         return V @ U[:, keep], w[keep]
 
-    return S.level(m).derived(Q, compute, "qm_eig", rank_tol)
+    return S.level(m).derived(Q, compute, "qm_eig")
 
 
 def trace_qm(Qd: CorrelationData, S: SubproductSystem, m: int) -> float:

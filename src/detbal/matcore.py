@@ -5,7 +5,7 @@ Conventions used throughout the package:
 * matrices are numpy arrays of complex dtype, row-major;
 * tensor factors are indexed left-major, i.e. the first factor is the
   most significant index of a Kronecker product;
-* rank decisions are thresholded relative to the largest singular value.
+* every numerical-rank decision follows one rule, ``rank_mask``.
 """
 from __future__ import annotations
 
@@ -14,6 +14,11 @@ import numpy as np
 RANK_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
 MAX_DIM = 4096
+
+
+def rank_mask(values: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """The rank rule: True where a value is positive and above rank_tol times the largest."""
+    return (values > 0) & (values > rank_tol * values.max(initial=0.0))
 
 
 def dag(A: np.ndarray) -> np.ndarray:
@@ -37,7 +42,7 @@ def frobenius_norm(A: np.ndarray) -> float:
 
 def as_complex(A) -> np.ndarray:
     A = np.asarray(A, dtype=complex)
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    if not np.isfinite(A).all():  # on complex input both parts
         raise ValueError("matrix entries must be finite")
     return A
 
@@ -85,15 +90,14 @@ def matrix_power_analytic(Q: np.ndarray, z: complex, rank_tol: float = RANK_TOL)
     """Q**z for positive definite Q via Hermitian eigendecomposition.
 
     z may be complex (e.g. -1j*t for a flow parameter).  Rejects
-    non-Hermitian input and eigenvalues at or below rank_tol relative to
-    the largest one, since fractional powers of a singular matrix are
-    not defined here.
+    non-Hermitian input and any eigenvalue the rank rule drops, since
+    fractional powers of a singular matrix are not defined here.
     """
     Q = as_complex(Q)
     if not is_hermitian(Q):
         raise ValueError("matrix power requires a Hermitian matrix")
     w, U = np.linalg.eigh((Q + dag(Q)) / 2)
-    if w[-1] <= 0 or w[0] <= rank_tol * w[-1]:
+    if not rank_mask(w, rank_tol).all():
         raise ValueError("matrix power requires positive definite input")
     return (U * np.power(w.astype(complex), z)) @ dag(U)
 
@@ -146,11 +150,8 @@ def projector_onto_span(vectors, rank_tol: float = RANK_TOL, dim: int | None = N
         return np.zeros((dim, dim), dtype=complex), 0
     A = np.column_stack([as_complex(v).reshape(-1) for v in vectors])
     U, s, _ = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((A.shape[0], A.shape[0]), dtype=complex), 0
-    r = int(np.sum(s > rank_tol * s[0]))
-    Ur = U[:, :r]
-    return Ur @ dag(Ur), r
+    Ur = U[:, rank_mask(s, rank_tol)]
+    return Ur @ dag(Ur), Ur.shape[1]
 
 
 def eig_projector(R: np.ndarray, tol: float) -> tuple[np.ndarray, int]:

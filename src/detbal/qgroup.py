@@ -13,13 +13,13 @@ import numpy as np
 from .channel import KrausSet, f_conjugate, remix, require_invertible_F, word_stack
 from .equilibrium import _qm_eig, balance_scalar, check_state
 from .matcore import (
-    RANK_TOL,
     RESIDUAL_TOL,
     as_complex,
     dag,
     eig_projector,
     frobenius_norm,
     isometry_defect,
+    rank_mask,
     spectral_norm,
 )
 from .report import CheckRecord, RelationsReport
@@ -129,8 +129,7 @@ def invariant_state(Qv, normalize: bool = True) -> np.ndarray:
     With normalize=False the input is assumed balanced already.
     """
     Qv = as_complex(Qv)
-    w = np.linalg.eigvalsh((Qv + dag(Qv)) / 2)
-    if w[0] <= RANK_TOL * max(w[-1], 0.0):
+    if not rank_mask(np.linalg.eigvalsh((Qv + dag(Qv)) / 2)).all():
         raise ValueError("Qv must be positive definite")
     B = balance_scalar(Qv) * Qv if normalize else Qv
     return check_state(B.T / np.trace(B).real)
@@ -174,23 +173,21 @@ def suq2_dilation(a: np.ndarray, c: np.ndarray, q: float) -> np.ndarray:
 
 
 def first_row_q_sphere(W, F, S: SubproductSystem, m: int,
-                       tol: float = RESIDUAL_TOL,
-                       rank_tol: float = RANK_TOL) -> RelationsReport:
+                       tol: float = RESIDUAL_TOL) -> RelationsReport:
     """Level-m sphere identity for the first-row blocks z_k of W.
 
-    The weight is Q = F*F.  Both orderings are evaluated: the row form
-    sum Qinv[k,j] z_j* z_k (the identity asserted for first-row
-    elements) and its adjoint-side mirror sum Qinv[k,j] z_j z_k*.  The
-    hypotheses Q_11 = 1 and e_1^(x)m in the level subspace are checked
-    and reported rather than assumed.
+    The weight is Q = F*F, inverted on the level subspace at the
+    system's rank_tol.  Both orderings are evaluated: the row form sum
+    Qinv[k,j] z_j* z_k (the identity asserted for first-row elements)
+    and its adjoint-side mirror sum Qinv[k,j] z_j z_k*.  The hypotheses
+    Q_11 = 1 and e_1^(x)m in the level subspace are checked and
+    reported rather than assumed.
     """
     W, F, d, n = _shapes(W, F)
-    if n != S.n:
-        raise ValueError("subproduct system size mismatch")
     Q = dag(F) @ F
     hyp_q11 = float(abs(Q[0, 0] - 1.0))
     hyp_e1 = S.level(m).boundary_defect()
-    VU, w = _qm_eig(Q, S, m, rank_tol)
+    VU, w = _qm_eig(Q, S, m)
     Z = word_stack(W.reshape(d, n, d, n)[:, 0].transpose(2, 0, 1), m)  # z_k = W_{0k}
     # Qinv = VU diag(1/w) VU*, so each sum is one remixed stack times its adjoint
     B, C = (remix(Z, U) / np.sqrt(w)[:, np.newaxis, np.newaxis] for U in (VU, VU.conj()))

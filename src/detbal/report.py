@@ -55,9 +55,6 @@ class AnalysisReport:
     checks: list = field(default_factory=list)
     info: dict = field(default_factory=dict)
 
-    def failed_checks(self):
-        return [c for c in self.checks if not c.passed]
-
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict,

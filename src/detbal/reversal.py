@@ -33,32 +33,31 @@ from .matcore import (
     RESIDUAL_TOL,
     as_complex,
     dag,
-    eig_projector,
     isometry_defect,
-    spectral_norm,
+    rank_mask,
 )
 from .report import AnalysisReport, CheckRecord
 from .stinespring import SubproductSystem, build_subproduct
 
 
 def q_sphere_residual(K: KrausSet, Qd: CorrelationData, S: SubproductSystem,
-                      m: int, tol: float = RESIDUAL_TOL,
-                      rank_tol: float = RANK_TOL):
+                      m: int, tol: float = RESIDUAL_TOL):
     """Deviation of the level-m weighted word sum from the identity.
 
     Evaluates sum over word pairs of Qinv[k,j] K_j K_k* minus 1, where
-    Qinv inverts Q^(x)m on the level subspace; with Q_m = VU diag(w) VU*
-    the sum is sum_r B_r B_r* / w_r, B_r = sum_a conj(VU[a,r]) K_a.
-    Returns the spectral norm together with the projector onto the
-    defect eigenspace, which localizes boundary effects of truncated
-    representations.
+    Qinv inverts Q^(x)m on the level subspace at the system's rank_tol;
+    with Q_m = VU diag(w) VU* the sum is sum_r B_r B_r* / w_r, B_r =
+    sum_a conj(VU[a,r]) K_a.  Returns the norm and, from the same eigh,
+    the projector onto the defect eigenspace, which localizes boundary
+    effects of truncated representations.
     """
     _require_compat(Qd, S, m, tol)
-    VU, w = _qm_eig(Qd.Q, S, m, rank_tol)
+    VU, w = _qm_eig(Qd.Q, S, m)
     B = remix(K.word_stack(m), VU) / np.sqrt(w)[:, np.newaxis, np.newaxis]
     R = (B @ dag(B)).sum(0) - np.eye(K.d)
-    P, _ = eig_projector(R, tol)
-    return spectral_norm(R), P
+    wR, U = np.linalg.eigh((R + dag(R)) / 2)
+    Uk = U[:, np.abs(wR) > tol]
+    return float(np.abs(wR).max()), Uk @ dag(Uk)
 
 
 def reversed_unitary(W: np.ndarray, F: np.ndarray, d: int, n: int,
@@ -100,7 +99,7 @@ def crooks_dual(K: KrausSet, rho0, rank_tol: float = RANK_TOL) -> KrausSet:
     """
     rho0 = check_state(rho0)
     w, U = np.linalg.eigh((rho0 + dag(rho0)) / 2)
-    if w[0] <= rank_tol * w[-1]:
+    if not rank_mask(w, rank_tol).all():
         raise ValueError("crooks_dual requires an invertible state")
     rh = (U * np.sqrt(w)) @ dag(U)
     rih = (U * (1.0 / np.sqrt(w))) @ dag(U)
@@ -220,7 +219,7 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
         sphere = {}
 
         def sphere_residual(m=m):
-            res, P = q_sphere_residual(Kp, Qtb, S, m, tol, rank_tol)
+            res, P = q_sphere_residual(Kp, Qtb, S, m, tol)
             sphere["rank"] = int(round(np.trace(P).real))
             return res
 

@@ -9,8 +9,8 @@ levels nest: range(p_{m+l}) sits inside range(p_m) (x) range(p_l).
 
 V_m is read-only, and each level memoizes what is derived from it and a
 weight Q (Level.derived), so the checks of one verdict share the mode
-products and eigenpairs of every level.  The word stacks come from the
-Kraus set's own memo (KrausSet.word_stack).
+products, compatibility residuals and eigenpairs of every level.  The
+word stacks come from the Kraus set's own memo (KrausSet.word_stack).
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import KrausSet, apply, minimal_kraus, require_word_budget, word_labels
 from .errors import HypothesisFailure
-from .matcore import MAX_DIM, RANK_TOL, RESIDUAL_TOL, as_complex, dag, spectral_norm
+from .matcore import MAX_DIM, RANK_TOL, RESIDUAL_TOL, as_complex, dag, rank_mask, spectral_norm
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,10 @@ class Level:
     """One level (V_m, n, m) of a subproduct system.
 
     V is read-only.  What the level derives from an n x n matrix Q (the
-    action of Q^(x)m on V, the eigenpair of Q_m) is memoized on the level
-    by ``derived``, keyed by the kind of data, Q's dtype, shape and bytes
-    and any further parameter, so a different Q never reads a stale
-    entry.  The memo lives as long as the level.
+    action of Q^(x)m on V, the compatibility residual, the eigenpair of
+    Q_m) is memoized on the level by ``derived``, keyed by the kind of
+    data and Q's dtype, shape and bytes, so a different Q never reads a
+    stale entry.  The memo lives as long as the level.
     """
 
     V: np.ndarray  # n^m x rank isometry onto the level subspace
@@ -44,9 +44,9 @@ class Level:
         V.flags.writeable = False
         object.__setattr__(self, "V", V)
 
-    def derived(self, Q: np.ndarray, compute, *key) -> tuple:
-        """compute()'s tuple of arrays for Q, built once per (key, Q) and read-only."""
-        k = (*key, Q.dtype.str, Q.shape, Q.tobytes())
+    def derived(self, Q: np.ndarray, compute, kind: str) -> tuple:
+        """compute()'s tuple of arrays for Q, built once per (kind, Q) and read-only."""
+        k = (kind, Q.dtype.str, Q.shape, Q.tobytes())
         if k not in self._memo:
             out = compute()
             for X in out:
@@ -77,6 +77,7 @@ class Level:
 class SubproductSystem:
     n: int
     M: int
+    rank_tol: float  # matcore.rank_mask's tolerance for every rank cut on the levels
     levels: dict = field(default_factory=dict)  # m -> Level
 
     def level(self, m: int) -> Level:
@@ -91,6 +92,10 @@ def _q_level(Q: np.ndarray, S: SubproductSystem, m: int):
     Q^(x)m V_m is applied one tensor factor at a time (mode products), so
     the n^m x n^m power is never formed.  Memoized on the level per Q.
     """
+    if Q.shape != (S.n, S.n):
+        raise ValueError(f"Q is {Q.shape[0]} x {Q.shape[1]} but the subproduct system's "
+                         f"alphabet has size {S.n}")
+
     def compute():
         V = S.level(m).V
         n = len(Q)
@@ -105,7 +110,7 @@ def _q_level(Q: np.ndarray, S: SubproductSystem, m: int):
 def _level_isometry(K: KrausSet, m: int, rank_tol: float) -> np.ndarray:
     A = dag(K.word_stack(m)).reshape(K.n ** m, -1).T  # d^2 x n^m
     _, s, Vh = np.linalg.svd(A, full_matrices=False)
-    return dag(Vh[:int(np.sum(s > rank_tol * s[0]))])
+    return dag(Vh[rank_mask(s, rank_tol)])
 
 
 def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL,
@@ -114,6 +119,8 @@ def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL,
 
     K is reduced to a linearly independent set first when needed; the
     level-1 projector of the reduced set is then the full identity.
+    rank_tol decides which words span each level, and the system keeps
+    it: every later rank cut on its levels uses the same tolerance.
     """
     require_word_budget(K.n, M, max_dim)
     if _level_isometry(K, 1, rank_tol).shape[1] < K.n:
@@ -121,7 +128,7 @@ def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL,
         if _level_isometry(K, 1, rank_tol).shape[1] < K.n:
             raise ValueError("level-1 dependence survived minimization")
     levels = {m: Level(_level_isometry(K, m, rank_tol), K.n, m) for m in range(M + 1)}
-    return SubproductSystem(n=K.n, M=M, levels=levels)
+    return SubproductSystem(n=K.n, M=M, rank_tol=rank_tol, levels=levels)
 
 
 def check_subproduct_inclusion(S: SubproductSystem, m: int, l: int) -> float:
@@ -138,22 +145,28 @@ def check_Q_compatibility(S: SubproductSystem, Q: np.ndarray, m: int) -> float:
     standing hypothesis of every Q-weighted level-m quantity.  The two
     terms of (1 - p) Q^(x)m p - p Q^(x)m (1 - p) map between orthogonal
     subspaces, so the norm is the larger of ||(1 - p) (Q^(x)m)^(*) V||.
+    Memoized on the level per Q.
     """
     Q = as_complex(Q)
-    V, QV, _ = _q_level(Q, S, m)
-    # a Q equal to its adjoint (as every trace-balanced Q is) gives the same term twice
-    terms = [QV] if np.array_equal(Q, dag(Q)) else [QV, _q_level(dag(Q), S, m)[1]]
-    return max(spectral_norm(X - V @ (dag(V) @ X)) for X in terms)
+
+    def compute():
+        V, QV, _ = _q_level(Q, S, m)
+        # a Q equal to its adjoint (as every trace-balanced Q is) gives the same term twice
+        terms = [QV] if np.array_equal(Q, dag(Q)) else [QV, _q_level(dag(Q), S, m)[1]]
+        return (np.array(max(spectral_norm(X - V @ (dag(V) @ X)) for X in terms)),)
+
+    return float(S.level(m).derived(Q, compute, "compat")[0])
 
 
 def verify_power_dilation(K: KrausSet, S: SubproductSystem, m: int, A: np.ndarray,
-                          tol: float = RESIDUAL_TOL, rank_tol: float = RANK_TOL) -> float:
+                          tol: float = RESIDUAL_TOL) -> float:
     """Residual of the level-m dilation identity D_m*(A (x) 1)D_m = Phi^m(A).
 
     D_m maps xi to the sum over words of K_w xi (x) p_m e_w.  Requires
     the reference vector e_1^{(x)m} to lie in the level-m subspace;
     otherwise a HypothesisFailure is raised (the first-column reading of
-    the blocks is not available).
+    the blocks is not available).  The Gram whitening of D_m cuts its
+    eigenvalues at the system's rank_tol.
     """
     A = as_complex(A)
     defect = S.level(m).boundary_defect()
@@ -169,9 +182,8 @@ def verify_power_dilation(K: KrausSet, S: SubproductSystem, m: int, A: np.ndarra
     # is already an isometry, which the word relations guarantee)
     G = dag(D) @ D
     wG, UG = np.linalg.eigh((G + dag(G)) / 2)
-    keep = wG > rank_tol * max(wG[-1], 0.0)
-    Ginvh = (UG[:, keep] * (1.0 / np.sqrt(wG[keep]))) @ dag(UG[:, keep])
-    D = D @ Ginvh
+    keep = rank_mask(wG, S.rank_tol)
+    D = D @ ((UG[:, keep] * (1.0 / np.sqrt(wG[keep]))) @ dag(UG[:, keep]))
     lhs = dag(D) @ (A @ D.reshape(K.d, -1)).reshape(D.shape)
     rhs = A.copy()
     for _ in range(m):

@@ -191,6 +191,14 @@ def test_analyze_names_the_word_budget(tmp_path, capsys):
     assert "2**13" in err and "4096" in err
 
 
+def test_analyze_names_both_sizes_when_rank_tol_shrinks_the_alphabet(tmp_path, capsys):
+    # rank_tol 0.5 reduces gad's four Kraus operators to one, while Q stays 4 x 4
+    path = write_example(tmp_path, "gad")
+    assert main(["analyze", path, "--rank-tol", "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert "error: Q is 4 x 4 but the subproduct system's alphabet has size 1" in err
+
+
 def test_stinespring_command(tmp_path, capsys):
     path = write_example(tmp_path, "commuting_db")
     assert main(["stinespring", path, "--max-level", "3", "--json"]) == 0

@@ -181,6 +181,29 @@ def test_phi_symmetric_hypothesis_failure_at_level_two():
         check_phi_symmetric(Kp, GAD_RHO, Qtb, S, 2, "normal")
 
 
+def test_compat_record_of_another_system_is_not_read():
+    # attach_levels records level 2 of a system where diag(1.5, 1, 0.6)^(x)2
+    # preserves the level; a check on another system must use that system's own
+    Q = np.diag([1.5, 1.0, 0.6]).astype(complex)
+    Qd = CorrelationData(Q=Q, normalization="raw", raw=Q)
+    Qd.attach_levels(build_subproduct(random_channel(3, 3, 2), 2))
+    assert Qd.compat_residuals[2] < 1e-13
+    K = random_channel(2, 3, 2)
+    with pytest.raises(HypothesisFailure, match="level-2"):
+        check_phi_symmetric(K, MIXED2, Qd, build_subproduct(K, 2), 2)
+
+
+def test_modular_flow_cuts_Q_m_at_the_system_rank_tol():
+    # Q_2 = diag(1, 1e-4)^(x)2 has eigenvalue 1e-8 on the word (2, 2)
+    Q = np.diag([1.0, 1e-4]).astype(complex)
+    Qd = CorrelationData(Q=Q, normalization="raw", raw=Q)
+    K = random_channel(2, 2, 5)
+    fine, coarse = build_subproduct(K, 2), build_subproduct(K, 2, rank_tol=1e-6)
+    assert fine.level(2).rank == coarse.level(2).rank == 4
+    assert abs(modular_flow(Qd, fine, (2, 2), -1j)[3] / 1e8 - 1) < 1e-6
+    assert np.max(np.abs(modular_flow(Qd, coarse, (2, 2), -1j))) < 1e-3
+
+
 def test_phi_symmetric_rejects_unknown_ordering():
     Kp, Qraw, _ = orthogonalize_kraus(commuting_db_kraus(0.4), MIXED2)
     S = build_subproduct(Kp, 1)

@@ -3,6 +3,7 @@ import pytest
 
 from detbal.matcore import (
     MAX_DIM,
+    as_complex,
     dag,
     eig_projector,
     frobenius_norm,
@@ -11,6 +12,7 @@ from detbal.matcore import (
     orthonormal_completion,
     partial_trace,
     projector_onto_span,
+    rank_mask,
     spectral_norm,
     tensor_product,
 )
@@ -89,6 +91,24 @@ def test_matrix_power_group_law():
     lhs = matrix_power_analytic(Q, za) @ matrix_power_analytic(Q, zb)
     rhs = matrix_power_analytic(Q, za + zb)
     assert spectral_norm(lhs - rhs) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan), complex(0, -np.inf)],
+                         ids=["nan-real", "inf-real", "nan-imag", "inf-imag"])
+def test_as_complex_rejects_non_finite_entries(bad):
+    A = np.eye(3, dtype=complex)
+    A[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        as_complex(A)
+
+
+def test_rank_mask_keeps_positive_values_above_the_relative_cut():
+    w = np.array([-1.0, 0.0, 1e-12, 2e-9, 1.0])
+    assert rank_mask(w, 1e-9).tolist() == [False, False, False, True, True]
+    assert rank_mask(w, 0.0).tolist() == [False, False, True, True, True]
+    # with no positive value nothing is kept, whatever the tolerance
+    assert not rank_mask(np.array([-3.0, -1.0, 0.0]), 1e-9).any()
+    assert not rank_mask(np.zeros(0), 1e-9).any()
 
 
 def test_matrix_power_rejects_bad_input():

@@ -2,11 +2,12 @@
 
 A Kraus set memoizes its word stacks and a level the data it derives from
 a weight Q, so the checks of one verdict share them.  These tests pin
-that the memo cannot go stale (the inputs it rests on are read-only and
-its key includes Q), that a memoized stack is bitwise the stack
-``word_stack`` builds, that each public check called on fresh objects
-returns exactly the residual the verdict recorded, and that a verdict
-leaves no reference cycle behind.
+that the memo cannot go stale (the inputs it rests on are read-only, its
+key includes Q, and its rank cuts follow the rank_tol of the level's own
+system), that a memoized stack is bitwise the stack ``word_stack``
+builds, that each public check called on fresh objects returns exactly
+the residual the verdict recorded, and that a verdict leaves no
+reference cycle behind.
 """
 import gc
 
@@ -82,15 +83,18 @@ def test_level_memo_is_keyed_by_Q_and_rank_tol():
     Q2 = Q1.copy()
     Q2[0, 1] += 1e-3
     Q2[1, 0] += 1e-3
-    inputs = ((Q1, 1e-9), (Q2, 1e-9), (Q1, 0.5), (Q1.real, 1e-9))
+    inputs = (Q1, Q2, Q1.real)
     # (V, QV, H, VU, w) for every input from one system, so later inputs meet a warm memo
-    warm = [(*_q_level(Q, S, 2), *_qm_eig(Q, S, 2, tol)) for Q, tol in inputs]
-    for (Q, tol), got in zip(inputs, warm):
+    warm = [(*_q_level(Q, S, 2), *_qm_eig(Q, S, 2)) for Q in inputs]
+    for Q, got in zip(inputs, warm):
         cold = build_subproduct(K, 2)
-        want = (*_q_level(Q, cold, 2), *_qm_eig(Q, cold, 2, tol))
+        want = (*_q_level(Q, cold, 2), *_qm_eig(Q, cold, 2))
         assert [X.tobytes() for X in got] == [X.tobytes() for X in want]
     assert not np.array_equal(warm[0][1], warm[1][1])  # Q1 and Q2 differ
-    assert len(warm[2][4]) < len(warm[0][4])  # rank_tol 0.5 drops eigenvalues
+    # a system built with a larger rank_tol keeps fewer Q_m eigenvalues on the same level
+    coarse = build_subproduct(K, 2, rank_tol=0.5)
+    assert coarse.rank_tol == 0.5 and coarse.level(2).rank == S.level(2).rank
+    assert len(_qm_eig(Q1, coarse, 2)[1]) < len(warm[0][4])
 
 
 def _cold(K, rho0, M):
