@@ -18,7 +18,7 @@ import numpy as np
 from .channel import KrausSet, gram, remix, symmetric_unitary_first_col
 from .errors import HypothesisFailure
 from .matcore import RANK_TOL, RESIDUAL_TOL, as_complex, dag, is_hermitian, rank_mask, spectral_norm
-from .stinespring import SubproductSystem, _q_level, check_Q_compatibility
+from .stinespring import SubproductSystem, check_Q_compatibility
 
 NORMALIZATIONS = ("raw", "trace_balanced", "first_entry")
 
@@ -164,34 +164,19 @@ def zero_mean_check(K: KrausSet, rho0) -> list[float]:
 # level-m machinery
 
 
-def _require_compat(Qd: CorrelationData, S: SubproductSystem, m: int,
-                    tol: float) -> None:
-    res = check_Q_compatibility(S, Qd.Q, m)
-    if res > tol:
-        raise HypothesisFailure(
-            f"Q^(x){m} does not preserve the level-{m} subspace (residual {res:.3g})"
-        )
-
-
-def _qm_eig(Q: np.ndarray, S: SubproductSystem, m: int):
-    """Eigenpair (VU, w) of Q_m on the range of p_m: Q_m = VU diag(w) VU*.
-
-    Diagonalizes the r x r compression V* Q^(x)m V and keeps the
-    eigenvalues the rank rule keeps at the system's rank_tol; f(Q_m) is
-    then VU diag(f(w)) VU*.  Memoized on the level per Q.
-    """
-    def compute():
-        V, _, H = _q_level(Q, S, m)
-        w, U = np.linalg.eigh((H + dag(H)) / 2)
-        keep = rank_mask(w, S.rank_tol)
-        return V @ U[:, keep], w[keep]
-
-    return S.level(m).derived(Q, compute, "qm_eig")
+def _word_rows(n: int, *words):
+    """(rows, m): the row of each word among the n^m words of its level, or
+    None when the lengths differ.  A word is a Word or its 1-based letters."""
+    letters = [tuple(w.letters) if hasattr(w, "letters") else tuple(w) for w in words]
+    m = len(letters[0])
+    if any(len(x) != m for x in letters):
+        return None
+    return [np.ravel_multi_index(tuple(k - 1 for k in x), (n,) * m) for x in letters], m
 
 
 def trace_qm(Qd: CorrelationData, S: SubproductSystem, m: int) -> float:
     """Trace of Q_m = Q^(x)m p_m over the full m-fold tensor power."""
-    return float(np.trace(_q_level(Qd.Q, S, m)[2]).real)
+    return float(np.trace(S.weighted(Qd.Q, m).H).real)
 
 
 def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSystem,
@@ -205,10 +190,9 @@ def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSys
     does not preserve the level subspace.
     """
     rho0 = check_state(rho0)
-    _require_compat(Qd, S, m, tol)
+    V, QV, H = S.weighted(Qd.Q, m, tol)[:3]
     if ordering not in ("normal", "antinormal"):
         raise ValueError("ordering must be 'normal' or 'antinormal'")
-    V, QV, H = _q_level(Qd.Q, S, m)
     trq = float(np.trace(H).real)
     A = K.word_stack(m)
     if ordering == "normal":
@@ -227,12 +211,9 @@ def modular_flow(Qd: CorrelationData, S: SubproductSystem, word, t,
     yields Q_m^{-1}).  Returns the coefficient row for the given word,
     aligned with the level's word list.
     """
-    letters = tuple(word.letters) if hasattr(word, "letters") else tuple(word)
-    m = len(letters)
-    _require_compat(Qd, S, m, tol)
-    VU, w = _qm_eig(Qd.Q, S, m)
-    a = np.ravel_multi_index(tuple(k - 1 for k in letters), (S.n,) * m)
-    return (VU[a] * np.power(w, -1j * complex(t))) @ dag(VU)
+    (a,), m = _word_rows(S.n, word)
+    rec = S.weighted(Qd.Q, m, tol)
+    return (rec.VU[a] * np.power(rec.w, -1j * complex(t))) @ dag(rec.VU)
 
 
 def kms_state_eval(Qd: CorrelationData, S: SubproductSystem, j, k,
@@ -243,14 +224,11 @@ def kms_state_eval(Qd: CorrelationData, S: SubproductSystem, j, k,
     Q_m[k,j]/Tr(Q_m) in normal ordering and p_m[j,k]/Tr(Q_m) in
     antinormal ordering.
     """
-    jl = tuple(j.letters) if hasattr(j, "letters") else tuple(j)
-    kl = tuple(k.letters) if hasattr(k, "letters") else tuple(k)
-    if len(jl) != len(kl):
+    rows = _word_rows(S.n, j, k)
+    if rows is None:
         return 0.0 + 0.0j
-    m = len(jl)
-    a = np.ravel_multi_index(tuple(x - 1 for x in jl), (S.n,) * m)
-    b = np.ravel_multi_index(tuple(x - 1 for x in kl), (S.n,) * m)
-    V, QV, H = _q_level(Qd.Q, S, m)
+    (a, b), m = rows
+    V, QV, H = S.weighted(Qd.Q, m)[:3]
     trq = np.trace(H).real
     if ordering == "normal":
         return complex(QV[b] @ V[a].conj() / trq)
@@ -277,11 +255,11 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
             raise HypothesisFailure(
                 f"normal-ordered correlations fail at level {mp} (residual {norm_res:.3g})"
             )
-        VU, w = _qm_eig(Qd.Q, S, mp)
+        rec = S.weighted(Qd.Q, mp)
         A = K.word_stack(mp)
         # lhs[a, b] = Tr(rho0 K_a K_b*), rhs[a, b] = sum_r Qinv[a, r] Tr(rho0 K_b* K_r),
         # with Qinv = VU diag(1/w) VU* and VU* applied to the stack, not to the Gram
         lhs = gram(rho0 @ A, A)
-        rhs = VU @ (gram(remix(A, VU) @ rho0, A) / w[:, np.newaxis])
+        rhs = rec.VU @ (gram(remix(A, rec.VU) @ rho0, A) / rec.w[:, np.newaxis])
         mx = max(mx, float(np.max(np.abs(lhs - rhs))))
     return mx

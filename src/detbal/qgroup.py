@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import KrausSet, f_conjugate, remix, require_invertible_F, word_stack
-from .equilibrium import _qm_eig, balance_scalar, check_state
+from .equilibrium import balance_scalar, check_state
 from .matcore import (
     RESIDUAL_TOL,
     as_complex,
@@ -187,10 +187,11 @@ def first_row_q_sphere(W, F, S: SubproductSystem, m: int,
     Q = dag(F) @ F
     hyp_q11 = float(abs(Q[0, 0] - 1.0))
     hyp_e1 = S.level(m).boundary_defect()
-    VU, w = _qm_eig(Q, S, m)
+    rec = S.weighted(Q, m)
     Z = word_stack(W.reshape(d, n, d, n)[:, 0].transpose(2, 0, 1), m)  # z_k = W_{0k}
     # Qinv = VU diag(1/w) VU*, so each sum is one remixed stack times its adjoint
-    B, C = (remix(Z, U) / np.sqrt(w)[:, np.newaxis, np.newaxis] for U in (VU, VU.conj()))
+    B, C = (remix(Z, U) / np.sqrt(rec.w)[:, np.newaxis, np.newaxis]
+            for U in (rec.VU, rec.VU.conj()))
     sums = {"row_sphere": (dag(C) @ C).sum(0), "mirror_sphere": (B @ dag(B)).sum(0)}
     checks = [
         CheckRecord(name="hypothesis_Q11", residual=hyp_q11, tolerance=tol,

@@ -19,8 +19,6 @@ from .channel import (
 )
 from .equilibrium import (
     CorrelationData,
-    _qm_eig,
-    _require_compat,
     check_phi_symmetric,
     check_state,
     kms_condition_residual,
@@ -51,9 +49,8 @@ def q_sphere_residual(K: KrausSet, Qd: CorrelationData, S: SubproductSystem,
     the projector onto the defect eigenspace, which localizes boundary
     effects of truncated representations.
     """
-    _require_compat(Qd, S, m, tol)
-    VU, w = _qm_eig(Qd.Q, S, m)
-    B = remix(K.word_stack(m), VU) / np.sqrt(w)[:, np.newaxis, np.newaxis]
+    rec = S.weighted(Qd.Q, m, tol)
+    B = remix(K.word_stack(m), rec.VU) / np.sqrt(rec.w)[:, np.newaxis, np.newaxis]
     R = (B @ dag(B)).sum(0) - np.eye(K.d)
     wR, U = np.linalg.eigh((R + dag(R)) / 2)
     Uk = U[:, np.abs(wR) > tol]
@@ -191,7 +188,7 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
     checks: list[CheckRecord] = []
     hypothesis_failures: list[str] = []
 
-    def run(name, m, fn, **extra):
+    def run(name, m, fn):
         try:
             res = fn()
         except HypothesisFailure as exc:
@@ -199,11 +196,12 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
                                       passed=False, level=m,
                                       hypothesis_failure=str(exc)))
             hypothesis_failures.append(f"{name}[m={m}]: {exc}")
-            return None
-        rec = CheckRecord(name=name, residual=float(res), tolerance=tol,
-                          passed=bool(res < tol), level=m, **extra)
-        checks.append(rec)
-        return rec
+            return
+        rank = None
+        if isinstance(res, tuple):  # q_sphere_residual's (residual, defect projector)
+            res, rank = res[0], int(round(np.trace(res[1]).real))
+        checks.append(CheckRecord(name=name, residual=float(res), tolerance=tol,
+                                  passed=bool(res < tol), level=m, defect_rank=rank))
 
     for m in range(1, M + 1):
         compat = Qtb.compat_residuals[m]
@@ -213,19 +211,7 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
             lambda m=m: check_phi_symmetric(Kp, rho0, Qtb, S, m, "normal", tol))
         run("phi_symmetric_antinormal", m,
             lambda m=m: check_phi_symmetric(Kp, rho0, Qtb, S, m, "antinormal", tol))
-
-        # the defect rank comes back through a dict: a function that stored it on
-        # itself would hold itself, and with it Kp, Qtb and S, in a reference cycle
-        sphere = {}
-
-        def sphere_residual(m=m):
-            res, P = q_sphere_residual(Kp, Qtb, S, m, tol)
-            sphere["rank"] = int(round(np.trace(P).real))
-            return res
-
-        rec = run("q_sphere", m, sphere_residual)
-        if rec is not None:
-            rec.defect_rank = sphere["rank"]
+        run("q_sphere", m, lambda m=m: q_sphere_residual(Kp, Qtb, S, m, tol))
 
     run("kms_condition", M,
         lambda: kms_condition_residual(Kp, rho0, Qtb, S, M, tol))

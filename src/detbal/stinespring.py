@@ -7,14 +7,17 @@ space; its row a is word a of index_words(n, m), labelled on request.
 The level projector is p_m = V_m V_m*, and r <= d^2 is the rank.  The
 levels nest: range(p_{m+l}) sits inside range(p_m) (x) range(p_l).
 
-V_m is read-only, and each level memoizes what is derived from it and a
-weight Q (Level.derived), so the checks of one verdict share the mode
-products, compatibility residuals and eigenpairs of every level.  The
-word stacks come from the Kraus set's own memo (KrausSet.word_stack).
+A weight Q enters a level only through Q_m = Q^(x)m p_m, and
+SubproductSystem.weighted is the one place that forms it: one read-only
+record per (level, Q) holds the mode products, the compression, the
+eigenpair and the compatibility residual, so the checks of one verdict
+share them.  The word stacks come from the Kraus set's own memo
+(KrausSet.word_stack).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,11 +30,10 @@ from .matcore import MAX_DIM, RANK_TOL, RESIDUAL_TOL, as_complex, dag, rank_mask
 class Level:
     """One level (V_m, n, m) of a subproduct system.
 
-    V is read-only.  What the level derives from an n x n matrix Q (the
-    action of Q^(x)m on V, the compatibility residual, the eigenpair of
-    Q_m) is memoized on the level by ``derived``, keyed by the kind of
-    data and Q's dtype, shape and bytes, so a different Q never reads a
-    stale entry.  The memo lives as long as the level.
+    V is read-only.  The level memoizes one Weighted record per weight Q
+    (built by SubproductSystem.weighted), keyed by Q's dtype, shape and
+    bytes, so a different Q never reads a stale entry.  The memo lives as
+    long as the level.
     """
 
     V: np.ndarray  # n^m x rank isometry onto the level subspace
@@ -43,16 +45,6 @@ class Level:
         V = self.V.view()
         V.flags.writeable = False
         object.__setattr__(self, "V", V)
-
-    def derived(self, Q: np.ndarray, compute, kind: str) -> tuple:
-        """compute()'s tuple of arrays for Q, built once per (kind, Q) and read-only."""
-        k = (kind, Q.dtype.str, Q.shape, Q.tobytes())
-        if k not in self._memo:
-            out = compute()
-            for X in out:
-                X.flags.writeable = False
-            self._memo[k] = out
-        return self._memo[k]
 
     @property
     def words(self) -> tuple:
@@ -73,6 +65,17 @@ class Level:
         return float(np.linalg.norm(self.V @ self.V[0].conj() - np.eye(len(self.V), 1)[:, 0]))
 
 
+class Weighted(NamedTuple):
+    """Q_m = Q^(x)m p_m on one level, in level coordinates (SubproductSystem.weighted)."""
+
+    V: np.ndarray  # the level isometry, n^m x r
+    QV: np.ndarray  # Q^(x)m V
+    H: np.ndarray  # V* Q^(x)m V
+    VU: np.ndarray  # Q_m = VU diag(w) VU*, over the eigenvalues rank_mask keeps
+    w: np.ndarray
+    compat: float  # ||[Q^(x)m, p_m]||, zero iff Q^(x)m preserves the level
+
+
 @dataclass(frozen=True)
 class SubproductSystem:
     n: int
@@ -85,26 +88,46 @@ class SubproductSystem:
             raise ValueError(f"level {m} not built (max {self.M})")
         return self.levels[m]
 
+    def weighted(self, Q, m: int, tol: float | None = None) -> Weighted:
+        """The level-m record of the weight Q, built once per Q and read-only.
 
-def _q_level(Q: np.ndarray, S: SubproductSystem, m: int):
-    """(V_m, Q^(x)m V_m, V_m* Q^(x)m V_m): Q_m = Q^(x)m p_m in level coordinates.
-
-    Q^(x)m V_m is applied one tensor factor at a time (mode products), so
-    the n^m x n^m power is never formed.  Memoized on the level per Q.
-    """
-    if Q.shape != (S.n, S.n):
-        raise ValueError(f"Q is {Q.shape[0]} x {Q.shape[1]} but the subproduct system's "
-                         f"alphabet has size {S.n}")
-
-    def compute():
-        V = S.level(m).V
-        n = len(Q)
-        QV = V
-        for k in range(m):
-            QV = (Q @ QV.reshape(n ** k, n, -1)).reshape(V.shape)
-        return V, QV, dag(V) @ QV
-
-    return S.level(m).derived(Q, compute, "q_level")
+        Q^(x)m is applied to V one tensor factor at a time (mode products),
+        so the n^m x n^m power is never formed.  H is diagonalized once and
+        its eigenvalues are cut at the system's rank_tol.  The two terms of
+        the commutator, (1 - p) Q^(x)m p - p Q^(x)m (1 - p), map between
+        orthogonal subspaces, so compat is the larger of
+        ||(1 - p) (Q^(x)m)^(*) V||; a Q equal to its adjoint gives the same
+        term twice.  Every Q-weighted level-m quantity needs Q^(x)m to
+        preserve the level: with tol, a compat above tol raises
+        HypothesisFailure.
+        """
+        Q = as_complex(Q)
+        if Q.shape != (self.n, self.n):
+            raise ValueError(f"Q is {Q.shape[0]} x {Q.shape[1]} but the subproduct system's "
+                             f"alphabet has size {self.n}")
+        L = self.level(m)
+        key = (Q.dtype.str, Q.shape, Q.tobytes())
+        if key not in L._memo:
+            terms = []
+            for P in (Q,) if np.array_equal(Q, dag(Q)) else (Q, dag(Q)):
+                X = L.V
+                for k in range(m):
+                    X = (P @ X.reshape(self.n ** k, self.n, -1)).reshape(L.V.shape)
+                terms.append(X)
+            H = dag(L.V) @ terms[0]
+            w, U = np.linalg.eigh((H + dag(H)) / 2)
+            keep = rank_mask(w, self.rank_tol)
+            compat = max(spectral_norm(X - L.V @ (dag(L.V) @ X)) for X in terms)
+            rec = Weighted(L.V, terms[0], H, L.V @ U[:, keep], w[keep], compat)
+            for X in rec[1:5]:
+                X.flags.writeable = False
+            L._memo[key] = rec
+        rec = L._memo[key]
+        if tol is not None and rec.compat > tol:
+            raise HypothesisFailure(
+                f"Q^(x){m} does not preserve the level-{m} subspace (residual {rec.compat:.3g})"
+            )
+        return rec
 
 
 def _level_isometry(K: KrausSet, m: int, rank_tol: float) -> np.ndarray:
@@ -142,20 +165,10 @@ def check_Q_compatibility(S: SubproductSystem, Q: np.ndarray, m: int) -> float:
     """Norm of the commutator of the m-fold power of Q with p_m.
 
     Zero certifies that Q^{(x)m} preserves the level-m subspace, the
-    standing hypothesis of every Q-weighted level-m quantity.  The two
-    terms of (1 - p) Q^(x)m p - p Q^(x)m (1 - p) map between orthogonal
-    subspaces, so the norm is the larger of ||(1 - p) (Q^(x)m)^(*) V||.
-    Memoized on the level per Q.
+    standing hypothesis of every Q-weighted level-m quantity.  Read from
+    the level's weighted record, so memoized on the level per Q.
     """
-    Q = as_complex(Q)
-
-    def compute():
-        V, QV, _ = _q_level(Q, S, m)
-        # a Q equal to its adjoint (as every trace-balanced Q is) gives the same term twice
-        terms = [QV] if np.array_equal(Q, dag(Q)) else [QV, _q_level(dag(Q), S, m)[1]]
-        return (np.array(max(spectral_norm(X - V @ (dag(V) @ X)) for X in terms)),)
-
-    return float(S.level(m).derived(Q, compute, "compat")[0])
+    return S.weighted(Q, m).compat
 
 
 def verify_power_dilation(K: KrausSet, S: SubproductSystem, m: int, A: np.ndarray,

@@ -39,7 +39,7 @@ from detbal.channel import (
     symmetric_unitary_first_col,
     word_operator,
 )
-from detbal.equilibrium import _require_compat, check_state
+from detbal.equilibrium import check_state
 from detbal.errors import HypothesisFailure
 from detbal.matcore import (
     RANK_TOL,
@@ -113,7 +113,7 @@ def check_Q_compatibility(S, Q, m):
 
 def check_phi_symmetric(K, rho0, Qd, S, m, ordering="normal", tol=RESIDUAL_TOL):
     rho0 = check_state(rho0)
-    _require_compat(Qd, S, m, tol)
+    S.weighted(Qd.Q, m, tol)
     ws = index_words(K.n, m)
     p = S.level(m).p
     Qm = _tensor_power(Qd.Q, m) @ p
@@ -136,7 +136,7 @@ def kms_condition_residual(K, rho0, Qd, S, m, tol=RESIDUAL_TOL):
     rho0 = check_state(rho0)
     mx = 0.0
     for mp in range(1, m + 1):
-        _require_compat(Qd, S, mp, tol)
+        S.weighted(Qd.Q, mp, tol)
         norm_res = check_phi_symmetric(K, rho0, Qd, S, mp, "normal", tol)
         if norm_res > tol:
             raise HypothesisFailure(
@@ -157,7 +157,7 @@ def kms_condition_residual(K, rho0, Qd, S, m, tol=RESIDUAL_TOL):
 
 
 def q_sphere_residual(K, Qd, S, m, tol=RESIDUAL_TOL, rank_tol=RANK_TOL):
-    _require_compat(Qd, S, m, tol)
+    S.weighted(Qd.Q, m, tol)
     Qinv = _qm_function(Qd.Q, S, m, lambda w: 1.0 / w, rank_tol)
     ws = index_words(K.n, m)
     ops = [word_operator(K.ops, w) for w in ws]

@@ -1,23 +1,24 @@
 """The memoized level data: read-only, keyed safely, and equal to a cold computation.
 
-A Kraus set memoizes its word stacks and a level the data it derives from
-a weight Q, so the checks of one verdict share them.  These tests pin
-that the memo cannot go stale (the inputs it rests on are read-only, its
-key includes Q, and its rank cuts follow the rank_tol of the level's own
-system), that a memoized stack is bitwise the stack ``word_stack``
-builds, that each public check called on fresh objects returns exactly
-the residual the verdict recorded, and that a verdict leaves no
-reference cycle behind.
+A Kraus set memoizes its word stacks and a level one record per weight Q
+(``SubproductSystem.weighted``), so the checks of one verdict share them.
+These tests pin that the memo cannot go stale (the inputs it rests on are
+read-only, its key includes Q, and its rank cuts follow the rank_tol of
+the level's own system), that a verdict builds one record per level, that
+a memoized stack is bitwise the stack ``word_stack`` builds, that each
+public check called on fresh objects returns exactly the residual the
+verdict recorded, and that a verdict leaves no reference cycle behind.
 """
 import gc
 
 import numpy as np
 import pytest
 
+import loop_oracle as oracle
 from conftest import random_channel, random_hermitian
+from detbal import reversal
 from detbal.channel import word_stack
 from detbal.equilibrium import (
-    _qm_eig,
     check_phi_symmetric,
     kms_condition_residual,
     orthogonalize_kraus,
@@ -25,7 +26,7 @@ from detbal.equilibrium import (
 from detbal.errors import HypothesisFailure
 from detbal.factories import commuting_db_kraus, gad_kraus
 from detbal.reversal import detailed_balance_verdict, q_sphere_residual
-from detbal.stinespring import _q_level, build_subproduct, check_Q_compatibility
+from detbal.stinespring import build_subproduct, check_Q_compatibility
 
 
 def _haar_state(d, seed):
@@ -59,7 +60,7 @@ def test_level_V_and_derived_data_are_read_only():
     Q = random_hermitian(3, 2)
     with pytest.raises(ValueError):  # before any derived data exists
         S.level(2).V[0] = 1.0
-    for X in (*_q_level(Q, S, 2), *_qm_eig(Q @ Q, S, 2)):
+    for X in (*S.weighted(Q, 2)[:3], *S.weighted(Q @ Q, 2)[3:5]):
         with pytest.raises(ValueError):
             X[0] = 1.0
 
@@ -85,16 +86,53 @@ def test_level_memo_is_keyed_by_Q_and_rank_tol():
     Q2[1, 0] += 1e-3
     inputs = (Q1, Q2, Q1.real)
     # (V, QV, H, VU, w) for every input from one system, so later inputs meet a warm memo
-    warm = [(*_q_level(Q, S, 2), *_qm_eig(Q, S, 2)) for Q in inputs]
+    warm = [S.weighted(Q, 2)[:5] for Q in inputs]
     for Q, got in zip(inputs, warm):
         cold = build_subproduct(K, 2)
-        want = (*_q_level(Q, cold, 2), *_qm_eig(Q, cold, 2))
+        want = cold.weighted(Q, 2)[:5]
         assert [X.tobytes() for X in got] == [X.tobytes() for X in want]
     assert not np.array_equal(warm[0][1], warm[1][1])  # Q1 and Q2 differ
     # a system built with a larger rank_tol keeps fewer Q_m eigenvalues on the same level
     coarse = build_subproduct(K, 2, rank_tol=0.5)
     assert coarse.rank_tol == 0.5 and coarse.level(2).rank == S.level(2).rank
-    assert len(_qm_eig(Q1, coarse, 2)[1]) < len(warm[0][4])
+    assert len(coarse.weighted(Q1, 2).w) < len(warm[0][4])
+
+
+def test_verdict_builds_one_record_per_level(monkeypatch):
+    built = []
+
+    def build(*args):
+        built.append(build_subproduct(*args))
+        return built[-1]
+
+    monkeypatch.setattr(reversal, "build_subproduct", build)
+    K, rho0, M = CASES["gad"]()
+    detailed_balance_verdict(K, rho0, M)
+    (S,) = built
+    # every check weighs levels 1..M by the same trace-balanced Q; level 0 is never weighed
+    assert [len(S.level(m)._memo) for m in range(M + 1)] == [0] + [1] * M
+
+
+def test_weighted_with_tol_refuses_a_level_Q_does_not_preserve():
+    S = build_subproduct(random_channel(2, 3, 5), 2)
+    Q = random_hermitian(3, 5)
+    rec = S.weighted(Q, 2)
+    assert rec.compat > 1e-8
+    with pytest.raises(HypothesisFailure) as exc:
+        S.weighted(Q, 2, rec.compat / 2)
+    assert str(exc.value) == \
+        f"Q^(x)2 does not preserve the level-2 subspace (residual {rec.compat:.3g})"
+    assert S.weighted(Q, 2, rec.compat) is rec
+    assert S.weighted(np.eye(3), 2, 1e-12).compat <= 1e-12
+
+
+def test_weighted_compat_of_a_non_hermitian_Q_matches_the_oracle():
+    S = build_subproduct(random_channel(2, 3, 6), 3)
+    rng = np.random.default_rng(6)
+    Q = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    for m in range(S.M + 1):
+        ref = oracle.check_Q_compatibility(S, Q, m)
+        assert abs(S.weighted(Q, m).compat - ref) <= 1e-12 * max(1.0, ref)
 
 
 def _cold(K, rho0, M):

@@ -1,6 +1,7 @@
-"""The command-line examples in README.md reproduce.
+"""The library tour and the command-line examples in README.md reproduce.
 
-Every ``$ detbal ...`` line in a fenced block runs through ``cli.main``,
+The ``python`` block runs as a script, with stdout captured, and prints
+the values its comments state.  Every ``$ detbal ...`` line in a fenced block runs through ``cli.main``,
 in file order, in one scratch directory, and its stdout must match the
 lines that follow it up to the next ``$`` line or the end of the block:
 
@@ -36,6 +37,20 @@ def readme_sessions():
     return sessions
 
 
+def readme_python_blocks():
+    """The source of each fenced ``python`` block, in file order."""
+    blocks, current = [], None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if current is None and line.strip() == "```python":
+            current = []
+        elif current is not None and line.startswith("```"):
+            blocks.append("\n".join(current))
+            current = None
+        elif current is not None:
+            current.append(line)
+    return blocks
+
+
 def line_matches(expected: str, actual: str) -> bool:
     numbers, parts = [], []
     for piece in expected.split("..."):
@@ -67,6 +82,14 @@ def test_readme_command_examples_reproduce(tmp_path, monkeypatch, capsys):
         assert lines_match(expected, out), \
             f"$ detbal {command}\nexpected:\n" + "\n".join(expected) + \
             "\ngot:\n" + "\n".join(out)
+
+
+def test_readme_library_tour_runs(capsys):
+    (tour,) = readme_python_blocks()
+    exec(compile(tour, str(README), "exec"), {"__name__": "readme_tour"})
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "True"  # print(report.verdict)
+    assert "False q_sphere" in out  # print(report.verdict, report.reason)
 
 
 @pytest.mark.parametrize("expected, actual, ok", [
