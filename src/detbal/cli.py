@@ -7,6 +7,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -204,6 +205,7 @@ def _derive_path(path: str, suffix: str) -> str:
     return base + suffix
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="detbal",

@@ -84,6 +84,17 @@ def _normalize(q: np.ndarray, normalization: str) -> np.ndarray:
     raise ValueError(f"unknown normalization {normalization!r}")
 
 
+def _correlation(K: KrausSet, rho0, normalization: str = "raw", rank_tol: float = RANK_TOL):
+    """``correlation_matrix`` for a checked rho0 and a known normalization."""
+    q = gram(K.ops @ rho0, K.ops)
+    q = (q + dag(q)) / 2
+    if np.any(np.diag(q).real <= 1e-12):
+        raise ValueError("a Kraus operator annihilates the state (zero diagonal entry)")
+    if not rank_mask(np.linalg.eigvalsh(q), rank_tol).all():
+        raise ValueError("correlation matrix is singular")
+    return CorrelationData(Q=_normalize(q, normalization), normalization=normalization, raw=q)
+
+
 def correlation_matrix(K: KrausSet, rho0, normalization: str = "trace_balanced",
                        rank_tol: float = RANK_TOL) -> CorrelationData:
     """Correlation matrix of rho0 for the Kraus set, in the given normalization.
@@ -94,14 +105,7 @@ def correlation_matrix(K: KrausSet, rho0, normalization: str = "trace_balanced",
     rho0 = check_state(rho0)
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
-    q = gram(K.ops @ rho0, K.ops)
-    q = (q + dag(q)) / 2
-    diag = np.diag(q).real
-    if np.any(diag <= 1e-12):
-        raise ValueError("a Kraus operator annihilates the state (zero diagonal entry)")
-    if not rank_mask(np.linalg.eigvalsh(q), rank_tol).all():
-        raise ValueError("correlation matrix is singular")
-    return CorrelationData(Q=_normalize(q, normalization), normalization=normalization, raw=q)
+    return _correlation(K, rho0, normalization, rank_tol)
 
 
 def orthogonalize_kraus(K: KrausSet, rho0, tol: float = 1e-10):
@@ -109,7 +113,8 @@ def orthogonalize_kraus(K: KrausSet, rho0, tol: float = 1e-10):
 
     Returns (K', Qd, lambdas) with lambdas the raw eigenvalues in
     descending order and Qd the diagonal raw-normalized correlation
-    data of the new set.
+    data of the new set.  rho0 is validated once, and the correlation
+    matrices of K and K' pass the checks of ``correlation_matrix``.
 
     Degenerate eigenvalues leave the basis free; within each tie block
     the basis is rotated so that a single column absorbs the component
@@ -119,9 +124,7 @@ def orthogonalize_kraus(K: KrausSet, rho0, tol: float = 1e-10):
     operators as the eigenspaces allow.
     """
     rho0 = check_state(rho0)
-    cd = correlation_matrix(K, rho0, "raw")
-    q = cd.raw
-    lam, U = np.linalg.eigh(q)
+    lam, U = np.linalg.eigh(_correlation(K, rho0).raw)
     order = np.argsort(lam)[::-1]
     lam, U = lam[order].real, U[:, order]
     n = K.n
@@ -143,7 +146,7 @@ def orthogonalize_kraus(K: KrausSet, rho0, tol: float = 1e-10):
     pivots = U[np.argmax(np.abs(U), axis=0), np.arange(n)]
     U = U / (pivots / np.abs(pivots))
     Kp = KrausSet(remix(K.ops, U))
-    Qd = correlation_matrix(Kp, rho0, "raw")
+    Qd = _correlation(Kp, rho0)
     if not Qd.is_diagonal(tol):
         raise ValueError("orthogonalization failed to diagonalize the correlation matrix")
     return Kp, Qd, lam
@@ -166,8 +169,11 @@ def zero_mean_check(K: KrausSet, rho0) -> list[float]:
 
 def _word_rows(n: int, *words):
     """(rows, m): the row of each word among the n^m words of its level, or
-    None when the lengths differ.  A word is a Word or its 1-based letters."""
+    None when the lengths differ.  A word is a Word or its letters, in 1..n."""
     letters = [tuple(w.letters) if hasattr(w, "letters") else tuple(w) for w in words]
+    bad = [k for x in letters for k in x if not 1 <= k <= n]
+    if bad:
+        raise ValueError(f"letter {bad[0]} is outside the alphabet 1..{n}")
     m = len(letters[0])
     if any(len(x) != m for x in letters):
         return None
@@ -177,6 +183,12 @@ def _word_rows(n: int, *words):
 def trace_qm(Qd: CorrelationData, S: SubproductSystem, m: int) -> float:
     """Trace of Q_m = Q^(x)m p_m over the full m-fold tensor power."""
     return float(np.trace(S.weighted(Qd.Q, m).H).real)
+
+
+def _phi_residual(G: np.ndarray, rec, ordering: str = "normal") -> float:
+    """Max entry of the level Gram G minus Q_m (normal) or p_m (antinormal) over Tr(Q_m)."""
+    X = rec.QV if ordering == "normal" else rec.V
+    return float(np.max(np.abs(G - X @ dag(rec.V) / float(np.trace(rec.H).real))))
 
 
 def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSystem,
@@ -190,16 +202,12 @@ def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSys
     does not preserve the level subspace.
     """
     rho0 = check_state(rho0)
-    V, QV, H = S.weighted(Qd.Q, m, tol)[:3]
+    rec = S.weighted(Qd.Q, m, tol)
     if ordering not in ("normal", "antinormal"):
         raise ValueError("ordering must be 'normal' or 'antinormal'")
-    trq = float(np.trace(H).real)
     A = K.word_stack(m)
-    if ordering == "normal":
-        dev = gram(A @ rho0, A) - QV @ dag(V) / trq
-    else:
-        dev = gram(rho0 @ A, A) - V @ dag(V) / trq
-    return float(np.max(np.abs(dev)))
+    G = gram(A @ rho0, A) if ordering == "normal" else gram(rho0 @ A, A)
+    return _phi_residual(G, rec, ordering)
 
 
 def modular_flow(Qd: CorrelationData, S: SubproductSystem, word, t,
@@ -220,9 +228,9 @@ def kms_state_eval(Qd: CorrelationData, S: SubproductSystem, j, k,
                    ordering: str = "normal") -> complex:
     """Value of the Q-weighted state on a normally or antinormally ordered pair.
 
-    Words of unequal length evaluate to zero.  Equal length m gives
-    Q_m[k,j]/Tr(Q_m) in normal ordering and p_m[j,k]/Tr(Q_m) in
-    antinormal ordering.
+    Letters must lie in 1..n.  Words of unequal length evaluate to zero.
+    Equal length m gives Q_m[k,j]/Tr(Q_m) in normal ordering and
+    p_m[j,k]/Tr(Q_m) in antinormal ordering.
     """
     rows = _word_rows(S.n, j, k)
     if rows is None:
@@ -244,22 +252,24 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
 
     For every pair of equal-length words up to m, compares
     Tr(rho0 K_j K_k*) against Tr(rho0 K_k* sigma_{-i}(K_j)) with the
-    flow continuation expanded through the level data.  Requires the
-    normal-ordering correlations to match at every level first.
+    flow continuation expanded through the level data.  At each level
+    Q^(x)m must preserve the level and the normal-ordered Gram G must
+    match Q_m; G then gives the right side, Qinv G, and the antinormal
+    Gram the left.
     """
     rho0 = check_state(rho0)
     mx = 0.0
     for mp in range(1, m + 1):
-        norm_res = check_phi_symmetric(K, rho0, Qd, S, mp, "normal", tol)
+        rec = S.weighted(Qd.Q, mp, tol)
+        A = K.word_stack(mp)
+        G = gram(A @ rho0, A)  # G[a, b] = Tr(K_a rho0 K_b*), the normal-ordered Gram
+        norm_res = _phi_residual(G, rec)
         if norm_res > tol:
             raise HypothesisFailure(
                 f"normal-ordered correlations fail at level {mp} (residual {norm_res:.3g})"
             )
-        rec = S.weighted(Qd.Q, mp)
-        A = K.word_stack(mp)
-        # lhs[a, b] = Tr(rho0 K_a K_b*), rhs[a, b] = sum_r Qinv[a, r] Tr(rho0 K_b* K_r),
-        # with Qinv = VU diag(1/w) VU* and VU* applied to the stack, not to the Gram
+        # lhs[a, b] = Tr(rho0 K_a K_b*) and rhs = Qinv G, with Qinv = VU diag(1/w) VU*
         lhs = gram(rho0 @ A, A)
-        rhs = rec.VU @ (gram(remix(A, rec.VU) @ rho0, A) / rec.w[:, np.newaxis])
+        rhs = rec.VU @ (dag(rec.VU) @ G / rec.w[:, np.newaxis])
         mx = max(mx, float(np.max(np.abs(lhs - rhs))))
     return mx

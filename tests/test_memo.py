@@ -8,6 +8,10 @@ the level's own system), that a verdict builds one record per level, that
 a memoized stack is bitwise the stack ``word_stack`` builds, that each
 public check called on fresh objects returns exactly the residual the
 verdict recorded, and that a verdict leaves no reference cycle behind.
+They also pin that no public check calls another: a true verdict
+validates rho0 4 + 2M times, and neither ``kms_condition_residual`` nor
+``orthogonalize_kraus`` goes through ``check_phi_symmetric`` or
+``correlation_matrix``.
 """
 import gc
 
@@ -16,7 +20,7 @@ import pytest
 
 import loop_oracle as oracle
 from conftest import random_channel, random_hermitian
-from detbal import reversal
+from detbal import equilibrium, reversal
 from detbal.channel import word_stack
 from detbal.equilibrium import (
     check_phi_symmetric,
@@ -111,6 +115,56 @@ def test_verdict_builds_one_record_per_level(monkeypatch):
     (S,) = built
     # every check weighs levels 1..M by the same trace-balanced Q; level 0 is never weighed
     assert [len(S.level(m)._memo) for m in range(M + 1)] == [0] + [1] * M
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """Wrap the function `name` in each module with one shared call counter."""
+    calls = []
+    for mod in modules:
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, fn=fn, **kw: calls.append(name) or fn(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("M", [2, 3, 4])
+def test_true_verdict_validates_the_state_4_plus_2M_times(monkeypatch, M):
+    # the verdict, orthogonalize_kraus, zero_mean_check and kms_condition_residual
+    # once each, and the two phi_symmetric checks once per level
+    calls = _count_calls(monkeypatch, "check_state", equilibrium, reversal)
+    rep = detailed_balance_verdict(commuting_db_kraus(np.pi / 6), np.eye(2) / 2, M)
+    assert rep.verdict
+    assert len(calls) == 4 + 2 * M
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a public check was called from inside another")
+
+
+def _kms_or_failure(*args):
+    try:
+        return kms_condition_residual(*args)
+    except HypothesisFailure as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_kms_calls_no_other_public_check(monkeypatch, case):
+    K, rho0, M = CASES[case]()
+    Kp, Qtb, S = _cold(K, rho0, M)
+    args = (Kp, rho0, Qtb, S, M)
+    want = _kms_or_failure(*args)
+    for name in ("check_phi_symmetric", "correlation_matrix"):
+        monkeypatch.setattr(equilibrium, name, _refuse)
+    assert _kms_or_failure(*args) == want
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_orthogonalize_validates_once_without_correlation_matrix(monkeypatch, case):
+    K, rho0, _ = CASES[case]()
+    monkeypatch.setattr(equilibrium, "correlation_matrix", _refuse)
+    calls = _count_calls(monkeypatch, "check_state", equilibrium)
+    orthogonalize_kraus(K, rho0)
+    assert len(calls) == 1
 
 
 def test_weighted_with_tol_refuses_a_level_Q_does_not_preserve():

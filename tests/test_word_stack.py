@@ -270,6 +270,18 @@ def test_word_lookup_rejects_letters_outside_the_alphabet():
         kms_state_eval(Qd, S, (0, 1), (1, 1))
 
 
+@pytest.mark.parametrize("call", [
+    lambda Qd, S: kms_state_eval(Qd, S, (7, 9), (1,)),  # unequal lengths
+    lambda Qd, S: kms_state_eval(Qd, S, (3,), (1,)),
+    lambda Qd, S: kms_state_eval(Qd, S, (1,), (1, 0)),
+    lambda Qd, S: modular_flow(Qd, S, (2, 3), 0.3),
+])
+def test_word_lookup_names_the_alphabet_size(call):
+    _, _, Qd, S, _ = CASES["commuting_db"]()  # n = 2
+    with pytest.raises(ValueError, match=r"outside the alphabet 1\.\.2"):
+        call(Qd, S)
+
+
 def test_minimal_kraus_keeps_a_complex_channel():
     # the m=1 Gram: a complex dependent operator must fold back into the others
     A, B, C = random_channel(2, 3, 7001).ops
