@@ -27,6 +27,7 @@ from .matcore import (
     isometry_defect,
     orthonormal_completion,
     rank_mask,
+    read_only,
     spectral_norm,
 )
 
@@ -59,7 +60,7 @@ class KrausSet:
             raise ValueError("zero Kraus operator rejected")
         A.flags.writeable = False
         self._ops = A
-        self._words = [_read_only(np.eye(d, dtype=complex)[np.newaxis])]
+        self._words = [read_only(np.eye(d, dtype=complex)[np.newaxis])]
         self.d = d
         self.n = len(A)
         I = np.eye(d)
@@ -75,7 +76,7 @@ class KrausSet:
         if m < 0:
             raise ValueError("m must be nonnegative")
         while len(self._words) <= m:
-            self._words.append(_read_only(_append_letter(self._words[-1], self._ops)))
+            self._words.append(read_only(_append_letter(self._words[-1], self._ops)))
         return self._words[m]
 
     def __iter__(self):
@@ -148,9 +149,13 @@ def require_invertible_F(F: np.ndarray) -> None:
 
 
 def f_conjugate(W: np.ndarray, F: np.ndarray, d: int, n: int) -> np.ndarray:
-    """The F-conjugate dilation (1 (x) F) W^c (1 (x) F^-1)."""
-    Wc = blockwise_dagger(W, d, n)
-    return np.kron(np.eye(d), F) @ Wc @ np.kron(np.eye(d), np.linalg.inv(F))
+    """The F-conjugate dilation (1 (x) F) W^c (1 (x) F^-1).
+
+    F and F^-1 act on the block indices alone, as mode products on the
+    (d, n, d, n) reshape of W^c, so no dn x dn Kronecker factor is formed.
+    """
+    Wc = blockwise_dagger(W, d, n).reshape(d, n, d * n)
+    return ((F @ Wc).reshape(-1, n) @ np.linalg.inv(F)).reshape(d * n, d * n)
 
 
 def first_block_column(W: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -316,11 +321,6 @@ def _append_letter(W: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """Every word of the stack W followed by every letter of ops, words major."""
     d = ops.shape[1]
     return np.matmul(W[:, np.newaxis], ops[np.newaxis]).reshape(-1, d, d)
-
-
-def _read_only(X: np.ndarray) -> np.ndarray:
-    X.flags.writeable = False
-    return X
 
 
 def word_stack(ops, m: int) -> np.ndarray:

@@ -11,6 +11,7 @@ consumer records which one it was handed:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +27,20 @@ NORMALIZATIONS = ("raw", "trace_balanced", "first_entry")
 def check_state(rho, atol: float = 1e-12) -> np.ndarray:
     """Validate a density matrix: Hermitian, PSD, unit trace.
 
-    Full rank is not required; a pure state is acceptable.
+    Full rank is not required; a pure state is acceptable.  The last few
+    states that passed are remembered by dtype, shape, exact bytes and
+    atol, so validating an unchanged state again costs one comparison;
+    an array written in place, or another atol, is validated afresh.
     """
-    rho = as_complex(rho)
+    rho = np.asarray(rho, dtype=complex)
+    _validate_state(rho.dtype.str, rho.shape, rho.tobytes(), atol)
+    return rho
+
+
+@functools.lru_cache(maxsize=8)
+def _validate_state(dtype: str, shape: tuple, data: bytes, atol: float) -> None:
+    """The checks of ``check_state``; a state that fails raises and is not remembered."""
+    rho = as_complex(np.frombuffer(data, dtype).reshape(shape))
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("state must be a square matrix")
     if not np.array_equal(rho, dag(rho)) and not is_hermitian(rho, 1e-10):
@@ -38,7 +50,6 @@ def check_state(rho, atol: float = 1e-12) -> np.ndarray:
         raise ValueError(f"state has negative eigenvalue {w[0]:.3g}")
     if abs(np.trace(rho).real - 1.0) > 1e-10:
         raise ValueError("state must have unit trace")
-    return rho
 
 
 @dataclass
@@ -108,13 +119,14 @@ def correlation_matrix(K: KrausSet, rho0, normalization: str = "trace_balanced",
     return _correlation(K, rho0, normalization, rank_tol)
 
 
-def orthogonalize_kraus(K: KrausSet, rho0, tol: float = 1e-10):
+def orthogonalize_kraus(K: KrausSet, rho0, tol: float = 1e-10, rank_tol: float = RANK_TOL):
     """Remix K so the correlation matrix of rho0 becomes diagonal.
 
     Returns (K', Qd, lambdas) with lambdas the raw eigenvalues in
     descending order and Qd the diagonal raw-normalized correlation
     data of the new set.  rho0 is validated once, and the correlation
-    matrices of K and K' pass the checks of ``correlation_matrix``.
+    matrices of K and K' pass the checks of ``correlation_matrix`` at
+    rank_tol.
 
     Degenerate eigenvalues leave the basis free; within each tie block
     the basis is rotated so that a single column absorbs the component
@@ -124,7 +136,7 @@ def orthogonalize_kraus(K: KrausSet, rho0, tol: float = 1e-10):
     operators as the eigenspaces allow.
     """
     rho0 = check_state(rho0)
-    lam, U = np.linalg.eigh(_correlation(K, rho0).raw)
+    lam, U = np.linalg.eigh(_correlation(K, rho0, rank_tol=rank_tol).raw)
     order = np.argsort(lam)[::-1]
     lam, U = lam[order].real, U[:, order]
     n = K.n
@@ -146,7 +158,7 @@ def orthogonalize_kraus(K: KrausSet, rho0, tol: float = 1e-10):
     pivots = U[np.argmax(np.abs(U), axis=0), np.arange(n)]
     U = U / (pivots / np.abs(pivots))
     Kp = KrausSet(remix(K.ops, U))
-    Qd = _correlation(Kp, rho0)
+    Qd = _correlation(Kp, rho0, rank_tol=rank_tol)
     if not Qd.is_diagonal(tol):
         raise ValueError("orthogonalization failed to diagonalize the correlation matrix")
     return Kp, Qd, lam

@@ -21,6 +21,13 @@ def rank_mask(values: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     return (values > 0) & (values > rank_tol * values.max(initial=0.0))
 
 
+def read_only(X: np.ndarray) -> np.ndarray:
+    """A view of X that cannot be written through."""
+    X = X.view()
+    X.flags.writeable = False
+    return X
+
+
 def dag(A: np.ndarray) -> np.ndarray:
     """Conjugate transpose; of every matrix in a stack when A.ndim > 2."""
     return A.conj().swapaxes(-1, -2)

@@ -35,7 +35,7 @@ from .matcore import (
     rank_mask,
 )
 from .report import AnalysisReport, CheckRecord
-from .stinespring import SubproductSystem, build_subproduct
+from .stinespring import SubproductSystem, build_subproduct, first_level
 
 
 def q_sphere_residual(K: KrausSet, Qd: CorrelationData, S: SubproductSystem,
@@ -178,7 +178,12 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
     rho0 = check_state(rho0)
     if K.unital_residual >= tol:
         raise ValueError("detailed balance verdict requires a channel")
-    Kp, Qraw, lambdas = orthogonalize_kraus(K, rho0)
+    # Q is formed for the orthogonalized set, so the levels must keep all of it
+    rank = first_level(K, rank_tol).rank
+    if rank < K.n:
+        raise ValueError(f"rank_tol={rank_tol:g} leaves {rank} of the {K.n} Kraus operators "
+                         f"linearly independent; the verdict needs an independent set")
+    Kp, Qraw, lambdas = orthogonalize_kraus(K, rho0, rank_tol=rank_tol)
     means = zero_mean_check(Kp, rho0)
     Qtb = Qraw.with_normalization("trace_balanced")
     Qfe = Qraw.with_normalization("first_entry")

@@ -1,50 +1,75 @@
 """Subproduct systems generated by a Kraus set.
 
-Level m of the system is (V_m, n, m): the n^m x r isometry whose columns
-span the orthogonal complement of the kernel of the word map e_k ->
-adjoint Kraus product inside the m-fold tensor power of the auxiliary
-space; its row a is word a of index_words(n, m), labelled on request.
-The level projector is p_m = V_m V_m*, and r <= d^2 is the rank.  The
-levels nest: range(p_{m+l}) sits inside range(p_m) (x) range(p_l).
+Level m of the system is (V_m, T_m, B_m).  V_m is the n^m x r isometry
+whose columns span the range of the word map: the column space of the
+n^m x d^2 matrix A_m whose row a is the length-m Kraus product K_a of
+word a of index_words(n, m), labelled on request.  The level projector
+is p_m = V_m V_m*, and r <= d^2 is the rank.  B_m = V_m* A_m, an
+(r, d, d) array, is the word stack compressed to the level.
+
+The levels nest: range(p_{m+1}) sits inside range(p_m) (x) range(p_1),
+so the tower is a tensor train and each level is built from the one
+below it.  Level 1 is one SVD of the n x d^2 Kraus matrix.  For m >= 2
+the r_{m-1} r_1 x d^2 matrix C of products B_{m-1}[i] B_1[j] satisfies
+A_m = (V_{m-1} (x) V_1) C; its SVD cut by rank_mask gives the transfer
+T_m (the kept left singular vectors) and B_m = T_m* C, so that
+V_m = (V_{m-1} (x) V_1) T_m.  Since V_{m-1} (x) V_1 is an isometry, C
+and A_m share their singular values, and with them the rank cuts, as
+long as the cuts below dropped only zero singular values; a coarser
+rank_tol builds level m from what the cut at level m - 1 kept, so the
+levels stay nested.  No level reads a word stack or a d^2 x n^m matrix.
 
 A weight Q enters a level only through Q_m = Q^(x)m p_m, and
 SubproductSystem.weighted is the one place that forms it: one read-only
 record per (level, Q) holds the mode products, the compression, the
-eigenpair and the compatibility residual, so the checks of one verdict
-share them.  The word stacks come from the Kraus set's own memo
-(KrausSet.word_stack).
+compatibility residual and, on first use, the eigenpair, so the checks
+of one verdict share them.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .channel import KrausSet, apply, minimal_kraus, require_word_budget, word_labels
 from .errors import HypothesisFailure
-from .matcore import MAX_DIM, RANK_TOL, RESIDUAL_TOL, as_complex, dag, rank_mask, spectral_norm
+from .matcore import (
+    MAX_DIM,
+    RANK_TOL,
+    RESIDUAL_TOL,
+    as_complex,
+    dag,
+    rank_mask,
+    read_only,
+    spectral_norm,
+)
 
 
 @dataclass(frozen=True)
 class Level:
-    """One level (V_m, n, m) of a subproduct system.
+    """One level (V_m, T_m, B_m) of a subproduct system.
 
-    V is read-only.  The level memoizes one Weighted record per weight Q
-    (built by SubproductSystem.weighted), keyed by Q's dtype, shape and
-    bytes, so a different Q never reads a stale entry.  The memo lives as
-    long as the level.
+    For m >= 2, V_m = (V_{m-1} (x) V_1) T_m with the r_{m-1} r_1 x r
+    transfer T_m; level 1 reads its letters directly, V_1 = (V_0 (x) 1_n) T_1
+    with T_1 = V_1, and T_0 = V_0 = [[1]].  B_m = V_m* A_m is the compressed
+    word stack (see the module docstring).
+    V, T and B are read-only.  The level memoizes one Weighted record per
+    weight Q (built by SubproductSystem.weighted), keyed by Q's dtype,
+    shape and bytes, so a different Q never reads a stale entry.  The memo
+    lives as long as the level.
     """
 
     V: np.ndarray  # n^m x rank isometry onto the level subspace
+    T: np.ndarray  # transfer from the level below
+    B: np.ndarray  # (rank, d, d) compressed word stack V* A_m
     n: int  # alphabet size; n = 1 leaves m unreadable from len(V)
     m: int  # word length
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        V = self.V.view()
-        V.flags.writeable = False
-        object.__setattr__(self, "V", V)
+        for name in ("V", "T", "B"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
     @property
     def words(self) -> tuple:
@@ -65,15 +90,43 @@ class Level:
         return float(np.linalg.norm(self.V @ self.V[0].conj() - np.eye(len(self.V), 1)[:, 0]))
 
 
-class Weighted(NamedTuple):
-    """Q_m = Q^(x)m p_m on one level, in level coordinates (SubproductSystem.weighted)."""
+@dataclass(frozen=True, eq=False)
+class Weighted:
+    """Q_m = Q^(x)m p_m on one level, in level coordinates (SubproductSystem.weighted).
+
+    V, QV, H and compat are formed with the record.  The eigenpair
+    Q_m = VU diag(w) VU*, over the eigenvalues of H that rank_mask keeps,
+    is formed on first access: only checks on a level that Q^(x)m
+    preserves read it.  Every array is read-only.  Indexing and unpacking
+    follow the order (V, QV, H, VU, w, compat).
+    """
 
     V: np.ndarray  # the level isometry, n^m x r
     QV: np.ndarray  # Q^(x)m V
     H: np.ndarray  # V* Q^(x)m V
-    VU: np.ndarray  # Q_m = VU diag(w) VU*, over the eigenvalues rank_mask keeps
-    w: np.ndarray
     compat: float  # ||[Q^(x)m, p_m]||, zero iff Q^(x)m preserves the level
+    rank_tol: float  # the cut on the eigenvalues of H
+
+    _fields = ("V", "QV", "H", "VU", "w", "compat")
+
+    @functools.cached_property
+    def _eig(self):
+        w, U = np.linalg.eigh((self.H + dag(self.H)) / 2)
+        keep = rank_mask(w, self.rank_tol)
+        return read_only(self.V @ U[:, keep]), read_only(w[keep])
+
+    @property
+    def VU(self) -> np.ndarray:
+        return self._eig[0]
+
+    @property
+    def w(self) -> np.ndarray:
+        return self._eig[1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(getattr(self, name) for name in self._fields[i])
+        return getattr(self, self._fields[i])
 
 
 @dataclass(frozen=True)
@@ -92,14 +145,14 @@ class SubproductSystem:
         """The level-m record of the weight Q, built once per Q and read-only.
 
         Q^(x)m is applied to V one tensor factor at a time (mode products),
-        so the n^m x n^m power is never formed.  H is diagonalized once and
-        its eigenvalues are cut at the system's rank_tol.  The two terms of
-        the commutator, (1 - p) Q^(x)m p - p Q^(x)m (1 - p), map between
+        so the n^m x n^m power is never formed.  The two terms of the
+        commutator, (1 - p) Q^(x)m p - p Q^(x)m (1 - p), map between
         orthogonal subspaces, so compat is the larger of
         ||(1 - p) (Q^(x)m)^(*) V||; a Q equal to its adjoint gives the same
-        term twice.  Every Q-weighted level-m quantity needs Q^(x)m to
-        preserve the level: with tol, a compat above tol raises
-        HypothesisFailure.
+        term twice.  H is diagonalized, and its eigenvalues cut at the
+        system's rank_tol, only when the eigenpair is first read.  Every
+        Q-weighted level-m quantity needs Q^(x)m to preserve the level:
+        with tol, a compat above tol raises HypothesisFailure.
         """
         Q = as_complex(Q)
         if Q.shape != (self.n, self.n):
@@ -114,14 +167,9 @@ class SubproductSystem:
                 for k in range(m):
                     X = (P @ X.reshape(self.n ** k, self.n, -1)).reshape(L.V.shape)
                 terms.append(X)
-            H = dag(L.V) @ terms[0]
-            w, U = np.linalg.eigh((H + dag(H)) / 2)
-            keep = rank_mask(w, self.rank_tol)
             compat = max(spectral_norm(X - L.V @ (dag(L.V) @ X)) for X in terms)
-            rec = Weighted(L.V, terms[0], H, L.V @ U[:, keep], w[keep], compat)
-            for X in rec[1:5]:
-                X.flags.writeable = False
-            L._memo[key] = rec
+            L._memo[key] = Weighted(L.V, read_only(terms[0]), read_only(dag(L.V) @ terms[0]),
+                                    compat, self.rank_tol)
         rec = L._memo[key]
         if tol is not None and rec.compat > tol:
             raise HypothesisFailure(
@@ -130,10 +178,33 @@ class SubproductSystem:
         return rec
 
 
-def _level_isometry(K: KrausSet, m: int, rank_tol: float) -> np.ndarray:
-    A = dag(K.word_stack(m)).reshape(K.n ** m, -1).T  # d^2 x n^m
-    _, s, Vh = np.linalg.svd(A, full_matrices=False)
-    return dag(Vh[rank_mask(s, rank_tol)])
+def _cut(X: np.ndarray, rank_tol: float):
+    """(U, B) for the SVD X = U s Vh cut by rank_mask: the kept left vectors and B = s Vh."""
+    U, s, Vh = np.linalg.svd(X, full_matrices=False)
+    keep = rank_mask(s, rank_tol)
+    return U[:, keep], s[keep, np.newaxis] * Vh[keep]
+
+
+def first_level(K: KrausSet, rank_tol: float = RANK_TOL) -> Level:
+    """Level 1 of K's subproduct system, from one SVD of the n x d^2 Kraus matrix.
+
+    Its rank is the number of linearly independent Kraus operators at
+    rank_tol.
+    """
+    V, B = _cut(K.ops.reshape(K.n, -1), rank_tol)
+    return Level(V, V, B.reshape(-1, K.d, K.d), K.n, 1)
+
+
+def _next_level(below: Level, first: Level, rank_tol: float) -> Level:
+    """Level m + 1 from level m and level 1 (see the module docstring)."""
+    r0, r1, d = below.rank, first.rank, first.B.shape[1]
+    C = (below.B[:, np.newaxis] @ first.B[np.newaxis]).reshape(r0 * r1, d * d)
+    T, B = _cut(C, rank_tol)
+    N, r = len(below.V), T.shape[1]  # r may be 0: a level of products that all vanish
+    # (V_m (x) V_1) T: contract T's first index with V_m, then its second with V_1
+    Y = (below.V @ T.reshape(r0, r1 * r)).reshape(N, r1, r)
+    V = (first.V @ Y).reshape(N * first.n, r)
+    return Level(V, T, B.reshape(r, d, d), first.n, below.m + 1)
 
 
 def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL,
@@ -144,14 +215,21 @@ def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL,
     level-1 projector of the reduced set is then the full identity.
     rank_tol decides which words span each level, and the system keeps
     it: every later rank cut on its levels uses the same tolerance.
+    Each level above the first costs one SVD of an r_{m-1} r_1 x d^2
+    matrix and two matrix products that form V_m; no word stack is built.
     """
     require_word_budget(K.n, M, max_dim)
-    if _level_isometry(K, 1, rank_tol).shape[1] < K.n:
+    first = first_level(K, rank_tol)
+    if first.rank < K.n:
         K = minimal_kraus(K, rank_tol)
-        if _level_isometry(K, 1, rank_tol).shape[1] < K.n:
+        first = first_level(K, rank_tol)
+        if first.rank < K.n:
             raise ValueError("level-1 dependence survived minimization")
-    levels = {m: Level(_level_isometry(K, m, rank_tol), K.n, m) for m in range(M + 1)}
-    return SubproductSystem(n=K.n, M=M, rank_tol=rank_tol, levels=levels)
+    one = np.ones((1, 1), dtype=complex)
+    levels = [Level(one, one, np.eye(K.d, dtype=complex)[np.newaxis], K.n, 0), first]
+    while len(levels) <= M:
+        levels.append(_next_level(levels[-1], first, rank_tol))
+    return SubproductSystem(n=K.n, M=M, rank_tol=rank_tol, levels=dict(enumerate(levels[:M + 1])))
 
 
 def check_subproduct_inclusion(S: SubproductSystem, m: int, l: int) -> float:
@@ -187,10 +265,8 @@ def verify_power_dilation(K: KrausSet, S: SubproductSystem, m: int, A: np.ndarra
         raise HypothesisFailure(
             f"e_1^(x){m} not in the level-{m} subspace (defect {defect:.3g})"
         )
-    # D_m in level coordinates (p_m e_w -> V_m* e_w) as a (d, r, d) array
-    V = S.level(m).V
-    D = (dag(V) @ K.word_stack(m).reshape(V.shape[0], -1)).reshape(-1, K.d, K.d)
-    D = D.transpose(1, 0, 2).reshape(-1, K.d)
+    # D_m in level coordinates (p_m e_w -> V_m* e_w) is B_m, read as a (d, r, d) array
+    D = S.level(m).B.transpose(1, 0, 2).reshape(-1, K.d)
     # whiten with the Gram pseudo-inverse square root (a no-op when D_m
     # is already an isometry, which the word relations guarantee)
     G = dag(D) @ D

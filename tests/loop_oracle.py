@@ -34,7 +34,6 @@ from detbal.channel import (
     KrausSet,
     apply,
     block,
-    f_conjugate,
     index_words,
     symmetric_unitary_first_col,
     word_operator,
@@ -391,6 +390,17 @@ def _relation_record(name: str, R: np.ndarray, tol: float) -> CheckRecord:
         defect_rank=rank,
         off_defect_residual=spectral_norm(Pc @ R @ Pc),
     )
+
+
+def f_conjugate(W, F, d, n):
+    """(1 (x) F) W^c (1 (x) F^-1) with W^c built block by block and both
+    Kronecker factors formed densely."""
+    Wc = np.zeros((d * n, d * n), dtype=complex)
+    R = Wc.reshape(d, n, d, n)
+    for j in range(n):
+        for k in range(n):
+            R[:, j, :, k] = dag(block(W, d, n, j, k))
+    return np.kron(np.eye(d), F) @ Wc @ np.kron(np.eye(d), np.linalg.inv(F))
 
 
 def au_relations_check(W, F, tol: float = RESIDUAL_TOL) -> RelationsReport:

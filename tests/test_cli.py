@@ -192,11 +192,14 @@ def test_analyze_names_the_word_budget(tmp_path, capsys):
 
 
 def test_analyze_names_both_sizes_when_rank_tol_shrinks_the_alphabet(tmp_path, capsys):
-    # rank_tol 0.5 reduces gad's four Kraus operators to one, while Q stays 4 x 4
+    # at rank_tol 0.5 only two of gad's four Kraus operators are linearly
+    # independent; Q is formed for all four, so the verdict refuses up front
     path = write_example(tmp_path, "gad")
     assert main(["analyze", path, "--rank-tol", "0.5"]) == 2
-    err = capsys.readouterr().err
-    assert "error: Q is 4 x 4 but the subproduct system's alphabet has size 1" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: rank_tol=0.5 leaves 2 of the 4 Kraus operators linearly "
+                            "independent; the verdict needs an independent set\n")
 
 
 def test_stinespring_command(tmp_path, capsys):

@@ -18,6 +18,7 @@ from detbal.equilibrium import (
 from detbal.errors import HypothesisFailure
 from detbal.factories import commuting_db_kraus, gad_kraus
 from detbal.matcore import dag, spectral_norm
+from detbal.reversal import detailed_balance_verdict
 from detbal.stinespring import build_subproduct
 from detbal.channel import channel_distance
 from conftest import random_channel
@@ -88,6 +89,36 @@ def test_correlation_matrix_rejects_singular():
     I2 = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
         correlation_matrix(KrausSet([I2 / np.sqrt(2), I2 / np.sqrt(2)]), MIXED2, "raw")
+
+
+def test_orthogonalize_tests_singularity_at_the_given_rank_tol():
+    # the raw correlation matrix's eigenvalue ratio is 6.1e-12: singular at
+    # the default rank_tol 1e-9 but not at 1e-13, which the verdict passes on
+    K, rho0 = gad_kraus(0.75, 0.5), np.diag([1 - 1e-10, 1e-10])
+    with pytest.raises(ValueError, match="correlation matrix is singular"):
+        orthogonalize_kraus(K, rho0)
+    _, Qd, _ = orthogonalize_kraus(K, rho0, rank_tol=1e-13)
+    assert Qd.is_diagonal()
+    assert detailed_balance_verdict(K, rho0, 2, rank_tol=1e-13).rank_tol == 1e-13
+
+
+def test_check_state_revalidates_a_state_written_in_place():
+    rho = GAD_RHO.copy()
+    assert check_state(rho) is rho
+    rho[0, 1] = 0.1  # no longer Hermitian
+    with pytest.raises(ValueError, match="Hermitian"):
+        check_state(rho)
+    rho[0, 1] = 0.0
+    assert check_state(rho) is rho
+    rho[:] = np.diag([1.0 + 1e-11, -1e-11])  # unit trace, one negative eigenvalue
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        check_state(rho)
+    # a pass under a looser atol is not a pass under the default one
+    assert check_state(rho, atol=1e-10) is rho
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        check_state(rho)
+    with pytest.raises(ValueError, match="finite"):
+        check_state(np.diag([np.nan, 1.0]))
 
 
 def test_balance_scalar_closed_form():

@@ -1,7 +1,11 @@
-"""Invariants of the subproduct levels, over random channels with d, n in {2, 3}.
+"""Invariants of the subproduct levels, over random channels with d, n <= 3.
 
-Each level is stored as an isometry V_m; these properties hold for any
-Kraus set and any weight Q, so hypothesis draws the channel and Q.
+Each level is stored as an isometry V_m, built from the level below it,
+with its compressed word stack B_m; these properties hold for any Kraus
+set and any weight Q, so hypothesis draws the channel and Q.  The levels
+must equal the dense levels of ``loop_oracle``, which take the SVD of
+every word operator at once: the same ranks, and projectors and
+compressed stacks to 1e-12.
 """
 import numpy as np
 import pytest
@@ -10,7 +14,9 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 import loop_oracle as oracle  # noqa: E402
-from conftest import random_channel  # noqa: E402
+from conftest import random_channel, random_unitary  # noqa: E402
+from detbal.channel import KrausSet, remix  # noqa: E402
+from detbal.factories import commuting_db_kraus  # noqa: E402
 from detbal.matcore import dag  # noqa: E402
 from detbal.stinespring import (  # noqa: E402
     build_subproduct,
@@ -37,3 +43,62 @@ def test_level_invariants(d, n, seed):
             assert check_subproduct_inclusion(S, m, l) <= 1e-12
         ref = oracle.check_Q_compatibility(S, Q, m)
         assert abs(check_Q_compatibility(S, Q, m) - ref) <= 1e-12 * max(1.0, ref)
+
+
+def assert_levels_match_dense(K, M):
+    S = build_subproduct(K, M)
+    for m in range(M + 1):
+        L = S.level(m)
+        p_ref, r_ref, _ = oracle._level_projector(K, m, S.rank_tol)
+        assert L.rank == r_ref, m
+        np.testing.assert_allclose(L.V @ dag(L.V), p_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(L.B, remix(K.word_stack(m), L.V), rtol=0, atol=1e-12)
+        if m >= 2:
+            W = np.kron(S.level(m - 1).V, S.level(1).V)
+            np.testing.assert_allclose(W @ L.T, L.V, rtol=0, atol=1e-12)
+    return S
+
+
+def _diagonal_channel(d, n, seed):
+    """n commuting diagonal Kraus operators: the levels drop every reordered word."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    X /= np.linalg.norm(X, axis=0)
+    return KrausSet([np.diag(x) for x in X])
+
+
+@hypothesis.settings(max_examples=40, deadline=None, database=None)
+@hypothesis.given(d=st.integers(1, 3), n=st.integers(1, 3), M=st.integers(1, 4),
+                  diagonal=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_levels_built_from_the_level_below_match_the_dense_levels(d, n, M, diagonal, seed):
+    # linearly independent families (n <= d diagonal, n <= d^2 random), so that
+    # build_subproduct keeps the alphabet the oracle enumerates
+    K = _diagonal_channel(d, min(n, d), seed) if diagonal else random_channel(d, min(n, d * d), seed)
+    assert_levels_match_dense(K, M)
+
+
+def test_deep_commuting_levels_match_the_dense_levels():
+    S = assert_levels_match_dense(commuting_db_kraus(np.pi / 6), 10)
+    assert [S.level(m).rank for m in range(11)] == [1] + [2] * 10
+
+
+def test_complex_deficient_level_matches_the_dense_level():
+    # Weyl clock and shift obey XZ = w ZX, a complex word relation: rank 8 of 9
+    w = np.exp(2j * np.pi / 3)
+    X = np.roll(np.eye(3), 1, axis=0).astype(complex)
+    Z = np.diag([1, w, w * w])
+    K = KrausSet([U / np.sqrt(3) for U in (random_unitary(3, 1), X, Z)])
+    S = assert_levels_match_dense(K, 3)
+    assert S.level(2).rank == 8
+
+
+def test_levels_of_vanishing_products_have_rank_zero():
+    # N^2 = 0: every word of length >= 2 vanishes, and the levels above stay empty
+    S = assert_levels_match_dense(KrausSet([np.array([[0, 1], [0, 0]], dtype=complex)]), 3)
+    assert [S.level(m).rank for m in range(4)] == [1, 1, 0, 0]
+
+
+def test_build_subproduct_forms_no_word_stack_above_level_one():
+    K = random_channel(2, 3, 8)
+    build_subproduct(K, 4)
+    assert len(K._words) <= 2  # the memo holds the stacks of lengths 0..m built so far

@@ -4,14 +4,15 @@ A Kraus set memoizes its word stacks and a level one record per weight Q
 (``SubproductSystem.weighted``), so the checks of one verdict share them.
 These tests pin that the memo cannot go stale (the inputs it rests on are
 read-only, its key includes Q, and its rank cuts follow the rank_tol of
-the level's own system), that a verdict builds one record per level, that
-a memoized stack is bitwise the stack ``word_stack`` builds, that each
-public check called on fresh objects returns exactly the residual the
-verdict recorded, and that a verdict leaves no reference cycle behind.
-They also pin that no public check calls another: a true verdict
-validates rho0 4 + 2M times, and neither ``kms_condition_residual`` nor
-``orthogonalize_kraus`` goes through ``check_phi_symmetric`` or
-``correlation_matrix``.
+the level's own system), that a verdict builds one record per level and
+forms the Q_m eigenpair only on levels Q^(x)m preserves, that a memoized
+stack is bitwise the stack ``word_stack`` builds, that each public check
+called on fresh objects returns exactly the residual the verdict
+recorded, and that a verdict leaves no reference cycle behind.  They
+also pin that no public check calls another: a true verdict calls
+check_state 4 + 2M times and runs its checks once, and neither
+``kms_condition_residual`` nor ``orthogonalize_kraus`` goes through
+``check_phi_symmetric`` or ``correlation_matrix``.
 """
 import gc
 
@@ -102,7 +103,8 @@ def test_level_memo_is_keyed_by_Q_and_rank_tol():
     assert len(coarse.weighted(Q1, 2).w) < len(warm[0][4])
 
 
-def test_verdict_builds_one_record_per_level(monkeypatch):
+def _verdict_and_system(monkeypatch, case):
+    """The verdict on CASES[case], its M and the subproduct system it built."""
     built = []
 
     def build(*args):
@@ -110,11 +112,34 @@ def test_verdict_builds_one_record_per_level(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(reversal, "build_subproduct", build)
-    K, rho0, M = CASES["gad"]()
-    detailed_balance_verdict(K, rho0, M)
+    K, rho0, M = CASES[case]()
+    rep = detailed_balance_verdict(K, rho0, M)
     (S,) = built
+    return rep, M, S
+
+
+def test_verdict_builds_one_record_per_level(monkeypatch):
+    _, M, S = _verdict_and_system(monkeypatch, "gad")
     # every check weighs levels 1..M by the same trace-balanced Q; level 0 is never weighed
     assert [len(S.level(m)._memo) for m in range(M + 1)] == [0] + [1] * M
+
+
+def test_verdict_forms_no_eigenpair_on_levels_Q_does_not_preserve(monkeypatch):
+    rep, M, S = _verdict_and_system(monkeypatch, "haar")
+    failing = {c.level for c in rep.checks if c.name == "q_compatibility" and not c.passed}
+    assert failing and failing != set(range(1, M + 1))
+    for m in range(1, M + 1):
+        (rec,) = S.level(m)._memo.values()
+        # the eigenpair is a cached property: present in the record once read
+        assert ("_eig" in vars(rec)) == (m not in failing), m
+
+
+def test_weighted_eigenpair_is_formed_on_first_read_and_kept():
+    S = build_subproduct(random_channel(2, 3, 7), 2)
+    rec = S.weighted(random_hermitian(3, 7), 2)
+    assert "_eig" not in vars(rec)
+    VU, w = rec.VU, rec.w
+    assert rec.VU is VU and rec.w is w and rec[3:5] == (VU, w)
 
 
 def _count_calls(monkeypatch, name, *modules):
@@ -134,6 +159,14 @@ def test_true_verdict_validates_the_state_4_plus_2M_times(monkeypatch, M):
     rep = detailed_balance_verdict(commuting_db_kraus(np.pi / 6), np.eye(2) / 2, M)
     assert rep.verdict
     assert len(calls) == 4 + 2 * M
+
+
+def test_verdict_runs_the_state_checks_once():
+    # every later check_state call of the verdict finds the state remembered
+    equilibrium._validate_state.cache_clear()
+    detailed_balance_verdict(commuting_db_kraus(np.pi / 6), np.eye(2) / 2, 3)
+    info = equilibrium._validate_state.cache_info()
+    assert (info.misses, info.hits) == (1, 4 + 2 * 3 - 1)
 
 
 def _refuse(*args, **kwargs):

@@ -79,6 +79,15 @@ def test_relation_records_match_dense_oracle(case, check):
     assert_records_match(globals()[check](W, F), getattr(oracle, check)(W, F))
 
 
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+def test_f_conjugate_matches_the_dense_kronecker_form(case):
+    _, W, F = case
+    n = F.shape[0]
+    d = W.shape[0] // n
+    ref = oracle.f_conjugate(W, F, d, n)
+    assert np.max(np.abs(f_conjugate(W, F, d, n) - ref)) <= RTOL * max(1.0, np.max(np.abs(ref)))
+
+
 def test_near_isometry_case_has_a_defect_and_an_off_defect_residual():
     rep = au_relations_check(_near_isometry(6, 5), np.diag([1.0, 0.7]))
     left = rep.check("W_unitary_left")

@@ -35,7 +35,6 @@ from detbal.matcore import dag
 from detbal.qgroup import first_row_q_sphere, suq2_dilation, suq2_generators
 from detbal.reversal import crooks_check, crooks_dual, q_sphere_residual
 from detbal.stinespring import (
-    _level_isometry,
     build_subproduct,
     check_Q_compatibility,
     check_subproduct_inclusion,
@@ -144,7 +143,7 @@ def test_levels_and_dilations_match_loop_oracle(case):
     K, _, _, S, M = CASES[case]()
     A = random_hermitian(K.d, 5)
     for m in range(1, M + 1):
-        V = _level_isometry(K, m, 1e-9)
+        V = S.level(m).V
         p_ref, r_ref, ws_ref = oracle._level_projector(K, m, 1e-9)
         assert V.shape == (len(ws_ref), r_ref)
         np.testing.assert_allclose(V @ dag(V), p_ref, rtol=0, atol=RTOL)
