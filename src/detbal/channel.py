@@ -26,9 +26,8 @@ from .matcore import (
     frobenius_norm,
     isometry_defect,
     orthonormal_completion,
-    rank_mask,
-    read_only,
     spectral_norm,
+    svd_cut,
 )
 
 ZERO_OP_TOL = 1e-12
@@ -42,10 +41,8 @@ class KrausSet:
     make the correlation matrix singular.
 
     ``ops`` is read-only: the attribute cannot be rebound and the array
-    cannot be written in place.  That keeps the memo of ``word_stack``
-    valid: the stack of length-m words is built once per m, from the
-    stack of length m - 1, and kept (read-only) for the lifetime of the
-    set, sum over the built m of n^m d^2 complex entries.
+    cannot be written in place, so data built from it (a subproduct
+    system records it) cannot go stale.
     """
 
     def __init__(self, ops):
@@ -60,7 +57,6 @@ class KrausSet:
             raise ValueError("zero Kraus operator rejected")
         A.flags.writeable = False
         self._ops = A
-        self._words = [read_only(np.eye(d, dtype=complex)[np.newaxis])]
         self.d = d
         self.n = len(A)
         I = np.eye(d)
@@ -70,14 +66,6 @@ class KrausSet:
     @property
     def ops(self) -> np.ndarray:
         return self._ops
-
-    def word_stack(self, m: int) -> np.ndarray:
-        """word_stack(self.ops, m), memoized by m and read-only."""
-        if m < 0:
-            raise ValueError("m must be nonnegative")
-        while len(self._words) <= m:
-            self._words.append(read_only(_append_letter(self._words[-1], self._ops)))
-        return self._words[m]
 
     def __iter__(self):
         return iter(self.ops)
@@ -317,23 +305,17 @@ def word_operator(K, w) -> np.ndarray:
     return functools.reduce(np.matmul, (K[k] for k in w), np.eye(K[0].shape[0], dtype=complex))
 
 
-def _append_letter(W: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Every word of the stack W followed by every letter of ops, words major."""
-    d = ops.shape[1]
-    return np.matmul(W[:, np.newaxis], ops[np.newaxis]).reshape(-1, d, d)
-
-
 def word_stack(ops, m: int) -> np.ndarray:
     """Every length-m product K_{w1}...K_{wm} of an (n, d, d) array as an
     (n**m, d, d) array.
 
     Row a is the word at position a of index_words(n, m), so the
     leftmost letter is the most significant digit of a in base n.
-    KrausSet.word_stack returns the same array, memoized.
     """
-    W = np.eye(ops.shape[1], dtype=complex)[np.newaxis]
+    d = ops.shape[1]
+    W = np.eye(d, dtype=complex)[np.newaxis]
     for _ in range(m):
-        W = _append_letter(W, ops)
+        W = (W[:, np.newaxis] @ ops[np.newaxis]).reshape(-1, d, d)  # every word, then every letter
     return W
 
 
@@ -352,7 +334,7 @@ def power_kraus(K: KrausSet, m: int, max_dim: int = MAX_DIM):
     if m < 0:
         raise ValueError("m must be nonnegative")
     require_word_budget(K.n, m, max_dim)
-    return word_labels(K.n, m), list(K.word_stack(m))
+    return word_labels(K.n, m), list(word_stack(K.ops, m))
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +344,13 @@ def power_kraus(K: KrausSet, m: int, max_dim: int = MAX_DIM):
 def minimal_kraus(K: KrausSet, rank_tol: float = RANK_TOL) -> KrausSet:
     """Remix to a linearly independent Kraus set for the same channel.
 
-    Diagonalizes the Gram matrix Tr(K_j K_k*) and keeps the eigencolumns
-    the rank rule keeps, largest eigenvalue first.  The output basis is
-    one of many; the channel is unchanged.
+    Takes the SVD U s Vh of the n x d^2 Kraus matrix and returns the
+    operators s Vh = U* K whose singular values s the rank rule keeps,
+    largest first: the rule and the operators of level 1 of the
+    subproduct system (stinespring.first_level).  The output basis is
+    one of many; the channel is unchanged up to the dropped s.
     """
-    G = gram(K.ops, K.ops)
-    w, U = np.linalg.eigh((G + dag(G)) / 2)
-    return KrausSet(remix(K.ops, U[:, rank_mask(w, rank_tol)][:, ::-1]))
+    return KrausSet(svd_cut(K.ops.reshape(K.n, -1), rank_tol)[1].reshape(-1, K.d, K.d))
 
 
 def remix(ops: np.ndarray, U: np.ndarray) -> np.ndarray:

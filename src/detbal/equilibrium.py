@@ -198,9 +198,9 @@ def trace_qm(Qd: CorrelationData, S: SubproductSystem, m: int) -> float:
 
 
 def _phi_residual(G: np.ndarray, rec, ordering: str = "normal") -> float:
-    """Max entry of the level Gram G minus Q_m (normal) or p_m (antinormal) over Tr(Q_m)."""
+    """Max entry of the word Gram V G V* (G a Gram of B) minus Q_m or p_m, over Tr(Q_m)."""
     X = rec.QV if ordering == "normal" else rec.V
-    return float(np.max(np.abs(G - X @ dag(rec.V) / float(np.trace(rec.H).real))))
+    return float(np.max(np.abs((rec.V @ G - X / float(np.trace(rec.H).real)) @ dag(rec.V))))
 
 
 def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSystem,
@@ -211,14 +211,15 @@ def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSys
     normal ordering compares Tr(K_j rho0 K_k*) against Q_m[j,k]/Tr(Q_m);
     antinormal compares Tr(rho0 K_j K_k*) against p_m[j,k]/Tr(Q_m), over
     all pairs of length-m words.  Raises HypothesisFailure when Q^(x)m
-    does not preserve the level subspace.
+    does not preserve the level subspace, and ValueError when S was not
+    built from K.  The words are read as A_m = V_m B_m.
     """
     rho0 = check_state(rho0)
+    B = S.stack(K, m)
     rec = S.weighted(Qd.Q, m, tol)
     if ordering not in ("normal", "antinormal"):
         raise ValueError("ordering must be 'normal' or 'antinormal'")
-    A = K.word_stack(m)
-    G = gram(A @ rho0, A) if ordering == "normal" else gram(rho0 @ A, A)
+    G = gram(B @ rho0, B) if ordering == "normal" else gram(rho0 @ B, B)
     return _phi_residual(G, rec, ordering)
 
 
@@ -233,7 +234,8 @@ def modular_flow(Qd: CorrelationData, S: SubproductSystem, word, t,
     """
     (a,), m = _word_rows(S.n, word)
     rec = S.weighted(Qd.Q, m, tol)
-    return (rec.VU[a] * np.power(rec.w, -1j * complex(t))) @ dag(rec.VU)
+    VU = rec.V @ rec.U
+    return (VU[a] * np.power(rec.w, -1j * complex(t))) @ dag(VU)
 
 
 def kms_state_eval(Qd: CorrelationData, S: SubproductSystem, j, k,
@@ -248,12 +250,12 @@ def kms_state_eval(Qd: CorrelationData, S: SubproductSystem, j, k,
     if rows is None:
         return 0.0 + 0.0j
     (a, b), m = rows
-    V, QV, H = S.weighted(Qd.Q, m)[:3]
-    trq = np.trace(H).real
+    rec = S.weighted(Qd.Q, m)
+    trq = np.trace(rec.H).real
     if ordering == "normal":
-        return complex(QV[b] @ V[a].conj() / trq)
+        return complex(rec.QV[b] @ rec.V[a].conj() / trq)
     if ordering == "antinormal":
-        return complex(V[a] @ V[b].conj() / trq)
+        return complex(rec.V[a] @ rec.V[b].conj() / trq)
     raise ValueError("ordering must be 'normal' or 'antinormal'")
 
 
@@ -265,23 +267,23 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
     For every pair of equal-length words up to m, compares
     Tr(rho0 K_j K_k*) against Tr(rho0 K_k* sigma_{-i}(K_j)) with the
     flow continuation expanded through the level data.  At each level
-    Q^(x)m must preserve the level and the normal-ordered Gram G must
-    match Q_m; G then gives the right side, Qinv G, and the antinormal
-    Gram the left.
+    Q^(x)m must preserve the level and the normal-ordered Gram must
+    match Q_m; it then gives the right side, Qinv times it, and the
+    antinormal Gram the left.  Raises ValueError when S was not built
+    from K.
     """
     rho0 = check_state(rho0)
     mx = 0.0
     for mp in range(1, m + 1):
+        B = S.stack(K, mp)
         rec = S.weighted(Qd.Q, mp, tol)
-        A = K.word_stack(mp)
-        G = gram(A @ rho0, A)  # G[a, b] = Tr(K_a rho0 K_b*), the normal-ordered Gram
+        G = gram(B @ rho0, B)  # V G V* is the normal-ordered word Gram Tr(K_a rho0 K_b*)
         norm_res = _phi_residual(G, rec)
         if norm_res > tol:
             raise HypothesisFailure(
                 f"normal-ordered correlations fail at level {mp} (residual {norm_res:.3g})"
             )
-        # lhs[a, b] = Tr(rho0 K_a K_b*) and rhs = Qinv G, with Qinv = VU diag(1/w) VU*
-        lhs = gram(rho0 @ A, A)
-        rhs = rec.VU @ (dag(rec.VU) @ G / rec.w[:, np.newaxis])
-        mx = max(mx, float(np.max(np.abs(lhs - rhs))))
+        # lhs = V gram(rho0 B, B) V* and Qinv = V U diag(1/w) U* V*, so lhs - Qinv V G V* = V D V*
+        D = gram(rho0 @ B, B) - rec.U @ (dag(rec.U) @ G / rec.w[:, np.newaxis])
+        mx = max(mx, float(np.max(np.abs(rec.V @ D @ dag(rec.V)))))
     return mx

@@ -21,6 +21,13 @@ def rank_mask(values: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     return (values > 0) & (values > rank_tol * values.max(initial=0.0))
 
 
+def svd_cut(X: np.ndarray, rank_tol: float = RANK_TOL):
+    """(U, B) for the SVD X = U s Vh cut by rank_mask on s: the kept left vectors and B = s Vh."""
+    U, s, Vh = np.linalg.svd(X, full_matrices=False)
+    keep = rank_mask(s, rank_tol)
+    return U[:, keep], s[keep, np.newaxis] * Vh[keep]
+
+
 def read_only(X: np.ndarray) -> np.ndarray:
     """A view of X that cannot be written through."""
     X = X.view()

@@ -190,8 +190,8 @@ def first_row_q_sphere(W, F, S: SubproductSystem, m: int,
     rec = S.weighted(Q, m)
     Z = word_stack(W.reshape(d, n, d, n)[:, 0].transpose(2, 0, 1), m)  # z_k = W_{0k}
     # Qinv = VU diag(1/w) VU*, so each sum is one remixed stack times its adjoint
-    B, C = (remix(Z, U) / np.sqrt(rec.w)[:, np.newaxis, np.newaxis]
-            for U in (rec.VU, rec.VU.conj()))
+    VU = rec.V @ rec.U
+    B, C = (remix(Z, U) / np.sqrt(rec.w)[:, np.newaxis, np.newaxis] for U in (VU, VU.conj()))
     sums = {"row_sphere": (dag(C) @ C).sum(0), "mirror_sphere": (B @ dag(B)).sum(0)}
     checks = [
         CheckRecord(name="hypothesis_Q11", residual=hyp_q11, tolerance=tol,

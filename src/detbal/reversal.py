@@ -44,14 +44,17 @@ def q_sphere_residual(K: KrausSet, Qd: CorrelationData, S: SubproductSystem,
 
     Evaluates sum over word pairs of Qinv[k,j] K_j K_k* minus 1, where
     Qinv inverts Q^(x)m on the level subspace at the system's rank_tol;
-    with Q_m = VU diag(w) VU* the sum is sum_r B_r B_r* / w_r, B_r =
-    sum_a conj(VU[a,r]) K_a.  Returns the norm and, from the same eigh,
-    the projector onto the defect eigenspace, which localizes boundary
-    effects of truncated representations.
+    with Q_m = (V U) diag(w) (V U)* the sum is sum_r C_r C_r* / w_r,
+    C_r = sum_a conj((V U)[a,r]) K_a = sum_i conj(U[i,r]) B_m[i], read
+    from the level's B_m.  Returns the norm and, from the same eigh, the
+    projector onto the defect eigenspace, which localizes boundary
+    effects of truncated representations.  Raises ValueError when S was
+    not built from K.
     """
+    B = S.stack(K, m)
     rec = S.weighted(Qd.Q, m, tol)
-    B = remix(K.word_stack(m), rec.VU) / np.sqrt(rec.w)[:, np.newaxis, np.newaxis]
-    R = (B @ dag(B)).sum(0) - np.eye(K.d)
+    C = remix(B, rec.U) / np.sqrt(rec.w)[:, np.newaxis, np.newaxis]
+    R = (C @ dag(C)).sum(0) - np.eye(K.d)
     wR, U = np.linalg.eigh((R + dag(R)) / 2)
     Uk = U[:, np.abs(wR) > tol]
     return float(np.abs(wR).max()), Uk @ dag(Uk)
@@ -107,7 +110,8 @@ def crooks_check(K: KrausSet, Kbar: KrausSet, rho0, m: int) -> float:
     """Max mismatch of forward and reversed word probabilities up to length m.
 
     Compares Tr(rho0 Kbar_w~* Kbar_w~) with Tr(rho0 K_w* K_w), where w~
-    is w read backwards.
+    is w read backwards, as the squared norms of Kbar_w~ L and K_w L with
+    rho0 = L L*.
     """
     if m < 1:
         raise ValueError(f"word length m must be at least 1 (got m={m})")
@@ -115,16 +119,17 @@ def crooks_check(K: KrausSet, Kbar: KrausSet, rho0, m: int) -> float:
         raise ValueError("Kraus sets must share shape")
     require_word_budget(K.n, m)
     rho0 = check_state(rho0)
+    w, U = np.linalg.eigh((rho0 + dag(rho0)) / 2)
+    A = B = (U * np.sqrt(np.maximum(w, 0.0)))[np.newaxis]  # L, with rho0 = L L*
     mx = 0.0
-    for mp in range(1, m + 1):
-        # word probabilities Tr(rho0 X_w* X_w) = Tr(X_w rho0 X_w*), one per word
-        A, B = K.word_stack(mp), Kbar.word_stack(mp)
-        pA = np.einsum("aij,aij->a", A @ rho0, A.conj())
-        pB = np.einsum("aij,aij->a", B @ rho0, B.conj())
-        # reading every word backwards transposes the (n,)*mp index grid
-        pB = pB.reshape((K.n,) * mp).transpose().reshape(-1)
+    for _ in range(m):
+        # K_w L gains a new first letter and Kbar_w~ L a new last letter of w, so
+        # in both the first letter of w stays the most significant digit of the row
+        A = (K.ops[:, np.newaxis] @ A[np.newaxis]).reshape(-1, K.d, K.d)
+        B = (Kbar.ops[np.newaxis] @ B[:, np.newaxis]).reshape(-1, K.d, K.d)
+        pA, pB = (np.square(X.view(float)).sum(axis=(1, 2)) for X in (A, B))
         mx = max(mx, float(np.max(np.abs(pB - pA))))
-    return float(mx)
+    return mx
 
 
 class TRInvariance(NamedTuple):

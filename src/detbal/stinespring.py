@@ -23,7 +23,9 @@ A weight Q enters a level only through Q_m = Q^(x)m p_m, and
 SubproductSystem.weighted is the one place that forms it: one read-only
 record per (level, Q) holds the mode products, the compression, the
 compatibility residual and, on first use, the eigenpair, so the checks
-of one verdict share them.
+of one verdict share them.  The checks read the words of a level through
+B_m alone (SubproductSystem.stack): while the cuts dropped only round-off,
+A_m = V_m B_m, so every word Gram is V_m (a Gram of B_m) V_m*.
 """
 from __future__ import annotations
 
@@ -43,6 +45,7 @@ from .matcore import (
     rank_mask,
     read_only,
     spectral_norm,
+    svd_cut,
 )
 
 
@@ -95,10 +98,10 @@ class Weighted:
     """Q_m = Q^(x)m p_m on one level, in level coordinates (SubproductSystem.weighted).
 
     V, QV, H and compat are formed with the record.  The eigenpair
-    Q_m = VU diag(w) VU*, over the eigenvalues of H that rank_mask keeps,
-    is formed on first access: only checks on a level that Q^(x)m
-    preserves read it.  Every array is read-only.  Indexing and unpacking
-    follow the order (V, QV, H, VU, w, compat).
+    (U, w) of H in level coordinates, over the eigenvalues that rank_mask
+    keeps, is formed on first access: only checks on a level that Q^(x)m
+    preserves read it.  On such a level Q_m = (V U) diag(w) (V U)*.
+    Every array is read-only.
     """
 
     V: np.ndarray  # the level isometry, n^m x r
@@ -107,26 +110,19 @@ class Weighted:
     compat: float  # ||[Q^(x)m, p_m]||, zero iff Q^(x)m preserves the level
     rank_tol: float  # the cut on the eigenvalues of H
 
-    _fields = ("V", "QV", "H", "VU", "w", "compat")
-
     @functools.cached_property
     def _eig(self):
         w, U = np.linalg.eigh((self.H + dag(self.H)) / 2)
         keep = rank_mask(w, self.rank_tol)
-        return read_only(self.V @ U[:, keep]), read_only(w[keep])
+        return read_only(U[:, keep]), read_only(w[keep])
 
     @property
-    def VU(self) -> np.ndarray:
+    def U(self) -> np.ndarray:
         return self._eig[0]
 
     @property
     def w(self) -> np.ndarray:
         return self._eig[1]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(getattr(self, name) for name in self._fields[i])
-        return getattr(self, self._fields[i])
 
 
 @dataclass(frozen=True)
@@ -134,12 +130,19 @@ class SubproductSystem:
     n: int
     M: int
     rank_tol: float  # matcore.rank_mask's tolerance for every rank cut on the levels
+    ops: np.ndarray  # the read-only Kraus array the levels were built from
     levels: dict = field(default_factory=dict)  # m -> Level
 
     def level(self, m: int) -> Level:
         if m not in self.levels:
             raise ValueError(f"level {m} not built (max {self.M})")
         return self.levels[m]
+
+    def stack(self, K: KrausSet, m: int) -> np.ndarray:
+        """B_m, for the Kraus set the system was built from; any other K raises ValueError."""
+        if K.ops is not self.ops and not np.array_equal(K.ops, self.ops):
+            raise ValueError("K is not the Kraus set the subproduct system was built from")
+        return self.level(m).B
 
     def weighted(self, Q, m: int, tol: float | None = None) -> Weighted:
         """The level-m record of the weight Q, built once per Q and read-only.
@@ -178,20 +181,13 @@ class SubproductSystem:
         return rec
 
 
-def _cut(X: np.ndarray, rank_tol: float):
-    """(U, B) for the SVD X = U s Vh cut by rank_mask: the kept left vectors and B = s Vh."""
-    U, s, Vh = np.linalg.svd(X, full_matrices=False)
-    keep = rank_mask(s, rank_tol)
-    return U[:, keep], s[keep, np.newaxis] * Vh[keep]
-
-
 def first_level(K: KrausSet, rank_tol: float = RANK_TOL) -> Level:
     """Level 1 of K's subproduct system, from one SVD of the n x d^2 Kraus matrix.
 
     Its rank is the number of linearly independent Kraus operators at
     rank_tol.
     """
-    V, B = _cut(K.ops.reshape(K.n, -1), rank_tol)
+    V, B = svd_cut(K.ops.reshape(K.n, -1), rank_tol)
     return Level(V, V, B.reshape(-1, K.d, K.d), K.n, 1)
 
 
@@ -199,7 +195,7 @@ def _next_level(below: Level, first: Level, rank_tol: float) -> Level:
     """Level m + 1 from level m and level 1 (see the module docstring)."""
     r0, r1, d = below.rank, first.rank, first.B.shape[1]
     C = (below.B[:, np.newaxis] @ first.B[np.newaxis]).reshape(r0 * r1, d * d)
-    T, B = _cut(C, rank_tol)
+    T, B = svd_cut(C, rank_tol)
     N, r = len(below.V), T.shape[1]  # r may be 0: a level of products that all vanish
     # (V_m (x) V_1) T: contract T's first index with V_m, then its second with V_1
     Y = (below.V @ T.reshape(r0, r1 * r)).reshape(N, r1, r)
@@ -211,8 +207,9 @@ def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL,
                      max_dim: int = MAX_DIM) -> SubproductSystem:
     """Build levels 0..M of the subproduct system of K.
 
-    K is reduced to a linearly independent set first when needed; the
-    level-1 projector of the reduced set is then the full identity.
+    K is reduced to a linearly independent set first when needed
+    (minimal_kraus); the level-1 projector of the reduced set is then the
+    full identity, and the system records the reduced set's operators.
     rank_tol decides which words span each level, and the system keeps
     it: every later rank cut on its levels uses the same tolerance.
     Each level above the first costs one SVD of an r_{m-1} r_1 x d^2
@@ -229,7 +226,8 @@ def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL,
     levels = [Level(one, one, np.eye(K.d, dtype=complex)[np.newaxis], K.n, 0), first]
     while len(levels) <= M:
         levels.append(_next_level(levels[-1], first, rank_tol))
-    return SubproductSystem(n=K.n, M=M, rank_tol=rank_tol, levels=dict(enumerate(levels[:M + 1])))
+    return SubproductSystem(n=K.n, M=M, rank_tol=rank_tol, ops=K.ops,
+                            levels=dict(enumerate(levels[:M + 1])))
 
 
 def check_subproduct_inclusion(S: SubproductSystem, m: int, l: int) -> float:

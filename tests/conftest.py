@@ -1,5 +1,8 @@
-"""Shared helpers: seeded random inputs and the acceptance summary hook."""
+"""Shared helpers: seeded random inputs, a word-stack refusal and the acceptance summary hook."""
+import sys
+
 import numpy as np
+import pytest
 
 from detbal import KrausSet
 
@@ -23,6 +26,20 @@ def random_unitary(d: int, seed: int) -> np.ndarray:
     X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     U, _ = np.linalg.qr(X)
     return U
+
+
+@pytest.fixture
+def refuse_word_stacks(monkeypatch):
+    """A call that makes every detbal binding of channel.word_stack raise, until the test ends."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word stack was built")
+
+    def patch():
+        for name, mod in list(sys.modules.items()):
+            if (name == "detbal" or name.startswith("detbal.")) and hasattr(mod, "word_stack"):
+                monkeypatch.setattr(mod, "word_stack", refuse)
+
+    return patch
 
 
 # one (criterion -> (passed, detail)) entry per acceptance criterion;

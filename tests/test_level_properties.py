@@ -5,7 +5,10 @@ with its compressed word stack B_m; these properties hold for any Kraus
 set and any weight Q, so hypothesis draws the channel and Q.  The levels
 must equal the dense levels of ``loop_oracle``, which take the SVD of
 every word operator at once: the same ranks, and projectors and
-compressed stacks to 1e-12.
+compressed stacks to 1e-12.  The checks of a verdict read the words of
+a level through (V_m, B_m) alone: they build no word stack, and on
+drawn channels they equal the word-at-a-time loops of ``loop_oracle``
+to 1e-12 * max(1, |ref|).
 """
 import numpy as np
 import pytest
@@ -15,9 +18,17 @@ st = hypothesis.strategies
 
 import loop_oracle as oracle  # noqa: E402
 from conftest import random_channel, random_unitary  # noqa: E402
-from detbal.channel import KrausSet, remix  # noqa: E402
-from detbal.factories import commuting_db_kraus  # noqa: E402
+from detbal.channel import KrausSet, remix, word_stack  # noqa: E402
+from detbal.equilibrium import (  # noqa: E402
+    check_phi_symmetric,
+    kms_condition_residual,
+    modular_flow,
+    orthogonalize_kraus,
+)
+from detbal.errors import HypothesisFailure  # noqa: E402
+from detbal.factories import commuting_db_kraus, gad_kraus  # noqa: E402
 from detbal.matcore import dag  # noqa: E402
+from detbal.reversal import detailed_balance_verdict, q_sphere_residual  # noqa: E402
 from detbal.stinespring import (  # noqa: E402
     build_subproduct,
     check_Q_compatibility,
@@ -52,7 +63,7 @@ def assert_levels_match_dense(K, M):
         p_ref, r_ref, _ = oracle._level_projector(K, m, S.rank_tol)
         assert L.rank == r_ref, m
         np.testing.assert_allclose(L.V @ dag(L.V), p_ref, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(L.B, remix(K.word_stack(m), L.V), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(L.B, remix(word_stack(K.ops, m), L.V), rtol=0, atol=1e-12)
         if m >= 2:
             W = np.kron(S.level(m - 1).V, S.level(1).V)
             np.testing.assert_allclose(W @ L.T, L.V, rtol=0, atol=1e-12)
@@ -98,7 +109,73 @@ def test_levels_of_vanishing_products_have_rank_zero():
     assert [S.level(m).rank for m in range(4)] == [1, 1, 0, 0]
 
 
-def test_build_subproduct_forms_no_word_stack_above_level_one():
-    K = random_channel(2, 3, 8)
-    build_subproduct(K, 4)
-    assert len(K._words) <= 2  # the memo holds the stacks of lengths 0..m built so far
+def test_build_subproduct_forms_no_word_stack_above_level_one(refuse_word_stacks):
+    refuse_word_stacks()
+    assert build_subproduct(random_channel(2, 3, 8), 4).level(4).rank == 4
+
+
+VERDICTS = {
+    "commuting_db": (lambda: commuting_db_kraus(np.pi / 6), np.eye(2) / 2, 4, True),
+    "gad": (lambda: gad_kraus(0.75, 0.5), np.diag([0.75, 0.25]), 3, False),
+    "random-d3-n2": (lambda: random_channel(3, 2, 13), np.eye(3) / 3, 4, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERDICTS))
+def test_verdict_builds_no_word_stack(refuse_word_stacks, case):
+    channel, rho0, M, verdict = VERDICTS[case]
+    want = detailed_balance_verdict(channel(), rho0, M).to_dict()
+    assert want["verdict"] == verdict
+    refuse_word_stacks()
+    assert detailed_balance_verdict(channel(), rho0, M).to_dict() == want
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HypothesisFailure as exc:
+        return exc
+
+
+def _assert_close(new, ref):
+    if isinstance(ref, HypothesisFailure):
+        assert isinstance(new, HypothesisFailure) and str(new) == str(ref), (new, ref)
+    else:
+        assert not isinstance(new, HypothesisFailure), new
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert float(np.max(np.abs(np.asarray(new) - ref))) <= 1e-12 * scale, (new, ref)
+
+
+@hypothesis.settings(max_examples=40, deadline=None, database=None)
+@hypothesis.given(d=st.integers(1, 3), n=st.integers(1, 3), M=st.integers(1, 3),
+                  diagonal=st.booleans(), mixed=st.booleans(),
+                  seed=st.integers(0, 2 ** 32 - 1))
+def test_checks_read_from_the_levels_match_the_loop_oracle(d, n, M, diagonal, mixed, seed):
+    # the property form of test_word_stack's test_level_functions_match_dense_oracle pool
+    K = _diagonal_channel(d, min(n, d), seed) if diagonal else random_channel(d, min(n, d * d), seed)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho0 = np.eye(d) / d if mixed else X @ dag(X) + 0.1 * np.eye(d)
+    rho0 = rho0 / np.trace(rho0).real
+    Kp, Qraw, _ = orthogonalize_kraus(K, rho0)
+    Qd = Qraw.with_normalization("trace_balanced")
+    S = build_subproduct(Kp, M)
+    for m in range(1, M + 1):
+        for ordering in ("normal", "antinormal"):
+            _assert_close(_outcome(check_phi_symmetric, Kp, rho0, Qd, S, m, ordering),
+                          _outcome(oracle.check_phi_symmetric, Kp, rho0, Qd, S, m, ordering))
+        new = _outcome(q_sphere_residual, Kp, Qd, S, m)
+        ref = _outcome(oracle.q_sphere_residual, Kp, Qd, S, m)
+        _assert_close(new if isinstance(new, HypothesisFailure) else new[0],
+                      ref if isinstance(ref, HypothesisFailure) else ref[0])
+        _assert_close(_outcome(kms_condition_residual, Kp, rho0, Qd, S, m),
+                      _outcome(oracle.kms_condition_residual, Kp, rho0, Qd, S, m))
+        compat = S.weighted(Qd.Q, m).compat <= 1e-8
+        for t in (0.3, -1j):
+            Qit = oracle._qm_function(Qd.Q, S, m, lambda w: np.power(w, -1j * t))
+            for a, word in enumerate(S.level(m).words):
+                row = _outcome(modular_flow, Qd, S, word, t)
+                if compat:
+                    _assert_close(row, Qit[a])
+                else:
+                    assert isinstance(row, HypothesisFailure)

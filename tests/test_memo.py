@@ -1,14 +1,13 @@
 """The memoized level data: read-only, keyed safely, and equal to a cold computation.
 
-A Kraus set memoizes its word stacks and a level one record per weight Q
-(``SubproductSystem.weighted``), so the checks of one verdict share them.
-These tests pin that the memo cannot go stale (the inputs it rests on are
-read-only, its key includes Q, and its rank cuts follow the rank_tol of
-the level's own system), that a verdict builds one record per level and
-forms the Q_m eigenpair only on levels Q^(x)m preserves, that a memoized
-stack is bitwise the stack ``word_stack`` builds, that each public check
-called on fresh objects returns exactly the residual the verdict
-recorded, and that a verdict leaves no reference cycle behind.  They
+A level memoizes one record per weight Q (``SubproductSystem.weighted``),
+so the checks of one verdict share it.  These tests pin that the memo
+cannot go stale (the inputs it rests on are read-only, its key includes
+Q, and its rank cuts follow the rank_tol of the level's own system),
+that a verdict builds one record per level and forms the Q_m eigenpair
+only on levels Q^(x)m preserves, that each public check called on fresh
+objects returns exactly the residual the verdict recorded, and that a
+verdict leaves no reference cycle behind.  They
 also pin that no public check calls another: a true verdict calls
 check_state 4 + 2M times and runs its checks once, and neither
 ``kms_condition_residual`` nor ``orthogonalize_kraus`` goes through
@@ -22,7 +21,6 @@ import pytest
 import loop_oracle as oracle
 from conftest import random_channel, random_hermitian
 from detbal import equilibrium, reversal
-from detbal.channel import word_stack
 from detbal.equilibrium import (
     check_phi_symmetric,
     kms_condition_residual,
@@ -50,9 +48,10 @@ CASES = {
 
 def test_kraus_ops_and_stacks_are_read_only():
     K = random_channel(2, 3, 1)
+    S = build_subproduct(K, 2)
     for write in (lambda: K.ops.__setitem__((0, 0, 0), 1.0),
                   lambda: K[1].__setitem__((0, 0), 1.0),
-                  lambda: K.word_stack(2).__setitem__((0, 0, 0), 1.0)):
+                  lambda: S.stack(K, 2).__setitem__((0, 0, 0), 1.0)):
         with pytest.raises(ValueError):
             write()
     with pytest.raises(AttributeError):
@@ -65,20 +64,14 @@ def test_level_V_and_derived_data_are_read_only():
     Q = random_hermitian(3, 2)
     with pytest.raises(ValueError):  # before any derived data exists
         S.level(2).V[0] = 1.0
-    for X in (*S.weighted(Q, 2)[:3], *S.weighted(Q @ Q, 2)[3:5]):
+    rec, rec2 = S.weighted(Q, 2), S.weighted(Q @ Q, 2)
+    for X in (rec.V, rec.QV, rec.H, rec2.U, rec2.w):
         with pytest.raises(ValueError):
             X[0] = 1.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_memoized_stack_is_word_stack_bitwise(n):
-    K = random_channel(2, n, 30 + n)
-    for m in (4, 0, 2, 1, 3):  # out of order: deeper levels first
-        A, ref = K.word_stack(m), word_stack(K.ops, m)
-        assert A.shape == ref.shape and A.tobytes() == ref.tobytes()
-        assert K.word_stack(m) is A
-    with pytest.raises(ValueError):
-        K.word_stack(-1)
+def _arrays(rec):
+    return rec.V, rec.QV, rec.H, rec.U, rec.w
 
 
 def test_level_memo_is_keyed_by_Q_and_rank_tol():
@@ -90,11 +83,11 @@ def test_level_memo_is_keyed_by_Q_and_rank_tol():
     Q2[0, 1] += 1e-3
     Q2[1, 0] += 1e-3
     inputs = (Q1, Q2, Q1.real)
-    # (V, QV, H, VU, w) for every input from one system, so later inputs meet a warm memo
-    warm = [S.weighted(Q, 2)[:5] for Q in inputs]
+    # (V, QV, H, U, w) for every input from one system, so later inputs meet a warm memo
+    warm = [_arrays(S.weighted(Q, 2)) for Q in inputs]
     for Q, got in zip(inputs, warm):
         cold = build_subproduct(K, 2)
-        want = cold.weighted(Q, 2)[:5]
+        want = _arrays(cold.weighted(Q, 2))
         assert [X.tobytes() for X in got] == [X.tobytes() for X in want]
     assert not np.array_equal(warm[0][1], warm[1][1])  # Q1 and Q2 differ
     # a system built with a larger rank_tol keeps fewer Q_m eigenvalues on the same level
@@ -138,8 +131,8 @@ def test_weighted_eigenpair_is_formed_on_first_read_and_kept():
     S = build_subproduct(random_channel(2, 3, 7), 2)
     rec = S.weighted(random_hermitian(3, 7), 2)
     assert "_eig" not in vars(rec)
-    VU, w = rec.VU, rec.w
-    assert rec.VU is VU and rec.w is w and rec[3:5] == (VU, w)
+    U, w = rec.U, rec.w
+    assert rec.U is U and rec.w is w
 
 
 def _count_calls(monkeypatch, name, *modules):

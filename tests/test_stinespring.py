@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from detbal.channel import KrausSet, Word, apply, index_words
+from detbal.channel import KrausSet, Word, apply, channel_distance, index_words, minimal_kraus
 from detbal.errors import HypothesisFailure
-from detbal.factories import commuting_db_kraus
+from detbal.factories import commuting_db_kraus, gad_kraus
 from detbal.matcore import dag, spectral_norm
 from detbal.stinespring import (
     build_subproduct,
     check_Q_compatibility,
     check_subproduct_inclusion,
+    first_level,
     verify_power_dilation,
 )
 from conftest import random_channel, random_hermitian, random_unitary
@@ -18,6 +19,20 @@ def test_identity_channel_levels_are_rank_one():
     S = build_subproduct(KrausSet([np.eye(2)]), 3)
     for m in range(4):
         assert S.level(m).rank == 1
+
+
+def test_minimal_kraus_cuts_what_level_one_cuts():
+    # gad's singular values relative to the largest are 1, 0.505, 0.292, 0.147:
+    # rank_tol = 0.5 keeps two, on the singular values and not on their squares
+    G = gad_kraus(0.75, 0.5)
+    assert first_level(G, 0.5).rank == minimal_kraus(G, 0.5).n == 2
+    assert build_subproduct(G, 2, 0.5).n == 2
+    # a complex dependent set: the kept operators are level 1's B, and the channel stays
+    A, B, C = random_channel(2, 3, 7001).ops
+    K = KrausSet([A, B, C, 1j * A + (0.5 - 0.2j) * B])
+    Km = minimal_kraus(K)
+    np.testing.assert_array_equal(Km.ops, first_level(K).B)
+    assert Km.n == 3 and channel_distance(K, Km) <= 1e-12
 
 
 def test_level_zero_and_labels():

@@ -189,7 +189,8 @@ def test_level_functions_match_dense_oracle(case):
                            oracle.check_subproduct_inclusion(S, m, l))
     for m in range(1, M + 1):
         assert_matches(trace_qm(Qd, S, m), oracle.trace_qm(Qd, S, m))
-        VU, w = S.weighted(Qd.Q, m)[3:5]
+        rec = S.weighted(Qd.Q, m)
+        VU, w = rec.V @ rec.U, rec.w
         for fn in (lambda w: 1.0 / w, lambda w: np.power(w, -0.7j)):
             assert_matrix_matches((VU * fn(w.astype(complex))) @ dag(VU),
                                   oracle._qm_function(Qd.Q, S, m, fn))
@@ -279,6 +280,30 @@ def test_word_lookup_names_the_alphabet_size(call):
     _, _, Qd, S, _ = CASES["commuting_db"]()  # n = 2
     with pytest.raises(ValueError, match=r"outside the alphabet 1\.\.2"):
         call(Qd, S)
+
+
+def test_checks_refuse_a_kraus_set_the_system_was_not_built_from():
+    K = random_channel(2, 3, 7001)
+    rho0 = np.diag([0.6, 0.4]).astype(complex)
+    Kp, Qraw, _ = orthogonalize_kraus(K, rho0)
+    A, B, C = K.ops
+    dependent = KrausSet([A, B, C, 1j * A + (0.5 - 0.2j) * B])
+    # the un-orthogonalized set against the system of the orthogonalized one, and a
+    # dependent set against its minimized system, each with the Q of the built set
+    for other, built in ((K, Kp), (dependent, minimal_kraus(dependent))):
+        Qd = correlation_matrix(built, rho0)
+        S = build_subproduct(other if other is dependent else built, 2)
+        assert S.n == built.n == 3 and np.array_equal(S.ops, built.ops)
+        for call in (lambda m: check_phi_symmetric(other, rho0, Qd, S, m, "normal"),
+                     lambda m: check_phi_symmetric(other, rho0, Qd, S, m, "antinormal"),
+                     lambda m: kms_condition_residual(other, rho0, Qd, S, m),
+                     lambda m: q_sphere_residual(other, Qd, S, m)):
+            for m in (1, 2):
+                with pytest.raises(ValueError, match="not the Kraus set"):
+                    call(m)
+        # the set the system was built from, or an equal copy, is read
+        for same in (built, KrausSet(built.ops.copy())):
+            outcome(check_phi_symmetric, same, rho0, Qd, S, 1)
 
 
 def test_minimal_kraus_keeps_a_complex_channel():
