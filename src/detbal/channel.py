@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,6 +293,13 @@ def index_words(n: int, m: int):
 def word_labels(n: int, m: int) -> list:
     """The 1-based Word labels of index_words(n, m), in the same order."""
     return [Word(tuple(k + 1 for k in w)) for w in index_words(n, m)]
+
+
+def require_word_length(m, name: str) -> int:
+    """m as an int; a bool, or anything but an integer, raises ValueError naming it."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise ValueError(f"{name} must be an integer (got {name}={m!r})")
+    return int(m)
 
 
 def require_word_budget(n: int, m: int, max_dim: int = MAX_DIM) -> None:

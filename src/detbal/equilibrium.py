@@ -37,6 +37,13 @@ def check_state(rho, atol: float = 1e-12) -> np.ndarray:
     return rho
 
 
+def require_state_size(K: KrausSet, rho0: np.ndarray) -> None:
+    """Refuse a checked state that K's d x d operators cannot act on, naming both sizes."""
+    if len(rho0) != K.d:
+        raise ValueError(f"rho0 is {len(rho0)} x {len(rho0)} but the Kraus operators "
+                         f"are {K.d} x {K.d}")
+
+
 @functools.lru_cache(maxsize=8)
 def _validate_state(dtype: str, shape: tuple, data: bytes, atol: float) -> None:
     """The checks of ``check_state``; a state that fails raises and is not remembered."""
@@ -114,6 +121,7 @@ def correlation_matrix(K: KrausSet, rho0, normalization: str = "trace_balanced",
     annihilate rho0) and the raw matrix to be nonsingular.
     """
     rho0 = check_state(rho0)
+    require_state_size(K, rho0)
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
     return _correlation(K, rho0, normalization, rank_tol)
@@ -136,6 +144,7 @@ def orthogonalize_kraus(K: KrausSet, rho0, tol: float = 1e-10, rank_tol: float =
     operators as the eigenspaces allow.
     """
     rho0 = check_state(rho0)
+    require_state_size(K, rho0)
     lam, U = np.linalg.eigh(_correlation(K, rho0, rank_tol=rank_tol).raw)
     order = np.argsort(lam)[::-1]
     lam, U = lam[order].real, U[:, order]
@@ -172,6 +181,7 @@ def zero_mean_check(K: KrausSet, rho0) -> list[float]:
     caller decides what to do when several survive.
     """
     rho0 = check_state(rho0)
+    require_state_size(K, rho0)
     return np.abs(np.trace(rho0 @ K.ops, axis1=1, axis2=2)).tolist()
 
 
@@ -212,9 +222,13 @@ def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSys
     antinormal compares Tr(rho0 K_j K_k*) against p_m[j,k]/Tr(Q_m), over
     all pairs of length-m words.  Raises HypothesisFailure when Q^(x)m
     does not preserve the level subspace, and ValueError when S was not
-    built from K.  The words are read as A_m = V_m B_m.
+    built from K.  The words are read as A_m = V_m B_m, which holds while
+    every rank cut at levels <= m dropped only round-off; when S's
+    rank_tol makes a cut drop more, this is the residual of the projected
+    words p_m A_m (q_sphere_residual stays exact at any rank_tol).
     """
     rho0 = check_state(rho0)
+    require_state_size(K, rho0)
     B = S.stack(K, m)
     rec = S.weighted(Qd.Q, m, tol)
     if ordering not in ("normal", "antinormal"):
@@ -270,9 +284,12 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
     Q^(x)m must preserve the level and the normal-ordered Gram must
     match Q_m; it then gives the right side, Qinv times it, and the
     antinormal Gram the left.  Raises ValueError when S was not built
-    from K.
+    from K.  Like check_phi_symmetric, it reads the words as
+    A_m = V_m B_m: when S's rank_tol makes a cut drop more than
+    round-off, this is the residual of the projected words p_m A_m.
     """
     rho0 = check_state(rho0)
+    require_state_size(K, rho0)
     mx = 0.0
     for mp in range(1, m + 1):
         B = S.stack(K, mp)

@@ -1,31 +1,50 @@
 """Subproduct systems generated by a Kraus set.
 
-Level m of the system is (V_m, T_m, B_m).  V_m is the n^m x r isometry
-whose columns span the range of the word map: the column space of the
-n^m x d^2 matrix A_m whose row a is the length-m Kraus product K_a of
-word a of index_words(n, m), labelled on request.  The level projector
-is p_m = V_m V_m*, and r <= d^2 is the rank.  B_m = V_m* A_m, an
-(r, d, d) array, is the word stack compressed to the level.
+Level m of the system is the r_{m-1} r_1 x r transfer T_m and the
+compressed word stack B_m, linked to levels m - 1 and 1.  Together they
+fix V_m, the n^m x r isometry whose columns span the range of the word
+map: the column space of the n^m x d^2 matrix A_m whose row a is the
+length-m Kraus product K_a of word a of index_words(n, m), labelled on
+request.  The level projector is p_m = V_m V_m*, and r <= d^2 is the
+rank.  B_m = V_m* A_m, an (r, d, d) array, is the word stack compressed
+to the level.
 
 The levels nest: range(p_{m+1}) sits inside range(p_m) (x) range(p_1),
 so the tower is a tensor train and each level is built from the one
-below it.  Level 1 is one SVD of the n x d^2 Kraus matrix.  For m >= 2
-the r_{m-1} r_1 x d^2 matrix C of products B_{m-1}[i] B_1[j] satisfies
-A_m = (V_{m-1} (x) V_1) C; its SVD cut by rank_mask gives the transfer
-T_m (the kept left singular vectors) and B_m = T_m* C, so that
+below it.  Level 1 is one SVD of the n x d^2 Kraus matrix, T_1 = V_1.
+For m >= 2 the r_{m-1} r_1 x d^2 matrix C of products B_{m-1}[i] B_1[j]
+satisfies A_m = (V_{m-1} (x) V_1) C; its SVD cut by rank_mask gives the
+transfer T_m (the kept left singular vectors) and B_m = T_m* C, so that
 V_m = (V_{m-1} (x) V_1) T_m.  Since V_{m-1} (x) V_1 is an isometry, C
 and A_m share their singular values, and with them the rank cuts, as
 long as the cuts below dropped only zero singular values; a coarser
 rank_tol builds level m from what the cut at level m - 1 kept, so the
-levels stay nested.  No level reads a word stack or a d^2 x n^m matrix.
+levels stay nested.  The build forms no word-space row: V_m is that
+product expanded on first read (Level.V) and then kept.
 
 A weight Q enters a level only through Q_m = Q^(x)m p_m, and
-SubproductSystem.weighted is the one place that forms it: one read-only
-record per (level, Q) holds the mode products, the compression, the
-compatibility residual and, on first use, the eigenpair, so the checks
-of one verdict share them.  The checks read the words of a level through
-B_m alone (SubproductSystem.stack): while the cuts dropped only round-off,
-A_m = V_m B_m, so every word Gram is V_m (a Gram of B_m) V_m*.
+SubproductSystem.weighted is the one place that forms it, in r x r train
+coordinates.  With H_m = V_m* Q^(x)m V_m and Q^(x)m V_m =
+(Q^(x)(m-1) V_{m-1} (x) Q V_1) T_m,
+
+    H_m = T_m* (H_{m-1} (x) H_1) T_m,
+    G_m = Y* Y + T_m* (G_{m-1} (x) H_1* H_1) T_m,
+    Y   = (1 - T_m T_m*) (H_{m-1} (x) H_1) T_m,
+
+where G_m is the Gram of the out-of-level part (1 - p_m) Q^(x)m V_m.
+The out-of-level part splits into (V_{m-1} (x) V_1) Y, inside
+range(p_{m-1}) (x) range(p_1), and the carried part from level m - 1,
+orthogonal to it.  The recursion needs p_1 = 1, which holds because
+build_subproduct minimizes the Kraus set, so G_1 = 0 up to round-off
+(level 1 takes the same step from level 0, with Q in place of H_1).  The
+Gram is carried, not recomputed as a difference of Grams, so a level
+that Q^(x)m preserves reads compat at round-off, not at sqrt(eps).  The
+residual ||[Q^(x)m, p_m]|| is sqrt(lambda_max(G_m)), the larger of its
+values for Q and Q*.  Every (x) is two mode products on T_m's
+(r_{m-1}, r_1, r) reshape.  Each (level, Q) record is built once and
+read-only, so the checks of one verdict share it.  The checks read the words of a level
+through B_m alone (SubproductSystem.stack): while the cuts dropped only
+round-off, A_m = V_m B_m, so every word Gram is V_m (a Gram of B_m) V_m*.
 """
 from __future__ import annotations
 
@@ -34,7 +53,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausSet, apply, minimal_kraus, require_word_budget, word_labels
+from .channel import (
+    KrausSet,
+    apply,
+    minimal_kraus,
+    require_word_budget,
+    require_word_length,
+    word_labels,
+)
 from .errors import HypothesisFailure
 from .matcore import (
     MAX_DIM,
@@ -49,30 +75,46 @@ from .matcore import (
 )
 
 
+def _letter_product(F: np.ndarray, T: np.ndarray, r0: int) -> np.ndarray:
+    """(1_{r0} (x) F) T, the mode product of F with T's middle index, as an r0 x len(F) r matrix."""
+    r = T.shape[1]
+    return (F @ T.reshape(r0, F.shape[1], r)).reshape(r0, len(F) * r)
+
+
+def _expand(X: np.ndarray, F: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The word-space rows (X (x) F) T = (X (x) 1)(1 (x) F) T of a level, formed only when read."""
+    return read_only((X @ _letter_product(F, T, X.shape[1])).reshape(len(X) * len(F), T.shape[1]))
+
+
 @dataclass(frozen=True)
 class Level:
-    """One level (V_m, T_m, B_m) of a subproduct system.
+    """One level (T_m, B_m) of a subproduct system, linked to levels m - 1 and 1.
 
     For m >= 2, V_m = (V_{m-1} (x) V_1) T_m with the r_{m-1} r_1 x r
-    transfer T_m; level 1 reads its letters directly, V_1 = (V_0 (x) 1_n) T_1
-    with T_1 = V_1, and T_0 = V_0 = [[1]].  B_m = V_m* A_m is the compressed
-    word stack (see the module docstring).
-    V, T and B are read-only.  The level memoizes one Weighted record per
-    weight Q (built by SubproductSystem.weighted), keyed by Q's dtype,
-    shape and bytes, so a different Q never reads a stale entry.  The memo
-    lives as long as the level.
+    transfer T_m; level 1 reads its letters directly, V_1 = T_1, and
+    T_0 = V_0 = [[1]], so levels 0 and 1 link to no other level.
+    B_m = V_m* A_m is the compressed word stack (see the module
+    docstring).  V is expanded from the train on first read and kept;
+    T, B and V are read-only.
     """
 
-    V: np.ndarray  # n^m x rank isometry onto the level subspace
     T: np.ndarray  # transfer from the level below
     B: np.ndarray  # (rank, d, d) compressed word stack V* A_m
     n: int  # alphabet size; n = 1 leaves m unreadable from len(V)
     m: int  # word length
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    below: Level | None = field(default=None, repr=False, compare=False)  # level m - 1
+    first: Level | None = field(default=None, repr=False, compare=False)  # level 1
 
     def __post_init__(self):
-        for name in ("V", "T", "B"):
+        for name in ("T", "B"):
             object.__setattr__(self, name, read_only(getattr(self, name)))
+
+    @functools.cached_property
+    def V(self) -> np.ndarray:
+        """The n^m x rank isometry onto the level subspace."""
+        if self.below is None:
+            return self.T
+        return _expand(self.below.V, self.first.V, self.T)
 
     @property
     def words(self) -> tuple:
@@ -81,7 +123,7 @@ class Level:
 
     @property
     def rank(self) -> int:
-        return self.V.shape[1]
+        return self.T.shape[1]
 
     @property
     def p(self) -> np.ndarray:
@@ -97,18 +139,40 @@ class Level:
 class Weighted:
     """Q_m = Q^(x)m p_m on one level, in level coordinates (SubproductSystem.weighted).
 
-    V, QV, H and compat are formed with the record.  The eigenpair
-    (U, w) of H in level coordinates, over the eigenvalues that rank_mask
-    keeps, is formed on first access: only checks on a level that Q^(x)m
-    preserves read it.  On such a level Q_m = (V U) diag(w) (V U)*.
-    Every array is read-only.
+    H, the Grams G (for Q) and G_adj (for Q*) of the out-of-level part
+    and compat are formed with the record, in r x r train coordinates
+    from the records of levels m - 1 and 1 (see the module docstring).
+    The n^m x r word-space arrays are formed on first read: V, the
+    level's own isometry, and QV = Q^(x)m V = (QV_{m-1} (x) QV_1) T_m.
+    So is the eigenpair (U, w) of H in level coordinates, over the
+    eigenvalues that rank_mask keeps.  The checks read them only on
+    levels that Q^(x)m preserves; there Q_m = (V U) diag(w) (V U)*.
+    Every array is read-only.  A record links to its level and to the
+    records below it, and nothing links back, so records form no
+    reference cycle.
     """
 
-    V: np.ndarray  # the level isometry, n^m x r
-    QV: np.ndarray  # Q^(x)m V
+    level: Level
     H: np.ndarray  # V* Q^(x)m V
+    G: np.ndarray  # Gram of (1 - p_m) Q^(x)m V
+    G_adj: np.ndarray  # the same for Q*
     compat: float  # ||[Q^(x)m, p_m]||, zero iff Q^(x)m preserves the level
     rank_tol: float  # the cut on the eigenvalues of H
+    _factors: tuple = field(repr=False)  # QV = (X (x) F) T from (X, F): records of m - 1 and 1,
+    # or the arrays ([[1]], Q) at level 1 and ([[1]], [[1]]) at level 0
+
+    @property
+    def V(self) -> np.ndarray:
+        """The level isometry, n^m x r."""
+        return self.level.V
+
+    @functools.cached_property
+    def QV(self) -> np.ndarray:
+        """Q^(x)m V."""
+        X, F = self._factors
+        if isinstance(X, Weighted):
+            X, F = X.QV, F.QV
+        return _expand(X, F, self.level.T)
 
     @functools.cached_property
     def _eig(self):
@@ -125,13 +189,40 @@ class Weighted:
         return self._eig[1]
 
 
+def _weigh(H: np.ndarray, G: np.ndarray, F: np.ndarray, T: np.ndarray):
+    """(H_m, G_m) from (H_{m-1}, G_{m-1}), the letter factor F and T_m (module docstring).
+
+    With P = (1 (x) F) T, (H (x) F) T = (H (x) 1) P and
+    T* (G (x) F* F) T = P* (G (x) 1) P.
+    """
+    P = _letter_product(F, T, len(H))
+    X = (H @ P).reshape(T.shape)
+    Th = dag(T)
+    H = Th @ X
+    Y = X - T @ H
+    return H, dag(Y) @ Y + dag(P.reshape(T.shape)) @ (G @ P).reshape(T.shape)
+
+
+def _top(G: np.ndarray) -> float:
+    """The largest eigenvalue of a Gram; 0 for an empty one."""
+    return float(np.linalg.eigvalsh(G)[-1]) if len(G) else 0.0
+
+
 @dataclass(frozen=True)
 class SubproductSystem:
+    """Levels 0..M of a Kraus set's subproduct system (build_subproduct).
+
+    The system memoizes one Weighted record per level and weight Q,
+    keyed by Q's dtype, shape and bytes, so a different Q never reads a
+    stale entry.  The memo lives as long as the system.
+    """
+
     n: int
     M: int
     rank_tol: float  # matcore.rank_mask's tolerance for every rank cut on the levels
     ops: np.ndarray  # the read-only Kraus array the levels were built from
     levels: dict = field(default_factory=dict)  # m -> Level
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def level(self, m: int) -> Level:
         if m not in self.levels:
@@ -147,38 +238,46 @@ class SubproductSystem:
     def weighted(self, Q, m: int, tol: float | None = None) -> Weighted:
         """The level-m record of the weight Q, built once per Q and read-only.
 
-        Q^(x)m is applied to V one tensor factor at a time (mode products),
-        so the n^m x n^m power is never formed.  The two terms of the
-        commutator, (1 - p) Q^(x)m p - p Q^(x)m (1 - p), map between
-        orthogonal subspaces, so compat is the larger of
-        ||(1 - p) (Q^(x)m)^(*) V||; a Q equal to its adjoint gives the same
-        term twice.  H is diagonalized, and its eigenvalues cut at the
-        system's rank_tol, only when the eigenpair is first read.  Every
-        Q-weighted level-m quantity needs Q^(x)m to preserve the level:
-        with tol, a compat above tol raises HypothesisFailure.
+        The record of level m is built from those of levels m - 1 and 1
+        in r x r train coordinates (module docstring), so neither the
+        n^m x n^m power Q^(x)m nor any word-space row is formed.  H is
+        diagonalized, and its eigenvalues cut at the system's rank_tol,
+        only when the eigenpair is first read.  Every Q-weighted level-m
+        quantity needs Q^(x)m to preserve the level: with tol, a compat
+        above tol raises HypothesisFailure.
         """
-        Q = as_complex(Q)
-        if Q.shape != (self.n, self.n):
-            raise ValueError(f"Q is {Q.shape[0]} x {Q.shape[1]} but the subproduct system's "
-                             f"alphabet has size {self.n}")
-        L = self.level(m)
+        Q = np.asarray(Q, dtype=complex)
         key = (Q.dtype.str, Q.shape, Q.tobytes())
-        if key not in L._memo:
-            terms = []
-            for P in (Q,) if np.array_equal(Q, dag(Q)) else (Q, dag(Q)):
-                X = L.V
-                for k in range(m):
-                    X = (P @ X.reshape(self.n ** k, self.n, -1)).reshape(L.V.shape)
-                terms.append(X)
-            compat = max(spectral_norm(X - L.V @ (dag(L.V) @ X)) for X in terms)
-            L._memo[key] = Weighted(L.V, read_only(terms[0]), read_only(dag(L.V) @ terms[0]),
-                                    compat, self.rank_tol)
-        rec = L._memo[key]
+        rec = self._memo.get((m, key))
+        if rec is None:  # a Q found in the memo passed these checks when it was stored
+            Q = as_complex(Q)
+            if Q.shape != (self.n, self.n):
+                raise ValueError(f"Q is {Q.shape[0]} x {Q.shape[1]} but the subproduct "
+                                 f"system's alphabet has size {self.n}")
+            rec = self._record(Q, key, m, np.array_equal(Q, dag(Q)))
         if tol is not None and rec.compat > tol:
             raise HypothesisFailure(
                 f"Q^(x){m} does not preserve the level-{m} subspace (residual {rec.compat:.3g})"
             )
         return rec
+
+    def _record(self, Q: np.ndarray, key: tuple, m: int, hermitian: bool) -> Weighted:
+        if (m, key) not in self._memo:
+            L = self.level(m)
+            if m >= 2:
+                below = self._record(Q, key, m - 1, hermitian)
+                first = self._record(Q, key, 1, hermitian)
+                H, G, G_adj, F = below.H, below.G, below.G_adj, first.H
+            else:  # level 0 weighs the empty word by 1, level 1 the letters by Q
+                one = np.ones((1, 1), dtype=complex)
+                below, first = one, Q if m == 1 else one
+                H, G, G_adj, F = one, 0 * one, 0 * one, first
+            Hm, Gm = _weigh(H, G, F, L.T)
+            grams = [Gm] if hermitian else [Gm, _weigh(dag(H), G_adj, dag(F), L.T)[1]]
+            compat = float(np.sqrt(max(0.0, *map(_top, grams))))
+            self._memo[m, key] = Weighted(L, read_only(Hm), read_only(Gm), read_only(grams[-1]),
+                                          compat, self.rank_tol, (below, first))
+        return self._memo[m, key]
 
 
 def first_level(K: KrausSet, rank_tol: float = RANK_TOL) -> Level:
@@ -188,19 +287,15 @@ def first_level(K: KrausSet, rank_tol: float = RANK_TOL) -> Level:
     rank_tol.
     """
     V, B = svd_cut(K.ops.reshape(K.n, -1), rank_tol)
-    return Level(V, V, B.reshape(-1, K.d, K.d), K.n, 1)
+    return Level(V, B.reshape(-1, K.d, K.d), K.n, 1)
 
 
 def _next_level(below: Level, first: Level, rank_tol: float) -> Level:
     """Level m + 1 from level m and level 1 (see the module docstring)."""
     r0, r1, d = below.rank, first.rank, first.B.shape[1]
     C = (below.B[:, np.newaxis] @ first.B[np.newaxis]).reshape(r0 * r1, d * d)
-    T, B = svd_cut(C, rank_tol)
-    N, r = len(below.V), T.shape[1]  # r may be 0: a level of products that all vanish
-    # (V_m (x) V_1) T: contract T's first index with V_m, then its second with V_1
-    Y = (below.V @ T.reshape(r0, r1 * r)).reshape(N, r1, r)
-    V = (first.V @ Y).reshape(N * first.n, r)
-    return Level(V, T, B.reshape(r, d, d), first.n, below.m + 1)
+    T, B = svd_cut(C, rank_tol)  # T may have 0 columns: a level of products that all vanish
+    return Level(T, B.reshape(-1, d, d), first.n, below.m + 1, below, first)
 
 
 def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL,
@@ -213,8 +308,10 @@ def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL,
     rank_tol decides which words span each level, and the system keeps
     it: every later rank cut on its levels uses the same tolerance.
     Each level above the first costs one SVD of an r_{m-1} r_1 x d^2
-    matrix and two matrix products that form V_m; no word stack is built.
+    matrix; no word stack and no word-space row is formed.  M must be an
+    integer (a bool is refused).
     """
+    M = require_word_length(M, "M")
     require_word_budget(K.n, M, max_dim)
     first = first_level(K, rank_tol)
     if first.rank < K.n:
@@ -223,7 +320,7 @@ def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL,
         if first.rank < K.n:
             raise ValueError("level-1 dependence survived minimization")
     one = np.ones((1, 1), dtype=complex)
-    levels = [Level(one, one, np.eye(K.d, dtype=complex)[np.newaxis], K.n, 0), first]
+    levels = [Level(one, np.eye(K.d, dtype=complex)[np.newaxis], K.n, 0), first]
     while len(levels) <= M:
         levels.append(_next_level(levels[-1], first, rank_tol))
     return SubproductSystem(n=K.n, M=M, rank_tol=rank_tol, ops=K.ops,
@@ -242,7 +339,7 @@ def check_Q_compatibility(S: SubproductSystem, Q: np.ndarray, m: int) -> float:
 
     Zero certifies that Q^{(x)m} preserves the level-m subspace, the
     standing hypothesis of every Q-weighted level-m quantity.  Read from
-    the level's weighted record, so memoized on the level per Q.
+    the level's weighted record, so memoized on the system per level and Q.
     """
     return S.weighted(Q, m).compat
 

@@ -1,10 +1,11 @@
-"""Shared helpers: seeded random inputs, a word-stack refusal and the acceptance summary hook."""
+"""Shared helpers: seeded random inputs, a word-stack refusal, a word-row counter and the
+acceptance summary hook."""
 import sys
 
 import numpy as np
 import pytest
 
-from detbal import KrausSet
+from detbal import KrausSet, stinespring
 
 
 def random_channel(d: int, n: int, seed: int) -> KrausSet:
@@ -40,6 +41,21 @@ def refuse_word_stacks(monkeypatch):
                 monkeypatch.setattr(mod, "word_stack", refuse)
 
     return patch
+
+
+@pytest.fixture
+def expanded_rows(monkeypatch):
+    """The row count of every word-space expansion (a V_m or a QV_m) formed until the test ends."""
+    rows = []
+    expand = stinespring._expand
+
+    def counted(*args):
+        out = expand(*args)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(stinespring, "_expand", counted)
+    return rows
 
 
 # one (criterion -> (passed, detail)) entry per acceptance criterion;

@@ -1,14 +1,16 @@
 """Invariants of the subproduct levels, over random channels with d, n <= 3.
 
-Each level is stored as an isometry V_m, built from the level below it,
-with its compressed word stack B_m; these properties hold for any Kraus
-set and any weight Q, so hypothesis draws the channel and Q.  The levels
-must equal the dense levels of ``loop_oracle``, which take the SVD of
-every word operator at once: the same ranks, and projectors and
-compressed stacks to 1e-12.  The checks of a verdict read the words of
-a level through (V_m, B_m) alone: they build no word stack, and on
-drawn channels they equal the word-at-a-time loops of ``loop_oracle``
-to 1e-12 * max(1, |ref|).
+Each level is stored as a transfer T_m from the level below it, with its
+compressed word stack B_m, and its isometry V_m is expanded on first
+read; these properties hold for any Kraus set and any weight Q, so
+hypothesis draws the channel and Q.  The levels must equal the dense
+levels of ``loop_oracle``, which take the SVD of every word operator at
+once: the same ranks, and projectors and compressed stacks to 1e-12.  A
+weight's record is built in r x r train coordinates, and its H must
+equal the dense V* Q^(x)m V.  The checks of a verdict read the words of
+a level through (V_m, B_m) alone: they build no word stack, expand the
+word rows only of levels Q^(x)m preserves, and on drawn channels they
+equal the word-at-a-time loops of ``loop_oracle`` to 1e-12 * max(1, |ref|).
 """
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from detbal.equilibrium import (  # noqa: E402
 )
 from detbal.errors import HypothesisFailure  # noqa: E402
 from detbal.factories import commuting_db_kraus, gad_kraus  # noqa: E402
-from detbal.matcore import dag  # noqa: E402
+from detbal.matcore import RESIDUAL_TOL, dag  # noqa: E402
 from detbal.reversal import detailed_balance_verdict, q_sphere_residual  # noqa: E402
 from detbal.stinespring import (  # noqa: E402
     build_subproduct,
@@ -52,8 +54,22 @@ def test_level_invariants(d, n, seed):
         np.testing.assert_allclose(dag(V) @ V, np.eye(r), rtol=0, atol=1e-12)
         for l in range(1, M - m + 1):
             assert check_subproduct_inclusion(S, m, l) <= 1e-12
-        ref = oracle.check_Q_compatibility(S, Q, m)
-        assert abs(check_Q_compatibility(S, Q, m) - ref) <= 1e-12 * max(1.0, ref)
+        for P in (Q, Q + dag(Q)):  # a complex and a Hermitian weight
+            ref = oracle.check_Q_compatibility(S, P, m)
+            assert abs(check_Q_compatibility(S, P, m) - ref) <= 1e-12 * max(1.0, ref)
+            # the train recursion H_m = T*(H_{m-1} (x) H_1)T against the dense V* P^(x)m V
+            H = dag(V) @ oracle._tensor_power(P, m) @ V
+            err = np.max(np.abs(S.weighted(P, m).H - H), initial=0.0)
+            assert err <= 1e-12 * max(1.0, np.max(np.abs(H), initial=0.0))
+
+
+def test_commuting_levels_are_compatible_to_round_off():
+    # the Gram carry takes no difference of Grams, so no sqrt(eps) floor appears
+    K, rho0 = commuting_db_kraus(np.pi / 6), np.eye(2) / 2
+    Kp, Qraw, _ = orthogonalize_kraus(K, rho0)
+    S = build_subproduct(Kp, 10)
+    for Q in (Qraw.Q, Qraw.with_normalization("trace_balanced").Q):
+        assert max(S.weighted(Q, m).compat for m in range(11)) <= 1e-14
 
 
 def assert_levels_match_dense(K, M):
@@ -112,6 +128,20 @@ def test_levels_of_vanishing_products_have_rank_zero():
 def test_build_subproduct_forms_no_word_stack_above_level_one(refuse_word_stacks):
     refuse_word_stacks()
     assert build_subproduct(random_channel(2, 3, 8), 4).level(4).rank == 4
+
+
+def test_build_subproduct_expands_no_word_row(expanded_rows):
+    S = build_subproduct(random_channel(2, 3, 8), 6)
+    assert [S.level(m).rank for m in range(7)] == [1, 3] + [4] * 5
+    assert expanded_rows == []
+
+
+def test_haar_verdict_expands_only_levels_Q_preserves(expanded_rows):
+    rep = detailed_balance_verdict(random_channel(2, 3, 0), np.eye(2) / 2, 6)
+    compat = {c.level: c.residual for c in rep.checks if c.name == "q_compatibility"}
+    preserved = {m for m, res in compat.items() if res <= RESIDUAL_TOL}
+    assert preserved and preserved != set(compat)
+    assert expanded_rows and {3 ** m for m in preserved} >= set(expanded_rows)
 
 
 VERDICTS = {

@@ -1,14 +1,14 @@
 """The memoized level data: read-only, keyed safely, and equal to a cold computation.
 
-A level memoizes one record per weight Q (``SubproductSystem.weighted``),
-so the checks of one verdict share it.  These tests pin that the memo
-cannot go stale (the inputs it rests on are read-only, its key includes
-Q, and its rank cuts follow the rank_tol of the level's own system),
-that a verdict builds one record per level and forms the Q_m eigenpair
-only on levels Q^(x)m preserves, that each public check called on fresh
-objects returns exactly the residual the verdict recorded, and that a
-verdict leaves no reference cycle behind.  They
-also pin that no public check calls another: a true verdict calls
+A subproduct system memoizes one record per level and weight Q
+(``SubproductSystem.weighted``), so the checks of one verdict share it.
+These tests pin that the memo cannot go stale (the inputs it rests on
+are read-only, its key includes Q, and its rank cuts follow the rank_tol
+of the level's own system), that a verdict builds one record per level
+and forms the Q_m eigenpair only on levels Q^(x)m preserves, that each
+public check called on fresh objects returns exactly the residual the
+verdict recorded, and that a verdict leaves no reference cycle behind.
+They also pin that no public check calls another: a true verdict calls
 check_state 4 + 2M times and runs its checks once, and neither
 ``kms_condition_residual`` nor ``orthogonalize_kraus`` goes through
 ``check_phi_symmetric`` or ``correlation_matrix``.
@@ -114,15 +114,15 @@ def _verdict_and_system(monkeypatch, case):
 def test_verdict_builds_one_record_per_level(monkeypatch):
     _, M, S = _verdict_and_system(monkeypatch, "gad")
     # every check weighs levels 1..M by the same trace-balanced Q; level 0 is never weighed
-    assert [len(S.level(m)._memo) for m in range(M + 1)] == [0] + [1] * M
+    assert sorted(m for m, _ in S._memo) == list(range(1, M + 1))
 
 
 def test_verdict_forms_no_eigenpair_on_levels_Q_does_not_preserve(monkeypatch):
     rep, M, S = _verdict_and_system(monkeypatch, "haar")
     failing = {c.level for c in rep.checks if c.name == "q_compatibility" and not c.passed}
     assert failing and failing != set(range(1, M + 1))
-    for m in range(1, M + 1):
-        (rec,) = S.level(m)._memo.values()
+    assert sorted(m for m, _ in S._memo) == list(range(1, M + 1))
+    for (m, _), rec in S._memo.items():
         # the eigenpair is a cached property: present in the record once read
         assert ("_eig" in vars(rec)) == (m not in failing), m
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from detbal.channel import KrausSet, classify, dilation_from_kraus
-from detbal.equilibrium import CorrelationData, orthogonalize_kraus
+from detbal.equilibrium import CorrelationData, correlation_matrix, orthogonalize_kraus
 from detbal.factories import commuting_db_kraus, gad_kraus
 from detbal.matcore import dag, spectral_norm
 from detbal.qgroup import suq2_generators
@@ -234,6 +234,34 @@ def test_verdict_rejects_non_positive_tol():
 def test_verdict_rejects_non_positive_rank_tol():
     with pytest.raises(ValueError, match=r"^rank_tol must be positive"):
         detailed_balance_verdict(commuting_db_kraus(np.pi / 6), MIXED2, rank_tol=-1.0)
+
+
+@pytest.mark.parametrize("M", [2.5, 2.0, True, "2"])
+def test_verdict_and_build_refuse_a_non_integer_M(M):
+    K = commuting_db_kraus(np.pi / 6)
+    for call in (lambda: detailed_balance_verdict(K, MIXED2, M), lambda: build_subproduct(K, M)):
+        with pytest.raises(ValueError, match=rf"^M must be an integer \(got M={M!r}\)"):
+            call()
+
+
+def test_verdict_and_build_accept_a_numpy_integer_M():
+    K = commuting_db_kraus(np.pi / 6)
+    assert build_subproduct(K, np.int64(3)).M == 3
+    rep = detailed_balance_verdict(K, MIXED2, np.int32(2))
+    assert rep.to_dict() == detailed_balance_verdict(K, MIXED2, 2).to_dict()
+
+
+def test_state_of_another_size_is_refused_by_name():
+    K, rho3 = gad_kraus(0.75, 0.5), np.eye(3) / 3
+    calls = {
+        "detailed_balance_verdict": lambda: detailed_balance_verdict(K, rho3),
+        "correlation_matrix": lambda: correlation_matrix(K, rho3),
+        "crooks_dual": lambda: crooks_dual(K, rho3),
+        "crooks_check": lambda: crooks_check(K, K, rho3, 2),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=r"^rho0 is 3 x 3 but the Kraus operators are 2 x 2$"):
+            call()
 
 
 def test_verdict_report_serializes():
