@@ -34,6 +34,20 @@ from .matcore import (
 ZERO_OP_TOL = 1e-12
 
 
+def _is_zero(ops: np.ndarray) -> np.ndarray:
+    """Mask of the operators in an (n, d, d) stack of spectral norm at most ZERO_OP_TOL.
+
+    Since ||K||_2 >= ||K||_F / sqrt(d), an operator whose Frobenius norm
+    exceeds sqrt(d) ZERO_OP_TOL is nonzero; only those within twice that
+    bound (a margin for rounding) take an SVD.
+    """
+    bound = 2 * np.sqrt(ops.shape[-1]) * ZERO_OP_TOL
+    zero = np.linalg.norm(ops.reshape(len(ops), -1), axis=1) <= bound
+    if zero.any():
+        zero[zero] = np.linalg.norm(ops[zero], 2, axis=(1, 2)) <= ZERO_OP_TOL
+    return zero
+
+
 class KrausSet:
     """An ordered family of equal-shaped square operators on the system.
 
@@ -43,7 +57,9 @@ class KrausSet:
 
     ``ops`` is read-only: the attribute cannot be rebound and the array
     cannot be written in place, so data built from it (a subproduct
-    system records it) cannot go stale.
+    system records it, and the residuals below are kept) cannot go
+    stale.  unital_residual and cotrace_residual are formed on first
+    read and then kept.
     """
 
     def __init__(self, ops):
@@ -54,19 +70,26 @@ class KrausSet:
         if any(K.shape != (d, d) for K in ops):
             raise ValueError("Kraus operators must share a square shape")
         A = np.array(ops)
-        if np.any(np.linalg.norm(A, 2, axis=(1, 2)) <= ZERO_OP_TOL):
+        if _is_zero(A).any():
             raise ValueError("zero Kraus operator rejected")
         A.flags.writeable = False
         self._ops = A
         self.d = d
         self.n = len(A)
-        I = np.eye(d)
-        self.unital_residual = spectral_norm((dag(A) @ A).sum(0) - I)
-        self.cotrace_residual = spectral_norm((A @ dag(A)).sum(0) - I)
 
     @property
     def ops(self) -> np.ndarray:
         return self._ops
+
+    @functools.cached_property
+    def unital_residual(self) -> float:
+        """||sum_k K_k* K_k - 1||: zero when K is a channel."""
+        return spectral_norm((dag(self.ops) @ self.ops).sum(0) - np.eye(self.d))
+
+    @functools.cached_property
+    def cotrace_residual(self) -> float:
+        """||sum_k K_k K_k* - 1||: zero when the channel is also unital."""
+        return spectral_norm((self.ops @ dag(self.ops)).sum(0) - np.eye(self.d))
 
     def __iter__(self):
         return iter(self.ops)
@@ -277,7 +300,7 @@ def kraus_from_dilation(W: np.ndarray, d: int, n: int, mode: str = "first_column
         blocks = W.reshape(d, n, d, n).transpose(1, 3, 0, 2)  # [j, k] is W_{jk}
         scale = np.sqrt(np.maximum(probs, 0.0))[:, np.newaxis, np.newaxis]
         ops = (blocks * scale).reshape(n * n, d, d)
-        return KrausSet(ops[np.linalg.norm(ops, 2, axis=(1, 2)) > ZERO_OP_TOL])
+        return KrausSet(ops[~_is_zero(ops)])
     raise ValueError("mode must be 'first_column' or 'general_state'")
 
 
@@ -362,8 +385,8 @@ def minimal_kraus(K: KrausSet, rank_tol: float = RANK_TOL) -> KrausSet:
 
 
 def remix(ops: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """The stack whose r-th operator is sum_j conj(U[j, r]) ops_j."""
-    return np.tensordot(U.conj(), ops, axes=(0, 0))
+    """The stack whose r-th operator is sum_j conj(U[j, r]) ops_j, as one matmul U* ops."""
+    return (dag(U) @ ops.reshape(len(ops), -1)).reshape(U.shape[1], *ops.shape[1:])
 
 
 def channel_choi(K: KrausSet) -> np.ndarray:

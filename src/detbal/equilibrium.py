@@ -189,9 +189,9 @@ def zero_mean_check(K: KrausSet, rho0) -> list[float]:
 # level-m machinery
 
 
-def _word_rows(n: int, *words):
-    """(rows, m): the row of each word among the n^m words of its level, or
-    None when the lengths differ.  A word is a Word or its letters, in 1..n."""
+def _word_letters(n: int, *words):
+    """(letters, m): the 0-based letters of each word, or None when the lengths
+    differ.  A word is a Word or its letters, in 1..n."""
     letters = [tuple(w.letters) if hasattr(w, "letters") else tuple(w) for w in words]
     bad = [k for x in letters for k in x if not 1 <= k <= n]
     if bad:
@@ -199,7 +199,7 @@ def _word_rows(n: int, *words):
     m = len(letters[0])
     if any(len(x) != m for x in letters):
         return None
-    return [np.ravel_multi_index(tuple(k - 1 for k in x), (n,) * m) for x in letters], m
+    return [tuple(k - 1 for k in x) for x in letters], m
 
 
 def trace_qm(Qd: CorrelationData, S: SubproductSystem, m: int) -> float:
@@ -211,6 +211,14 @@ def _phi_residual(G: np.ndarray, rec, ordering: str = "normal") -> float:
     """Max entry of the word Gram V G V* (G a Gram of B) minus Q_m or p_m, over Tr(Q_m)."""
     X = rec.QV if ordering == "normal" else rec.V
     return float(np.max(np.abs((rec.V @ G - X / float(np.trace(rec.H).real)) @ dag(rec.V))))
+
+
+def _phi_normal(rec, g) -> float:
+    """The normal-ordered residual of the state Grams g against rec's Q_m, formed once per pair."""
+    res = g.phi_normal.get(rec)
+    if res is None:
+        res = g.phi_normal[rec] = _phi_residual(g.normal, rec)
+    return res
 
 
 def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSystem,
@@ -225,16 +233,21 @@ def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSys
     built from K.  The words are read as A_m = V_m B_m, which holds while
     every rank cut at levels <= m dropped only round-off; when S's
     rank_tol makes a cut drop more, this is the residual of the projected
-    words p_m A_m (q_sphere_residual stays exact at any rank_tol).
+    words p_m A_m (q_sphere_residual stays exact at any rank_tol).  Both
+    orderings read the level's Grams of rho0 from S (SubproductSystem.grams),
+    formed once per level and state and shared with kms_condition_residual,
+    which also reads the normal-ordered residual stored here.
     """
     rho0 = check_state(rho0)
     require_state_size(K, rho0)
-    B = S.stack(K, m)
+    S.stack(K, m)  # refuses a K the system was not built from
     rec = S.weighted(Qd.Q, m, tol)
     if ordering not in ("normal", "antinormal"):
         raise ValueError("ordering must be 'normal' or 'antinormal'")
-    G = gram(B @ rho0, B) if ordering == "normal" else gram(rho0 @ B, B)
-    return _phi_residual(G, rec, ordering)
+    g = S.grams(m, rho0)
+    if ordering == "normal":
+        return _phi_normal(rec, g)
+    return _phi_residual(g.antinormal, rec, ordering)
 
 
 def modular_flow(Qd: CorrelationData, S: SubproductSystem, word, t,
@@ -246,7 +259,8 @@ def modular_flow(Qd: CorrelationData, S: SubproductSystem, word, t,
     yields Q_m^{-1}).  Returns the coefficient row for the given word,
     aligned with the level's word list.
     """
-    (a,), m = _word_rows(S.n, word)
+    (x,), m = _word_letters(S.n, word)
+    a = np.ravel_multi_index(x, (S.n,) * m)
     rec = S.weighted(Qd.Q, m, tol)
     VU = rec.V @ rec.U
     return (VU[a] * np.power(rec.w, -1j * complex(t))) @ dag(VU)
@@ -258,18 +272,20 @@ def kms_state_eval(Qd: CorrelationData, S: SubproductSystem, j, k,
 
     Letters must lie in 1..n.  Words of unequal length evaluate to zero.
     Equal length m gives Q_m[k,j]/Tr(Q_m) in normal ordering and
-    p_m[j,k]/Tr(Q_m) in antinormal ordering.
+    p_m[j,k]/Tr(Q_m) in antinormal ordering, from the rows of V_m and
+    Q^(x)m V_m read through the level's train (Level.row).
     """
-    rows = _word_rows(S.n, j, k)
-    if rows is None:
+    words = _word_letters(S.n, j, k)
+    if words is None:
         return 0.0 + 0.0j
-    (a, b), m = rows
+    (a, b), m = words
     rec = S.weighted(Qd.Q, m)
+    L = rec.level
     trq = np.trace(rec.H).real
     if ordering == "normal":
-        return complex(rec.QV[b] @ rec.V[a].conj() / trq)
+        return complex(L.row(b, Qd.Q) @ L.row(a).conj() / trq)
     if ordering == "antinormal":
-        return complex(rec.V[a] @ rec.V[b].conj() / trq)
+        return complex(L.row(a) @ L.row(b).conj() / trq)
     raise ValueError("ordering must be 'normal' or 'antinormal'")
 
 
@@ -283,7 +299,9 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
     flow continuation expanded through the level data.  At each level
     Q^(x)m must preserve the level and the normal-ordered Gram must
     match Q_m; it then gives the right side, Qinv times it, and the
-    antinormal Gram the left.  Raises ValueError when S was not built
+    antinormal Gram the left.  The Grams and the normal-ordered residual
+    are those check_phi_symmetric reads, formed once per level and state
+    (SubproductSystem.grams).  Raises ValueError when S was not built
     from K.  Like check_phi_symmetric, it reads the words as
     A_m = V_m B_m: when S's rank_tol makes a cut drop more than
     round-off, this is the residual of the projected words p_m A_m.
@@ -292,15 +310,15 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
     require_state_size(K, rho0)
     mx = 0.0
     for mp in range(1, m + 1):
-        B = S.stack(K, mp)
+        S.stack(K, mp)  # refuses a K the system was not built from
         rec = S.weighted(Qd.Q, mp, tol)
-        G = gram(B @ rho0, B)  # V G V* is the normal-ordered word Gram Tr(K_a rho0 K_b*)
-        norm_res = _phi_residual(G, rec)
+        g = S.grams(mp, rho0)  # V g.normal V* is the normal-ordered word Gram Tr(K_a rho0 K_b*)
+        norm_res = _phi_normal(rec, g)
         if norm_res > tol:
             raise HypothesisFailure(
                 f"normal-ordered correlations fail at level {mp} (residual {norm_res:.3g})"
             )
-        # lhs = V gram(rho0 B, B) V* and Qinv = V U diag(1/w) U* V*, so lhs - Qinv V G V* = V D V*
-        D = gram(rho0 @ B, B) - rec.U @ (dag(rec.U) @ G / rec.w[:, np.newaxis])
+        # lhs = V g.antinormal V* and Qinv = V U diag(1/w) U* V*, so lhs - Qinv V G V* = V D V*
+        D = g.antinormal - rec.U @ (dag(rec.U) @ g.normal / rec.w[:, np.newaxis])
         mx = max(mx, float(np.max(np.abs(rec.V @ D @ dag(rec.V)))))
     return mx

@@ -44,7 +44,11 @@ values for Q and Q*.  Every (x) is two mode products on T_m's
 (r_{m-1}, r_1, r) reshape.  Each (level, Q) record is built once and
 read-only, so the checks of one verdict share it.  The checks read the words of a level
 through B_m alone (SubproductSystem.stack): while the cuts dropped only
-round-off, A_m = V_m B_m, so every word Gram is V_m (a Gram of B_m) V_m*.
+round-off, A_m = V_m B_m, so every word Gram is V_m (a Gram of B_m) V_m*,
+and the two Grams of B_m with a state are built once per level and state
+(SubproductSystem.grams).  A single row of V_m or Q^(x)m V_m, and the
+boundary defect of e_1^(x)m, are read through the train (Level.row,
+Level.boundary_defect), with no word-space row.
 """
 from __future__ import annotations
 
@@ -56,6 +60,7 @@ import numpy as np
 from .channel import (
     KrausSet,
     apply,
+    gram,
     minimal_kraus,
     require_word_budget,
     require_word_length,
@@ -95,7 +100,8 @@ class Level:
     T_0 = V_0 = [[1]], so levels 0 and 1 link to no other level.
     B_m = V_m* A_m is the compressed word stack (see the module
     docstring).  V is expanded from the train on first read and kept;
-    T, B and V are read-only.
+    T, B and V are read-only.  row and boundary_defect read the train
+    without expanding V.
     """
 
     T: np.ndarray  # transfer from the level below
@@ -130,9 +136,46 @@ class Level:
         """The dense level projector V V*, formed on request."""
         return self.V @ dag(self.V)
 
+    def row(self, word, F: np.ndarray | None = None) -> np.ndarray:
+        """Row `word` of V, or with an n x n F of F^(x)m V, read through the train.
+
+        word holds m 0-based letters.  V_m[a] = (V_{m-1}[a'] (x) V_1[a_m]) T_m,
+        with a' the word without its last letter, and F^(x)m V_m follows the
+        same recursion from the rows of F V_1, so a row costs O(m r^2) and no
+        word-space row is expanded.
+        """
+        if self.m == 0:  # the empty word, weighted by F^(x)0 = 1
+            return self.T[0]
+        if self.below is None:  # level 1, where V_1 = T_1
+            return self.T[word[0]] if F is None else F[word[0]] @ self.T
+        x = np.outer(self.below.row(word[:-1], F), self.first.row(word[-1:], F))
+        return x.ravel() @ self.T
+
+    @functools.cached_property
+    def _origin(self) -> tuple:
+        """(V[0], ||(1 - p) e_1||^2), from the same quantities of levels m - 1 and 1.
+
+        With x = V_{m-1}[0] (x) V_1[0], V[0] = x T.  e_1^(x)m splits into its
+        parts outside p_{m-1} (x) p_1, inside it but outside p, and inside p,
+        so with a, b the squared defects of levels m - 1 and 1 the squared
+        defect is a + b - ab + ||(1 - T T*) x*||^2.  Levels 0 and 1 read
+        x = e_1 and a = b = 0.
+        """
+        if self.below is None:
+            x, base = np.eye(1, len(self.T))[0].astype(complex), 0.0
+        else:
+            (u, a), (v, b) = self.below._origin, self.first._origin
+            x, base = np.outer(u, v).ravel(), a + b - a * b
+        v0 = x @ self.T
+        y = x.conj() - self.T @ v0.conj()
+        return v0, base + float(np.vdot(y, y).real)
+
     def boundary_defect(self) -> float:
-        """||p e_1 - e_1||: how far e_1^(x)m lies from the level subspace."""
-        return float(np.linalg.norm(self.V @ self.V[0].conj() - np.eye(len(self.V), 1)[:, 0]))
+        """||p e_1 - e_1||: how far e_1^(x)m lies from the level subspace.
+
+        Read through the train (_origin), so no word-space row is expanded.
+        """
+        return float(np.sqrt(max(self._origin[1], 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,6 +232,23 @@ class Weighted:
         return self._eig[1]
 
 
+@dataclass(frozen=True, eq=False)
+class StateGrams:
+    """The level-m Grams of a state rho (SubproductSystem.grams), read-only.
+
+    While the cuts dropped only round-off, V_m normal V_m* is the
+    normal-ordered word Gram Tr(K_a rho K_b*) and V_m antinormal V_m* the
+    antinormal Tr(rho K_a K_b*).  phi_normal maps each Weighted record of
+    the level to the normal-ordered residual of these Grams against its
+    Q_m, filled by the first check that computes it
+    (equilibrium.check_phi_symmetric or kms_condition_residual).
+    """
+
+    normal: np.ndarray  # gram(B_m rho, B_m)
+    antinormal: np.ndarray  # gram(rho B_m, B_m)
+    phi_normal: dict = field(default_factory=dict, repr=False)  # Weighted -> residual
+
+
 def _weigh(H: np.ndarray, G: np.ndarray, F: np.ndarray, T: np.ndarray):
     """(H_m, G_m) from (H_{m-1}, G_{m-1}), the letter factor F and T_m (module docstring).
 
@@ -214,7 +274,8 @@ class SubproductSystem:
 
     The system memoizes one Weighted record per level and weight Q,
     keyed by Q's dtype, shape and bytes, so a different Q never reads a
-    stale entry.  The memo lives as long as the system.
+    stale entry.  A second memo holds one StateGrams per level and state,
+    keyed the same way by the state.  Both live as long as the system.
     """
 
     n: int
@@ -223,6 +284,7 @@ class SubproductSystem:
     ops: np.ndarray  # the read-only Kraus array the levels were built from
     levels: dict = field(default_factory=dict)  # m -> Level
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def level(self, m: int) -> Level:
         if m not in self.levels:
@@ -234,6 +296,20 @@ class SubproductSystem:
         if K.ops is not self.ops and not np.array_equal(K.ops, self.ops):
             raise ValueError("K is not the Kraus set the subproduct system was built from")
         return self.level(m).B
+
+    def grams(self, m: int, rho: np.ndarray) -> StateGrams:
+        """The level-m Grams of a checked d x d state rho, built once per level and state.
+
+        Keyed by rho's dtype, shape and bytes, so another state, or rho
+        written in place, never reads a stale entry.
+        """
+        key = (m, rho.dtype.str, rho.shape, rho.tobytes())
+        g = self._grams.get(key)
+        if g is None:
+            B = self.level(m).B
+            g = self._grams[key] = StateGrams(read_only(gram(B @ rho, B)),
+                                              read_only(gram(rho @ B, B)))
+        return g
 
     def weighted(self, Q, m: int, tol: float | None = None) -> Weighted:
         """The level-m record of the weight Q, built once per Q and read-only.

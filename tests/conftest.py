@@ -1,11 +1,11 @@
-"""Shared helpers: seeded random inputs, a word-stack refusal, a word-row counter and the
-acceptance summary hook."""
+"""Shared helpers: seeded random inputs, a word-stack refusal, word-row and Gram counters
+and the acceptance summary hook."""
 import sys
 
 import numpy as np
 import pytest
 
-from detbal import KrausSet, stinespring
+from detbal import KrausSet, channel, stinespring
 
 
 def random_channel(d: int, n: int, seed: int) -> KrausSet:
@@ -56,6 +56,23 @@ def expanded_rows(monkeypatch):
 
     monkeypatch.setattr(stinespring, "_expand", counted)
     return rows
+
+
+@pytest.fixture
+def formed_grams(monkeypatch):
+    """The (len(X), len(Y)) of every channel.gram product formed, through any detbal
+    binding of it, until the test ends."""
+    shapes = []
+    gram = channel.gram
+
+    def counted(X, Y):
+        shapes.append((len(X), len(Y)))
+        return gram(X, Y)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "detbal" or name.startswith("detbal.")) and getattr(mod, "gram", None) is gram:
+            monkeypatch.setattr(mod, "gram", counted)
+    return shapes
 
 
 # one (criterion -> (passed, detail)) entry per acceptance criterion;

@@ -11,6 +11,7 @@ import pytest
 
 import loop_oracle as oracle
 from detbal.channel import (
+    ZERO_OP_TOL,
     KrausSet,
     _completion_structured,
     apply,
@@ -103,3 +104,21 @@ def test_star_commuting_when_only_the_last_pair_fails():
     assert oracle.is_star_commuting(K) is False
     assert is_star_commuting(K) is False
     assert is_star_commuting(KrausSet([0.5 * np.eye(2), 0.3 * np.eye(2), N + N.T])) is True
+
+
+def test_zero_operator_rule_is_the_spectral_norm():
+    # Frobenius norm 1.27e-12 > ZERO_OP_TOL, spectral norm 0.9e-12 < ZERO_OP_TOL: still zero
+    small = np.diag([0.9e-12, 0.9e-12])
+    assert np.linalg.norm(small) > ZERO_OP_TOL > np.linalg.norm(small, 2)
+    with pytest.raises(ValueError, match="zero Kraus operator"):
+        KrausSet([np.eye(2), small])
+    # just above the bound in spectral norm, below 2 sqrt(d) ZERO_OP_TOL in Frobenius norm
+    for above in (np.diag([1.01e-12, 0.0]), np.diag([1.01e-12, 1.01e-12])):
+        assert KrausSet([np.eye(2), above]).n == 2
+
+
+def test_kraus_residuals_are_formed_on_first_read():
+    Kp, _, _ = orthogonalize_kraus(random_channel(2, 3, 1), np.eye(2) / 2)
+    assert "unital_residual" not in vars(Kp) and "cotrace_residual" not in vars(Kp)
+    assert Kp.unital_residual < 1e-12
+    assert "unital_residual" in vars(Kp) and "cotrace_residual" not in vars(Kp)

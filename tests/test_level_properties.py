@@ -11,6 +11,8 @@ equal the dense V* Q^(x)m V.  The checks of a verdict read the words of
 a level through (V_m, B_m) alone: they build no word stack, expand the
 word rows only of levels Q^(x)m preserves, and on drawn channels they
 equal the word-at-a-time loops of ``loop_oracle`` to 1e-12 * max(1, |ref|).
+A single row of V_m or Q^(x)m V_m, and the boundary defect of e_1^(x)m,
+are read through the train and equal the expanded levels.
 """
 import numpy as np
 import pytest
@@ -24,17 +26,20 @@ from detbal.channel import KrausSet, remix, word_stack  # noqa: E402
 from detbal.equilibrium import (  # noqa: E402
     check_phi_symmetric,
     kms_condition_residual,
+    kms_state_eval,
     modular_flow,
     orthogonalize_kraus,
 )
 from detbal.errors import HypothesisFailure  # noqa: E402
 from detbal.factories import commuting_db_kraus, gad_kraus  # noqa: E402
+from detbal.qgroup import suq2_generators  # noqa: E402
 from detbal.matcore import RESIDUAL_TOL, dag  # noqa: E402
 from detbal.reversal import detailed_balance_verdict, q_sphere_residual  # noqa: E402
 from detbal.stinespring import (  # noqa: E402
     build_subproduct,
     check_Q_compatibility,
     check_subproduct_inclusion,
+    verify_power_dilation,
 )
 
 M = 3
@@ -142,6 +147,49 @@ def test_haar_verdict_expands_only_levels_Q_preserves(expanded_rows):
     preserved = {m for m, res in compat.items() if res <= RESIDUAL_TOL}
     assert preserved and preserved != set(compat)
     assert expanded_rows and {3 ** m for m in preserved} >= set(expanded_rows)
+
+
+TRAINS = {
+    "suq2-N32": (lambda: suq2_generators(0.5, 32)[2], 5),
+    "gad": (lambda: gad_kraus(0.75, 0.5), 5),
+    "commuting_db": (lambda: commuting_db_kraus(np.pi / 6), 5),
+    "random-d2-n3": (lambda: random_channel(2, 3, 0), 7),
+    "random-d3-n2": (lambda: random_channel(3, 2, 13), 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRAINS))
+def test_train_rows_and_boundary_defect_match_the_expanded_levels(case):
+    channel, M = TRAINS[case]
+    S = build_subproduct(channel(), M)
+    rng = np.random.default_rng(M)
+    Q = rng.normal(size=(S.n, S.n)) + 1j * rng.normal(size=(S.n, S.n))
+    for m in range(M + 1):
+        L, rec = S.level(m), S.weighted(Q, m)
+        e1 = np.eye(len(L.V), 1)[:, 0]
+        dense = np.linalg.norm(L.V @ L.V[0].conj() - e1)
+        assert abs(L.boundary_defect() - dense) <= 1e-12, (m, L.boundary_defect(), dense)
+        for a in {0, len(L.V) - 1, *rng.integers(len(L.V), size=3).tolist()}:
+            word = np.unravel_index(a, (S.n,) * m)
+            np.testing.assert_allclose(L.row(word), L.V[a], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(L.row(word, Q), rec.QV[a], rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(rec.QV[a]).max()))
+
+
+def test_power_dilation_and_kms_state_eval_expand_no_word_row(expanded_rows):
+    K = random_channel(2, 3, 0)
+    S = build_subproduct(K, 7)
+    with pytest.raises(HypothesisFailure, match=r"defect 0\.971"):
+        verify_power_dilation(K, S, 7, np.eye(2))
+    a, c, Kq, F = suq2_generators(0.5, 6)
+    assert verify_power_dilation(Kq, build_subproduct(Kq, 4), 4, np.diag(np.arange(6.0))) < 1e-10
+    Kp, Qraw, _ = orthogonalize_kraus(K, np.eye(2) / 2)
+    Qd = Qraw.with_normalization("trace_balanced")
+    Sp = build_subproduct(Kp, 7)
+    j, k = (1, 2, 3, 1, 2, 3, 1), (3, 3, 2, 1, 1, 2, 2)
+    for ordering in ("normal", "antinormal"):
+        assert abs(kms_state_eval(Qd, Sp, j, k, ordering)) > 0
+    assert expanded_rows == []
 
 
 VERDICTS = {

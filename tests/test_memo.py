@@ -8,7 +8,10 @@ of the level's own system), that a verdict builds one record per level
 and forms the Q_m eigenpair only on levels Q^(x)m preserves, that each
 public check called on fresh objects returns exactly the residual the
 verdict recorded, and that a verdict leaves no reference cycle behind.
-They also pin that no public check calls another: a true verdict calls
+The Grams of a level and a state (``SubproductSystem.grams``) are
+formed once, in a memo of their own: a true verdict forms one pair per
+level, and a system checked with one state and then another returns
+what fresh systems return.  They also pin that no public check calls another: a true verdict calls
 check_state 4 + 2M times and runs its checks once, and neither
 ``kms_condition_residual`` nor ``orthogonalize_kraus`` goes through
 ``check_phi_symmetric`` or ``correlation_matrix``.
@@ -160,6 +163,42 @@ def test_verdict_runs_the_state_checks_once():
     detailed_balance_verdict(commuting_db_kraus(np.pi / 6), np.eye(2) / 2, 3)
     info = equilibrium._validate_state.cache_info()
     assert (info.misses, info.hits) == (1, 4 + 2 * 3 - 1)
+
+
+@pytest.mark.parametrize("M", [2, 3, 4])
+def test_true_verdict_forms_one_gram_pair_per_level(formed_grams, M):
+    rep = detailed_balance_verdict(commuting_db_kraus(np.pi / 6), np.eye(2) / 2, M)
+    assert rep.verdict
+    # the correlation matrices of K and of the orthogonalized K', then (G_n, G_a) once per
+    # level, shared by both phi_symmetric orderings and the KMS check
+    assert len(formed_grams) == 2 + 2 * M
+
+
+def _state_residuals(Kp, rho, Qd, S, M):
+    """Both phi_symmetric orderings at every level and the KMS residual, hypotheses not enforced."""
+    phi = [check_phi_symmetric(Kp, rho, Qd, S, m, ordering, np.inf)
+           for m in range(1, M + 1) for ordering in ("normal", "antinormal")]
+    return phi + [kms_condition_residual(Kp, rho, Qd, S, M, np.inf)]
+
+
+@pytest.mark.parametrize("case", ["commuting_db", "haar"])
+def test_a_system_checked_with_two_states_reads_no_stale_gram(case):
+    K, rho0, M = CASES[case]()
+    Kp, Qtb, S = _cold(K, rho0, M)
+    rho1 = _haar_state(K.d, 5)
+    fresh = [_state_residuals(Kp, rho, Qtb, build_subproduct(Kp, M), M) for rho in (rho0, rho1)]
+    assert fresh[0] != fresh[1]
+    rho = np.array(rho0, dtype=complex)
+    assert _state_residuals(Kp, rho, Qtb, S, M) == fresh[0]
+    rho[:] = rho1  # the same array, written in place
+    assert _state_residuals(Kp, rho, Qtb, S, M) == fresh[1]
+    assert _state_residuals(Kp, rho0, Qtb, S, M) == fresh[0]
+    assert len(S._grams) == 2 * M
+    # another weight on the same levels and state reads its own normal-ordered residual
+    Q1 = equilibrium.correlation_matrix(Kp, rho1)
+    want = _state_residuals(Kp, rho0, Q1, build_subproduct(Kp, M), M)
+    assert want != fresh[0]
+    assert _state_residuals(Kp, rho0, Q1, S, M) == want
 
 
 def _refuse(*args, **kwargs):
