@@ -207,10 +207,30 @@ def trace_qm(Qd: CorrelationData, S: SubproductSystem, m: int) -> float:
     return float(np.trace(S.weighted(Qd.Q, m).H).real)
 
 
+ROW_BLOCK = 1 << 20  # entries of V E V* formed at once by _max_entry
+
+
+def _max_entry(V: np.ndarray, E: np.ndarray) -> float:
+    """max |V E V*| over the word pairs of a level, for an r x r E in level coordinates.
+
+    Every word-pair residual of the verdict is read here, in row blocks of
+    at most ROW_BLOCK entries, so no N x N word-pair matrix is held whole
+    once N exceeds 1024.
+    """
+    Vh = dag(V)
+    rows = max(1, ROW_BLOCK // len(V))
+    return float(max(np.max(np.abs(V[i:i + rows] @ E @ Vh)) for i in range(0, len(V), rows)))
+
+
 def _phi_residual(G: np.ndarray, rec, ordering: str = "normal") -> float:
-    """Max entry of the word Gram V G V* (G a Gram of B) minus Q_m or p_m, over Tr(Q_m)."""
-    X = rec.QV if ordering == "normal" else rec.V
-    return float(np.max(np.abs((rec.V @ G - X / float(np.trace(rec.H).real)) @ dag(rec.V))))
+    """Max entry of the word Gram V G V* (G a Gram of B) minus Q_m or p_m, over Tr(Q_m).
+
+    Q_m is read as p_m Q^(x)m p_m = V H V*, which moves each entry by at
+    most compat / Tr(Q_m) on the levels the checks accept.
+    """
+    tr = float(np.trace(rec.H).real)
+    X = rec.H if ordering == "normal" else np.eye(len(rec.H))
+    return _max_entry(rec.V, G - X / tr)
 
 
 def _phi_normal(rec, g) -> float:
@@ -240,10 +260,10 @@ def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSys
     """
     rho0 = check_state(rho0)
     require_state_size(K, rho0)
-    S.stack(K, m)  # refuses a K the system was not built from
-    rec = S.weighted(Qd.Q, m, tol)
     if ordering not in ("normal", "antinormal"):
         raise ValueError("ordering must be 'normal' or 'antinormal'")
+    S.stack(K, m)  # refuses a K the system was not built from
+    rec = S.weighted(Qd.Q, m, tol)
     g = S.grams(m, rho0)
     if ordering == "normal":
         return _phi_normal(rec, g)
@@ -320,5 +340,5 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
             )
         # lhs = V g.antinormal V* and Qinv = V U diag(1/w) U* V*, so lhs - Qinv V G V* = V D V*
         D = g.antinormal - rec.U @ (dag(rec.U) @ g.normal / rec.w[:, np.newaxis])
-        mx = max(mx, float(np.max(np.abs(rec.V @ D @ dag(rec.V)))))
+        mx = max(mx, _max_entry(rec.V, D))
     return mx

@@ -42,13 +42,17 @@ that Q^(x)m preserves reads compat at round-off, not at sqrt(eps).  The
 residual ||[Q^(x)m, p_m]|| is sqrt(lambda_max(G_m)), the larger of its
 values for Q and Q*.  Every (x) is two mode products on T_m's
 (r_{m-1}, r_1, r) reshape.  Each (level, Q) record is built once and
-read-only, so the checks of one verdict share it.  The checks read the words of a level
-through B_m alone (SubproductSystem.stack): while the cuts dropped only
-round-off, A_m = V_m B_m, so every word Gram is V_m (a Gram of B_m) V_m*,
-and the two Grams of B_m with a state are built once per level and state
-(SubproductSystem.grams).  A single row of V_m or Q^(x)m V_m, and the
-boundary defect of e_1^(x)m, are read through the train (Level.row,
-Level.boundary_defect), with no word-space row.
+read-only, so the checks of one verdict share it.  The checks read the
+words of a level through B_m alone (SubproductSystem.stack): while the
+cuts dropped only round-off, A_m = V_m B_m, so every word Gram is
+V_m (a Gram of B_m) V_m*, and the two Grams of B_m with a state are built
+once per level and state (SubproductSystem.grams).  On a level that
+Q^(x)m preserves, Q_m = V_m H_m V_m*, so every word-pair residual is
+max |V_m E V_m*| for an r x r E, read in row blocks
+(equilibrium._max_entry); V_m is the only word-space array a check
+expands.  A single row of V_m or Q^(x)m V_m, and the boundary defect of
+e_1^(x)m, are read through the train (Level.row, Level.boundary_defect),
+with no word-space row.
 """
 from __future__ import annotations
 
@@ -64,7 +68,6 @@ from .channel import (
     minimal_kraus,
     require_word_budget,
     require_word_length,
-    word_labels,
 )
 from .errors import HypothesisFailure
 from .matcore import (
@@ -123,18 +126,8 @@ class Level:
         return _expand(self.below.V, self.first.V, self.T)
 
     @property
-    def words(self) -> tuple:
-        """The 1-based Word labels indexing the rows of V, built on request."""
-        return tuple(word_labels(self.n, self.m))
-
-    @property
     def rank(self) -> int:
         return self.T.shape[1]
-
-    @property
-    def p(self) -> np.ndarray:
-        """The dense level projector V V*, formed on request."""
-        return self.V @ dag(self.V)
 
     def row(self, word, F: np.ndarray | None = None) -> np.ndarray:
         """Row `word` of V, or with an n x n F of F^(x)m V, read through the train.
@@ -185,14 +178,11 @@ class Weighted:
     H, the Grams G (for Q) and G_adj (for Q*) of the out-of-level part
     and compat are formed with the record, in r x r train coordinates
     from the records of levels m - 1 and 1 (see the module docstring).
-    The n^m x r word-space arrays are formed on first read: V, the
-    level's own isometry, and QV = Q^(x)m V = (QV_{m-1} (x) QV_1) T_m.
-    So is the eigenpair (U, w) of H in level coordinates, over the
-    eigenvalues that rank_mask keeps.  The checks read them only on
-    levels that Q^(x)m preserves; there Q_m = (V U) diag(w) (V U)*.
-    Every array is read-only.  A record links to its level and to the
-    records below it, and nothing links back, so records form no
-    reference cycle.
+    The eigenpair (U, w) of H in level coordinates, over the eigenvalues
+    that rank_mask keeps, is formed on first read, and V is the level's
+    own isometry, expanded on first read.  The checks read them only on
+    levels that Q^(x)m preserves; there Q_m = V H V* = (V U) diag(w) (V U)*.
+    Every array is read-only.  A record links to its level alone.
     """
 
     level: Level
@@ -201,21 +191,11 @@ class Weighted:
     G_adj: np.ndarray  # the same for Q*
     compat: float  # ||[Q^(x)m, p_m]||, zero iff Q^(x)m preserves the level
     rank_tol: float  # the cut on the eigenvalues of H
-    _factors: tuple = field(repr=False)  # QV = (X (x) F) T from (X, F): records of m - 1 and 1,
-    # or the arrays ([[1]], Q) at level 1 and ([[1]], [[1]]) at level 0
 
     @property
     def V(self) -> np.ndarray:
         """The level isometry, n^m x r."""
         return self.level.V
-
-    @functools.cached_property
-    def QV(self) -> np.ndarray:
-        """Q^(x)m V."""
-        X, F = self._factors
-        if isinstance(X, Weighted):
-            X, F = X.QV, F.QV
-        return _expand(X, F, self.level.T)
 
     @functools.cached_property
     def _eig(self):
@@ -239,8 +219,8 @@ class StateGrams:
     While the cuts dropped only round-off, V_m normal V_m* is the
     normal-ordered word Gram Tr(K_a rho K_b*) and V_m antinormal V_m* the
     antinormal Tr(rho K_a K_b*).  phi_normal maps each Weighted record of
-    the level to the normal-ordered residual of these Grams against its
-    Q_m, filled by the first check that computes it
+    the level to the normal-ordered residual max |V_m (normal - H/Tr H) V_m*|
+    against its Q_m, filled by the first check that computes it
     (equilibrium.check_phi_symmetric or kms_condition_residual).
     """
 
@@ -346,13 +326,12 @@ class SubproductSystem:
                 H, G, G_adj, F = below.H, below.G, below.G_adj, first.H
             else:  # level 0 weighs the empty word by 1, level 1 the letters by Q
                 one = np.ones((1, 1), dtype=complex)
-                below, first = one, Q if m == 1 else one
-                H, G, G_adj, F = one, 0 * one, 0 * one, first
+                H, G, G_adj, F = one, 0 * one, 0 * one, Q if m == 1 else one
             Hm, Gm = _weigh(H, G, F, L.T)
             grams = [Gm] if hermitian else [Gm, _weigh(dag(H), G_adj, dag(F), L.T)[1]]
             compat = float(np.sqrt(max(0.0, *map(_top, grams))))
             self._memo[m, key] = Weighted(L, read_only(Hm), read_only(Gm), read_only(grams[-1]),
-                                          compat, self.rank_tol, (below, first))
+                                          compat, self.rank_tol)
         return self._memo[m, key]
 
 

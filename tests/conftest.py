@@ -45,7 +45,7 @@ def refuse_word_stacks(monkeypatch):
 
 @pytest.fixture
 def expanded_rows(monkeypatch):
-    """The row count of every word-space expansion (a V_m or a QV_m) formed until the test ends."""
+    """The row count of every word-space expansion (a level's V_m) formed until the test ends."""
     rows = []
     expand = stinespring._expand
 

@@ -36,6 +36,7 @@ from detbal.channel import (
     block,
     index_words,
     symmetric_unitary_first_col,
+    word_labels,
     word_operator,
 )
 from detbal.equilibrium import check_state
@@ -57,8 +58,23 @@ def _tensor_power(Q, m):
     return functools.reduce(np.kron, [Q] * m, np.ones((1, 1)))
 
 
+def projector(L):
+    """The dense n^m x n^m level projector p_m = V_m V_m* of a stinespring.Level."""
+    return L.V @ dag(L.V)
+
+
+def weighted_isometry(Q, L):
+    """The dense n^m x r array Q^(x)m V_m of a stinespring.Level."""
+    return _tensor_power(Q, L.m) @ L.V
+
+
+def words(L):
+    """The 1-based Word labels indexing the rows of a stinespring.Level's V_m."""
+    return tuple(word_labels(L.n, L.m))
+
+
 def _qm_function(Q, S, m, fn, rank_tol=RANK_TOL):
-    p = S.level(m).p
+    p = projector(S.level(m))
     H = p @ _tensor_power(Q, m) @ p
     H = (H + dag(H)) / 2
     w, U = np.linalg.eigh(H)
@@ -67,7 +83,7 @@ def _qm_function(Q, S, m, fn, rank_tol=RANK_TOL):
 
 
 def trace_qm(Qd, S, m):
-    p = S.level(m).p
+    p = projector(S.level(m))
     return float(np.trace(_tensor_power(Qd.Q, m) @ p).real)
 
 
@@ -81,7 +97,7 @@ def kms_state_eval(Qd, S, j, k, ordering="normal"):
         return 1.0 + 0.0j
     a = np.ravel_multi_index(tuple(x - 1 for x in jl), (S.n,) * m)
     b = np.ravel_multi_index(tuple(x - 1 for x in kl), (S.n,) * m)
-    p = S.level(m).p
+    p = projector(S.level(m))
     Qm = _tensor_power(Qd.Q, m) @ p
     trq = np.trace(Qm).real
     if ordering == "normal":
@@ -94,9 +110,9 @@ def kms_state_eval(Qd, S, j, k, ordering="normal"):
 def check_subproduct_inclusion(S, m, l):
     if m + l > S.M:
         raise ValueError("level out of range")
-    pm = S.level(m).p
-    pl = S.level(l).p
-    pml = S.level(m + l).p
+    pm = projector(S.level(m))
+    pl = projector(S.level(l))
+    pml = projector(S.level(m + l))
     return spectral_norm(np.kron(pm, pl) @ pml - pml)
 
 
@@ -106,7 +122,7 @@ def check_Q_compatibility(S, Q, m):
     if m == 0:
         return 0.0
     Qf = _tensor_power(as_complex(Q), m)
-    p = S.level(m).p
+    p = projector(S.level(m))
     return spectral_norm(Qf @ p - p @ Qf)
 
 
@@ -114,7 +130,7 @@ def check_phi_symmetric(K, rho0, Qd, S, m, ordering="normal", tol=RESIDUAL_TOL):
     rho0 = check_state(rho0)
     S.weighted(Qd.Q, m, tol)
     ws = index_words(K.n, m)
-    p = S.level(m).p
+    p = projector(S.level(m))
     Qm = _tensor_power(Qd.Q, m) @ p
     trq = float(np.trace(Qm).real)
     ops = [word_operator(K.ops, w) for w in ws]
@@ -175,7 +191,7 @@ def first_row_q_sphere(W, F, S, m, tol=RESIDUAL_TOL, rank_tol=RANK_TOL):
         raise ValueError("subproduct system size mismatch")
     Q = dag(F) @ F
     lev = S.level(m)
-    p = lev.p
+    p = projector(lev)
     e1 = np.zeros(n ** m)
     e1[0] = 1.0
     hyp_q11 = float(abs(Q[0, 0] - 1.0))
@@ -238,7 +254,7 @@ def verify_power_dilation(K, S, m, A, tol=RESIDUAL_TOL, rank_tol=RANK_TOL):
         raise ValueError("level out of range")
     A = as_complex(A)
     lev = S.level(m)
-    p = lev.p
+    p = projector(lev)
     e1 = np.zeros(K.n ** m)
     e1[0] = 1.0
     defect = float(np.linalg.norm(p[:, 0] - e1))

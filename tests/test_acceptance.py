@@ -40,6 +40,7 @@ from detbal.reversal import (
 )
 from detbal.stinespring import build_subproduct, check_subproduct_inclusion
 
+import loop_oracle as oracle
 from conftest import (
     random_channel,
     random_hermitian,
@@ -282,7 +283,7 @@ def test_c7_kms_and_modular_flow():
     t1, t2 = 0.37, -0.82
     group_law = spectral_norm(flow(t1) @ flow(t2) - flow(t1 + t2))
     M1 = np.vstack([modular_flow(Qd, S2, Word((i,)), t1) for i in (1, 2)])
-    p2 = S2.level(2).p
+    p2 = oracle.projector(S2.level(2))
     hom = spectral_norm(flow(t1) @ p2 - p2 @ np.kron(M1, M1) @ p2)
 
     ok = kms < 1e-10 and group_law < 1e-9 and hom < 1e-9

@@ -21,6 +21,7 @@ from detbal.matcore import dag, spectral_norm
 from detbal.reversal import detailed_balance_verdict
 from detbal.stinespring import build_subproduct
 from detbal.channel import channel_distance
+import loop_oracle as oracle
 from conftest import random_channel
 
 GAD_RHO = np.diag([0.75, 0.25]).astype(complex)
@@ -243,6 +244,18 @@ def test_phi_symmetric_rejects_unknown_ordering():
         check_phi_symmetric(Kp, MIXED2, Qraw, S, 1, "wick")
 
 
+def test_phi_symmetric_rejects_unknown_ordering_before_the_hypothesis():
+    # Q^(x)3 does not preserve level 3 here, yet a bad ordering is a ValueError
+    Kp, Qraw, _ = orthogonalize_kraus(random_channel(2, 3, 0), MIXED2)
+    Qd = Qraw.with_normalization("trace_balanced")
+    S = build_subproduct(Kp, 3)
+    assert S.weighted(Qd.Q, 3).compat > 1
+    with pytest.raises(HypothesisFailure):
+        check_phi_symmetric(Kp, MIXED2, Qd, S, 3)
+    with pytest.raises(ValueError, match="ordering"):
+        check_phi_symmetric(Kp, MIXED2, Qd, S, 3, "wick")
+
+
 def test_modular_flow_at_zero_is_identity_row():
     K = random_channel(2, 2, 48)
     rho = np.eye(2) / 2
@@ -287,7 +300,7 @@ def test_modular_flow_group_law_suq2():
     assert gl < 1e-9
     # the level-2 flow restricts the product of two level-1 flows
     M1 = np.vstack([modular_flow(Qd, S, Word((i,)), t1) for i in (1, 2)])
-    p2 = S.level(2).p
+    p2 = oracle.projector(S.level(2))
     hom = spectral_norm(flow_matrix(t1) @ p2 - p2 @ np.kron(M1, M1) @ p2)
     assert hom < 1e-9
 

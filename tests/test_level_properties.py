@@ -9,11 +9,15 @@ once: the same ranks, and projectors and compressed stacks to 1e-12.  A
 weight's record is built in r x r train coordinates, and its H must
 equal the dense V* Q^(x)m V.  The checks of a verdict read the words of
 a level through (V_m, B_m) alone: they build no word stack, expand the
-word rows only of levels Q^(x)m preserves, and on drawn channels they
-equal the word-at-a-time loops of ``loop_oracle`` to 1e-12 * max(1, |ref|).
-A single row of V_m or Q^(x)m V_m, and the boundary defect of e_1^(x)m,
-are read through the train and equal the expanded levels.
+word rows only of levels Q^(x)m preserves (V_m, and no Q-weighted
+array), read their word-pair residuals in row blocks, and on drawn
+channels they equal the word-at-a-time loops of ``loop_oracle`` to
+1e-12 * max(1, |ref|).  A single row of V_m or Q^(x)m V_m, and the
+boundary defect of e_1^(x)m, are read through the train and equal the
+expanded V_m and the oracle's dense Q^(x)m V_m.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -142,11 +146,31 @@ def test_build_subproduct_expands_no_word_row(expanded_rows):
 
 
 def test_haar_verdict_expands_only_levels_Q_preserves(expanded_rows):
-    rep = detailed_balance_verdict(random_channel(2, 3, 0), np.eye(2) / 2, 6)
+    rep = detailed_balance_verdict(random_channel(3, 2, 13), np.eye(3) / 3, 5)
     compat = {c.level: c.residual for c in rep.checks if c.name == "q_compatibility"}
     preserved = {m for m, res in compat.items() if res <= RESIDUAL_TOL}
     assert preserved and preserved != set(compat)
-    assert expanded_rows and {3 ** m for m in preserved} >= set(expanded_rows)
+    assert expanded_rows and {2 ** m for m in preserved} >= set(expanded_rows)
+
+
+@pytest.mark.parametrize("M", [4, 8])
+def test_true_verdict_expands_one_word_space_array_per_level_above_one(expanded_rows, M):
+    # V_2 .. V_M, and no Q-weighted word-space array
+    rep = detailed_balance_verdict(commuting_db_kraus(np.pi / 6), np.eye(2) / 2, M)
+    assert rep.to_dict()["verdict"] is True
+    assert expanded_rows == [2 ** m for m in range(2, M + 1)]
+
+
+def test_verdict_word_pair_residuals_are_read_in_row_blocks():
+    # at M = 11 a whole 2048 x 2048 complex word-pair matrix alone is 64 MiB
+    tracemalloc.start()
+    try:
+        rep = detailed_balance_verdict(commuting_db_kraus(np.pi / 6), np.eye(2) / 2, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.to_dict()["verdict"] is True
+    assert peak < 40 * 2 ** 20, peak / 2 ** 20
 
 
 TRAINS = {
@@ -165,15 +189,16 @@ def test_train_rows_and_boundary_defect_match_the_expanded_levels(case):
     rng = np.random.default_rng(M)
     Q = rng.normal(size=(S.n, S.n)) + 1j * rng.normal(size=(S.n, S.n))
     for m in range(M + 1):
-        L, rec = S.level(m), S.weighted(Q, m)
+        L = S.level(m)
+        QV = oracle.weighted_isometry(Q, L)
         e1 = np.eye(len(L.V), 1)[:, 0]
         dense = np.linalg.norm(L.V @ L.V[0].conj() - e1)
         assert abs(L.boundary_defect() - dense) <= 1e-12, (m, L.boundary_defect(), dense)
         for a in {0, len(L.V) - 1, *rng.integers(len(L.V), size=3).tolist()}:
             word = np.unravel_index(a, (S.n,) * m)
             np.testing.assert_allclose(L.row(word), L.V[a], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(L.row(word, Q), rec.QV[a], rtol=0,
-                                       atol=1e-12 * max(1.0, np.abs(rec.QV[a]).max()))
+            np.testing.assert_allclose(L.row(word, Q), QV[a], rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(QV[a]).max()))
 
 
 def test_power_dilation_and_kms_state_eval_expand_no_word_row(expanded_rows):
@@ -251,7 +276,7 @@ def test_checks_read_from_the_levels_match_the_loop_oracle(d, n, M, diagonal, mi
         compat = S.weighted(Qd.Q, m).compat <= 1e-8
         for t in (0.3, -1j):
             Qit = oracle._qm_function(Qd.Q, S, m, lambda w: np.power(w, -1j * t))
-            for a, word in enumerate(S.level(m).words):
+            for a, word in enumerate(oracle.words(S.level(m))):
                 row = _outcome(modular_flow, Qd, S, word, t)
                 if compat:
                     _assert_close(row, Qit[a])

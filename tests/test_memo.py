@@ -68,13 +68,13 @@ def test_level_V_and_derived_data_are_read_only():
     with pytest.raises(ValueError):  # before any derived data exists
         S.level(2).V[0] = 1.0
     rec, rec2 = S.weighted(Q, 2), S.weighted(Q @ Q, 2)
-    for X in (rec.V, rec.QV, rec.H, rec2.U, rec2.w):
+    for X in (rec.V, rec.H, rec2.U, rec2.w):
         with pytest.raises(ValueError):
             X[0] = 1.0
 
 
 def _arrays(rec):
-    return rec.V, rec.QV, rec.H, rec.U, rec.w
+    return rec.V, rec.H, rec.U, rec.w
 
 
 def test_level_memo_is_keyed_by_Q_and_rank_tol():
@@ -86,7 +86,7 @@ def test_level_memo_is_keyed_by_Q_and_rank_tol():
     Q2[0, 1] += 1e-3
     Q2[1, 0] += 1e-3
     inputs = (Q1, Q2, Q1.real)
-    # (V, QV, H, U, w) for every input from one system, so later inputs meet a warm memo
+    # (V, H, U, w) for every input from one system, so later inputs meet a warm memo
     warm = [_arrays(S.weighted(Q, 2)) for Q in inputs]
     for Q, got in zip(inputs, warm):
         cold = build_subproduct(K, 2)
@@ -96,7 +96,7 @@ def test_level_memo_is_keyed_by_Q_and_rank_tol():
     # a system built with a larger rank_tol keeps fewer Q_m eigenvalues on the same level
     coarse = build_subproduct(K, 2, rank_tol=0.5)
     assert coarse.rank_tol == 0.5 and coarse.level(2).rank == S.level(2).rank
-    assert len(coarse.weighted(Q1, 2).w) < len(warm[0][4])
+    assert len(coarse.weighted(Q1, 2).w) < len(warm[0][3])
 
 
 def _verdict_and_system(monkeypatch, case):

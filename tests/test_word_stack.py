@@ -147,7 +147,7 @@ def test_levels_and_dilations_match_loop_oracle(case):
         p_ref, r_ref, ws_ref = oracle._level_projector(K, m, 1e-9)
         assert V.shape == (len(ws_ref), r_ref)
         np.testing.assert_allclose(V @ dag(V), p_ref, rtol=0, atol=RTOL)
-        assert [w.letters for w in S.level(m).words] == \
+        assert [w.letters for w in oracle.words(S.level(m))] == \
             [tuple(k + 1 for k in w) for w in ws_ref]
         assert_matches(outcome(verify_power_dilation, K, S, m, A),
                        outcome(oracle.verify_power_dilation, K, S, m, A))
@@ -199,13 +199,13 @@ def test_level_functions_match_dense_oracle(case):
         compat = Qd.compat_residuals[m] <= 1e-8
         for t in (0.3, -1j, 0.4 - 0.2j):
             Qit = oracle._qm_function(Qd.Q, S, m, lambda w: np.power(w, -1j * t))
-            for a, word in enumerate(S.level(m).words):
+            for a, word in enumerate(oracle.words(S.level(m))):
                 row = outcome(modular_flow, Qd, S, word, t)
                 if compat:
                     assert_matrix_matches(row, Qit[a])
                 else:
                     assert isinstance(row, HypothesisFailure)
-        words = [w.letters for w in S.level(m).words]
+        words = [w.letters for w in oracle.words(S.level(m))]
         for j in words:
             for k in words:
                 for ordering in ("normal", "antinormal"):
