@@ -241,6 +241,22 @@ def _phi_normal(rec, g) -> float:
     return res
 
 
+def _kms_level(rec, g, tol: float) -> float:
+    """The KMS residual of one level m, from its Weighted record rec and state Grams g.
+
+    Raises HypothesisFailure when the normal-ordered residual exceeds tol.
+    lhs = V g.antinormal V* and Qinv = V U diag(1/w) U* V*, so lhs minus
+    Qinv times the normal-ordered word Gram V g.normal V* is V D V*.
+    """
+    norm_res = _phi_normal(rec, g)
+    if norm_res > tol:
+        raise HypothesisFailure(
+            f"normal-ordered correlations fail at level {rec.level.m} (residual {norm_res:.3g})"
+        )
+    D = g.antinormal - rec.U @ (dag(rec.U) @ g.normal / rec.w[:, np.newaxis])
+    return _max_entry(rec.V, D)
+
+
 def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSystem,
                         m: int, ordering: str = "normal",
                         tol: float = RESIDUAL_TOL) -> float:
@@ -331,14 +347,5 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
     mx = 0.0
     for mp in range(1, m + 1):
         S.stack(K, mp)  # refuses a K the system was not built from
-        rec = S.weighted(Qd.Q, mp, tol)
-        g = S.grams(mp, rho0)  # V g.normal V* is the normal-ordered word Gram Tr(K_a rho0 K_b*)
-        norm_res = _phi_normal(rec, g)
-        if norm_res > tol:
-            raise HypothesisFailure(
-                f"normal-ordered correlations fail at level {mp} (residual {norm_res:.3g})"
-            )
-        # lhs = V g.antinormal V* and Qinv = V U diag(1/w) U* V*, so lhs - Qinv V G V* = V D V*
-        D = g.antinormal - rec.U @ (dag(rec.U) @ g.normal / rec.w[:, np.newaxis])
-        mx = max(mx, _max_entry(rec.V, D))
+        mx = max(mx, _kms_level(S.weighted(Qd.Q, mp, tol), S.grams(mp, rho0), tol))
     return mx

@@ -18,8 +18,15 @@ from .channel import (
     require_word_budget,
     require_word_length,
 )
+# The verdict's level pass shares the kernels of check_phi_symmetric,
+# q_sphere_residual and kms_condition_residual instead of calling them; all
+# three stay bound in this module, where tracing code looks up the checks a
+# verdict stands for.
 from .equilibrium import (
     CorrelationData,
+    _kms_level,
+    _phi_normal,
+    _phi_residual,
     check_phi_symmetric,
     check_state,
     kms_condition_residual,
@@ -40,6 +47,17 @@ from .report import AnalysisReport, CheckRecord
 from .stinespring import SubproductSystem, build_subproduct, first_level
 
 
+def _sphere_defect(B: np.ndarray, rec):
+    """Eigenvalues and eigenvectors of the Hermitian part of the level's sphere defect.
+
+    The defect is sum_r C_r C_r* / w_r - 1 with C_r = sum_i conj(U[i,r]) B[i],
+    for the level's word stack B = B_m and Weighted record rec.
+    """
+    C = remix(B, rec.U) / np.sqrt(rec.w)[:, np.newaxis, np.newaxis]
+    R = (C @ dag(C)).sum(0) - np.eye(B.shape[1])
+    return np.linalg.eigh((R + dag(R)) / 2)
+
+
 def q_sphere_residual(K: KrausSet, Qd: CorrelationData, S: SubproductSystem,
                       m: int, tol: float = RESIDUAL_TOL):
     """Deviation of the level-m weighted word sum from the identity.
@@ -54,10 +72,7 @@ def q_sphere_residual(K: KrausSet, Qd: CorrelationData, S: SubproductSystem,
     not built from K.
     """
     B = S.stack(K, m)
-    rec = S.weighted(Qd.Q, m, tol)
-    C = remix(B, rec.U) / np.sqrt(rec.w)[:, np.newaxis, np.newaxis]
-    R = (C @ dag(C)).sum(0) - np.eye(K.d)
-    wR, U = np.linalg.eigh((R + dag(R)) / 2)
+    wR, U = _sphere_defect(B, S.weighted(Qd.Q, m, tol))
     Uk = U[:, np.abs(wR) > tol]
     return float(np.abs(wR).max()), Uk @ dag(Uk)
 
@@ -168,6 +183,15 @@ def time_reversal_invariance(K: KrausSet, F: np.ndarray,
 # verdict pipeline
 
 
+def _check_record(name: str, m: int, tol: float, result, rank: int | None = None) -> CheckRecord:
+    """A verdict record: a residual, or the message of the HypothesisFailure that stopped it."""
+    if isinstance(result, str):
+        return CheckRecord(name=name, residual=None, tolerance=tol, passed=False, level=m,
+                           hypothesis_failure=result)
+    return CheckRecord(name=name, residual=float(result), tolerance=tol,
+                       passed=bool(result < tol), level=m, defect_rank=rank)
+
+
 def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
                              tol: float = RESIDUAL_TOL,
                              rank_tol: float = RANK_TOL) -> AnalysisReport:
@@ -176,9 +200,19 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
     Orthogonalizes the Kraus set, records the correlation matrix in all
     three normalizations, builds the subproduct system to level M, and
     runs the compatibility, symmetric-correlation, sphere and KMS checks
-    at every level with the trace-balanced Q.  The verdict is true iff
-    every residual is below tol and no hypothesis fails; a false verdict
-    names the sphere condition whenever that stage is implicated.
+    at every level with the trace-balanced Q.  The inputs are validated
+    once, here; the checks then run as one pass over the levels.  Each
+    level reads its Weighted record (raising once when Q^(x)m does not
+    preserve it, and that message stands for the level's three records
+    and, unless a lower level stopped it, for KMS) and its state Grams,
+    and records q_compatibility, both phi_symmetric orderings and
+    q_sphere from the kernels the public checks use, so every record
+    equals what the public check returns or raises at that level.  The
+    pass carries the running KMS maximum over the levels, stopped by the
+    first hypothesis failure; its record follows the last level.  The
+    verdict is true iff every residual is below tol and no hypothesis
+    fails; a false verdict names the sphere condition whenever that stage
+    is implicated.
     """
     M = require_word_length(M, "M")
     if M < 1:
@@ -203,35 +237,28 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
     Qtb.attach_levels(S)
 
     checks: list[CheckRecord] = []
-    hypothesis_failures: list[str] = []
-
-    def run(name, m, fn):
-        try:
-            res = fn()
-        except HypothesisFailure as exc:
-            checks.append(CheckRecord(name=name, residual=None, tolerance=tol,
-                                      passed=False, level=m,
-                                      hypothesis_failure=str(exc)))
-            hypothesis_failures.append(f"{name}[m={m}]: {exc}")
-            return
-        rank = None
-        if isinstance(res, tuple):  # q_sphere_residual's (residual, defect projector)
-            res, rank = res[0], int(round(np.trace(res[1]).real))
-        checks.append(CheckRecord(name=name, residual=float(res), tolerance=tol,
-                                  passed=bool(res < tol), level=m, defect_rank=rank))
-
+    kms, kms_failure = 0.0, None  # the running KMS maximum, or the message that stopped it
     for m in range(1, M + 1):
-        compat = Qtb.compat_residuals[m]
-        checks.append(CheckRecord(name="q_compatibility", residual=float(compat),
-                                  tolerance=tol, passed=bool(compat < tol), level=m))
-        run("phi_symmetric_normal", m,
-            lambda m=m: check_phi_symmetric(Kp, rho0, Qtb, S, m, "normal", tol))
-        run("phi_symmetric_antinormal", m,
-            lambda m=m: check_phi_symmetric(Kp, rho0, Qtb, S, m, "antinormal", tol))
-        run("q_sphere", m, lambda m=m: q_sphere_residual(Kp, Qtb, S, m, tol))
-
-    run("kms_condition", M,
-        lambda: kms_condition_residual(Kp, rho0, Qtb, S, M, tol))
+        checks.append(_check_record("q_compatibility", m, tol, Qtb.compat_residuals[m]))
+        try:
+            rec = S.weighted(Qtb.Q, m, tol)
+        except HypothesisFailure as exc:
+            checks += [_check_record(name, m, tol, str(exc)) for name in
+                       ("phi_symmetric_normal", "phi_symmetric_antinormal", "q_sphere")]
+            kms_failure = kms_failure or str(exc)
+            continue
+        g = S.grams(m, rho0)
+        sphere = np.abs(_sphere_defect(S.level(m).B, rec)[0])
+        checks += [_check_record("phi_symmetric_normal", m, tol, _phi_normal(rec, g)),
+                   _check_record("phi_symmetric_antinormal", m, tol,
+                                 _phi_residual(g.antinormal, rec, "antinormal")),
+                   _check_record("q_sphere", m, tol, sphere.max(), int(np.sum(sphere > tol)))]
+        if kms_failure is None:
+            try:
+                kms = max(kms, _kms_level(rec, g, tol))
+            except HypothesisFailure as exc:
+                kms_failure = str(exc)
+    checks.append(_check_record("kms_condition", M, tol, kms_failure or kms))
 
     verdict = all(c.passed for c in checks)
     reason = None
@@ -256,7 +283,8 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
             "Q_first_entry_diag": [float(x) for x in np.diag(Qfe.Q).real],
             "zero_means": means,
             "level_ranks": {m: S.level(m).rank for m in range(1, M + 1)},
-            "hypothesis_failures": hypothesis_failures,
+            "hypothesis_failures": [f"{c.name}[m={c.level}]: {c.hypothesis_failure}"
+                                    for c in checks if c.hypothesis_failure is not None],
         },
     )
 

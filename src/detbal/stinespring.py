@@ -220,8 +220,9 @@ class StateGrams:
     normal-ordered word Gram Tr(K_a rho K_b*) and V_m antinormal V_m* the
     antinormal Tr(rho K_a K_b*).  phi_normal maps each Weighted record of
     the level to the normal-ordered residual max |V_m (normal - H/Tr H) V_m*|
-    against its Q_m, filled by the first check that computes it
-    (equilibrium.check_phi_symmetric or kms_condition_residual).
+    against its Q_m, filled by the first reader that computes it
+    (equilibrium._phi_normal, shared by check_phi_symmetric, the KMS
+    check and the verdict).
     """
 
     normal: np.ndarray  # gram(B_m rho, B_m)
