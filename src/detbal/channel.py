@@ -375,8 +375,9 @@ def power_kraus(K: KrausSet, m: int, max_dim: int = MAX_DIM):
 def minimal_kraus(K: KrausSet, rank_tol: float = RANK_TOL) -> KrausSet:
     """Remix to a linearly independent Kraus set for the same channel.
 
-    Takes the SVD U s Vh of the n x d^2 Kraus matrix and returns the
-    operators s Vh = U* K whose singular values s the rank rule keeps,
+    Takes the SVD U s Vh of the n x d^2 Kraus matrix (svd_cut, by its
+    short side when n is small against d^2) and returns the operators
+    U* K, which are s Vh, for the singular values s the rank rule keeps,
     largest first: the rule and the operators of level 1 of the
     subproduct system (stinespring.first_level).  The output basis is
     one of many; the channel is unchanged up to the dropped s.

@@ -22,7 +22,22 @@ def rank_mask(values: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
 
 
 def svd_cut(X: np.ndarray, rank_tol: float = RANK_TOL):
-    """(U, B) for the SVD X = U s Vh cut by rank_mask on s: the kept left vectors and B = s Vh."""
+    """(U, B) for the SVD X = U s Vh cut by rank_mask on s: the kept left vectors and B = s Vh.
+
+    A wide X, with at least 4 times as many columns as rows and at least
+    1024 entries, is factored by its short side: with X* = Q R, X = R* Q*,
+    so the r x r SVD of R* gives U and s, and B = U* X.  The QR is
+    backward stable, so s and the rank cut are X's to O(eps ||X||), and B
+    is s Vh up to a unitary inside degenerate singular values.  Every other
+    shape takes one SVD of X: below those bounds the extra LAPACK call costs
+    more than it saves, and they keep every X of fewer than 64 columns
+    (every level of a d < 8 channel) on the one SVD.
+    """
+    rows, cols = X.shape
+    if cols >= 4 * rows and rows * cols >= 1024:
+        U, s, _ = np.linalg.svd(dag(np.linalg.qr(dag(X), mode="r")))
+        U = U[:, rank_mask(s, rank_tol)]
+        return U, dag(U) @ X
     U, s, Vh = np.linalg.svd(X, full_matrices=False)
     keep = rank_mask(s, rank_tol)
     return U[:, keep], s[keep, np.newaxis] * Vh[keep]

@@ -32,11 +32,15 @@ def _relation_record(name: str, R: np.ndarray, tol: float) -> CheckRecord:
 
     When no eigenvalue of the Hermitian part of R exceeds tol in modulus the
     defect projector is 0, so the rank is 0 and the off-defect residual is
-    the residual itself; only otherwise is the projector formed.
+    the residual itself; only otherwise is the projector formed.  Two
+    shortcuts read that case: ||R|| <= tol/2 settles it with no
+    eigensolve, since every eigenvalue of (R + R*)/2 is at most ||R|| in
+    modulus and its computed error is O(eps ||R||); otherwise the
+    eigenvalues of the Hermitian part settle it before any projector.
     """
     res = spectral_norm(R)
     rank, off_defect = 0, res
-    if np.any(np.abs(np.linalg.eigvalsh((R + dag(R)) / 2)) > tol):
+    if res > tol / 2 and np.any(np.abs(np.linalg.eigvalsh((R + dag(R)) / 2)) > tol):
         P, rank = eig_projector(R, tol)
         Pc = np.eye(R.shape[0]) - P
         off_defect = spectral_norm(Pc @ R @ Pc)

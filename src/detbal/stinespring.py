@@ -11,15 +11,17 @@ to the level.
 
 The levels nest: range(p_{m+1}) sits inside range(p_m) (x) range(p_1),
 so the tower is a tensor train and each level is built from the one
-below it.  Level 1 is one SVD of the n x d^2 Kraus matrix, T_1 = V_1.
-For m >= 2 the r_{m-1} r_1 x d^2 matrix C of products B_{m-1}[i] B_1[j]
+below it.  Level 1 factors the n x d^2 Kraus matrix, T_1 = V_1.  For
+m >= 2 the r_{m-1} r_1 x d^2 matrix C of products B_{m-1}[i] B_1[j]
 satisfies A_m = (V_{m-1} (x) V_1) C; its SVD cut by rank_mask gives the
 transfer T_m (the kept left singular vectors) and B_m = T_m* C, so that
-V_m = (V_{m-1} (x) V_1) T_m.  Since V_{m-1} (x) V_1 is an isometry, C
-and A_m share their singular values, and with them the rank cuts, as
-long as the cuts below dropped only zero singular values; a coarser
-rank_tol builds level m from what the cut at level m - 1 kept, so the
-levels stay nested.  The build forms no word-space row: V_m is that
+V_m = (V_{m-1} (x) V_1) T_m.  Both SVDs are matcore.svd_cut, which
+takes a wide matrix (few rows against d^2 columns, as at large d) by its
+short side: a QR of its adjoint, then the SVD of the square triangular
+factor.  Since V_{m-1} (x) V_1 is an isometry, C and A_m share their
+singular values, and with them the rank cuts, as long as the cuts below
+dropped only zero singular values; a coarser rank_tol builds level m
+from what the cut at level m - 1 kept, so the levels stay nested.  The build forms no word-space row: V_m is that
 product expanded on first read (Level.V) and then kept.
 
 A weight Q enters a level only through Q_m = Q^(x)m p_m, and
@@ -337,7 +339,7 @@ class SubproductSystem:
 
 
 def first_level(K: KrausSet, rank_tol: float = RANK_TOL) -> Level:
-    """Level 1 of K's subproduct system, from one SVD of the n x d^2 Kraus matrix.
+    """Level 1 of K's subproduct system, from the SVD of the n x d^2 Kraus matrix (svd_cut).
 
     Its rank is the number of linearly independent Kraus operators at
     rank_tol.
@@ -363,9 +365,10 @@ def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL,
     full identity, and the system records the reduced set's operators.
     rank_tol decides which words span each level, and the system keeps
     it: every later rank cut on its levels uses the same tolerance.
-    Each level above the first costs one SVD of an r_{m-1} r_1 x d^2
-    matrix; no word stack and no word-space row is formed.  M must be an
-    integer (a bool is refused).
+    Each level above the first costs the SVD of an r_{m-1} r_1 x d^2
+    matrix, taken by its short side when it is wide (svd_cut); no word
+    stack and no word-space row is formed.  M must be an integer (a bool
+    is refused).
     """
     M = require_word_length(M, "M")
     require_word_budget(K.n, M, max_dim)

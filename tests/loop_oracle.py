@@ -10,6 +10,10 @@ the library replaced with the level isometry ``V_m``.  ``test_word_stack``
 compares the library against them.  They are slow (cubic in the word
 count for the KMS residual), so keep their inputs small.
 
+``svd_cut_direct`` factors every level matrix by one SVD, as
+``matcore.svd_cut`` did before it factored wide ones by their short side;
+``test_matcore`` and ``test_level_factorization`` compare against it.
+
 The per-operator bodies at the end (Kraus residuals, ``apply``, the
 isometry, the star-commutation test, the structured completion, the
 general-state extraction, the Choi matrix, the means and the two
@@ -48,6 +52,7 @@ from detbal.matcore import (
     dag,
     eig_projector,
     frobenius_norm,
+    rank_mask,
     spectral_norm,
 )
 from detbal.qgroup import _shapes
@@ -276,6 +281,13 @@ def verify_power_dilation(K, S, m, A, tol=RESIDUAL_TOL, rank_tol=RANK_TOL):
     for _ in range(m):
         rhs = apply(K, rhs, "heisenberg")
     return spectral_norm(lhs - rhs)
+
+
+def svd_cut_direct(X, rank_tol=RANK_TOL):
+    """matcore.svd_cut as one SVD of X at every shape, the body its wide inputs bypass."""
+    U, s, Vh = np.linalg.svd(X, full_matrices=False)
+    keep = rank_mask(s, rank_tol)
+    return U[:, keep], s[keep, np.newaxis] * Vh[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+import loop_oracle as oracle
 from detbal.matcore import (
     MAX_DIM,
+    RANK_TOL,
     as_complex,
     dag,
     eig_projector,
@@ -14,6 +18,7 @@ from detbal.matcore import (
     projector_onto_span,
     rank_mask,
     spectral_norm,
+    svd_cut,
     tensor_product,
 )
 from conftest import random_hermitian, random_unitary
@@ -175,3 +180,57 @@ def test_eig_projector_unitary_invariance():
     U = random_unitary(4, 9)
     _, rank = eig_projector(U @ R @ dag(U), 1e-8)
     assert rank == 2
+
+
+# svd_cut factors a wide X (cols >= 4 rows and rows * cols >= 1024) by its short
+# side and every other X by one SVD; shapes on both sides of that rule, tall ones
+# and a level whose products all vanish (0 rows)
+WIDE = [(1, 1024), (1, 1600), (2, 576), (2, 1024), (3, 400), (4, 256), (6, 1024),
+        (6, 1600), (8, 144), (16, 64)]
+DIRECT = [(0, 16), (0, 1600), (1, 4), (1, 1023), (2, 9), (2, 256), (4, 16), (8, 64),
+          (16, 36), (16, 63), (32, 36), (9, 4)]
+SINGULAR_VALUE = {"order_one": None, "above_cut": 10 * RANK_TOL, "below_cut": 0.1 * RANK_TOL,
+                  "zero": 0.0}
+
+
+def _level_like_matrix(rows, cols, kinds, thin, zero_rows, scale, seed):
+    """(X, rank): X has `zero_rows` exact-zero rows and, on the others, either the
+    product of thin Gaussian factors or s_0 = 1 and s_k of the drawn kinds, off the cut."""
+    rng = np.random.default_rng(seed)
+    z = min(zero_rows, rows)
+    k = min(rows - z, cols)
+    if thin:
+        t = sum(kind != "zero" for kind in kinds[:k])
+        A, B = (rng.normal(size=sh) + 1j * rng.normal(size=sh) for sh in ((rows - z, t), (t, cols)))
+        X, rank = A @ B, t
+    else:
+        s = np.array([1.0] + [rng.uniform(0.1, 1.0) if SINGULAR_VALUE[kind] is None
+                              else SINGULAR_VALUE[kind] for kind in kinds[1:k]])[:k]
+        W, _ = np.linalg.qr(rng.normal(size=(cols, k)) + 1j * rng.normal(size=(cols, k)))
+        X, rank = (random_unitary(rows - z, seed)[:, :k] * s) @ dag(W), int(np.sum(s > RANK_TOL))
+    out = np.zeros((rows, cols), dtype=complex)
+    out[np.sort(rng.permutation(rows)[:rows - z])] = X
+    return scale * out, rank
+
+
+@pytest.mark.parametrize("shape", WIDE + DIRECT, ids=lambda sh: f"{sh[0]}x{sh[1]}")
+@hypothesis.settings(max_examples=8, deadline=None, database=None)
+@hypothesis.given(kinds=st.lists(st.sampled_from(list(SINGULAR_VALUE)), min_size=32, max_size=32),
+                  thin=st.booleans(), zero_rows=st.integers(0, 2),
+                  scale=st.sampled_from([1e-3, 1.0, 1e3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_svd_cut_matches_the_direct_svd(shape, kinds, thin, zero_rows, scale, seed):
+    rows, cols = shape
+    X, rank = _level_like_matrix(rows, cols, kinds, thin, zero_rows, scale, seed)
+    U, B = svd_cut(X)
+    Ud, Bd = oracle.svd_cut_direct(X)
+    assert U.shape == (rows, rank) and B.shape == (rank, cols) and Ud.shape[1] == rank
+    if shape in DIRECT:  # the direct body, bit for bit
+        np.testing.assert_array_equal(U, Ud)
+        np.testing.assert_array_equal(B, Bd)
+    s = np.linalg.svd(X, compute_uv=False)
+    nX = s.max(initial=0.0)
+    assert spectral_norm(dag(U) @ U - np.eye(rank)) <= 1e-14
+    assert spectral_norm(U @ B - U @ (dag(U) @ X)) <= 1e-13 * nX
+    assert spectral_norm(B @ dag(B) - np.diag(s[:rank] ** 2)) <= 1e-13 * nX ** 2
+    # U B is X cut to its kept singular values
+    assert spectral_norm(X - U @ B) <= s[rank:].max(initial=0.0) + 1e-13 * nX

@@ -6,8 +6,9 @@ record of ``loop_oracle`` (spectral norm, ``eig_projector`` rank, residual
 off the defect) to 1e-12 * max(1, |ref|), with pass flags and defect
 ranks equal.  The first-row sphere records are compared with the same
 oracle in ``test_word_stack``.  The general record of a non-Hermitian
-residual skips the defect projector when it would be 0; it is compared
-with the dense record directly, on both sides of that shortcut.
+residual skips the defect projector when it would be 0, and skips the
+eigensolve too when ||R|| <= tol/2 settles that; it is compared with the
+dense record directly, on every side of both shortcuts.
 """
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ import loop_oracle as oracle
 from conftest import random_unitary
 from detbal.channel import dilation_from_kraus, f_conjugate
 from detbal.factories import commuting_db_kraus
-from detbal.matcore import dag
+from detbal import qgroup
+from detbal.matcore import dag, spectral_norm
 from detbal.qgroup import (
     _relation_record,
     au_relations_check,
@@ -96,6 +98,29 @@ def test_near_isometry_case_has_a_defect_and_an_off_defect_residual():
     assert rep.check("W_unitary_right").defect_rank == 2
 
 
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """The number of np.linalg.eigvalsh calls, through detbal.qgroup's numpy, until the test ends."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(qgroup.np.linalg, "eigvalsh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("N", [8, 16, 24, 32, 40])
+@pytest.mark.parametrize("q", [0.3, 0.8])
+def test_suq2_bu_check_runs_no_eigensolve(eigvalsh_calls, q, N):
+    # self_conjugacy holds at round-off on the ladder, so its norm settles the record
+    rep = bu_relations_check(*_suq2(q, N))
+    assert rep.check("self_conjugacy").residual <= 1e-8 / 2
+    assert eigvalsh_calls == []
+
+
 def _general_residuals():
     """(id, R, defect rank) with R not Hermitian."""
     W, F = _suq2(0.55, 32)
@@ -103,6 +128,10 @@ def _general_residuals():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     v = random_unitary(6, 9)[:, 0]
+    # ||R|| at, just above and well above tol/2, and at tol: no defect either way
+    for t in (0.5, 0.51, 0.75, 1.0):
+        yield f"norm-{t}-tol", t * 1e-8 * X / spectral_norm(X), 0
+    yield "hermitian-norm-0.9-tol", 0.9e-8 * (X + dag(X)) / spectral_norm(X + dag(X)), 0
     yield "rank-one-defect", 0.5 * np.outer(v, v.conj()) + 1e-10 * X, 1
     yield "defect-just-above-tol", 3e-8 * np.outer(v, v.conj()) + 1e-10 * X, 1
     yield "full-defect", X, 6
@@ -113,9 +142,11 @@ GENERAL = list(_general_residuals())
 
 
 @pytest.mark.parametrize("case", GENERAL, ids=[c[0] for c in GENERAL])
-def test_general_record_matches_dense_oracle(case):
+def test_general_record_matches_dense_oracle(eigvalsh_calls, case):
     name, R, rank = case
-    new, ref = _relation_record(name, R, 1e-8), oracle._relation_record(name, R, 1e-8)
+    new = _relation_record(name, R, 1e-8)
+    assert len(eigvalsh_calls) == (spectral_norm(R) > 1e-8 / 2)  # the eigensolve only above tol/2
+    ref = oracle._relation_record(name, R, 1e-8)
     assert ref.defect_rank == rank
     assert (new.name, new.passed, new.defect_rank, new.tolerance) == \
         (ref.name, ref.passed, ref.defect_rank, ref.tolerance)
