@@ -63,13 +63,16 @@ class KrausSet:
     """
 
     def __init__(self, ops):
-        ops = [as_complex(K) for K in ops]
+        if isinstance(ops, np.ndarray) and ops.ndim == 3:  # one conversion, into the set's own copy
+            ops = as_complex(np.array(ops, dtype=complex))
+        else:
+            ops = [as_complex(K) for K in ops]
         if len(ops) == 0:
             raise ValueError("need at least one Kraus operator")
         d = ops[0].shape[0]
         if any(K.shape != (d, d) for K in ops):
             raise ValueError("Kraus operators must share a square shape")
-        A = np.array(ops)
+        A = np.asarray(ops)
         if _is_zero(A).any():
             raise ValueError("zero Kraus operator rejected")
         A.flags.writeable = False

@@ -18,7 +18,8 @@ import numpy as np
 
 from .channel import KrausSet, gram, remix, symmetric_unitary_first_col
 from .errors import HypothesisFailure
-from .matcore import RANK_TOL, RESIDUAL_TOL, as_complex, dag, is_hermitian, rank_mask, spectral_norm
+from .matcore import (RANK_TOL, RESIDUAL_TOL, as_complex, dag, frobenius_norm, is_hermitian,
+                      rank_mask, spectral_norm)
 from .stinespring import SubproductSystem, check_Q_compatibility
 
 NORMALIZATIONS = ("raw", "trace_balanced", "first_entry")
@@ -71,8 +72,14 @@ class CorrelationData:
         return self.Q.shape[0]
 
     def is_diagonal(self, tol: float = 1e-10) -> bool:
+        """||off||_2 <= tol max(1, ||Q||_2), for off the off-diagonal part of Q.
+
+        ||off||_2 <= ||off||_F and max |Q_ii| <= ||Q||_2, so an off within
+        tol max(1, max |Q_ii|) in Frobenius norm passes without an SVD.
+        """
         off = self.Q - np.diag(np.diag(self.Q))
-        return spectral_norm(off) <= tol * max(1.0, spectral_norm(self.Q))
+        return (frobenius_norm(off) <= tol * max(1.0, np.abs(np.diag(self.Q)).max())
+                or spectral_norm(off) <= tol * max(1.0, spectral_norm(self.Q)))
 
     def attach_levels(self, S: SubproductSystem):
         """Record the compatibility residual of every built level, for the report."""
@@ -207,30 +214,40 @@ def trace_qm(Qd: CorrelationData, S: SubproductSystem, m: int) -> float:
     return float(np.trace(S.weighted(Qd.Q, m).H).real)
 
 
-ROW_BLOCK = 1 << 20  # entries of V E V* formed at once by _max_entry
+ROW_BLOCK = 1 << 20  # entries of V Es V* formed at once by _max_entries, over the whole stack
 
 
-def _max_entry(V: np.ndarray, E: np.ndarray) -> float:
-    """max |V E V*| over the word pairs of a level, for an r x r E in level coordinates.
+def _max_entries(V: np.ndarray, Es: np.ndarray) -> np.ndarray:
+    """max |V E V*| over the word pairs of a level, for each r x r E of a (k, r, r) stack Es.
 
-    Every word-pair residual of the verdict is read here, in row blocks of
-    at most ROW_BLOCK entries, so no N x N word-pair matrix is held whole
-    once N exceeds 1024.
+    Every word-pair residual of the verdict is read here, from one product
+    V[rows] Es V* per block of rows.  A block forms at most ROW_BLOCK
+    entries over the whole stack (or two rows, when even those exceed it),
+    so no N x N word-pair matrix is held whole once k N^2 exceeds ROW_BLOCK.
+    A one-row tail is read with the row before it: numpy takes a one-row
+    product through gemv, whose rounding differs from gemm's, so this keeps
+    each maximum the same bits whatever is stacked with its E.
     """
-    Vh = dag(V)
-    rows = max(1, ROW_BLOCK // len(V))
-    return float(max(np.max(np.abs(V[i:i + rows] @ E @ Vh)) for i in range(0, len(V), rows)))
+    N, Vh = len(V), dag(V)
+    rows = max(2, ROW_BLOCK // (len(Es) * N))
+    blocks = (V[min(i, max(N - 2, 0)):i + rows] for i in range(0, N, rows))
+    return functools.reduce(np.maximum, (np.abs(X @ Es @ Vh).max(axis=(1, 2)) for X in blocks))
 
 
-def _phi_residual(G: np.ndarray, rec, ordering: str = "normal") -> float:
-    """Max entry of the word Gram V G V* (G a Gram of B) minus Q_m or p_m, over Tr(Q_m).
+def _phi_deviation(G: np.ndarray, rec, ordering: str = "normal") -> np.ndarray:
+    """The E of the word Gram V G V* (G a Gram of B) minus Q_m or p_m, over Tr(Q_m).
 
     Q_m is read as p_m Q^(x)m p_m = V H V*, which moves each entry by at
     most compat / Tr(Q_m) on the levels the checks accept.
     """
     tr = float(np.trace(rec.H).real)
     X = rec.H if ordering == "normal" else np.eye(len(rec.H))
-    return _max_entry(rec.V, G - X / tr)
+    return G - X / tr
+
+
+def _phi_residual(G: np.ndarray, rec, ordering: str = "normal") -> float:
+    """Max entry of the word Gram V G V* minus Q_m or p_m, over Tr(Q_m), read by _max_entries."""
+    return float(_max_entries(rec.V, _phi_deviation(G, rec, ordering)[np.newaxis])[0])
 
 
 def _phi_normal(rec, g) -> float:
@@ -241,20 +258,28 @@ def _phi_normal(rec, g) -> float:
     return res
 
 
+def _kms_deviation(rec, g) -> np.ndarray:
+    """The E of one level's KMS deviation: with Qinv = V U diag(1/w) U* V*, the antinormal word
+    Gram V g.antinormal V* minus Qinv times the normal-ordered V g.normal V* is V E V*."""
+    return g.antinormal - rec.U @ (dag(rec.U) @ g.normal / rec.w[:, np.newaxis])
+
+
+def _kms_hypothesis(rec, norm_res: float, tol: float) -> str | None:
+    """The message of the HypothesisFailure that stops KMS at rec's level, if norm_res > tol."""
+    if norm_res > tol:
+        return f"normal-ordered correlations fail at level {rec.level.m} (residual {norm_res:.3g})"
+    return None
+
+
 def _kms_level(rec, g, tol: float) -> float:
-    """The KMS residual of one level m, from its Weighted record rec and state Grams g.
+    """The KMS residual of one level, max |V E V*| for its _kms_deviation E.
 
     Raises HypothesisFailure when the normal-ordered residual exceeds tol.
-    lhs = V g.antinormal V* and Qinv = V U diag(1/w) U* V*, so lhs minus
-    Qinv times the normal-ordered word Gram V g.normal V* is V D V*.
     """
-    norm_res = _phi_normal(rec, g)
-    if norm_res > tol:
-        raise HypothesisFailure(
-            f"normal-ordered correlations fail at level {rec.level.m} (residual {norm_res:.3g})"
-        )
-    D = g.antinormal - rec.U @ (dag(rec.U) @ g.normal / rec.w[:, np.newaxis])
-    return _max_entry(rec.V, D)
+    failure = _kms_hypothesis(rec, _phi_normal(rec, g), tol)
+    if failure is not None:
+        raise HypothesisFailure(failure)
+    return float(_max_entries(rec.V, _kms_deviation(rec, g)[np.newaxis])[0])
 
 
 def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSystem,

@@ -24,9 +24,10 @@ from .channel import (
 # verdict stands for.
 from .equilibrium import (
     CorrelationData,
-    _kms_level,
-    _phi_normal,
-    _phi_residual,
+    _kms_deviation,
+    _kms_hypothesis,
+    _max_entries,
+    _phi_deviation,
     check_phi_symmetric,
     check_state,
     kms_condition_residual,
@@ -44,7 +45,7 @@ from .matcore import (
     rank_mask,
 )
 from .report import AnalysisReport, CheckRecord
-from .stinespring import SubproductSystem, build_subproduct, first_level
+from .stinespring import SubproductSystem, build_subproduct
 
 
 def _sphere_defect(B: np.ndarray, rec):
@@ -206,10 +207,13 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
     preserve it, and that message stands for the level's three records
     and, unless a lower level stopped it, for KMS) and its state Grams,
     and records q_compatibility, both phi_symmetric orderings and
-    q_sphere from the kernels the public checks use, so every record
-    equals what the public check returns or raises at that level.  The
-    pass carries the running KMS maximum over the levels, stopped by the
-    first hypothesis failure; its record follows the last level.  The
+    q_sphere from the kernels the public checks use: the r x r E of each
+    word-pair residual (both phi orderings and, while KMS runs, its
+    level term) are stacked and read in one _max_entries call, which the
+    public checks make with one E each, so every record equals what the
+    public check returns or raises at that level.  The pass carries the
+    running KMS maximum over the levels, stopped by the first hypothesis
+    failure; its record follows the last level.  The
     verdict is true iff every residual is below tol and no hypothesis
     fails; a false verdict names the sphere condition whenever that stage
     is implicated.
@@ -225,7 +229,7 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
     if K.unital_residual >= tol:
         raise ValueError("detailed balance verdict requires a channel")
     # Q is formed for the orthogonalized set, so the levels must keep all of it
-    rank = first_level(K, rank_tol).rank
+    rank = int(rank_mask(np.linalg.svd(K.ops.reshape(K.n, -1), compute_uv=False), rank_tol).sum())
     if rank < K.n:
         raise ValueError(f"rank_tol={rank_tol:g} leaves {rank} of the {K.n} Kraus operators "
                          f"linearly independent; the verdict needs an independent set")
@@ -248,16 +252,18 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
             kms_failure = kms_failure or str(exc)
             continue
         g = S.grams(m, rho0)
+        Es = [_phi_deviation(g.normal, rec), _phi_deviation(g.antinormal, rec, "antinormal")]
+        if kms_failure is None:
+            Es.append(_kms_deviation(rec, g))
+        normal, antinormal, *kms_level = _max_entries(rec.V, np.array(Es))
         sphere = np.abs(_sphere_defect(S.level(m).B, rec)[0])
-        checks += [_check_record("phi_symmetric_normal", m, tol, _phi_normal(rec, g)),
-                   _check_record("phi_symmetric_antinormal", m, tol,
-                                 _phi_residual(g.antinormal, rec, "antinormal")),
+        checks += [_check_record("phi_symmetric_normal", m, tol, normal),
+                   _check_record("phi_symmetric_antinormal", m, tol, antinormal),
                    _check_record("q_sphere", m, tol, sphere.max(), int(np.sum(sphere > tol)))]
         if kms_failure is None:
-            try:
-                kms = max(kms, _kms_level(rec, g, tol))
-            except HypothesisFailure as exc:
-                kms_failure = str(exc)
+            kms_failure = _kms_hypothesis(rec, normal, tol)
+            if kms_failure is None:
+                kms = max(kms, kms_level[0])
     checks.append(_check_record("kms_condition", M, tol, kms_failure or kms))
 
     verdict = all(c.passed for c in checks)

@@ -50,9 +50,9 @@ cuts dropped only round-off, A_m = V_m B_m, so every word Gram is
 V_m (a Gram of B_m) V_m*, and the two Grams of B_m with a state are built
 once per level and state (SubproductSystem.grams).  On a level that
 Q^(x)m preserves, Q_m = V_m H_m V_m*, so every word-pair residual is
-max |V_m E V_m*| for an r x r E, read in row blocks
-(equilibrium._max_entry); V_m is the only word-space array a check
-expands.  A single row of V_m or Q^(x)m V_m, and the boundary defect of
+max |V_m E V_m*| for an r x r E, read in row blocks for a stack of E's
+at once (equilibrium._max_entries); V_m is the only word-space array a
+check expands.  A single row of V_m or Q^(x)m V_m, and the boundary defect of
 e_1^(x)m, are read through the train (Level.row, Level.boundary_defect),
 with no word-space row.
 """
@@ -223,8 +223,8 @@ class StateGrams:
     antinormal Tr(rho K_a K_b*).  phi_normal maps each Weighted record of
     the level to the normal-ordered residual max |V_m (normal - H/Tr H) V_m*|
     against its Q_m, filled by the first reader that computes it
-    (equilibrium._phi_normal, shared by check_phi_symmetric, the KMS
-    check and the verdict).
+    (equilibrium._phi_normal, shared by check_phi_symmetric and the KMS
+    check; the verdict reads it in its level's stacked call instead).
     """
 
     normal: np.ndarray  # gram(B_m rho, B_m)

@@ -122,3 +122,37 @@ def test_kraus_residuals_are_formed_on_first_read():
     assert "unital_residual" not in vars(Kp) and "cotrace_residual" not in vars(Kp)
     assert Kp.unital_residual < 1e-12
     assert "unital_residual" in vars(Kp) and "cotrace_residual" not in vars(Kp)
+
+
+# (list input, array input) that KrausSet must refuse with the same message.  An
+# (n, d, d) array cannot mix shapes, so that case pairs the list with an (n, d)
+# array, whose operators are its 1-d rows.
+REFUSED = {
+    "empty": ([], np.zeros((0, 2, 2))),
+    "non-square": ([np.ones((2, 3))] * 2, np.ones((2, 2, 3))),
+    "mixed shapes": ([np.eye(2), np.eye(3)], np.ones((2, 2))),
+    "zero operator": ([np.eye(2), np.zeros((2, 2))], np.array([np.eye(2), np.zeros((2, 2))])),
+    "nan": ([np.eye(2), np.full((2, 2), np.nan)], np.array([np.eye(2), np.full((2, 2), np.nan)])),
+    "inf": ([np.full((2, 2), np.inf)], np.full((1, 2, 2), np.inf)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_array_and_list_input_are_refused_with_the_same_message(case):
+    as_list, as_array = REFUSED[case]
+    with pytest.raises(ValueError) as from_list:
+        KrausSet(as_list)
+    with pytest.raises(ValueError) as from_array:
+        KrausSet(as_array)
+    assert str(from_array.value) == str(from_list.value)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_array_input_is_copied_once_into_a_read_only_stack(dtype):
+    A = random_channel(2, 3, 4).ops.real.astype(dtype)
+    K = KrausSet(A)
+    np.testing.assert_array_equal(K.ops, KrausSet(list(A)).ops)
+    assert K.ops.dtype == complex and not K.ops.flags.writeable
+    assert not np.shares_memory(K.ops, A)
+    A[0, 0, 0] += 1.0  # the caller's array stays writable and the set does not see it
+    assert K.ops[0, 0, 0] != A[0, 0, 0]

@@ -292,10 +292,19 @@ POOL = {
     "haar-d3-n2-rank_tol-0.4": lambda: (random_channel(3, 2, 2), _haar_state(3, 2), 3, 0.4),
     "mixed-d2-n2-rank_tol-0.4": lambda: (random_channel(2, 2, 100), np.eye(2) / 2, 3, 0.4),
 }
+# cases run with equilibrium.ROW_BLOCK cut to a few rows, so that the verdict (a level's
+# E's stacked) and the public checks (one E each) read their word pairs in different
+# row blocks, with one-row tails: 600 entries give the stacked 64-word level of
+# commuting_db blocks of 3 rows and a single check blocks of 9, and 30 give the
+# 9-word level of the Haar case blocks of 2 and 3
+ROW_BLOCKS = {"commuting_db-M6-row_block-600": 600, "haar-d3-n3-row_block-30": 30}
+POOL["commuting_db-M6-row_block-600"] = POOL["commuting_db-M6"]
+POOL["haar-d3-n3-row_block-30"] = POOL["haar-d3-n3"]
 
 
 @pytest.mark.parametrize("case", sorted(POOL))
-def test_standalone_checks_equal_the_verdict_records(case):
+def test_standalone_checks_equal_the_verdict_records(case, monkeypatch):
+    monkeypatch.setattr(equilibrium, "ROW_BLOCK", ROW_BLOCKS.get(case, equilibrium.ROW_BLOCK))
     K, rho0, M, rank_tol = POOL[case]()
     rep = detailed_balance_verdict(K, rho0, M, rank_tol=rank_tol)
     names = {c.name for c in rep.checks}
