@@ -69,9 +69,10 @@ class KrausSet:
             ops = [as_complex(K) for K in ops]
         if len(ops) == 0:
             raise ValueError("need at least one Kraus operator")
-        d = ops[0].shape[0]
-        if any(K.shape != (d, d) for K in ops):
+        shape = ops[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(K.shape != shape for K in ops):
             raise ValueError("Kraus operators must share a square shape")
+        d = shape[0]
         A = np.asarray(ops)
         if _is_zero(A).any():
             raise ValueError("zero Kraus operator rejected")

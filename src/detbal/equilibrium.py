@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import KrausSet, gram, remix, symmetric_unitary_first_col
+from .channel import KrausSet, gram, remix, require_word_length, symmetric_unitary_first_col
 from .errors import HypothesisFailure
 from .matcore import (RANK_TOL, RESIDUAL_TOL, as_complex, dag, frobenius_norm, is_hermitian,
                       rank_mask, spectral_norm)
@@ -220,66 +220,44 @@ ROW_BLOCK = 1 << 20  # entries of V Es V* formed at once by _max_entries, over t
 def _max_entries(V: np.ndarray, Es: np.ndarray) -> np.ndarray:
     """max |V E V*| over the word pairs of a level, for each r x r E of a (k, r, r) stack Es.
 
-    Every word-pair residual of the verdict is read here, from one product
-    V[rows] Es V* per block of rows.  A block forms at most ROW_BLOCK
-    entries over the whole stack (or two rows, when even those exceed it),
-    so no N x N word-pair matrix is held whole once k N^2 exceeds ROW_BLOCK.
-    A one-row tail is read with the row before it: numpy takes a one-row
-    product through gemv, whose rounding differs from gemm's, so this keeps
-    each maximum the same bits whatever is stacked with its E.
+    Every word-pair residual is read here, from one product V[rows] Es V*
+    per block of rows.  A block forms at most ROW_BLOCK entries over the
+    whole stack (or one row, when even that exceeds it), so no N x N
+    word-pair matrix is held whole once k N^2 exceeds ROW_BLOCK.
     """
     N, Vh = len(V), dag(V)
-    rows = max(2, ROW_BLOCK // (len(Es) * N))
-    blocks = (V[min(i, max(N - 2, 0)):i + rows] for i in range(0, N, rows))
+    rows = max(1, ROW_BLOCK // (len(Es) * N))
+    blocks = (V[i:i + rows] for i in range(0, N, rows))
     return functools.reduce(np.maximum, (np.abs(X @ Es @ Vh).max(axis=(1, 2)) for X in blocks))
 
 
-def _phi_deviation(G: np.ndarray, rec, ordering: str = "normal") -> np.ndarray:
-    """The E of the word Gram V G V* (G a Gram of B) minus Q_m or p_m, over Tr(Q_m).
+def _level_residuals(S: SubproductSystem, Q: np.ndarray, m: int, rho0: np.ndarray,
+                     tol: float) -> np.ndarray:
+    """The normal phi, antinormal phi and KMS maxima of level m, from one _max_entries call.
 
-    Q_m is read as p_m Q^(x)m p_m = V H V*, which moves each entry by at
-    most compat / Tr(Q_m) on the levels the checks accept.
+    With the level's Grams G_n = gram(B_m rho0, B_m) and G_a =
+    gram(rho0 B_m, B_m) (while the cuts dropped only round-off,
+    V_m G V_m* is the word Gram Tr(K_a rho0 K_b*), resp. Tr(rho0 K_a K_b*))
+    and Q_m read as p_m Q^(x)m p_m = V H V* = (V U) diag(w) (V U)*, the
+    three residuals are max |V E V*| for E = G_n - H/Tr H, G_a - 1/Tr H
+    and G_a - U diag(1/w) U* G_n.  Reading Q_m as p_m Q^(x)m p_m moves
+    each phi entry by at most compat / Tr(Q_m) on the levels accepted:
+    S.weighted raises HypothesisFailure when compat exceeds tol.
     """
+    rec = S.weighted(Q, m, tol)
+    B = rec.level.B
+    G_n, G_a = gram(B @ rho0, B), gram(rho0 @ B, B)
     tr = float(np.trace(rec.H).real)
-    X = rec.H if ordering == "normal" else np.eye(len(rec.H))
-    return G - X / tr
+    Es = np.array([G_n - rec.H / tr, G_a - np.eye(len(G_a)) / tr,
+                   G_a - rec.U @ (dag(rec.U) @ G_n / rec.w[:, np.newaxis])])
+    return _max_entries(rec.V, Es)
 
 
-def _phi_residual(G: np.ndarray, rec, ordering: str = "normal") -> float:
-    """Max entry of the word Gram V G V* minus Q_m or p_m, over Tr(Q_m), read by _max_entries."""
-    return float(_max_entries(rec.V, _phi_deviation(G, rec, ordering)[np.newaxis])[0])
-
-
-def _phi_normal(rec, g) -> float:
-    """The normal-ordered residual of the state Grams g against rec's Q_m, formed once per pair."""
-    res = g.phi_normal.get(rec)
-    if res is None:
-        res = g.phi_normal[rec] = _phi_residual(g.normal, rec)
-    return res
-
-
-def _kms_deviation(rec, g) -> np.ndarray:
-    """The E of one level's KMS deviation: with Qinv = V U diag(1/w) U* V*, the antinormal word
-    Gram V g.antinormal V* minus Qinv times the normal-ordered V g.normal V* is V E V*."""
-    return g.antinormal - rec.U @ (dag(rec.U) @ g.normal / rec.w[:, np.newaxis])
-
-
-def _kms_hypothesis(rec, norm_res: float, tol: float) -> str | None:
-    """The message of the HypothesisFailure that stops KMS at rec's level, if norm_res > tol."""
+def _kms_hypothesis(m: int, norm_res: float, tol: float) -> str | None:
+    """The message of the HypothesisFailure that stops KMS at level m, if norm_res > tol."""
     if norm_res > tol:
-        return f"normal-ordered correlations fail at level {rec.level.m} (residual {norm_res:.3g})"
+        return f"normal-ordered correlations fail at level {m} (residual {norm_res:.3g})"
     return None
-
-
-def _kms_level(rec, g, tol: float) -> float:
-    """The KMS residual of one level, max |V E V*| for its _kms_deviation E.
-
-    Raises HypothesisFailure when the normal-ordered residual exceeds tol.
-    """
-    failure = _kms_hypothesis(rec, _phi_normal(rec, g), tol)
-    if failure is not None:
-        raise HypothesisFailure(failure)
-    return float(_max_entries(rec.V, _kms_deviation(rec, g)[np.newaxis])[0])
 
 
 def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSystem,
@@ -291,24 +269,21 @@ def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSys
     antinormal compares Tr(rho0 K_j K_k*) against p_m[j,k]/Tr(Q_m), over
     all pairs of length-m words.  Raises HypothesisFailure when Q^(x)m
     does not preserve the level subspace, and ValueError when S was not
-    built from K.  The words are read as A_m = V_m B_m, which holds while
-    every rank cut at levels <= m dropped only round-off; when S's
-    rank_tol makes a cut drop more, this is the residual of the projected
-    words p_m A_m (q_sphere_residual stays exact at any rank_tol).  Both
-    orderings read the level's Grams of rho0 from S (SubproductSystem.grams),
-    formed once per level and state and shared with kms_condition_residual,
-    which also reads the normal-ordered residual stored here.
+    built from K or m is not an integer.  The words are read as
+    A_m = V_m B_m, which holds while every rank cut at levels <= m
+    dropped only round-off; when S's rank_tol makes a cut drop more, this
+    is the residual of the projected words p_m A_m (q_sphere_residual
+    stays exact at any rank_tol).  Both orderings are read from the
+    level's residuals (_level_residuals), the same call the verdict makes
+    once per level, so a verdict record equals this check's value.
     """
     rho0 = check_state(rho0)
     require_state_size(K, rho0)
     if ordering not in ("normal", "antinormal"):
         raise ValueError("ordering must be 'normal' or 'antinormal'")
+    m = require_word_length(m, "m")
     S.stack(K, m)  # refuses a K the system was not built from
-    rec = S.weighted(Qd.Q, m, tol)
-    g = S.grams(m, rho0)
-    if ordering == "normal":
-        return _phi_normal(rec, g)
-    return _phi_residual(g.antinormal, rec, ordering)
+    return float(_level_residuals(S, Qd.Q, m, rho0, tol)[0 if ordering == "normal" else 1])
 
 
 def modular_flow(Qd: CorrelationData, S: SubproductSystem, word, t,
@@ -360,17 +335,25 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
     flow continuation expanded through the level data.  At each level
     Q^(x)m must preserve the level and the normal-ordered Gram must
     match Q_m; it then gives the right side, Qinv times it, and the
-    antinormal Gram the left.  The Grams and the normal-ordered residual
-    are those check_phi_symmetric reads, formed once per level and state
-    (SubproductSystem.grams).  Raises ValueError when S was not built
-    from K.  Like check_phi_symmetric, it reads the words as
-    A_m = V_m B_m: when S's rank_tol makes a cut drop more than
-    round-off, this is the residual of the projected words p_m A_m.
+    antinormal Gram the left.  Each level is read by _level_residuals,
+    the call check_phi_symmetric and the verdict make, so the
+    normal-ordered residual it tests is check_phi_symmetric's.  m must be
+    an integer >= 1.  Raises ValueError when S was not built from K.
+    Like check_phi_symmetric, it reads the words as A_m = V_m B_m: when
+    S's rank_tol makes a cut drop more than round-off, this is the
+    residual of the projected words p_m A_m.
     """
     rho0 = check_state(rho0)
     require_state_size(K, rho0)
+    m = require_word_length(m, "m")
+    if m < 1:
+        raise ValueError(f"word length m must be at least 1 (got m={m})")
     mx = 0.0
     for mp in range(1, m + 1):
         S.stack(K, mp)  # refuses a K the system was not built from
-        mx = max(mx, _kms_level(S.weighted(Qd.Q, mp, tol), S.grams(mp, rho0), tol))
+        normal, _, kms = _level_residuals(S, Qd.Q, mp, rho0, tol)
+        failure = _kms_hypothesis(mp, normal, tol)
+        if failure is not None:
+            raise HypothesisFailure(failure)
+        mx = max(mx, float(kms))
     return mx

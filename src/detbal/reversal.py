@@ -18,16 +18,14 @@ from .channel import (
     require_word_budget,
     require_word_length,
 )
-# The verdict's level pass shares the kernels of check_phi_symmetric,
-# q_sphere_residual and kms_condition_residual instead of calling them; all
-# three stay bound in this module, where tracing code looks up the checks a
-# verdict stands for.
+# The verdict's level pass reads _level_residuals instead of calling
+# check_phi_symmetric, q_sphere_residual and kms_condition_residual; all three
+# stay bound in this module, where tracing code looks up the checks a verdict
+# stands for.
 from .equilibrium import (
     CorrelationData,
-    _kms_deviation,
     _kms_hypothesis,
-    _max_entries,
-    _phi_deviation,
+    _level_residuals,
     check_phi_symmetric,
     check_state,
     kms_condition_residual,
@@ -70,8 +68,9 @@ def q_sphere_residual(K: KrausSet, Qd: CorrelationData, S: SubproductSystem,
     from the level's B_m.  Returns the norm and, from the same eigh, the
     projector onto the defect eigenspace, which localizes boundary
     effects of truncated representations.  Raises ValueError when S was
-    not built from K.
+    not built from K or m is not an integer.
     """
+    m = require_word_length(m, "m")
     B = S.stack(K, m)
     wR, U = _sphere_defect(B, S.weighted(Qd.Q, m, tol))
     Uk = U[:, np.abs(wR) > tol]
@@ -203,20 +202,16 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
     runs the compatibility, symmetric-correlation, sphere and KMS checks
     at every level with the trace-balanced Q.  The inputs are validated
     once, here; the checks then run as one pass over the levels.  Each
-    level reads its Weighted record (raising once when Q^(x)m does not
-    preserve it, and that message stands for the level's three records
-    and, unless a lower level stopped it, for KMS) and its state Grams,
-    and records q_compatibility, both phi_symmetric orderings and
-    q_sphere from the kernels the public checks use: the r x r E of each
-    word-pair residual (both phi orderings and, while KMS runs, its
-    level term) are stacked and read in one _max_entries call, which the
-    public checks make with one E each, so every record equals what the
-    public check returns or raises at that level.  The pass carries the
+    level makes one _level_residuals call, the call the public phi and
+    KMS checks make, and reads its sphere defect as q_sphere_residual
+    does, so every record equals what the public check returns or raises
+    at that level.  A level that Q^(x)m does not preserve raises there
+    once, and that message stands for the level's three records and,
+    unless a lower level stopped it, for KMS.  The pass carries the
     running KMS maximum over the levels, stopped by the first hypothesis
-    failure; its record follows the last level.  The
-    verdict is true iff every residual is below tol and no hypothesis
-    fails; a false verdict names the sphere condition whenever that stage
-    is implicated.
+    failure; its record follows the last level.  The verdict is true iff
+    every residual is below tol and no hypothesis fails; a false verdict
+    names the sphere condition whenever that stage is implicated.
     """
     M = require_word_length(M, "M")
     if M < 1:
@@ -245,25 +240,19 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
     for m in range(1, M + 1):
         checks.append(_check_record("q_compatibility", m, tol, Qtb.compat_residuals[m]))
         try:
-            rec = S.weighted(Qtb.Q, m, tol)
+            normal, antinormal, kms_level = _level_residuals(S, Qtb.Q, m, rho0, tol)
         except HypothesisFailure as exc:
             checks += [_check_record(name, m, tol, str(exc)) for name in
                        ("phi_symmetric_normal", "phi_symmetric_antinormal", "q_sphere")]
             kms_failure = kms_failure or str(exc)
             continue
-        g = S.grams(m, rho0)
-        Es = [_phi_deviation(g.normal, rec), _phi_deviation(g.antinormal, rec, "antinormal")]
-        if kms_failure is None:
-            Es.append(_kms_deviation(rec, g))
-        normal, antinormal, *kms_level = _max_entries(rec.V, np.array(Es))
-        sphere = np.abs(_sphere_defect(S.level(m).B, rec)[0])
+        sphere = np.abs(_sphere_defect(S.level(m).B, S.weighted(Qtb.Q, m))[0])
         checks += [_check_record("phi_symmetric_normal", m, tol, normal),
                    _check_record("phi_symmetric_antinormal", m, tol, antinormal),
                    _check_record("q_sphere", m, tol, sphere.max(), int(np.sum(sphere > tol)))]
+        kms_failure = kms_failure or _kms_hypothesis(m, normal, tol)
         if kms_failure is None:
-            kms_failure = _kms_hypothesis(rec, normal, tol)
-            if kms_failure is None:
-                kms = max(kms, kms_level[0])
+            kms = max(kms, kms_level)
     checks.append(_check_record("kms_condition", M, tol, kms_failure or kms))
 
     verdict = all(c.passed for c in checks)
@@ -308,6 +297,8 @@ class ClassicalChain:
 
     def __init__(self, M, pi=None, tol: float = 1e-9):
         M = np.asarray(M, dtype=float)
+        if not np.isfinite(M).all():
+            raise ValueError("transition matrix entries must be finite")
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("transition matrix must be square")
         if np.any(M < -tol):
@@ -320,6 +311,8 @@ class ClassicalChain:
             pi = np.real(v[:, idx])
             pi = pi / pi.sum()
         pi = np.asarray(pi, dtype=float)
+        if not np.isfinite(pi).all():
+            raise ValueError("stationary vector entries must be finite")
         if np.any(pi <= 0):
             raise ValueError("stationary vector must be entrywise positive")
         if abs(pi.sum() - 1.0) > tol:

@@ -47,12 +47,11 @@ values for Q and Q*.  Every (x) is two mode products on T_m's
 read-only, so the checks of one verdict share it.  The checks read the
 words of a level through B_m alone (SubproductSystem.stack): while the
 cuts dropped only round-off, A_m = V_m B_m, so every word Gram is
-V_m (a Gram of B_m) V_m*, and the two Grams of B_m with a state are built
-once per level and state (SubproductSystem.grams).  On a level that
-Q^(x)m preserves, Q_m = V_m H_m V_m*, so every word-pair residual is
-max |V_m E V_m*| for an r x r E, read in row blocks for a stack of E's
-at once (equilibrium._max_entries); V_m is the only word-space array a
-check expands.  A single row of V_m or Q^(x)m V_m, and the boundary defect of
+V_m (a Gram of B_m) V_m*.  On a level that Q^(x)m preserves,
+Q_m = V_m H_m V_m*, so every word-pair residual is max |V_m E V_m*| for
+an r x r E, read in row blocks for a stack of E's at once
+(equilibrium._max_entries); V_m is the only word-space array a check
+expands.  A single row of V_m or Q^(x)m V_m, and the boundary defect of
 e_1^(x)m, are read through the train (Level.row, Level.boundary_defect),
 with no word-space row.
 """
@@ -66,7 +65,6 @@ import numpy as np
 from .channel import (
     KrausSet,
     apply,
-    gram,
     minimal_kraus,
     require_word_budget,
     require_word_length,
@@ -214,24 +212,6 @@ class Weighted:
         return self._eig[1]
 
 
-@dataclass(frozen=True, eq=False)
-class StateGrams:
-    """The level-m Grams of a state rho (SubproductSystem.grams), read-only.
-
-    While the cuts dropped only round-off, V_m normal V_m* is the
-    normal-ordered word Gram Tr(K_a rho K_b*) and V_m antinormal V_m* the
-    antinormal Tr(rho K_a K_b*).  phi_normal maps each Weighted record of
-    the level to the normal-ordered residual max |V_m (normal - H/Tr H) V_m*|
-    against its Q_m, filled by the first reader that computes it
-    (equilibrium._phi_normal, shared by check_phi_symmetric and the KMS
-    check; the verdict reads it in its level's stacked call instead).
-    """
-
-    normal: np.ndarray  # gram(B_m rho, B_m)
-    antinormal: np.ndarray  # gram(rho B_m, B_m)
-    phi_normal: dict = field(default_factory=dict, repr=False)  # Weighted -> residual
-
-
 def _weigh(H: np.ndarray, G: np.ndarray, F: np.ndarray, T: np.ndarray):
     """(H_m, G_m) from (H_{m-1}, G_{m-1}), the letter factor F and T_m (module docstring).
 
@@ -257,8 +237,7 @@ class SubproductSystem:
 
     The system memoizes one Weighted record per level and weight Q,
     keyed by Q's dtype, shape and bytes, so a different Q never reads a
-    stale entry.  A second memo holds one StateGrams per level and state,
-    keyed the same way by the state.  Both live as long as the system.
+    stale entry.  The memo lives as long as the system.
     """
 
     n: int
@@ -267,7 +246,6 @@ class SubproductSystem:
     ops: np.ndarray  # the read-only Kraus array the levels were built from
     levels: dict = field(default_factory=dict)  # m -> Level
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def level(self, m: int) -> Level:
         if m not in self.levels:
@@ -279,20 +257,6 @@ class SubproductSystem:
         if K.ops is not self.ops and not np.array_equal(K.ops, self.ops):
             raise ValueError("K is not the Kraus set the subproduct system was built from")
         return self.level(m).B
-
-    def grams(self, m: int, rho: np.ndarray) -> StateGrams:
-        """The level-m Grams of a checked d x d state rho, built once per level and state.
-
-        Keyed by rho's dtype, shape and bytes, so another state, or rho
-        written in place, never reads a stale entry.
-        """
-        key = (m, rho.dtype.str, rho.shape, rho.tobytes())
-        g = self._grams.get(key)
-        if g is None:
-            B = self.level(m).B
-            g = self._grams[key] = StateGrams(read_only(gram(B @ rho, B)),
-                                              read_only(gram(rho @ B, B)))
-        return g
 
     def weighted(self, Q, m: int, tol: float | None = None) -> Weighted:
         """The level-m record of the weight Q, built once per Q and read-only.
@@ -411,8 +375,9 @@ def verify_power_dilation(K: KrausSet, S: SubproductSystem, m: int, A: np.ndarra
     the reference vector e_1^{(x)m} to lie in the level-m subspace;
     otherwise a HypothesisFailure is raised (the first-column reading of
     the blocks is not available).  The Gram whitening of D_m cuts its
-    eigenvalues at the system's rank_tol.
+    eigenvalues at the system's rank_tol.  m must be an integer.
     """
+    m = require_word_length(m, "m")
     A = as_complex(A)
     defect = S.level(m).boundary_defect()
     if defect > tol:

@@ -332,6 +332,14 @@ def test_classical_reversible_chain_exits_zero(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_classical_non_finite_spec_exits_two(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    dump_payload(classical_spec_dict(np.full((2, 2), 0.5), [np.nan, np.nan]), str(path))
+    assert main(["classical", str(path), "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "stationary vector entries must be finite" in err
+
+
 def test_gen_example_all_names(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name in ("measurement", "gad", "commuting_db", "suq2", "classical"):

@@ -18,8 +18,8 @@ from detbal.equilibrium import (
 from detbal.errors import HypothesisFailure
 from detbal.factories import commuting_db_kraus, gad_kraus
 from detbal.matcore import dag, spectral_norm
-from detbal.reversal import detailed_balance_verdict
-from detbal.stinespring import build_subproduct
+from detbal.reversal import detailed_balance_verdict, q_sphere_residual
+from detbal.stinespring import build_subproduct, verify_power_dilation
 from detbal.channel import channel_distance
 import loop_oracle as oracle
 from conftest import random_channel
@@ -335,6 +335,33 @@ def test_kms_condition_gad_level_one():
     assert abs(res - 0.707784707521) < 1e-9
     with pytest.raises(HypothesisFailure):
         kms_condition_residual(Kp, GAD_RHO, Qtb, S, 2)
+
+
+def _commuting_db_levels():
+    Kp, Qraw, _ = orthogonalize_kraus(commuting_db_kraus(np.pi / 6), MIXED2)
+    return Kp, Qraw.with_normalization("trace_balanced"), build_subproduct(Kp, 2)
+
+
+@pytest.mark.parametrize("m", [True, 2.0, "1"])
+def test_level_checks_refuse_a_non_integer_m(m):
+    Kp, Qtb, S = _commuting_db_levels()
+    checks = (lambda: check_phi_symmetric(Kp, MIXED2, Qtb, S, m),
+              lambda: q_sphere_residual(Kp, Qtb, S, m),
+              lambda: kms_condition_residual(Kp, MIXED2, Qtb, S, m),
+              lambda: verify_power_dilation(Kp, S, m, np.eye(2)))
+    for check in checks:
+        with pytest.raises(ValueError, match="m must be an integer"):
+            check()
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_kms_refuses_a_level_below_one(m):
+    Kp, Qtb, S = _commuting_db_levels()
+    with pytest.raises(ValueError, match="at least 1"):
+        kms_condition_residual(Kp, MIXED2, Qtb, S, m)
+    # level 0, the empty word, stays valid for phi and the sphere condition
+    assert check_phi_symmetric(Kp, MIXED2, Qtb, S, 0) < 1e-12
+    assert q_sphere_residual(Kp, Qtb, S, 0)[0] < 1e-12
 
 
 def test_with_normalization_round_trip():

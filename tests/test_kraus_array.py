@@ -134,6 +134,7 @@ REFUSED = {
     "zero operator": ([np.eye(2), np.zeros((2, 2))], np.array([np.eye(2), np.zeros((2, 2))])),
     "nan": ([np.eye(2), np.full((2, 2), np.nan)], np.array([np.eye(2), np.full((2, 2), np.nan)])),
     "inf": ([np.full((2, 2), np.inf)], np.full((1, 2, 2), np.inf)),
+    "scalars": ([1, 2], np.ones(3)),
 }
 
 

@@ -9,13 +9,14 @@ and forms the Q_m eigenpair only on levels Q^(x)m preserves, that every
 verdict record equals what its public check, called on fresh objects,
 returns or raises at its level, and that a verdict leaves no reference
 cycle behind.
-The Grams of a level and a state (``SubproductSystem.grams``) are
-formed once, in a memo of their own: a true verdict forms one pair per
-level, and a system checked with one state and then another returns
-what fresh systems return.  They also pin that no public check calls another: a true verdict calls
-check_state 3 times at any depth and runs its checks once, and that neither
-``kms_condition_residual`` nor ``orthogonalize_kraus`` goes through
-``check_phi_symmetric`` or ``correlation_matrix``.
+Each level's Grams of a state are formed in the one call that reads a
+level's phi and KMS residuals: a true verdict forms one pair per level,
+and a system checked with one state and then another returns what fresh
+systems return.  They also pin that no public check calls another: a
+true verdict calls check_state 3 times at any depth and runs its checks
+once, and that neither ``kms_condition_residual`` nor
+``orthogonalize_kraus`` goes through ``check_phi_symmetric`` or
+``correlation_matrix``.
 """
 import gc
 
@@ -195,7 +196,6 @@ def test_a_system_checked_with_two_states_reads_no_stale_gram(case):
     rho[:] = rho1  # the same array, written in place
     assert _state_residuals(Kp, rho, Qtb, S, M) == fresh[1]
     assert _state_residuals(Kp, rho0, Qtb, S, M) == fresh[0]
-    assert len(S._grams) == 2 * M
     # another weight on the same levels and state reads its own normal-ordered residual
     Q1 = equilibrium.correlation_matrix(Kp, rho1)
     want = _state_residuals(Kp, rho0, Q1, build_subproduct(Kp, M), M)
@@ -292,11 +292,10 @@ POOL = {
     "haar-d3-n2-rank_tol-0.4": lambda: (random_channel(3, 2, 2), _haar_state(3, 2), 3, 0.4),
     "mixed-d2-n2-rank_tol-0.4": lambda: (random_channel(2, 2, 100), np.eye(2) / 2, 3, 0.4),
 }
-# cases run with equilibrium.ROW_BLOCK cut to a few rows, so that the verdict (a level's
-# E's stacked) and the public checks (one E each) read their word pairs in different
-# row blocks, with one-row tails: 600 entries give the stacked 64-word level of
-# commuting_db blocks of 3 rows and a single check blocks of 9, and 30 give the
-# 9-word level of the Haar case blocks of 2 and 3
+# cases run with equilibrium.ROW_BLOCK cut to a few rows, so that the verdict and the
+# public checks read their word pairs in many row blocks: 600 entries give the 64-word
+# level of commuting_db blocks of 3 rows and a one-row tail, and 30 give the 9-word
+# level of the Haar case blocks of one row
 ROW_BLOCKS = {"commuting_db-M6-row_block-600": 600, "haar-d3-n3-row_block-30": 30}
 POOL["commuting_db-M6-row_block-600"] = POOL["commuting_db-M6"]
 POOL["haar-d3-n3-row_block-30"] = POOL["haar-d3-n3"]

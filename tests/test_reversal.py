@@ -287,6 +287,17 @@ def test_classical_chain_validation():
         ClassicalChain([[0.7, 0.4], [0.3, 0.6]], pi=[0.9, 0.1])  # not stationary
 
 
+@pytest.mark.parametrize("M, pi, what", [
+    ([[0.5, 0.5], [0.5, 0.5]], [np.nan, np.nan], "stationary vector"),
+    ([[np.nan, 0.5], [0.5, 0.5]], [0.5, 0.5], "transition matrix"),
+    ([[0.5, np.inf], [0.5, 0.5]], None, "transition matrix"),
+])
+def test_classical_chain_refuses_non_finite_entries(M, pi, what):
+    # NaN passes every comparison-based check above, so it must be refused by name
+    with pytest.raises(ValueError, match=f"{what} entries must be finite"):
+        ClassicalChain(M, pi)
+
+
 def test_classical_two_state_always_balanced():
     al, be = 0.3, 0.7
     M = np.array([[1 - al, be], [al, 1 - be]])
