@@ -324,6 +324,8 @@ def word_labels(n: int, m: int) -> list:
 
 def require_word_length(m, name: str) -> int:
     """m as an int; a bool, or anything but an integer, raises ValueError naming it."""
+    if type(m) is int:  # the common case, without the slower abstract-class check
+        return m
     if isinstance(m, bool) or not isinstance(m, numbers.Integral):
         raise ValueError(f"{name} must be an integer (got {name}={m!r})")
     return int(m)
@@ -354,9 +356,18 @@ def word_stack(ops, m: int) -> np.ndarray:
     return W
 
 
+def _rows(ops: np.ndarray) -> np.ndarray:
+    """Each operator of a stack flattened to a row; an empty stack gives 0 rows."""
+    return ops.reshape(*ops.shape[:-2], ops.shape[-2] * ops.shape[-1])
+
+
 def gram(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Hilbert-Schmidt pairings G[a, b] = Tr(X_a Y_b*) of two operator stacks."""
-    return X.reshape(len(X), -1) @ Y.reshape(len(Y), -1).conj().T
+    """Hilbert-Schmidt pairings G[..., a, b] = Tr(X_a Y_b*) of two operator stacks.
+
+    Leading axes beyond the stack's own batch the stacks: one Gram per
+    pair of stacks, each formed as it would be formed alone.
+    """
+    return _rows(X) @ dag(_rows(Y))
 
 
 def power_kraus(K: KrausSet, m: int, max_dim: int = MAX_DIM):
@@ -390,8 +401,12 @@ def minimal_kraus(K: KrausSet, rank_tol: float = RANK_TOL) -> KrausSet:
 
 
 def remix(ops: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """The stack whose r-th operator is sum_j conj(U[j, r]) ops_j, as one matmul U* ops."""
-    return (dag(U) @ ops.reshape(len(ops), -1)).reshape(U.shape[1], *ops.shape[1:])
+    """The stack whose r-th operator is sum_j conj(U[j, r]) ops_j, as one matmul U* ops.
+
+    Leading axes of ops and U beyond the stack's own batch the remix.
+    """
+    flat = dag(U) @ _rows(ops)
+    return flat.reshape(*flat.shape[:-1], *ops.shape[-2:])
 
 
 def channel_choi(K: KrausSet) -> np.ndarray:

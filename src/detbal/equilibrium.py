@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import KrausSet, gram, remix, require_word_length, symmetric_unitary_first_col
+from .channel import (KrausSet, _rows, gram, remix, require_word_length,
+                      symmetric_unitary_first_col)
 from .errors import HypothesisFailure
 from .matcore import (RANK_TOL, RESIDUAL_TOL, as_complex, dag, frobenius_norm, is_hermitian,
                       rank_mask, spectral_norm)
-from .stinespring import SubproductSystem, check_Q_compatibility
+from .stinespring import SubproductSystem, _compat_hypothesis, check_Q_compatibility, eigenpairs
 
 NORMALIZATIONS = ("raw", "trace_balanced", "first_entry")
 
@@ -109,15 +111,17 @@ def _normalize(q: np.ndarray, normalization: str) -> np.ndarray:
     raise ValueError(f"unknown normalization {normalization!r}")
 
 
-def _correlation(K: KrausSet, rho0, normalization: str = "raw", rank_tol: float = RANK_TOL):
-    """``correlation_matrix`` for a checked rho0 and a known normalization."""
-    q = gram(K.ops @ rho0, K.ops)
+def _checked(q: np.ndarray) -> np.ndarray:
+    """A raw correlation q, hermitized, once no diagonal entry vanishes."""
     q = (q + dag(q)) / 2
     if np.any(np.diag(q).real <= 1e-12):
         raise ValueError("a Kraus operator annihilates the state (zero diagonal entry)")
-    if not rank_mask(np.linalg.eigvalsh(q), rank_tol).all():
+    return q
+
+
+def _require_nonsingular(eigenvalues: np.ndarray, rank_tol: float) -> None:
+    if not rank_mask(eigenvalues, rank_tol).all():
         raise ValueError("correlation matrix is singular")
-    return CorrelationData(Q=_normalize(q, normalization), normalization=normalization, raw=q)
 
 
 def correlation_matrix(K: KrausSet, rho0, normalization: str = "trace_balanced",
@@ -131,7 +135,9 @@ def correlation_matrix(K: KrausSet, rho0, normalization: str = "trace_balanced",
     require_state_size(K, rho0)
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
-    return _correlation(K, rho0, normalization, rank_tol)
+    q = _checked(gram(K.ops @ rho0, K.ops))
+    _require_nonsingular(np.linalg.eigvalsh(q), rank_tol)
+    return CorrelationData(Q=_normalize(q, normalization), normalization=normalization, raw=q)
 
 
 def orthogonalize_kraus(K: KrausSet, rho0, tol: float = 1e-10, rank_tol: float = RANK_TOL):
@@ -141,7 +147,9 @@ def orthogonalize_kraus(K: KrausSet, rho0, tol: float = 1e-10, rank_tol: float =
     descending order and Qd the diagonal raw-normalized correlation
     data of the new set.  rho0 is validated once, and the correlation
     matrices of K and K' pass the checks of ``correlation_matrix`` at
-    rank_tol.
+    rank_tol.  One correlation q of K is formed: its eigh gives the
+    remix U and the rank decision, and K'_r = sum_j conj(U[j, r]) K_j
+    has correlation Tr(K'_r rho0 K'_s*) = (U* q U)_rs, with q's spectrum.
 
     Degenerate eigenvalues leave the basis free; within each tie block
     the basis is rotated so that a single column absorbs the component
@@ -152,7 +160,9 @@ def orthogonalize_kraus(K: KrausSet, rho0, tol: float = 1e-10, rank_tol: float =
     """
     rho0 = check_state(rho0)
     require_state_size(K, rho0)
-    lam, U = np.linalg.eigh(_correlation(K, rho0, rank_tol=rank_tol).raw)
+    q = _checked(gram(K.ops @ rho0, K.ops))
+    lam, U = np.linalg.eigh(q)
+    _require_nonsingular(lam, rank_tol)
     order = np.argsort(lam)[::-1]
     lam, U = lam[order].real, U[:, order]
     n = K.n
@@ -174,7 +184,8 @@ def orthogonalize_kraus(K: KrausSet, rho0, tol: float = 1e-10, rank_tol: float =
     pivots = U[np.argmax(np.abs(U), axis=0), np.arange(n)]
     U = U / (pivots / np.abs(pivots))
     Kp = KrausSet(remix(K.ops, U))
-    Qd = _correlation(Kp, rho0, rank_tol=rank_tol)
+    qd = _checked(dag(U) @ q @ U)
+    Qd = CorrelationData(Q=_normalize(qd, "raw"), normalization="raw", raw=qd)
     if not Qd.is_diagonal(tol):
         raise ValueError("orthogonalization failed to diagonalize the correlation matrix")
     return Kp, Qd, lam
@@ -231,33 +242,83 @@ def _max_entries(V: np.ndarray, Es: np.ndarray) -> np.ndarray:
     return functools.reduce(np.maximum, (np.abs(X @ Es @ Vh).max(axis=(1, 2)) for X in blocks))
 
 
-def _level_residuals(S: SubproductSystem, Q: np.ndarray, m: int, rho0: np.ndarray,
-                     tol: float) -> np.ndarray:
-    """The normal phi, antinormal phi and KMS maxima of level m, from one _max_entries call.
+class _LevelRead(NamedTuple):
+    """What _read_levels reads of one level."""
 
-    With the level's Grams G_n = gram(B_m rho0, B_m) and G_a =
-    gram(rho0 B_m, B_m) (while the cuts dropped only round-off,
-    V_m G V_m* is the word Gram Tr(K_a rho0 K_b*), resp. Tr(rho0 K_a K_b*))
-    and Q_m read as p_m Q^(x)m p_m = V H V* = (V U) diag(w) (V U)*, the
-    three residuals are max |V E V*| for E = G_n - H/Tr H, G_a - 1/Tr H
-    and G_a - U diag(1/w) U* G_n.  Reading Q_m as p_m Q^(x)m p_m moves
-    each phi entry by at most compat / Tr(Q_m) on the levels accepted:
-    S.weighted raises HypothesisFailure when compat exceeds tol.
+    residuals: np.ndarray | None  # normal phi, antinormal phi and KMS maxima; None without a state
+    defect: tuple  # (eigenvalues, eigenvectors) of the Hermitian part of the sphere defect
+
+
+def _read_levels(S: SubproductSystem, Q: np.ndarray, ms, tol: float,
+                 rho0: np.ndarray | None = None) -> dict:
+    """m -> _LevelRead for every level m of ms, read in batched calls per level rank.
+
+    Each level's record is S.weighted(Q, m, tol), which raises
+    HypothesisFailure on a level that Q^(x)m does not preserve; there
+    Q_m = V H V*, and P = U diag(1/w) U* inverts H on the eigenvalues
+    rank_mask keeps (a dropped one enters as a zero in the masked 1/w), so
+    V P V* inverts Q_m on the level.  The levels of one rank share one
+    stacked eigh of their H's (eigenpairs), one word stack B and one
+    stacked eigh of their sphere defects sum_ij P[j,i] B_i B_j* - 1.  With
+    a state rho0 they share the Grams G_n = gram(B rho0, B) and
+    G_a = gram(rho0 B, B) (V G V* is the word Gram while the cuts dropped
+    only round-off), and each level reads max |V E V*| for E = G_n - H/Tr H
+    (normal phi), G_a - 1/Tr H (antinormal phi) and G_a - P G_n (KMS) from
+    one _max_entries call, since N = n^m differs between levels.  Reading
+    Q_m as p_m Q^(x)m p_m moves each phi entry by at most compat / Tr(Q_m).
+    Every stacked call works on each level alone, so a level reads the
+    same bits in its rank group as in a call of its own.
     """
-    rec = S.weighted(Q, m, tol)
-    B = rec.level.B
-    G_n, G_a = gram(B @ rho0, B), gram(rho0 @ B, B)
-    tr = float(np.trace(rec.H).real)
-    Es = np.array([G_n - rec.H / tr, G_a - np.eye(len(G_a)) / tr,
-                   G_a - rec.U @ (dag(rec.U) @ G_n / rec.w[:, np.newaxis])])
-    return _max_entries(rec.V, Es)
+    groups = {}
+    for m in ms:
+        rec = S.weighted(Q, m, tol)
+        groups.setdefault(rec.level.rank, []).append(rec)
+    out = {}
+    for group in groups.values():
+        U, w, keep = eigenpairs(group)
+        P = (U * (keep / np.where(keep, w, 1.0))[:, np.newaxis]) @ dag(U)
+        B = np.array([rec.level.B for rec in group])
+        PB = (P @ _rows(B)).reshape(B.shape)  # (P B)_i = sum_j P[i,j] B_j, and P = P*
+        R = (B @ dag(PB)).sum(1)
+        defects = zip(*np.linalg.eigh((R + dag(R)) / 2 - np.eye(B.shape[-1])))
+        residuals = [None] * len(group)
+        if rho0 is not None:
+            H = np.array([rec.H for rec in group])
+            tr = w.sum(1)[:, np.newaxis, np.newaxis]  # Tr H, as the sum of its eigenvalues
+            G_n, G_a = gram(B @ rho0, B), gram(rho0 @ B, B)
+            Es = np.empty((len(group), 3) + G_n.shape[1:], dtype=complex)
+            Es[:, 0] = G_n - H / tr
+            Es[:, 1] = G_a - np.eye(G_a.shape[-1]) / tr
+            Es[:, 2] = G_a - P @ G_n
+            residuals = [_max_entries(rec.V, E) for rec, E in zip(group, Es)]
+        for rec, res, defect in zip(group, residuals, defects):
+            out[rec.level.m] = _LevelRead(res, defect)
+    return out
 
 
-def _kms_hypothesis(m: int, norm_res: float, tol: float) -> str | None:
-    """The message of the HypothesisFailure that stops KMS at level m, if norm_res > tol."""
-    if norm_res > tol:
-        return f"normal-ordered correlations fail at level {m} (residual {norm_res:.3g})"
-    return None
+def _preserved(compat: dict, tol: float) -> list:
+    """The levels of compat (m -> compat residual) that Q^(x)m preserves at tol."""
+    return [m for m, c in compat.items() if _compat_hypothesis(m, c, tol) is None]
+
+
+def _kms_condition(compat: dict, read: dict, tol: float) -> float | str:
+    """The KMS maximum over the levels of compat, or the message that stops it.
+
+    compat maps levels 1, 2, ... to their compat residuals, in order, and
+    read holds _read_levels of the preserved ones.  The first hypothesis
+    that fails in level order stops the maximum: Q^(x)m preserves level
+    m, and then its normal-ordered residual is within tol.
+    """
+    mx = 0.0
+    for m, c in compat.items():
+        failure = _compat_hypothesis(m, c, tol)
+        if failure is not None:
+            return failure
+        normal, _, kms = read[m].residuals
+        if normal > tol:
+            return f"normal-ordered correlations fail at level {m} (residual {normal:.3g})"
+        mx = max(mx, float(kms))
+    return mx
 
 
 def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSystem,
@@ -273,9 +334,10 @@ def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSys
     A_m = V_m B_m, which holds while every rank cut at levels <= m
     dropped only round-off; when S's rank_tol makes a cut drop more, this
     is the residual of the projected words p_m A_m (q_sphere_residual
-    stays exact at any rank_tol).  Both orderings are read from the
-    level's residuals (_level_residuals), the same call the verdict makes
-    once per level, so a verdict record equals this check's value.
+    stays exact at any rank_tol).  Both orderings are read by
+    _read_levels on [m], the reader the verdict calls once on all its
+    levels; a level reads the same bits alone as in the verdict's rank
+    group, so a verdict record equals this check's value.
     """
     rho0 = check_state(rho0)
     require_state_size(K, rho0)
@@ -283,7 +345,8 @@ def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSys
         raise ValueError("ordering must be 'normal' or 'antinormal'")
     m = require_word_length(m, "m")
     S.stack(K, m)  # refuses a K the system was not built from
-    return float(_level_residuals(S, Qd.Q, m, rho0, tol)[0 if ordering == "normal" else 1])
+    residuals = _read_levels(S, Qd.Q, [m], tol, rho0)[m].residuals
+    return float(residuals[0 if ordering == "normal" else 1])
 
 
 def modular_flow(Qd: CorrelationData, S: SubproductSystem, word, t,
@@ -335,10 +398,12 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
     flow continuation expanded through the level data.  At each level
     Q^(x)m must preserve the level and the normal-ordered Gram must
     match Q_m; it then gives the right side, Qinv times it, and the
-    antinormal Gram the left.  Each level is read by _level_residuals,
-    the call check_phi_symmetric and the verdict make, so the
-    normal-ordered residual it tests is check_phi_symmetric's.  m must be
-    an integer >= 1.  Raises ValueError when S was not built from K.
+    antinormal Gram the left.  Levels 1..m that Q^(x)m preserves are
+    read by one _read_levels call, in batched calls per level rank, the
+    reader check_phi_symmetric and the verdict call, so the
+    normal-ordered residual it tests is check_phi_symmetric's.  The first
+    failure in level order raises HypothesisFailure.  m must be an
+    integer >= 1.  Raises ValueError when S was not built from K.
     Like check_phi_symmetric, it reads the words as A_m = V_m B_m: when
     S's rank_tol makes a cut drop more than round-off, this is the
     residual of the projected words p_m A_m.
@@ -348,12 +413,9 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
     m = require_word_length(m, "m")
     if m < 1:
         raise ValueError(f"word length m must be at least 1 (got m={m})")
-    mx = 0.0
-    for mp in range(1, m + 1):
-        S.stack(K, mp)  # refuses a K the system was not built from
-        normal, _, kms = _level_residuals(S, Qd.Q, mp, rho0, tol)
-        failure = _kms_hypothesis(mp, normal, tol)
-        if failure is not None:
-            raise HypothesisFailure(failure)
-        mx = max(mx, float(kms))
-    return mx
+    S.stack(K, m)  # refuses a K the system was not built from
+    compat = {mp: S.weighted(Qd.Q, mp).compat for mp in range(1, m + 1)}
+    kms = _kms_condition(compat, _read_levels(S, Qd.Q, _preserved(compat, tol), tol, rho0), tol)
+    if isinstance(kms, str):
+        raise HypothesisFailure(kms)
+    return kms

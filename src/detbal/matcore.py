@@ -17,8 +17,12 @@ MAX_DIM = 4096
 
 
 def rank_mask(values: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """The rank rule: True where a value is positive and above rank_tol times the largest."""
-    return (values > 0) & (values > rank_tol * values.max(initial=0.0))
+    """The rank rule: True where a value is positive and above rank_tol times the largest.
+
+    The largest is taken along the last axis, so a stack of value lists is
+    cut list by list, each as it would be cut alone.
+    """
+    return (values > 0) & (values > rank_tol * values.max(axis=-1, initial=0.0, keepdims=True))
 
 
 def svd_cut(X: np.ndarray, rank_tol: float = RANK_TOL):

@@ -13,19 +13,19 @@ from .channel import (
     dilation_from_kraus,
     f_conjugate,
     kraus_from_dilation,
-    remix,
     require_invertible_F,
     require_word_budget,
     require_word_length,
 )
-# The verdict's level pass reads _level_residuals instead of calling
+# The verdict's level pass reads _read_levels instead of calling
 # check_phi_symmetric, q_sphere_residual and kms_condition_residual; all three
 # stay bound in this module, where tracing code looks up the checks a verdict
 # stands for.
 from .equilibrium import (
     CorrelationData,
-    _kms_hypothesis,
-    _level_residuals,
+    _kms_condition,
+    _preserved,
+    _read_levels,
     check_phi_symmetric,
     check_state,
     kms_condition_residual,
@@ -33,7 +33,6 @@ from .equilibrium import (
     require_state_size,
     zero_mean_check,
 )
-from .errors import HypothesisFailure
 from .matcore import (
     RANK_TOL,
     RESIDUAL_TOL,
@@ -43,18 +42,7 @@ from .matcore import (
     rank_mask,
 )
 from .report import AnalysisReport, CheckRecord
-from .stinespring import SubproductSystem, build_subproduct
-
-
-def _sphere_defect(B: np.ndarray, rec):
-    """Eigenvalues and eigenvectors of the Hermitian part of the level's sphere defect.
-
-    The defect is sum_r C_r C_r* / w_r - 1 with C_r = sum_i conj(U[i,r]) B[i],
-    for the level's word stack B = B_m and Weighted record rec.
-    """
-    C = remix(B, rec.U) / np.sqrt(rec.w)[:, np.newaxis, np.newaxis]
-    R = (C @ dag(C)).sum(0) - np.eye(B.shape[1])
-    return np.linalg.eigh((R + dag(R)) / 2)
+from .stinespring import SubproductSystem, _compat_hypothesis, build_subproduct
 
 
 def q_sphere_residual(K: KrausSet, Qd: CorrelationData, S: SubproductSystem,
@@ -63,16 +51,19 @@ def q_sphere_residual(K: KrausSet, Qd: CorrelationData, S: SubproductSystem,
 
     Evaluates sum over word pairs of Qinv[k,j] K_j K_k* minus 1, where
     Qinv inverts Q^(x)m on the level subspace at the system's rank_tol;
-    with Q_m = (V U) diag(w) (V U)* the sum is sum_r C_r C_r* / w_r,
-    C_r = sum_a conj((V U)[a,r]) K_a = sum_i conj(U[i,r]) B_m[i], read
-    from the level's B_m.  Returns the norm and, from the same eigh, the
+    with Q_m = V H V*, Qinv = V P V* for P the inverse of H on the
+    eigenvalues the cut keeps, and the sum is sum_ij P[j,i] B_i B_j*, read
+    from the level's B_m by _read_levels on [m], the reader the verdict
+    calls once on all its levels, so the verdict's sphere record equals
+    this check's.  Returns the norm and, from the same eigh, the
     projector onto the defect eigenspace, which localizes boundary
-    effects of truncated representations.  Raises ValueError when S was
-    not built from K or m is not an integer.
+    effects of truncated representations.  Raises HypothesisFailure when
+    Q^(x)m does not preserve the level, and ValueError when S was not
+    built from K or m is not an integer.
     """
     m = require_word_length(m, "m")
-    B = S.stack(K, m)
-    wR, U = _sphere_defect(B, S.weighted(Qd.Q, m, tol))
+    S.stack(K, m)  # refuses a K the system was not built from
+    wR, U = _read_levels(S, Qd.Q, [m], tol)[m].defect
     Uk = U[:, np.abs(wR) > tol]
     return float(np.abs(wR).max()), Uk @ dag(Uk)
 
@@ -201,17 +192,19 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
     three normalizations, builds the subproduct system to level M, and
     runs the compatibility, symmetric-correlation, sphere and KMS checks
     at every level with the trace-balanced Q.  The inputs are validated
-    once, here; the checks then run as one pass over the levels.  Each
-    level makes one _level_residuals call, the call the public phi and
-    KMS checks make, and reads its sphere defect as q_sphere_residual
-    does, so every record equals what the public check returns or raises
-    at that level.  A level that Q^(x)m does not preserve raises there
-    once, and that message stands for the level's three records and,
-    unless a lower level stopped it, for KMS.  The pass carries the
-    running KMS maximum over the levels, stopped by the first hypothesis
-    failure; its record follows the last level.  The verdict is true iff
-    every residual is below tol and no hypothesis fails; a false verdict
-    names the sphere condition whenever that stage is implicated.
+    once, here.  The compat residuals that attach_levels records say
+    which levels Q^(x)m preserves, and one _read_levels call reads all of
+    them, in batched calls per level rank; the public phi, sphere and KMS
+    checks call the same reader on their own levels, and a level reads
+    the same bits alone as in its rank group, so every record equals what
+    the public check returns or raises at that level.  On a level that
+    Q^(x)m does not preserve, the message the public checks raise stands
+    for the level's three records and, unless a lower level stopped it,
+    for KMS.  The KMS record, after the last level, is the largest KMS
+    residual over the levels, stopped by the first hypothesis failure.
+    The verdict is true iff every residual is below tol and no hypothesis
+    fails; a false verdict names the sphere condition whenever that stage
+    is implicated.
     """
     M = require_word_length(M, "M")
     if M < 1:
@@ -235,25 +228,22 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
     S = build_subproduct(Kp, M, rank_tol)
     Qtb.attach_levels(S)
 
+    compat = Qtb.compat_residuals
+    read = _read_levels(S, Qtb.Q, _preserved(compat, tol), tol, rho0)
     checks: list[CheckRecord] = []
-    kms, kms_failure = 0.0, None  # the running KMS maximum, or the message that stopped it
-    for m in range(1, M + 1):
-        checks.append(_check_record("q_compatibility", m, tol, Qtb.compat_residuals[m]))
-        try:
-            normal, antinormal, kms_level = _level_residuals(S, Qtb.Q, m, rho0, tol)
-        except HypothesisFailure as exc:
-            checks += [_check_record(name, m, tol, str(exc)) for name in
+    for m, c in compat.items():
+        checks.append(_check_record("q_compatibility", m, tol, c))
+        if m not in read:
+            failure = _compat_hypothesis(m, c, tol)
+            checks += [_check_record(name, m, tol, failure) for name in
                        ("phi_symmetric_normal", "phi_symmetric_antinormal", "q_sphere")]
-            kms_failure = kms_failure or str(exc)
             continue
-        sphere = np.abs(_sphere_defect(S.level(m).B, S.weighted(Qtb.Q, m))[0])
+        (normal, antinormal, _), (wR, _) = read[m]
+        sphere = np.abs(wR)
         checks += [_check_record("phi_symmetric_normal", m, tol, normal),
                    _check_record("phi_symmetric_antinormal", m, tol, antinormal),
                    _check_record("q_sphere", m, tol, sphere.max(), int(np.sum(sphere > tol)))]
-        kms_failure = kms_failure or _kms_hypothesis(m, normal, tol)
-        if kms_failure is None:
-            kms = max(kms, kms_level)
-    checks.append(_check_record("kms_condition", M, tol, kms_failure or kms))
+    checks.append(_check_record("kms_condition", M, tol, _kms_condition(compat, read, tol)))
 
     verdict = all(c.passed for c in checks)
     reason = None

@@ -51,7 +51,11 @@ V_m (a Gram of B_m) V_m*.  On a level that Q^(x)m preserves,
 Q_m = V_m H_m V_m*, so every word-pair residual is max |V_m E V_m*| for
 an r x r E, read in row blocks for a stack of E's at once
 (equilibrium._max_entries); V_m is the only word-space array a check
-expands.  A single row of V_m or Q^(x)m V_m, and the boundary defect of
+expands.  Everything else a check reads of a level is r x r or d x d,
+so the levels of one rank r are read together (equilibrium._read_levels):
+one stacked eigh of their H_m (eigenpairs), one batched pair of Grams of
+B_m and one stacked eigh of their sphere defects per rank, whatever the
+depth.  A single row of V_m or Q^(x)m V_m, and the boundary defect of
 e_1^(x)m, are read through the train (Level.row, Level.boundary_defect),
 with no word-space row.
 """
@@ -179,10 +183,11 @@ class Weighted:
     and compat are formed with the record, in r x r train coordinates
     from the records of levels m - 1 and 1 (see the module docstring).
     The eigenpair (U, w) of H in level coordinates, over the eigenvalues
-    that rank_mask keeps, is formed on first read, and V is the level's
-    own isometry, expanded on first read.  The checks read them only on
-    levels that Q^(x)m preserves; there Q_m = V H V* = (V U) diag(w) (V U)*.
-    Every array is read-only.  A record links to its level alone.
+    that rank_mask keeps, is formed on first read, or by the stacked
+    eigh of eigenpairs, and V is the level's own isometry, expanded on
+    first read.  The checks read them only on levels that Q^(x)m
+    preserves; there Q_m = V H V* = (V U) diag(w) (V U)*.  Every array is
+    read-only.  A record links to its level alone.
     """
 
     level: Level
@@ -199,17 +204,42 @@ class Weighted:
 
     @functools.cached_property
     def _eig(self):
-        w, U = np.linalg.eigh((self.H + dag(self.H)) / 2)
-        keep = rank_mask(w, self.rank_tol)
-        return read_only(U[:, keep]), read_only(w[keep])
+        """(U, w, keep): every eigenpair of H's Hermitian part, and rank_mask's keep."""
+        eigenpairs([self])
+        return self.__dict__["_eig"]
 
-    @property
+    @functools.cached_property
     def U(self) -> np.ndarray:
-        return self._eig[0]
+        U, _, keep = self._eig
+        return read_only(U[:, keep])
 
-    @property
+    @functools.cached_property
     def w(self) -> np.ndarray:
-        return self._eig[1]
+        _, w, keep = self._eig
+        return read_only(w[keep])
+
+
+def eigenpairs(recs) -> tuple:
+    """(U, w, keep), read-only, for Weighted records of one rank: one stacked eigh of their H's.
+
+    U and w stack every eigenpair of each (H + H*)/2, and keep is rank_mask
+    of each record's eigenvalues.  A stacked eigh runs LAPACK on each matrix
+    alone, so a record reads the bits it would read alone; one without an
+    eigenpair keeps (U[i], w[i], keep[i]), so rec.U and rec.w read them too.
+    """
+    H = np.array([rec.H for rec in recs])
+    w, U = map(read_only, np.linalg.eigh((H + dag(H)) / 2))
+    keep = read_only(rank_mask(w, recs[0].rank_tol))
+    for rec, eig in zip(recs, zip(U, w, keep)):
+        rec.__dict__.setdefault("_eig", eig)
+    return U, w, keep
+
+
+def _compat_hypothesis(m: int, compat: float, tol: float) -> str | None:
+    """The message of the HypothesisFailure that refuses level m, if its compat exceeds tol."""
+    if compat > tol:
+        return f"Q^(x){m} does not preserve the level-{m} subspace (residual {compat:.3g})"
+    return None
 
 
 def _weigh(H: np.ndarray, G: np.ndarray, F: np.ndarray, T: np.ndarray):
@@ -248,6 +278,8 @@ class SubproductSystem:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def level(self, m: int) -> Level:
+        """Level m; an m that is not an integer (a bool, a float) raises ValueError."""
+        m = require_word_length(m, "m")
         if m not in self.levels:
             raise ValueError(f"level {m} not built (max {self.M})")
         return self.levels[m]
@@ -269,6 +301,7 @@ class SubproductSystem:
         quantity needs Q^(x)m to preserve the level: with tol, a compat
         above tol raises HypothesisFailure.
         """
+        m = require_word_length(m, "m")  # before the memo, where True and 1.0 would read level 1
         Q = np.asarray(Q, dtype=complex)
         key = (Q.dtype.str, Q.shape, Q.tobytes())
         rec = self._memo.get((m, key))
@@ -278,10 +311,9 @@ class SubproductSystem:
                 raise ValueError(f"Q is {Q.shape[0]} x {Q.shape[1]} but the subproduct "
                                  f"system's alphabet has size {self.n}")
             rec = self._record(Q, key, m, np.array_equal(Q, dag(Q)))
-        if tol is not None and rec.compat > tol:
-            raise HypothesisFailure(
-                f"Q^(x){m} does not preserve the level-{m} subspace (residual {rec.compat:.3g})"
-            )
+        failure = None if tol is None else _compat_hypothesis(m, rec.compat, tol)
+        if failure is not None:
+            raise HypothesisFailure(failure)
         return rec
 
     def _record(self, Q: np.ndarray, key: tuple, m: int, hermitian: bool) -> Weighted:

@@ -60,19 +60,20 @@ def expanded_rows(monkeypatch):
 
 @pytest.fixture
 def formed_grams(monkeypatch):
-    """The (len(X), len(Y)) of every channel.gram product formed, through any detbal
-    binding of it, until the test ends."""
-    shapes = []
+    """The number of Gram matrices each channel.gram call formed, through any detbal
+    binding of it, until the test ends: the depth of its batch of operator-stack pairs,
+    1 for a single pair."""
+    depths = []
     gram = channel.gram
 
     def counted(X, Y):
-        shapes.append((len(X), len(Y)))
+        depths.append(int(np.prod(X.shape[:-3])))
         return gram(X, Y)
 
     for name, mod in list(sys.modules.items()):
         if (name == "detbal" or name.startswith("detbal.")) and getattr(mod, "gram", None) is gram:
             monkeypatch.setattr(mod, "gram", counted)
-    return shapes
+    return depths
 
 
 # one (criterion -> (passed, detail)) entry per acceptance criterion;

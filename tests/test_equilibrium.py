@@ -19,7 +19,8 @@ from detbal.errors import HypothesisFailure
 from detbal.factories import commuting_db_kraus, gad_kraus
 from detbal.matcore import dag, spectral_norm
 from detbal.reversal import detailed_balance_verdict, q_sphere_residual
-from detbal.stinespring import build_subproduct, verify_power_dilation
+from detbal.stinespring import (build_subproduct, check_Q_compatibility,
+                                check_subproduct_inclusion, verify_power_dilation)
 from detbal.channel import channel_distance
 import loop_oracle as oracle
 from conftest import random_channel
@@ -352,6 +353,19 @@ def test_level_checks_refuse_a_non_integer_m(m):
     for check in checks:
         with pytest.raises(ValueError, match="m must be an integer"):
             check()
+
+
+def test_level_readers_refuse_a_bool_or_float_level():
+    # the levels and their records live in dicts, where True == 1 and 2.0 == 2
+    Kp, Qtb, S = _commuting_db_levels()
+    Qtb.attach_levels(S)  # the records of levels 1 and 2 are in the memo
+    reads = (lambda: check_Q_compatibility(S, Qtb.Q, True),
+             lambda: check_Q_compatibility(S, Qtb.Q, 2.0),
+             lambda: trace_qm(Qtb, S, True),
+             lambda: check_subproduct_inclusion(S, True, 2.0))
+    for read in reads:
+        with pytest.raises(ValueError, match="m must be an integer"):
+            read()
 
 
 @pytest.mark.parametrize("m", [0, -1])

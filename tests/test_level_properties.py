@@ -14,7 +14,8 @@ array), read their word-pair residuals in row blocks, and on drawn
 channels they equal the word-at-a-time loops of ``loop_oracle`` to
 1e-12 * max(1, |ref|).  A single row of V_m or Q^(x)m V_m, and the
 boundary defect of e_1^(x)m, are read through the train and equal the
-expanded V_m and the oracle's dense Q^(x)m V_m.
+expanded V_m and the oracle's dense Q^(x)m V_m.  The levels of one rank
+are read in stacked calls, and each reads the same bits there as alone.
 """
 import tracemalloc
 
@@ -29,6 +30,7 @@ from conftest import random_channel, random_unitary  # noqa: E402
 from detbal.channel import KrausSet, remix, word_stack  # noqa: E402
 from detbal.equilibrium import (  # noqa: E402
     check_phi_symmetric,
+    correlation_matrix,
     kms_condition_residual,
     kms_state_eval,
     modular_flow,
@@ -37,8 +39,9 @@ from detbal.equilibrium import (  # noqa: E402
 from detbal.errors import HypothesisFailure  # noqa: E402
 from detbal.factories import commuting_db_kraus, gad_kraus  # noqa: E402
 from detbal.qgroup import suq2_generators  # noqa: E402
-from detbal.matcore import RESIDUAL_TOL, dag  # noqa: E402
+from detbal.matcore import RANK_TOL, RESIDUAL_TOL, dag  # noqa: E402
 from detbal.reversal import detailed_balance_verdict, q_sphere_residual  # noqa: E402
+from test_memo import _haar_state, _orthogonal_diagonal, assert_stack_parity  # noqa: E402
 from detbal.stinespring import (  # noqa: E402
     build_subproduct,
     check_Q_compatibility,
@@ -113,6 +116,25 @@ def test_levels_built_from_the_level_below_match_the_dense_levels(d, n, M, diago
     assert_levels_match_dense(K, M)
 
 
+@hypothesis.settings(max_examples=40, deadline=None, database=None)
+@hypothesis.given(d=st.integers(1, 3), n=st.integers(1, 3), M=st.integers(1, 4),
+                  rank_tol=st.sampled_from([RANK_TOL, 0.1, 0.4]), diagonal=st.booleans(),
+                  seed=st.integers(0, 2 ** 32 - 1))
+def test_levels_read_the_same_bits_alone_and_in_their_rank_groups(d, n, M, rank_tol, diagonal,
+                                                                  seed):
+    # a diagonal channel with a diagonal state has preserved levels of one rank at every depth
+    rng = np.random.default_rng(seed)
+    if diagonal:
+        K, rho0 = _orthogonal_diagonal(d, seed), np.diag(rng.dirichlet(np.ones(d)) + 0.1 / d)
+        rho0 /= np.trace(rho0)
+    else:
+        K, rho0 = random_channel(d, min(n, d * d), seed), _haar_state(d, seed)
+    Kp, Qraw, _ = orthogonalize_kraus(K, rho0)
+    S = build_subproduct(Kp, M, rank_tol)
+    hypothesis.assume(S.n == Kp.n)  # a coarse cut that merges operators changes the alphabet
+    assert_stack_parity(S, Qraw.with_normalization("trace_balanced").Q, rho0)
+
+
 def test_deep_commuting_levels_match_the_dense_levels():
     S = assert_levels_match_dense(commuting_db_kraus(np.pi / 6), 10)
     assert [S.level(m).rank for m in range(11)] == [1] + [2] * 10
@@ -132,6 +154,15 @@ def test_levels_of_vanishing_products_have_rank_zero():
     # N^2 = 0: every word of length >= 2 vanishes, and the levels above stay empty
     S = assert_levels_match_dense(KrausSet([np.array([[0, 1], [0, 0]], dtype=complex)]), 3)
     assert [S.level(m).rank for m in range(4)] == [1, 1, 0, 0]
+
+
+def test_sphere_defect_of_a_level_of_rank_zero_is_minus_one():
+    # every word of length 2 vanishes: the weighted word sum is empty, so the defect is -1
+    K = KrausSet([np.array([[0, 1], [0, 0]], dtype=complex)])
+    S = build_subproduct(K, 2)
+    res, P = q_sphere_residual(K, correlation_matrix(K, np.diag([0.3, 0.7])), S, 2)
+    assert S.level(2).rank == 0
+    assert res == 1.0 and np.array_equal(P, np.eye(2))
 
 
 def test_build_subproduct_forms_no_word_stack_above_level_one(refuse_word_stacks):

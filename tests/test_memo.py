@@ -12,11 +12,14 @@ cycle behind.
 Each level's Grams of a state are formed in the one call that reads a
 level's phi and KMS residuals: a true verdict forms one pair per level,
 and a system checked with one state and then another returns what fresh
-systems return.  They also pin that no public check calls another: a
-true verdict calls check_state 3 times at any depth and runs its checks
-once, and that neither ``kms_condition_residual`` nor
-``orthogonalize_kraus`` goes through ``check_phi_symmetric`` or
-``correlation_matrix``.
+systems return.  That call reads the levels of one rank in stacked
+calls: a level reads the same bits in its rank group as alone, also
+where the group's levels keep different numbers of H eigenvalues, and a
+true commuting_db verdict takes 3 eigh calls at any depth and M + 1
+SVDs.  They also pin that no public check calls another: a true verdict
+calls check_state 3 times at any depth and runs its checks once, and
+that neither ``kms_condition_residual`` nor ``orthogonalize_kraus`` goes
+through ``check_phi_symmetric`` or ``correlation_matrix``.
 """
 import gc
 
@@ -25,15 +28,17 @@ import pytest
 
 import loop_oracle as oracle
 from conftest import random_channel, random_hermitian
-from detbal import equilibrium, reversal
+from detbal import KrausSet, equilibrium, reversal
 from detbal.equilibrium import (
+    _preserved,
+    _read_levels,
     check_phi_symmetric,
     kms_condition_residual,
     orthogonalize_kraus,
 )
 from detbal.errors import HypothesisFailure
 from detbal.factories import commuting_db_kraus, gad_kraus
-from detbal.matcore import RANK_TOL
+from detbal.matcore import RANK_TOL, RESIDUAL_TOL
 from detbal.reversal import detailed_balance_verdict, q_sphere_residual
 from detbal.stinespring import build_subproduct, check_Q_compatibility
 
@@ -172,9 +177,9 @@ def test_verdict_runs_the_state_checks_once():
 def test_true_verdict_forms_one_gram_pair_per_level(formed_grams, M):
     rep = detailed_balance_verdict(commuting_db_kraus(np.pi / 6), np.eye(2) / 2, M)
     assert rep.verdict
-    # the correlation matrices of K and of the orthogonalized K', then (G_n, G_a) once per
-    # level, shared by both phi_symmetric orderings and the KMS check
-    assert len(formed_grams) == 2 + 2 * M
+    # the correlation matrix of K (the orthogonalized K' reads its own from it), then
+    # (G_n, G_a) once per level, shared by both phi_symmetric orderings and the KMS check
+    assert sum(formed_grams) == 1 + 2 * M
 
 
 def _state_residuals(Kp, rho, Qd, S, M):
@@ -278,9 +283,22 @@ def _standalone(name, m, K, rho0, M, rank_tol=RANK_TOL):
         return str(exc), None
 
 
+def _orthogonal_diagonal(n, seed):
+    """K_j = diag(O[:, j]) for a seeded real orthogonal O.
+
+    Every level is the rank-n span of the diagonal words, and a diagonal
+    state's Q^(x)m preserves it with H_m of spectrum proportional to the
+    state's diagonal to the power m, so a coarse rank_tol keeps fewer of
+    its eigenvalues at each level of one rank.
+    """
+    O, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    return KrausSet([np.diag(O[:, j]) for j in range(n)])
+
+
 # (K, rho0, M, rank_tol): the CASES, commuting_db at every depth to 6, seeded Haar channels
 # with d, n <= 3 (Q^(x)m fails to preserve a level of some, and the normal-ordered
-# correlations, so the KMS hypothesis, fail on others), and coarse rank_tol cuts
+# correlations, so the KMS hypothesis, fail on others), coarse rank_tol cuts, and one rank
+# group whose levels keep 3, 2 and 1 eigenvalues of H_m
 POOL = {
     **{name: lambda make=make: (*make(), RANK_TOL) for name, make in CASES.items()},
     **{f"commuting_db-M{M}": lambda M=M: (commuting_db_kraus(np.pi / 6), np.eye(2) / 2, M,
@@ -291,6 +309,8 @@ POOL = {
     "haar-d3-n3-rank_tol-0.1": lambda: (random_channel(3, 3, 0), _haar_state(3, 0), 3, 0.1),
     "haar-d3-n2-rank_tol-0.4": lambda: (random_channel(3, 2, 2), _haar_state(3, 2), 3, 0.4),
     "mixed-d2-n2-rank_tol-0.4": lambda: (random_channel(2, 2, 100), np.eye(2) / 2, 3, 0.4),
+    "diagonal-n3-rank_tol-0.4": lambda: (_orthogonal_diagonal(3, 0), np.diag([0.45, 0.3, 0.25]),
+                                         3, 0.4),
 }
 # cases run with equilibrium.ROW_BLOCK cut to a few rows, so that the verdict and the
 # public checks read their word pairs in many row blocks: 600 entries give the 64-word
@@ -331,6 +351,68 @@ def test_the_record_pool_meets_every_kind_of_record():
     assert any(note.startswith("kms_condition") and "normal-ordered" in note for note in notes)
     assert any(c.name == "q_sphere" and c.defect_rank for rep in reps for c in rep.checks)
     assert {rep.rank_tol for rep in reps} == {RANK_TOL, 0.1, 0.4}
+
+
+def _read_bits(read):
+    return [X.tobytes() for X in (read.residuals, *read.defect)]
+
+
+def assert_stack_parity(S, Q, rho0, tol=RESIDUAL_TOL):
+    """Every level of S that Q^(x)m preserves reads the same bits in its rank group as alone.
+
+    The group read takes levels 0..M of S at once; each level is then read
+    alone on a fresh system built from the same operators, so every memo
+    starts cold.  The records' eigenpairs (U, w), which the group read
+    stores, must equal those of the alone read too.
+    """
+    ms = _preserved({m: S.weighted(Q, m).compat for m in range(S.M + 1)}, tol)
+    together = _read_levels(S, Q, ms, tol, rho0)
+    assert sorted(together) == ms
+    for m in ms:
+        fresh = build_subproduct(KrausSet(S.ops), S.M, S.rank_tol)
+        alone = _read_levels(fresh, Q, [m], tol, rho0)[m]
+        assert _read_bits(together[m]) == _read_bits(alone), m
+        rec, cold = S.weighted(Q, m), fresh.weighted(Q, m)
+        assert [X.tobytes() for X in (rec.U, rec.w)] == [X.tobytes() for X in (cold.U, cold.w)], m
+
+
+@pytest.mark.parametrize("case", sorted(POOL))
+def test_a_level_reads_the_same_bits_alone_and_in_its_rank_group(case, monkeypatch):
+    monkeypatch.setattr(equilibrium, "ROW_BLOCK", ROW_BLOCKS.get(case, equilibrium.ROW_BLOCK))
+    K, rho0, M, rank_tol = POOL[case]()
+    _, Qtb, S = _cold(K, rho0, M, rank_tol)
+    assert_stack_parity(S, Qtb.Q, rho0)
+
+
+def test_the_pool_stacks_levels_that_keep_different_numbers_of_eigenvalues():
+    # a rank group whose masks differ, so a dropped eigenvalue enters as a zero in 1/w
+    kept = {}  # (case, rank) -> the numbers of H eigenvalues its preserved levels keep
+    for case, make in POOL.items():
+        K, rho0, M, rank_tol = make()
+        _, Qtb, S = _cold(K, rho0, M, rank_tol)
+        for m in _preserved({m: S.weighted(Qtb.Q, m).compat for m in range(1, M + 1)},
+                            RESIDUAL_TOL):
+            kept.setdefault((case, S.level(m).rank), set()).add(len(S.weighted(Qtb.Q, m).w))
+    assert any(len(counts) > 1 for counts in kept.values())
+
+
+@pytest.mark.parametrize("M", [2, 3, 4, 5, 6])
+def test_true_verdict_linalg_call_budget(monkeypatch, M):
+    # the level pass stacks the levels of one rank: every commuting_db level has rank 2, so
+    # the eigh count stays flat in M; the SVDs are the verdict's rank check and one per level
+    K = commuting_db_kraus(np.pi / 6)
+    detailed_balance_verdict(K, np.eye(2) / 2, M)  # reads K's residuals, kept on K
+    calls = {"eigh": 0, "svd": 0}
+    for name in calls:
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, name=name, fn=fn, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert detailed_balance_verdict(K, np.eye(2) / 2, M).verdict
+    assert calls == {"eigh": 3, "svd": M + 1}
 
 
 @pytest.mark.parametrize("case", ["gad", "commuting_db"])
