@@ -331,11 +331,11 @@ def require_word_length(m, name: str) -> int:
     return int(m)
 
 
-def require_word_budget(n: int, m: int, max_dim: int = MAX_DIM) -> None:
-    """Refuse a level of more than max_dim words of length m over n letters."""
-    if n ** m > max_dim:
+def require_word_budget(n: int, m: int) -> None:
+    """Refuse a level of more than MAX_DIM words of length m over n letters."""
+    if n ** m > MAX_DIM:
         raise ValueError(f"level of {n}**{m} = {n ** m} words exceeds the budget "
-                         f"of {max_dim} words per level")
+                         f"of {MAX_DIM} words per level")
 
 
 def word_operator(K, w) -> np.ndarray:
@@ -370,7 +370,7 @@ def gram(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return _rows(X) @ dag(_rows(Y))
 
 
-def power_kraus(K: KrausSet, m: int, max_dim: int = MAX_DIM):
+def power_kraus(K: KrausSet, m: int):
     """All n**m ordered Kraus products of length m.
 
     Returns (words, ops) with 1-based Word labels in lexicographic
@@ -379,7 +379,7 @@ def power_kraus(K: KrausSet, m: int, max_dim: int = MAX_DIM):
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    require_word_budget(K.n, m, max_dim)
+    require_word_budget(K.n, m)
     return word_labels(K.n, m), list(word_stack(K.ops, m))
 
 

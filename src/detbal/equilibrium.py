@@ -17,12 +17,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (KrausSet, _rows, gram, remix, require_word_length,
-                      symmetric_unitary_first_col)
+from .channel import KrausSet, gram, remix, require_word_length, symmetric_unitary_first_col
 from .errors import HypothesisFailure
 from .matcore import (RANK_TOL, RESIDUAL_TOL, as_complex, dag, frobenius_norm, is_hermitian,
                       rank_mask, spectral_norm)
-from .stinespring import SubproductSystem, _compat_hypothesis, check_Q_compatibility, eigenpairs
+from .stinespring import (SubproductSystem, _compat_hypothesis, _sphere, check_Q_compatibility,
+                          eigenpairs, level_power)
 
 NORMALIZATIONS = ("raw", "trace_balanced", "first_entry")
 
@@ -255,11 +255,11 @@ def _read_levels(S: SubproductSystem, Q: np.ndarray, ms, tol: float,
 
     Each level's record is S.weighted(Q, m, tol), which raises
     HypothesisFailure on a level that Q^(x)m does not preserve; there
-    Q_m = V H V*, and P = U diag(1/w) U* inverts H on the eigenvalues
-    rank_mask keeps (a dropped one enters as a zero in the masked 1/w), so
+    Q_m = V H V*, and P = level_power(eigenpairs, -1) inverts H on the
+    eigenvalues rank_mask keeps (a dropped one enters as a zero), so
     V P V* inverts Q_m on the level.  The levels of one rank share one
     stacked eigh of their H's (eigenpairs), one word stack B and one
-    stacked eigh of their sphere defects sum_ij P[j,i] B_i B_j* - 1.  With
+    stacked eigh of their sphere defects _sphere(P, B) - 1.  With
     a state rho0 they share the Grams G_n = gram(B rho0, B) and
     G_a = gram(rho0 B, B) (V G V* is the word Gram while the cuts dropped
     only round-off), and each level reads max |V E V*| for E = G_n - H/Tr H
@@ -275,11 +275,10 @@ def _read_levels(S: SubproductSystem, Q: np.ndarray, ms, tol: float,
         groups.setdefault(rec.level.rank, []).append(rec)
     out = {}
     for group in groups.values():
-        U, w, keep = eigenpairs(group)
-        P = (U * (keep / np.where(keep, w, 1.0))[:, np.newaxis]) @ dag(U)
+        U, w, keep = eigenpairs(group, S.rank_tol)
+        P = level_power(U, w, keep, -1)
         B = np.array([rec.level.B for rec in group])
-        PB = (P @ _rows(B)).reshape(B.shape)  # (P B)_i = sum_j P[i,j] B_j, and P = P*
-        R = (B @ dag(PB)).sum(1)
+        R = _sphere(P, B)
         defects = zip(*np.linalg.eigh((R + dag(R)) / 2 - np.eye(B.shape[-1])))
         residuals = [None] * len(group)
         if rho0 is not None:
@@ -290,7 +289,7 @@ def _read_levels(S: SubproductSystem, Q: np.ndarray, ms, tol: float,
             Es[:, 0] = G_n - H / tr
             Es[:, 1] = G_a - np.eye(G_a.shape[-1]) / tr
             Es[:, 2] = G_a - P @ G_n
-            residuals = [_max_entries(rec.V, E) for rec, E in zip(group, Es)]
+            residuals = [_max_entries(rec.level.V, E) for rec, E in zip(group, Es)]
         for rec, res, defect in zip(group, residuals, defects):
             out[rec.level.m] = _LevelRead(res, defect)
     return out
@@ -356,13 +355,15 @@ def modular_flow(Qd: CorrelationData, S: SubproductSystem, word, t,
     The flow at parameter t multiplies by Q_m**(-i t) on the level
     subspace; imaginary t gives the analytic continuation (t = -1j
     yields Q_m^{-1}).  Returns the coefficient row for the given word,
-    aligned with the level's word list.
+    aligned with the level's word list: row a of V P V*, for V the level
+    isometry and P = level_power(eigenpairs, -it), so the eigenvalues of
+    H_m are cut at the system's rank_tol.
     """
     (x,), m = _word_letters(S.n, word)
     a = np.ravel_multi_index(x, (S.n,) * m)
     rec = S.weighted(Qd.Q, m, tol)
-    VU = rec.V @ rec.U
-    return (VU[a] * np.power(rec.w, -1j * complex(t))) @ dag(VU)
+    (P,) = level_power(*eigenpairs([rec], S.rank_tol), -1j * complex(t))
+    return rec.level.V[a] @ P @ dag(rec.level.V)
 
 
 def kms_state_eval(Qd: CorrelationData, S: SubproductSystem, j, k,
@@ -372,8 +373,11 @@ def kms_state_eval(Qd: CorrelationData, S: SubproductSystem, j, k,
     Letters must lie in 1..n.  Words of unequal length evaluate to zero.
     Equal length m gives Q_m[k,j]/Tr(Q_m) in normal ordering and
     p_m[j,k]/Tr(Q_m) in antinormal ordering, from the rows of V_m and
-    Q^(x)m V_m read through the level's train (Level.row).
+    Q^(x)m V_m read through the level's train (Level.row).  An unknown
+    ordering raises ValueError, whatever the lengths.
     """
+    if ordering not in ("normal", "antinormal"):
+        raise ValueError("ordering must be 'normal' or 'antinormal'")
     words = _word_letters(S.n, j, k)
     if words is None:
         return 0.0 + 0.0j
@@ -383,9 +387,7 @@ def kms_state_eval(Qd: CorrelationData, S: SubproductSystem, j, k,
     trq = np.trace(rec.H).real
     if ordering == "normal":
         return complex(L.row(b, Qd.Q) @ L.row(a).conj() / trq)
-    if ordering == "antinormal":
-        return complex(L.row(a) @ L.row(b).conj() / trq)
-    raise ValueError("ordering must be 'normal' or 'antinormal'")
+    return complex(L.row(a) @ L.row(b).conj() / trq)
 
 
 def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,

@@ -84,16 +84,16 @@ def is_hermitian(A: np.ndarray, tol: float = 1e-10) -> bool:
     return spectral_norm(A - dag(A)) <= tol * max(1.0, spectral_norm(A))
 
 
-def tensor_product(A: np.ndarray, B: np.ndarray, max_dim: int = MAX_DIM) -> np.ndarray:
+def tensor_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Kronecker product with the left factor as the major index.
 
-    Raises ValueError when the result would exceed max_dim rows or columns.
+    Raises ValueError when the result would exceed MAX_DIM rows or columns.
     """
     A = as_complex(A)
     B = as_complex(B)
-    if A.shape[0] * B.shape[0] > max_dim or A.shape[1] * B.shape[1] > max_dim:
+    if A.shape[0] * B.shape[0] > MAX_DIM or A.shape[1] * B.shape[1] > MAX_DIM:
         raise ValueError(
-            f"tensor product dimension {A.shape[0] * B.shape[0]} exceeds limit {max_dim}"
+            f"tensor product dimension {A.shape[0] * B.shape[0]} exceeds limit {MAX_DIM}"
         )
     return np.kron(A, B)
 

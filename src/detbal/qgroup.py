@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import KrausSet, f_conjugate, remix, require_invertible_F, word_stack
+from .channel import KrausSet, f_conjugate, require_invertible_F
 from .equilibrium import balance_scalar, check_state
 from .matcore import (
     RESIDUAL_TOL,
@@ -23,7 +23,7 @@ from .matcore import (
     spectral_norm,
 )
 from .report import CheckRecord, RelationsReport
-from .stinespring import SubproductSystem
+from .stinespring import SubproductSystem, _sphere, eigenpairs, level_power
 
 
 def _relation_record(name: str, R: np.ndarray, tol: float) -> CheckRecord:
@@ -181,29 +181,33 @@ def first_row_q_sphere(W, F, S: SubproductSystem, m: int,
     """Level-m sphere identity for the first-row blocks z_k of W.
 
     The weight is Q = F*F, inverted on the level subspace at the
-    system's rank_tol.  Both orderings are evaluated: the row form sum
-    Qinv[k,j] z_j* z_k (the identity asserted for first-row elements)
-    and its adjoint-side mirror sum Qinv[k,j] z_j z_k*.  The hypotheses
-    Q_11 = 1 and e_1^(x)m in the level subspace are checked and
-    reported rather than assumed.
+    system's rank_tol: Qinv = V P V* for V the level isometry and
+    P = level_power(eigenpairs, -1).  Both orderings are evaluated: the
+    row form sum Qinv[k,j] z_j* z_k (the identity asserted for first-row
+    elements) and its adjoint-side mirror sum Qinv[k,j] z_j z_k*.  Each is
+    _sphere(P, X) over the words compressed to the level through the
+    train (Level.compress), so no n^m-word stack is formed: the mirror sum
+    reads X = V* Z and the row sum X_i = (V* conj Z)_i^T, for Z the words
+    of the blocks z_k.  The hypotheses Q_11 = 1 and e_1^(x)m in the level
+    subspace are checked and reported rather than assumed.
     """
     W, F, d, n = _shapes(W, F)
     Q = dag(F) @ F
     hyp_q11 = float(abs(Q[0, 0] - 1.0))
     hyp_e1 = S.level(m).boundary_defect()
     rec = S.weighted(Q, m)
-    Z = word_stack(W.reshape(d, n, d, n)[:, 0].transpose(2, 0, 1), m)  # z_k = W_{0k}
-    # Qinv = VU diag(1/w) VU*, so each sum is one remixed stack times its adjoint
-    VU = rec.V @ rec.U
-    B, C = (remix(Z, U) / np.sqrt(rec.w)[:, np.newaxis, np.newaxis] for U in (VU, VU.conj()))
-    sums = {"row_sphere": (dag(C) @ C).sum(0), "mirror_sphere": (B @ dag(B)).sum(0)}
+    (P,) = level_power(*eigenpairs([rec], S.rank_tol), -1)
+    Z = W.reshape(d, n, d, n)[:, 0].transpose(2, 0, 1)  # z_k = W_{0k}
+    L = rec.level  # the row sum reads X_i = (V* conj Z)_i^T, the mirror sum X = V* Z
+    R = _sphere(P, np.stack((L.compress(Z.conj()).swapaxes(-1, -2), L.compress(Z))))
+    spectra = np.linalg.eigvalsh((R + dag(R)) / 2) - 1
     checks = [
         CheckRecord(name="hypothesis_Q11", residual=hyp_q11, tolerance=tol,
                     passed=bool(hyp_q11 < tol), level=m),
         CheckRecord(name="hypothesis_boundary_vector", residual=hyp_e1,
                     tolerance=tol, passed=bool(hyp_e1 < tol), level=m),
-        *(_spectrum_record(name, np.linalg.eigvalsh((G + dag(G)) / 2) - 1, tol)
-          for name, G in sums.items()),
+        *(_spectrum_record(name, w, tol)
+          for name, w in zip(("row_sphere", "mirror_sphere"), spectra)),
     ]
     for c_ in checks[2:]:
         c_.level = m

@@ -92,14 +92,18 @@ def parse_channel_spec(payload: dict) -> ChannelSpec:
     fmt = payload.get("format")
     if fmt != CHANNEL_FORMAT:
         raise SpecFileError(f"unrecognized format {fmt!r}")
-    if "kraus" not in payload or not payload["kraus"]:
+    if not payload.get("kraus"):
         raise SpecFileError("spec carries no Kraus operators")
+    if not isinstance(payload["kraus"], list):
+        raise SpecFileError(f"kraus must be a list of operators (got {payload['kraus']!r})")
     try:
         kraus = KrausSet([decode_matrix(K) for K in payload["kraus"]])
     except ValueError as exc:
         raise SpecFileError(str(exc)) from None
     d = payload.get("d")
-    if d is not None and int(d) != kraus.d:
+    if d is not None and (isinstance(d, bool) or not isinstance(d, int)):
+        raise SpecFileError(f"d must be an integer (got {d!r})")
+    if d is not None and d != kraus.d:
         raise SpecFileError(f"declared dimension {d} does not match operators")
     spec = ChannelSpec(kraus=kraus)
     if "rho0" in payload:
@@ -148,14 +152,17 @@ def parse_classical_spec(payload: dict):
         raise SpecFileError("not a classical chain spec")
     if "transition" not in payload:
         raise SpecFileError("classical spec carries no transition matrix")
-    try:
-        M = np.asarray(payload["transition"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SpecFileError(f"malformed transition matrix: {exc}") from None
-    pi = None
-    if "pi" in payload:
-        pi = np.asarray(payload["pi"], dtype=float)
+    M = _real_array(payload, "transition", "transition matrix")
+    pi = _real_array(payload, "pi", "stationary vector pi") if "pi" in payload else None
     return M, pi
+
+
+def _real_array(payload: dict, key: str, what: str) -> np.ndarray:
+    """payload[key] as a float array; an entry that is not a number raises SpecFileError."""
+    try:
+        return np.asarray(payload[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SpecFileError(f"malformed {what}: {exc}") from None
 
 
 def load_payload(path: str) -> dict:

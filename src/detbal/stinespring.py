@@ -58,6 +58,16 @@ B_m and one stacked eigh of their sphere defects per rank, whatever the
 depth.  A single row of V_m or Q^(x)m V_m, and the boundary defect of
 e_1^(x)m, are read through the train (Level.row, Level.boundary_defect),
 with no word-space row.
+
+Every function of Q_m on a preserved level is V_m f(H_m) V_m*, formed in
+one place: eigenpairs takes the stacked eigh of the H_m's and cuts their
+eigenvalues at the system's rank_tol, and level_power forms
+P = U diag(w^z) U* over the kept ones, so V_m P V_m* is Q_m^z on the
+level (z = -1 for the inverse the sphere sums and the KMS term read,
+z = -it for the modular flow).  Every weighted word sum
+sum_ab Qinv[b,a] Z_a Z_b* is then sum_ij P[i,j] C_j C_i* = _sphere(P, C)
+for C = V_m* Z, and Level.compress reads C through the train with the
+product step (_pairs) that builds B_m, so no n^m-word stack is formed.
 """
 from __future__ import annotations
 
@@ -68,14 +78,15 @@ import numpy as np
 
 from .channel import (
     KrausSet,
+    _rows,
     apply,
     minimal_kraus,
+    remix,
     require_word_budget,
     require_word_length,
 )
 from .errors import HypothesisFailure
 from .matcore import (
-    MAX_DIM,
     RANK_TOL,
     RESIDUAL_TOL,
     as_complex,
@@ -91,6 +102,11 @@ def _letter_product(F: np.ndarray, T: np.ndarray, r0: int) -> np.ndarray:
     """(1_{r0} (x) F) T, the mode product of F with T's middle index, as an r0 x len(F) r matrix."""
     r = T.shape[1]
     return (F @ T.reshape(r0, F.shape[1], r)).reshape(r0, len(F) * r)
+
+
+def _pairs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Every product X[i] Y[j] of two (r, k, k) stacks, i major, as an (r_X r_Y, k, k) stack."""
+    return (X[:, np.newaxis] @ Y[np.newaxis]).reshape(len(X) * len(Y), *X.shape[1:])
 
 
 def _expand(X: np.ndarray, F: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -132,6 +148,21 @@ class Level:
     @property
     def rank(self) -> int:
         return self.T.shape[1]
+
+    def compress(self, ops: np.ndarray) -> np.ndarray:
+        """V* Z for Z the n^m words of an (n, k, k) stack ops, read through the train.
+
+        C_0 = [1], C_1 = T_1* ops and C_m = T_m* [C_{m-1}[i] C_1[j]], the
+        product step that builds B_m, since the words of length m are the
+        words of length m - 1 times a letter and V_m = (V_{m-1} (x) V_1) T_m.
+        The identity holds for any stack and at any cut, and no word-space
+        stack is formed; compress of the system's Kraus array is B_m.
+        """
+        if self.m == 0:  # the empty word, 1
+            return np.eye(ops.shape[-1], dtype=complex)[np.newaxis]
+        if self.below is None:  # level 1, where V_1 = T_1
+            return remix(ops, self.T)
+        return remix(_pairs(self.below.compress(ops), self.first.compress(ops)), self.T)
 
     def row(self, word, F: np.ndarray | None = None) -> np.ndarray:
         """Row `word` of V, or with an n x n F of F^(x)m V, read through the train.
@@ -182,12 +213,10 @@ class Weighted:
     H, the Grams G (for Q) and G_adj (for Q*) of the out-of-level part
     and compat are formed with the record, in r x r train coordinates
     from the records of levels m - 1 and 1 (see the module docstring).
-    The eigenpair (U, w) of H in level coordinates, over the eigenvalues
-    that rank_mask keeps, is formed on first read, or by the stacked
-    eigh of eigenpairs, and V is the level's own isometry, expanded on
-    first read.  The checks read them only on levels that Q^(x)m
-    preserves; there Q_m = V H V* = (V U) diag(w) (V U)*.  Every array is
-    read-only.  A record links to its level alone.
+    A record is plain data: its arrays are read-only and nothing is
+    written into it once it is built.  It links to its level alone.  On a
+    level that Q^(x)m preserves, Q_m = V H V* for the level's isometry V,
+    and every function of Q_m is V f(H) V* (eigenpairs, level_power).
     """
 
     level: Level
@@ -195,44 +224,38 @@ class Weighted:
     G: np.ndarray  # Gram of (1 - p_m) Q^(x)m V
     G_adj: np.ndarray  # the same for Q*
     compat: float  # ||[Q^(x)m, p_m]||, zero iff Q^(x)m preserves the level
-    rank_tol: float  # the cut on the eigenvalues of H
-
-    @property
-    def V(self) -> np.ndarray:
-        """The level isometry, n^m x r."""
-        return self.level.V
-
-    @functools.cached_property
-    def _eig(self):
-        """(U, w, keep): every eigenpair of H's Hermitian part, and rank_mask's keep."""
-        eigenpairs([self])
-        return self.__dict__["_eig"]
-
-    @functools.cached_property
-    def U(self) -> np.ndarray:
-        U, _, keep = self._eig
-        return read_only(U[:, keep])
-
-    @functools.cached_property
-    def w(self) -> np.ndarray:
-        _, w, keep = self._eig
-        return read_only(w[keep])
 
 
-def eigenpairs(recs) -> tuple:
-    """(U, w, keep), read-only, for Weighted records of one rank: one stacked eigh of their H's.
+def eigenpairs(recs, rank_tol: float) -> tuple:
+    """(U, w, keep) for Weighted records of one rank: one stacked eigh of their H's.
 
     U and w stack every eigenpair of each (H + H*)/2, and keep is rank_mask
-    of each record's eigenvalues.  A stacked eigh runs LAPACK on each matrix
-    alone, so a record reads the bits it would read alone; one without an
-    eigenpair keeps (U[i], w[i], keep[i]), so rec.U and rec.w read them too.
+    of each record's eigenvalues at rank_tol.  A stacked eigh runs LAPACK
+    on each matrix alone, so a record reads the bits it would read alone.
     """
     H = np.array([rec.H for rec in recs])
-    w, U = map(read_only, np.linalg.eigh((H + dag(H)) / 2))
-    keep = read_only(rank_mask(w, recs[0].rank_tol))
-    for rec, eig in zip(recs, zip(U, w, keep)):
-        rec.__dict__.setdefault("_eig", eig)
-    return U, w, keep
+    w, U = np.linalg.eigh((H + dag(H)) / 2)
+    return U, w, rank_mask(w, rank_tol)
+
+
+def level_power(U: np.ndarray, w: np.ndarray, keep: np.ndarray, z) -> np.ndarray:
+    """U diag(w^z) U* over the eigenvalues keep marks; a dropped eigenvalue enters as 0.
+
+    Takes the (U, w, keep) of eigenpairs, stacked or not, so V P V* is
+    Q_m^z on the level for P = level_power(..., z): the inverse at z = -1,
+    the modular flow at z = -it.
+    """
+    f = keep * np.where(keep, w, 1.0) ** z
+    return (U * f[..., np.newaxis, :]) @ dag(U)
+
+
+def _sphere(P: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sum_ij P[j,i] X_i X_j* for a Hermitian r x r P and an (r, k, k) stack X, stacks batched.
+
+    With (P X)_i = sum_j P[i,j] X_j and P = P*, the sum is sum_i X_i (P X)_i*.
+    """
+    PX = (P @ _rows(X)).reshape(X.shape)
+    return (X @ dag(PX)).sum(-3)
 
 
 def _compat_hypothesis(m: int, compat: float, tol: float) -> str | None:
@@ -296,8 +319,8 @@ class SubproductSystem:
         The record of level m is built from those of levels m - 1 and 1
         in r x r train coordinates (module docstring), so neither the
         n^m x n^m power Q^(x)m nor any word-space row is formed.  H is
-        diagonalized, and its eigenvalues cut at the system's rank_tol,
-        only when the eigenpair is first read.  Every Q-weighted level-m
+        not diagonalized here: a reader that needs a function of Q_m calls
+        eigenpairs with the system's rank_tol.  Every Q-weighted level-m
         quantity needs Q^(x)m to preserve the level: with tol, a compat
         above tol raises HypothesisFailure.
         """
@@ -330,7 +353,7 @@ class SubproductSystem:
             grams = [Gm] if hermitian else [Gm, _weigh(dag(H), G_adj, dag(F), L.T)[1]]
             compat = float(np.sqrt(max(0.0, *map(_top, grams))))
             self._memo[m, key] = Weighted(L, read_only(Hm), read_only(Gm), read_only(grams[-1]),
-                                          compat, self.rank_tol)
+                                          compat)
         return self._memo[m, key]
 
 
@@ -346,14 +369,12 @@ def first_level(K: KrausSet, rank_tol: float = RANK_TOL) -> Level:
 
 def _next_level(below: Level, first: Level, rank_tol: float) -> Level:
     """Level m + 1 from level m and level 1 (see the module docstring)."""
-    r0, r1, d = below.rank, first.rank, first.B.shape[1]
-    C = (below.B[:, np.newaxis] @ first.B[np.newaxis]).reshape(r0 * r1, d * d)
-    T, B = svd_cut(C, rank_tol)  # T may have 0 columns: a level of products that all vanish
-    return Level(T, B.reshape(-1, d, d), first.n, below.m + 1, below, first)
+    # T may have 0 columns: a level of products that all vanish
+    T, B = svd_cut(_rows(_pairs(below.B, first.B)), rank_tol)
+    return Level(T, B.reshape(-1, *first.B.shape[1:]), first.n, below.m + 1, below, first)
 
 
-def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL,
-                     max_dim: int = MAX_DIM) -> SubproductSystem:
+def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL) -> SubproductSystem:
     """Build levels 0..M of the subproduct system of K.
 
     K is reduced to a linearly independent set first when needed
@@ -367,7 +388,7 @@ def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL,
     is refused).
     """
     M = require_word_length(M, "M")
-    require_word_budget(K.n, M, max_dim)
+    require_word_budget(K.n, M)
     first = first_level(K, rank_tol)
     if first.rank < K.n:
         K = minimal_kraus(K, rank_tol)

@@ -28,7 +28,9 @@ through the dense record: a spectral norm, the defect projector of
 the library did before it read Hermitian residuals from their spectra.
 ``first_row_q_sphere`` above records through the same dense
 ``_relation_record``; ``test_relation_records`` and ``test_word_stack``
-compare the library against them.
+compare the library against them.  Its sums walk word pairs by default;
+``sums=_first_row_sums_by_words`` takes them from the n^m-word stack in
+word space instead, for levels too deep for the pair loop.
 """
 import functools
 
@@ -39,9 +41,11 @@ from detbal.channel import (
     apply,
     block,
     index_words,
+    remix,
     symmetric_unitary_first_col,
     word_labels,
     word_operator,
+    word_stack,
 )
 from detbal.equilibrium import check_state
 from detbal.errors import HypothesisFailure
@@ -190,27 +194,57 @@ def q_sphere_residual(K, Qd, S, m, tol=RESIDUAL_TOL, rank_tol=RANK_TOL):
     return spectral_norm(R), P
 
 
-def first_row_q_sphere(W, F, S, m, tol=RESIDUAL_TOL, rank_tol=RANK_TOL):
-    W, F, d, n = _shapes(W, F)
-    if n != S.n:
-        raise ValueError("subproduct system size mismatch")
-    Q = dag(F) @ F
-    lev = S.level(m)
-    p = projector(lev)
-    e1 = np.zeros(n ** m)
-    e1[0] = 1.0
-    hyp_q11 = float(abs(Q[0, 0] - 1.0))
-    hyp_e1 = float(np.linalg.norm(p[:, 0] - e1))
-    z = [block(W, d, n, 0, k) for k in range(n)]
+def _first_row_sums_by_pairs(z, Q, S, m, rank_tol):
+    """(row, mirror) sums of the blocks z over word pairs one at a time, Qinv dense."""
     Qinv = _qm_function(Q, S, m, lambda w: 1.0 / w, rank_tol)
-    ws = index_words(n, m)
+    ws = index_words(len(z), m)
     zops = [word_operator(z, wd) for wd in ws]
+    d = len(z[0])
     G_row = np.zeros((d, d), dtype=complex)
     G_mirror = np.zeros((d, d), dtype=complex)
     for a_ in range(len(ws)):
         for b in range(len(ws)):
             G_row += Qinv[b, a_] * dag(zops[a_]) @ zops[b]
             G_mirror += Qinv[b, a_] * zops[a_] @ dag(zops[b])
+    return G_row, G_mirror
+
+
+def _first_row_sums_by_words(z, Q, S, m, rank_tol):
+    """(row, mirror) sums of the blocks z from every word at once, in word space.
+
+    Qinv = VU diag(1/w) VU* from the eigenpairs of H = V* Q^(x)m V, with
+    Q^(x)m V formed by one mode product of Q per letter on the expanded
+    V, so no n^m x n^m array is formed; each sum is then one remix of the
+    n^m-word stack times its adjoint.  This is the word-space form the
+    library used before it read the words through the train, and it
+    reaches levels of thousands of words, where the pair loop cannot.
+    """
+    V, n = S.level(m).V, len(z)
+    X = V.reshape((n,) * m + (V.shape[1],))
+    for ax in range(m):
+        X = np.moveaxis(np.tensordot(Q, X, axes=(1, ax)), 0, ax)
+    H = dag(V) @ X.reshape(V.shape)
+    w, U = np.linalg.eigh((H + dag(H)) / 2)
+    keep = w > rank_tol * max(abs(w[-1]), 1e-300)
+    VU, w = V @ U[:, keep], w[keep]
+    Z = word_stack(np.array(z), m)
+    B, C = (remix(Z, A) / np.sqrt(w)[:, np.newaxis, np.newaxis] for A in (VU, VU.conj()))
+    return (dag(C) @ C).sum(0), (B @ dag(B)).sum(0)
+
+
+def first_row_q_sphere(W, F, S, m, tol=RESIDUAL_TOL, rank_tol=RANK_TOL,
+                       sums=_first_row_sums_by_pairs):
+    W, F, d, n = _shapes(W, F)
+    if n != S.n:
+        raise ValueError("subproduct system size mismatch")
+    Q = dag(F) @ F
+    lev = S.level(m)
+    e1 = np.zeros(n ** m)
+    e1[0] = 1.0
+    hyp_q11 = float(abs(Q[0, 0] - 1.0))
+    hyp_e1 = float(np.linalg.norm(lev.V @ lev.V[0].conj() - e1))  # p e_1, read as V V[0]*
+    z = [block(W, d, n, 0, k) for k in range(n)]
+    G_row, G_mirror = sums(z, Q, S, m, rank_tol)
     I = np.eye(d)
     checks = [
         CheckRecord(name="hypothesis_Q11", residual=hyp_q11, tolerance=tol,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +241,26 @@ def test_bad_spec_options_exit_two(tmp_path, capsys, options, key, commands):
         captured = capsys.readouterr()
         assert key in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("fields, key, command", [
+    ({"d": [2]}, "d", "analyze"),
+    ({"d": 2.5}, "d", "analyze"),
+    ({"d": True}, "d", "analyze"),
+    ({"kraus": 5}, "kraus", "analyze"),
+    ({"kraus": {"a": 1}}, "kraus", "analyze"),
+    ({"format": "detbal-classical/1", "transition": [[1.0]], "pi": {"a": 1}}, "pi", "classical"),
+], ids=["d-list", "d-float", "d-bool", "kraus-int", "kraus-object", "pi-object"])
+def test_malformed_spec_fields_exit_two_naming_the_field(tmp_path, capsys, fields, key, command):
+    # exit 1 is a false verdict, so a malformed file must not end in an uncaught TypeError
+    payload = {**gen_example("gad"), **fields}
+    path = tmp_path / "bad_field.json"
+    dump_payload(payload, str(path))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and re.search(rf"\b{key}\b", line), line
 
 
 def test_analyze_rejects_negative_rank_tol_flag(tmp_path, capsys):

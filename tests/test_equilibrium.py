@@ -319,6 +319,15 @@ def test_kms_state_eval_values():
         kms_state_eval(Qd, S, Word((1,)), Word((1,)), "timeordered")
 
 
+def test_kms_state_eval_rejects_unknown_ordering_whatever_the_lengths():
+    Q = np.diag([2.0, 0.5]).astype(complex)
+    Qd = CorrelationData(Q=Q, normalization="trace_balanced", raw=Q)
+    S = build_subproduct(random_channel(2, 2, 50), 2)
+    for j, k in ((Word((1,)), Word((1, 2))), (Word((1,)), Word((2,)))):
+        with pytest.raises(ValueError, match="ordering"):
+            kms_state_eval(Qd, S, j, k, "bogus")
+
+
 def test_kms_condition_commuting_db():
     Kp, Qraw, _ = orthogonalize_kraus(commuting_db_kraus(np.pi / 6), MIXED2)
     Qtb = Qraw.with_normalization("trace_balanced")

@@ -38,10 +38,10 @@ from detbal.equilibrium import (  # noqa: E402
 )
 from detbal.errors import HypothesisFailure  # noqa: E402
 from detbal.factories import commuting_db_kraus, gad_kraus  # noqa: E402
-from detbal.qgroup import suq2_generators  # noqa: E402
+from detbal.qgroup import first_row_q_sphere, suq2_dilation, suq2_generators  # noqa: E402
 from detbal.matcore import RANK_TOL, RESIDUAL_TOL, dag  # noqa: E402
 from detbal.reversal import detailed_balance_verdict, q_sphere_residual  # noqa: E402
-from test_memo import _haar_state, _orthogonal_diagonal, assert_stack_parity  # noqa: E402
+from test_memo import POOL, _haar_state, _orthogonal_diagonal, assert_stack_parity  # noqa: E402
 from detbal.stinespring import (  # noqa: E402
     build_subproduct,
     check_Q_compatibility,
@@ -148,6 +148,63 @@ def test_complex_deficient_level_matches_the_dense_level():
     K = KrausSet([U / np.sqrt(3) for U in (random_unitary(3, 1), X, Z)])
     S = assert_levels_match_dense(K, 3)
     assert S.level(2).rank == 8
+
+
+def _close(got, ref):
+    """got equals ref to 1e-12 * max(1, |ref|), shapes included."""
+    scale = max(1.0, float(np.abs(ref).max(initial=0.0)))
+    return got.shape == ref.shape and float(np.abs(got - ref).max(initial=0.0)) <= 1e-12 * scale
+
+
+def assert_compress_matches_the_word_stack(S, ops):
+    """Level.compress(ops) is V_m* Z, for Z the words of ops, at every level of S."""
+    for m in range(S.M + 1):
+        L = S.level(m)
+        assert _close(L.compress(ops), remix(word_stack(ops, m), L.V)), m
+
+
+@pytest.mark.parametrize("case", sorted(POOL))
+def test_compress_equals_the_remixed_word_stack(case):
+    K, _, M, rank_tol = POOL[case]()
+    S = build_subproduct(K, M, rank_tol)
+    rng = np.random.default_rng(len(case))
+    other = rng.normal(size=(S.n, 3, 3)) + 1j * rng.normal(size=(S.n, 3, 3))  # 3 x 3, no channel
+    for ops in (S.ops, other):
+        assert_compress_matches_the_word_stack(S, ops)
+
+
+def test_compress_of_the_kraus_array_is_B_at_any_cut():
+    # B_m = V_m* A_m holds for any cut, so compress(S.ops) is B_m also on the levels where a
+    # coarse rank_tol cut more than round-off and A_m = V_m B_m fails
+    exact, cut = 0, 0  # the levels with A_m = V_m B_m, and the others
+    for make in POOL.values():
+        K, _, M, rank_tol = make()
+        S = build_subproduct(K, M, rank_tol)
+        for m in range(M + 1):
+            L = S.level(m)
+            assert _close(L.compress(S.ops), L.B), m
+            A = word_stack(S.ops, m).reshape(len(L.V), -1)
+            if _close(L.V @ L.B.reshape(L.rank, -1), A):
+                exact += 1
+            else:
+                cut += 1
+    assert exact and cut
+
+
+def test_compress_reads_levels_of_rank_zero():
+    # the case of test_levels_of_vanishing_products_have_rank_zero: ranks 1, 1, 0, 0
+    S = build_subproduct(KrausSet([np.array([[0, 1], [0, 0]], dtype=complex)]), 3)
+    other = np.random.default_rng(0).normal(size=(1, 3, 3)).astype(complex)
+    for ops in (S.ops, other):
+        assert_compress_matches_the_word_stack(S, ops)
+    assert S.level(3).compress(other).shape == (0, 3, 3)
+
+
+def test_first_row_q_sphere_builds_no_word_stack(refuse_word_stacks):
+    a, c, K, F = suq2_generators(0.5, 6)
+    S = build_subproduct(K, 4)
+    refuse_word_stacks()
+    assert first_row_q_sphere(suq2_dilation(a, c, 0.5), F, S, 4).check("row_sphere").passed
 
 
 def test_levels_of_vanishing_products_have_rank_zero():

@@ -40,7 +40,7 @@ from detbal.errors import HypothesisFailure
 from detbal.factories import commuting_db_kraus, gad_kraus
 from detbal.matcore import RANK_TOL, RESIDUAL_TOL
 from detbal.reversal import detailed_balance_verdict, q_sphere_residual
-from detbal.stinespring import build_subproduct, check_Q_compatibility
+from detbal.stinespring import build_subproduct, check_Q_compatibility, eigenpairs
 
 
 def _haar_state(d, seed):
@@ -76,13 +76,15 @@ def test_level_V_and_derived_data_are_read_only():
     with pytest.raises(ValueError):  # before any derived data exists
         S.level(2).V[0] = 1.0
     rec, rec2 = S.weighted(Q, 2), S.weighted(Q @ Q, 2)
-    for X in (rec.V, rec.H, rec2.U, rec2.w):
+    for X in (rec.level.V, rec.H, rec.G, rec2.G_adj):
         with pytest.raises(ValueError):
             X[0] = 1.0
 
 
-def _arrays(rec):
-    return rec.V, rec.H, rec.U, rec.w
+def _arrays(S, rec):
+    """(V, H, U, w) of a record, with w the eigenvalues that S's rank cut keeps."""
+    U, w, keep = eigenpairs([rec], S.rank_tol)
+    return rec.level.V, rec.H, U, w[keep]
 
 
 def test_level_memo_is_keyed_by_Q_and_rank_tol():
@@ -95,16 +97,16 @@ def test_level_memo_is_keyed_by_Q_and_rank_tol():
     Q2[1, 0] += 1e-3
     inputs = (Q1, Q2, Q1.real)
     # (V, H, U, w) for every input from one system, so later inputs meet a warm memo
-    warm = [_arrays(S.weighted(Q, 2)) for Q in inputs]
+    warm = [_arrays(S, S.weighted(Q, 2)) for Q in inputs]
     for Q, got in zip(inputs, warm):
         cold = build_subproduct(K, 2)
-        want = _arrays(cold.weighted(Q, 2))
+        want = _arrays(cold, cold.weighted(Q, 2))
         assert [X.tobytes() for X in got] == [X.tobytes() for X in want]
     assert not np.array_equal(warm[0][1], warm[1][1])  # Q1 and Q2 differ
     # a system built with a larger rank_tol keeps fewer Q_m eigenvalues on the same level
     coarse = build_subproduct(K, 2, rank_tol=0.5)
     assert coarse.rank_tol == 0.5 and coarse.level(2).rank == S.level(2).rank
-    assert len(coarse.weighted(Q1, 2).w) < len(warm[0][3])
+    assert len(_arrays(coarse, coarse.weighted(Q1, 2))[3]) < len(warm[0][3])
 
 
 def _verdict_and_system(monkeypatch, case):
@@ -129,21 +131,21 @@ def test_verdict_builds_one_record_per_level(monkeypatch):
 
 
 def test_verdict_forms_no_eigenpair_on_levels_Q_does_not_preserve(monkeypatch):
+    decomposed = []  # the level of every record whose H eigenpairs decomposes
+
+    def spy(recs, rank_tol):
+        decomposed.extend(rec.level.m for rec in recs)
+        return eigenpairs(recs, rank_tol)
+
+    monkeypatch.setattr(equilibrium, "eigenpairs", spy)
     rep, M, S = _verdict_and_system(monkeypatch, "haar")
     failing = {c.level for c in rep.checks if c.name == "q_compatibility" and not c.passed}
     assert failing and failing != set(range(1, M + 1))
     assert sorted(m for m, _ in S._memo) == list(range(1, M + 1))
-    for (m, _), rec in S._memo.items():
-        # the eigenpair is a cached property: present in the record once read
-        assert ("_eig" in vars(rec)) == (m not in failing), m
-
-
-def test_weighted_eigenpair_is_formed_on_first_read_and_kept():
-    S = build_subproduct(random_channel(2, 3, 7), 2)
-    rec = S.weighted(random_hermitian(3, 7), 2)
-    assert "_eig" not in vars(rec)
-    U, w = rec.U, rec.w
-    assert rec.U is U and rec.w is w
+    assert sorted(decomposed) == sorted(set(range(1, M + 1)) - failing)
+    # the records stay plain data: reading them writes nothing into them
+    fields = {"level", "H", "G", "G_adj", "compat"}
+    assert all(set(vars(rec)) == fields for rec in S._memo.values())
 
 
 def _count_calls(monkeypatch, name, *modules):
@@ -362,18 +364,24 @@ def assert_stack_parity(S, Q, rho0, tol=RESIDUAL_TOL):
 
     The group read takes levels 0..M of S at once; each level is then read
     alone on a fresh system built from the same operators, so every memo
-    starts cold.  The records' eigenpairs (U, w), which the group read
-    stores, must equal those of the alone read too.
+    starts cold.  The eigenpairs (U, w, keep) of each rank group's stacked
+    eigh must equal those of the level's eigenpairs alone too.
     """
     ms = _preserved({m: S.weighted(Q, m).compat for m in range(S.M + 1)}, tol)
     together = _read_levels(S, Q, ms, tol, rho0)
     assert sorted(together) == ms
+    groups, stacked = {}, {}
+    for m in ms:
+        groups.setdefault(S.level(m).rank, []).append(m)
+    for group in groups.values():
+        eig = eigenpairs([S.weighted(Q, m) for m in group], S.rank_tol)
+        stacked.update({m: [X[i].tobytes() for X in eig] for i, m in enumerate(group)})
     for m in ms:
         fresh = build_subproduct(KrausSet(S.ops), S.M, S.rank_tol)
         alone = _read_levels(fresh, Q, [m], tol, rho0)[m]
         assert _read_bits(together[m]) == _read_bits(alone), m
-        rec, cold = S.weighted(Q, m), fresh.weighted(Q, m)
-        assert [X.tobytes() for X in (rec.U, rec.w)] == [X.tobytes() for X in (cold.U, cold.w)], m
+        cold = eigenpairs([fresh.weighted(Q, m)], fresh.rank_tol)
+        assert stacked[m] == [X[0].tobytes() for X in cold], m
 
 
 @pytest.mark.parametrize("case", sorted(POOL))
@@ -392,7 +400,8 @@ def test_the_pool_stacks_levels_that_keep_different_numbers_of_eigenvalues():
         _, Qtb, S = _cold(K, rho0, M, rank_tol)
         for m in _preserved({m: S.weighted(Qtb.Q, m).compat for m in range(1, M + 1)},
                             RESIDUAL_TOL):
-            kept.setdefault((case, S.level(m).rank), set()).add(len(S.weighted(Qtb.Q, m).w))
+            keep = eigenpairs([S.weighted(Qtb.Q, m)], S.rank_tol)[2]
+            kept.setdefault((case, S.level(m).rank), set()).add(int(keep.sum()))
     assert any(len(counts) > 1 for counts in kept.values())
 
 

@@ -38,6 +38,8 @@ from detbal.stinespring import (
     build_subproduct,
     check_Q_compatibility,
     check_subproduct_inclusion,
+    eigenpairs,
+    level_power,
     verify_power_dilation,
 )
 
@@ -189,10 +191,10 @@ def test_level_functions_match_dense_oracle(case):
                            oracle.check_subproduct_inclusion(S, m, l))
     for m in range(1, M + 1):
         assert_matches(trace_qm(Qd, S, m), oracle.trace_qm(Qd, S, m))
-        rec = S.weighted(Qd.Q, m)
-        VU, w = rec.V @ rec.U, rec.w
-        for fn in (lambda w: 1.0 / w, lambda w: np.power(w, -0.7j)):
-            assert_matrix_matches((VU * fn(w.astype(complex))) @ dag(VU),
+        V = S.level(m).V
+        (U, w, keep) = (X[0] for X in eigenpairs([S.weighted(Qd.Q, m)], S.rank_tol))
+        for z, fn in ((-1, lambda w: 1.0 / w), (-0.7j, lambda w: np.power(w, -0.7j))):
+            assert_matrix_matches(V @ level_power(U, w, keep, z) @ dag(V),
                                   oracle._qm_function(Qd.Q, S, m, fn))
         # one flowed row per word; levels where Q^(x)m fails to preserve the
         # subspace must refuse the flow instead
@@ -239,20 +241,36 @@ def _first_row_cases():
     yield dilation_from_kraus(Kr)[1], np.array([[1.0, 0.3j], [0.2, 0.8]]), build_subproduct(Kr, 2)
 
 
+def assert_first_row_matches(new, ref):
+    assert new.verdict == ref.verdict
+    assert new.info == ref.info
+    for c, c_ref in zip(new.checks, ref.checks, strict=True):
+        assert (c.name, c.passed, c.level, c.defect_rank) == \
+            (c_ref.name, c_ref.passed, c_ref.level, c_ref.defect_rank)
+        for field in ("residual", "frobenius", "off_defect_residual"):
+            if getattr(c_ref, field) is not None:
+                assert_matches(getattr(c, field), getattr(c_ref, field))
+
+
 @pytest.mark.parametrize("index", range(7))
 def test_first_row_q_sphere_matches_loop_oracle(index):
     W, F, S = list(_first_row_cases())[index]
     for m in range(1, S.M + 1):
-        new = first_row_q_sphere(W, F, S, m)
-        ref = oracle.first_row_q_sphere(W, F, S, m)
-        assert new.verdict == ref.verdict
-        assert new.info == ref.info
-        for c, c_ref in zip(new.checks, ref.checks, strict=True):
-            assert (c.name, c.passed, c.level, c.defect_rank) == \
-                (c_ref.name, c_ref.passed, c_ref.level, c_ref.defect_rank)
-            for field in ("residual", "frobenius", "off_defect_residual"):
-                if getattr(c_ref, field) is not None:
-                    assert_matches(getattr(c, field), getattr(c_ref, field))
+        assert_first_row_matches(first_row_q_sphere(W, F, S, m),
+                                 oracle.first_row_q_sphere(W, F, S, m))
+
+
+@pytest.mark.parametrize("m", [8, 12])
+def test_first_row_q_sphere_matches_the_oracles_deep_on_suq2(m):
+    # 256 and 4096 words of the N = 12 ladder, read through the train; the pair loop
+    # (n^2m pairs) reaches m = 8, and the word-space stack reaches both depths
+    a, c, K, F = suq2_generators(0.5, 12)
+    W, S = suq2_dilation(a, c, 0.5), build_subproduct(K, m)
+    new = first_row_q_sphere(W, F, S, m)
+    assert_first_row_matches(new, oracle.first_row_q_sphere(
+        W, F, S, m, sums=oracle._first_row_sums_by_words))
+    if m == 8:
+        assert_first_row_matches(new, oracle.first_row_q_sphere(W, F, S, m))
 
 
 def test_level_zero_is_the_empty_word():
