@@ -78,13 +78,14 @@ def cmd_reverse(args) -> int:
     if args.depth < 1:
         return _fail(f"--depth must be at least 1 (got {args.depth})")
     tol = float(spec.options["residual_tol"])
+    rank_tol = float(spec.options["rank_tol"])
     rho0 = _default_rho0(spec)
     if args.mode == "qsphere":
-        Kfwd, Qraw, _ = orthogonalize_kraus(spec.kraus, rho0)
+        Kfwd, Qraw, _ = orthogonalize_kraus(spec.kraus, rho0, rank_tol=rank_tol)
         Kbar = reversed_kraus(Kfwd, Qraw.with_normalization("first_entry"))
     else:
         Kfwd = spec.kraus
-        Kbar = crooks_dual(spec.kraus, rho0)
+        Kbar = crooks_dual(spec.kraus, rho0, rank_tol)
     kind = classify(Kbar, tol).classification
     if kind == "operation":
         print("warning: reversed set is an operation, not a channel", file=sys.stderr)

@@ -220,11 +220,6 @@ def _word_letters(n: int, *words):
     return [tuple(k - 1 for k in x) for x in letters], m
 
 
-def trace_qm(Qd: CorrelationData, S: SubproductSystem, m: int) -> float:
-    """Trace of Q_m = Q^(x)m p_m over the full m-fold tensor power."""
-    return float(np.trace(S.weighted(Qd.Q, m).H).real)
-
-
 ROW_BLOCK = 1 << 20  # entries of V Es V* formed at once by _max_entries, over the whole stack
 
 

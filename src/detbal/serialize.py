@@ -49,8 +49,6 @@ def encode_real_matrix(A: np.ndarray) -> list:
 class ChannelSpec:
     kraus: KrausSet
     rho0: np.ndarray | None = None
-    Q: np.ndarray | None = None
-    Q_normalization: str | None = None
     F: np.ndarray | None = None
     dilation: np.ndarray | None = None
     options: dict = field(default_factory=lambda: dict(DEFAULT_OPTIONS))
@@ -60,8 +58,7 @@ class ChannelSpec:
         return self.kraus.d
 
 
-def channel_spec_dict(kraus, rho0=None, Q=None, Q_normalization=None, F=None,
-                      dilation=None, options=None) -> dict:
+def channel_spec_dict(kraus, rho0=None, F=None, dilation=None, options=None) -> dict:
     """Assemble a JSON-ready channel spec dictionary."""
     out = {
         "format": CHANNEL_FORMAT,
@@ -70,11 +67,6 @@ def channel_spec_dict(kraus, rho0=None, Q=None, Q_normalization=None, F=None,
     }
     if rho0 is not None:
         out["rho0"] = encode_matrix(rho0)
-    if Q is not None:
-        out["Q"] = {
-            "matrix": encode_matrix(Q),
-            "normalization": Q_normalization or "raw",
-        }
     if F is not None:
         out["F"] = encode_matrix(F)
     if dilation is not None:
@@ -111,13 +103,7 @@ def parse_channel_spec(payload: dict) -> ChannelSpec:
         if spec.rho0.shape != (kraus.d, kraus.d):
             raise SpecFileError("rho0 dimension mismatch")
     if "Q" in payload:
-        qobj = payload["Q"]
-        if not isinstance(qobj, dict) or "matrix" not in qobj:
-            raise SpecFileError("Q must carry a matrix and a normalization")
-        spec.Q = decode_matrix(qobj["matrix"])
-        spec.Q_normalization = qobj.get("normalization", "raw")
-        if spec.Q.shape != (kraus.n, kraus.n):
-            raise SpecFileError("Q dimension mismatch")
+        raise SpecFileError("a spec carries no Q: the weight is computed from rho0")
     if "F" in payload:
         spec.F = decode_matrix(payload["F"])
         if spec.F.shape != (kraus.n, kraus.n):

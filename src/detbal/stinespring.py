@@ -1,63 +1,66 @@
 """Subproduct systems generated by a Kraus set.
 
-Level m of the system is the r_{m-1} r_1 x r transfer T_m and the
-compressed word stack B_m, linked to levels m - 1 and 1.  Together they
-fix V_m, the n^m x r isometry whose columns span the range of the word
-map: the column space of the n^m x d^2 matrix A_m whose row a is the
-length-m Kraus product K_a of word a of index_words(n, m), labelled on
-request.  The level projector is p_m = V_m V_m*, and r <= d^2 is the
-rank.  B_m = V_m* A_m, an (r, d, d) array, is the word stack compressed
-to the level.
+Level m of the system fixes V_m, the n^m x r isometry whose columns span
+the range of the word map: the column space of the n^m x d^2 matrix A_m
+whose row a is the length-m Kraus product K_a of word a of
+index_words(n, m), labelled on request.  The level projector is
+p_m = V_m V_m*, and r <= d^2 is the rank.  B_m = V_m* A_m, an (r, d, d)
+array, is the word stack compressed to the level.
 
-The levels nest: range(p_{m+1}) sits inside range(p_m) (x) range(p_1),
-so the tower is a tensor train and each level is built from the one
-below it.  Level 1 factors the n x d^2 Kraus matrix, T_1 = V_1.  For
+The levels nest: range(p_m) sits inside range(p_{m-1}) (x) C^n, so the
+tower is a left-canonical tensor train.  Level m is stored as its core
+T_m, an r_{m-1} n x r isometry with V_m = (V_{m-1} (x) 1_n) T_m from
+V_0 = [[1]], and B_m; it links to level m - 1 alone, and row a of V_m is
+the product T_1[a_1] ... T_m[a_m] of the cores' letter slices.  Level 1
+factors the n x d^2 Kraus matrix, V_1 = T_1, and build_subproduct first
+reduces K to an independent set, so V_1 is unitary (p_1 = 1).  For
 m >= 2 the r_{m-1} r_1 x d^2 matrix C of products B_{m-1}[i] B_1[j]
-satisfies A_m = (V_{m-1} (x) V_1) C; its SVD cut by rank_mask gives the
-transfer T_m (the kept left singular vectors) and B_m = T_m* C, so that
-V_m = (V_{m-1} (x) V_1) T_m.  Both SVDs are matcore.svd_cut, which
-takes a wide matrix (few rows against d^2 columns, as at large d) by its
-short side: a QR of its adjoint, then the SVD of the square triangular
-factor.  Since V_{m-1} (x) V_1 is an isometry, C and A_m share their
-singular values, and with them the rank cuts, as long as the cuts below
-dropped only zero singular values; a coarser rank_tol builds level m
-from what the cut at level m - 1 kept, so the levels stay nested.  The build forms no word-space row: V_m is that
-product expanded on first read (Level.V) and then kept.
+satisfies A_m = (V_{m-1} (x) V_1) C; its SVD cut by rank_mask keeps the
+left singular vectors S and gives B_m = S* C, and the stored core is
+T_m = (1 (x) V_1) S, one mode product of V_1.  Both SVDs are
+matcore.svd_cut, which takes a wide matrix (few rows against d^2
+columns, as at large d) by its short side: a QR of its adjoint, then the
+SVD of the square triangular factor.  Since V_{m-1} (x) V_1 is an
+isometry, C and A_m share their singular values, and with them the rank
+cuts, as long as the cuts below dropped only zero singular values; a
+coarser rank_tol builds level m from what the cut at level m - 1 kept,
+so the levels stay nested.  The build forms no word-space row: V_m is
+the train expanded on first read (Level.V) and then kept.
 
 A weight Q enters a level only through Q_m = Q^(x)m p_m, and
 SubproductSystem.weighted is the one place that forms it, in r x r train
 coordinates.  With H_m = V_m* Q^(x)m V_m and Q^(x)m V_m =
-(Q^(x)(m-1) V_{m-1} (x) Q V_1) T_m,
+(Q^(x)(m-1) V_{m-1} (x) Q) T_m,
 
-    H_m = T_m* (H_{m-1} (x) H_1) T_m,
-    G_m = Y* Y + T_m* (G_{m-1} (x) H_1* H_1) T_m,
-    Y   = (1 - T_m T_m*) (H_{m-1} (x) H_1) T_m,
+    H_m = T_m* (H_{m-1} (x) Q) T_m,
+    G_m = Y* Y + T_m* (G_{m-1} (x) Q* Q) T_m,
+    Y   = (1 - T_m T_m*) (H_{m-1} (x) Q) T_m,
 
-where G_m is the Gram of the out-of-level part (1 - p_m) Q^(x)m V_m.
-The out-of-level part splits into (V_{m-1} (x) V_1) Y, inside
-range(p_{m-1}) (x) range(p_1), and the carried part from level m - 1,
-orthogonal to it.  The recursion needs p_1 = 1, which holds because
-build_subproduct minimizes the Kraus set, so G_1 = 0 up to round-off
-(level 1 takes the same step from level 0, with Q in place of H_1).  The
-Gram is carried, not recomputed as a difference of Grams, so a level
-that Q^(x)m preserves reads compat at round-off, not at sqrt(eps).  The
-residual ||[Q^(x)m, p_m]|| is sqrt(lambda_max(G_m)), the larger of its
-values for Q and Q*.  Every (x) is two mode products on T_m's
-(r_{m-1}, r_1, r) reshape.  Each (level, Q) record is built once and
-read-only, so the checks of one verdict share it.  The checks read the
-words of a level through B_m alone (SubproductSystem.stack): while the
-cuts dropped only round-off, A_m = V_m B_m, so every word Gram is
-V_m (a Gram of B_m) V_m*.  On a level that Q^(x)m preserves,
-Q_m = V_m H_m V_m*, so every word-pair residual is max |V_m E V_m*| for
-an r x r E, read in row blocks for a stack of E's at once
-(equilibrium._max_entries); V_m is the only word-space array a check
-expands.  Everything else a check reads of a level is r x r or d x d,
-so the levels of one rank r are read together (equilibrium._read_levels):
-one stacked eigh of their H_m (eigenpairs), one batched pair of Grams of
-B_m and one stacked eigh of their sphere defects per rank, whatever the
-depth.  A single row of V_m or Q^(x)m V_m, and the boundary defect of
-e_1^(x)m, are read through the train (Level.row, Level.boundary_defect),
-with no word-space row.
+where G_m is the Gram of the out-of-level part (1 - p_m) Q^(x)m V_m,
+and level 0 reads H_0 = 1, G_0 = 0.  The out-of-level part splits into
+(V_{m-1} (x) 1) Y, inside range(p_{m-1}) (x) C^n, and the part carried
+from level m - 1, orthogonal to it.  So the recursion holds for any
+isometric core and needs no hypothesis on level 1.  The Gram is carried,
+not recomputed as a difference of Grams, so a level that Q^(x)m
+preserves reads compat at round-off, not at sqrt(eps).  The residual
+||[Q^(x)m, p_m]|| is sqrt(lambda_max(G_m)), the larger of its values for
+Q and Q*.  Every (x) is two mode products on T_m's (r_{m-1}, n, r)
+reshape.  Each (level, Q) record is built once and read-only, so the
+checks of one verdict share it.
+
+The checks read the words of a level through B_m alone
+(SubproductSystem.stack): while the cuts dropped only round-off,
+A_m = V_m B_m, so every word Gram is V_m (a Gram of B_m) V_m*.  On a
+level that Q^(x)m preserves, Q_m = V_m H_m V_m*, so every word-pair
+residual is max |V_m E V_m*| for an r x r E, read in row blocks for a
+stack of E's at once (equilibrium._max_entries); V_m is the only
+word-space array a check expands.  Everything else a check reads of a
+level is r x r or d x d, so the levels of one rank r are read together
+(equilibrium._read_levels): one stacked eigh of their H_m (eigenpairs),
+one batched pair of Grams of B_m and one stacked eigh of their sphere
+defects per rank, whatever the depth.  A single row of V_m or
+Q^(x)m V_m, and the boundary defect of e_1^(x)m, are read through the
+train (Level.row, Level.boundary_defect), with no word-space row.
 
 Every function of Q_m on a preserved level is V_m f(H_m) V_m*, formed in
 one place: eigenpairs takes the stacked eigh of the H_m's and cuts their
@@ -66,8 +69,8 @@ P = U diag(w^z) U* over the kept ones, so V_m P V_m* is Q_m^z on the
 level (z = -1 for the inverse the sphere sums and the KMS term read,
 z = -it for the modular flow).  Every weighted word sum
 sum_ab Qinv[b,a] Z_a Z_b* is then sum_ij P[i,j] C_j C_i* = _sphere(P, C)
-for C = V_m* Z, and Level.compress reads C through the train with the
-product step (_pairs) that builds B_m, so no n^m-word stack is formed.
+for C = V_m* Z, and Level.compress reads C through the train, one
+letter at a time, so no n^m-word stack is formed.
 """
 from __future__ import annotations
 
@@ -80,7 +83,6 @@ from .channel import (
     KrausSet,
     _rows,
     apply,
-    minimal_kraus,
     remix,
     require_word_budget,
     require_word_length,
@@ -109,30 +111,31 @@ def _pairs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return (X[:, np.newaxis] @ Y[np.newaxis]).reshape(len(X) * len(Y), *X.shape[1:])
 
 
-def _expand(X: np.ndarray, F: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """The word-space rows (X (x) F) T = (X (x) 1)(1 (x) F) T of a level, formed only when read."""
-    return read_only((X @ _letter_product(F, T, X.shape[1])).reshape(len(X) * len(F), T.shape[1]))
+def _expand(X: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """The word-space rows (X (x) 1_n) T of a level, for its (r_{m-1}, n, r) core T."""
+    r0, n, r = T.shape
+    return read_only((X @ T.reshape(r0, n * r)).reshape(len(X) * n, r))
 
 
 @dataclass(frozen=True)
 class Level:
-    """One level (T_m, B_m) of a subproduct system, linked to levels m - 1 and 1.
+    """One level (T_m, B_m) of a subproduct system, linked to level m - 1.
 
-    For m >= 2, V_m = (V_{m-1} (x) V_1) T_m with the r_{m-1} r_1 x r
-    transfer T_m; level 1 reads its letters directly, V_1 = T_1, and
-    T_0 = V_0 = [[1]], so levels 0 and 1 link to no other level.
-    B_m = V_m* A_m is the compressed word stack (see the module
-    docstring).  V is expanded from the train on first read and kept;
-    T, B and V are read-only.  row and boundary_defect read the train
-    without expanding V.
+    T_m is the r_{m-1} n x r core of the train: V_m = (V_{m-1} (x) 1_n) T_m
+    from V_0 = T_0 = [[1]], so V_m[a_1..a_m] = T_1[a_1] ... T_m[a_m] for
+    the slices T_k[a] = T_k.reshape(r_{k-1}, n, r_k)[:, a], and every core
+    is an isometry (the train is left-canonical).  V_1 = T_1 is the first
+    core itself.  B_m = V_m* A_m is the compressed word stack (see the
+    module docstring).  V is expanded from the train on first read and
+    kept; T, B and V are read-only.  compress, row and boundary_defect
+    read the train without expanding V.
     """
 
-    T: np.ndarray  # transfer from the level below
+    T: np.ndarray  # core: V = (V_below (x) 1_n) T
     B: np.ndarray  # (rank, d, d) compressed word stack V* A_m
     n: int  # alphabet size; n = 1 leaves m unreadable from len(V)
     m: int  # word length
     below: Level | None = field(default=None, repr=False, compare=False)  # level m - 1
-    first: Level | None = field(default=None, repr=False, compare=False)  # level 1
 
     def __post_init__(self):
         for name in ("T", "B"):
@@ -141,62 +144,63 @@ class Level:
     @functools.cached_property
     def V(self) -> np.ndarray:
         """The n^m x rank isometry onto the level subspace."""
-        if self.below is None:
+        if self.m <= 1:  # V_0 = [[1]], so V_0 and V_1 are their cores
             return self.T
-        return _expand(self.below.V, self.first.V, self.T)
+        return _expand(self.below.V, self.core)
 
     @property
     def rank(self) -> int:
         return self.T.shape[1]
 
+    @property
+    def core(self) -> np.ndarray:
+        """T as an (r_{m-1}, n, r) array, whose slice [:, a] is letter a's matrix T_m[a]."""
+        return self.T.reshape(self.below.rank, self.n, self.rank)
+
     def compress(self, ops: np.ndarray) -> np.ndarray:
         """V* Z for Z the n^m words of an (n, k, k) stack ops, read through the train.
 
-        C_0 = [1], C_1 = T_1* ops and C_m = T_m* [C_{m-1}[i] C_1[j]], the
-        product step that builds B_m, since the words of length m are the
-        words of length m - 1 times a letter and V_m = (V_{m-1} (x) V_1) T_m.
-        The identity holds for any stack and at any cut, and no word-space
-        stack is formed; compress of the system's Kraus array is B_m.
+        C_0 = [1] and C_m = T_m* [C_{m-1}[i] ops[j]], since the words of
+        length m are the words of length m - 1 times a letter and
+        V_m = (V_{m-1} (x) 1_n) T_m.  The identity holds for any stack and at
+        any cut, and no word-space stack is formed; compress of the system's
+        Kraus array is B_m.
         """
-        if self.m == 0:  # the empty word, 1
+        if self.below is None:  # the empty word, 1
             return np.eye(ops.shape[-1], dtype=complex)[np.newaxis]
-        if self.below is None:  # level 1, where V_1 = T_1
-            return remix(ops, self.T)
-        return remix(_pairs(self.below.compress(ops), self.first.compress(ops)), self.T)
+        return remix(_pairs(self.below.compress(ops), ops), self.T)
 
     def row(self, word, F: np.ndarray | None = None) -> np.ndarray:
         """Row `word` of V, or with an n x n F of F^(x)m V, read through the train.
 
-        word holds m 0-based letters.  V_m[a] = (V_{m-1}[a'] (x) V_1[a_m]) T_m,
-        with a' the word without its last letter, and F^(x)m V_m follows the
-        same recursion from the rows of F V_1, so a row costs O(m r^2) and no
-        word-space row is expanded.
+        word holds m 0-based letters.  V_m[a] = V_{m-1}[a'] T_m[a_m], a
+        product of core slices, with a' the word without its last letter;
+        F^(x)m V_m reads sum_b F[a_m, b] T_m[b] in place of T_m[a_m].  A row
+        costs O(m n r^2) and no word-space row is expanded.
         """
-        if self.m == 0:  # the empty word, weighted by F^(x)0 = 1
+        if self.below is None:  # the empty word, weighted by F^(x)0 = 1
             return self.T[0]
-        if self.below is None:  # level 1, where V_1 = T_1
-            return self.T[word[0]] if F is None else F[word[0]] @ self.T
-        x = np.outer(self.below.row(word[:-1], F), self.first.row(word[-1:], F))
-        return x.ravel() @ self.T
+        T = self.core
+        return self.below.row(word[:-1], F) @ (T[:, word[-1]] if F is None else F[word[-1]] @ T)
 
     @functools.cached_property
     def _origin(self) -> tuple:
-        """(V[0], ||(1 - p) e_1||^2), from the same quantities of levels m - 1 and 1.
+        """(V[0], ||(1 - p) e_1||^2), from the same quantities of level m - 1.
 
-        With x = V_{m-1}[0] (x) V_1[0], V[0] = x T.  e_1^(x)m splits into its
-        parts outside p_{m-1} (x) p_1, inside it but outside p, and inside p,
-        so with a, b the squared defects of levels m - 1 and 1 the squared
-        defect is a + b - ab + ||(1 - T T*) x*||^2.  Levels 0 and 1 read
-        x = e_1 and a = b = 0.
+        e_1^(x)m = e_1^(x)(m-1) (x) e_1 splits into its part outside
+        p_{m-1} (x) 1, of squared norm a, the squared defect of level m - 1,
+        and its part inside, with coordinates x* in V_{m-1} (x) 1 for
+        x = V_{m-1}[0] (x) e_1.  So V[0] = x T and the squared defect is
+        a + ||(1 - T T*) x*||^2.  Level 0 holds the empty word: V_0[0] = 1,
+        defect 0.
         """
         if self.below is None:
-            x, base = np.eye(1, len(self.T))[0].astype(complex), 0.0
-        else:
-            (u, a), (v, b) = self.below._origin, self.first._origin
-            x, base = np.outer(u, v).ravel(), a + b - a * b
+            return self.T[0], 0.0
+        u, a = self.below._origin
+        x = np.outer(u, np.eye(1, self.n)[0]).ravel()
         v0 = x @ self.T
         y = x.conj() - self.T @ v0.conj()
-        return v0, base + float(np.vdot(y, y).real)
+        return v0, a + float(np.vdot(y, y).real)
 
     def boundary_defect(self) -> float:
         """||p e_1 - e_1||: how far e_1^(x)m lies from the level subspace.
@@ -212,7 +216,7 @@ class Weighted:
 
     H, the Grams G (for Q) and G_adj (for Q*) of the out-of-level part
     and compat are formed with the record, in r x r train coordinates
-    from the records of levels m - 1 and 1 (see the module docstring).
+    from the record of level m - 1 (see the module docstring).
     A record is plain data: its arrays are read-only and nothing is
     written into it once it is built.  It links to its level alone.  On a
     level that Q^(x)m preserves, Q_m = V H V* for the level's isometry V,
@@ -288,9 +292,10 @@ def _top(G: np.ndarray) -> float:
 class SubproductSystem:
     """Levels 0..M of a Kraus set's subproduct system (build_subproduct).
 
-    The system memoizes one Weighted record per level and weight Q,
-    keyed by Q's dtype, shape and bytes, so a different Q never reads a
-    stale entry.  The memo lives as long as the system.
+    The system memoizes one Weighted record per level m >= 1 and weight
+    Q, keyed by Q's dtype, shape and bytes, so a different Q never reads a
+    stale entry; level 0 weighs the empty word by 1 and keeps one record
+    for every Q.  The memo lives as long as the system.
     """
 
     n: int
@@ -316,8 +321,8 @@ class SubproductSystem:
     def weighted(self, Q, m: int, tol: float | None = None) -> Weighted:
         """The level-m record of the weight Q, built once per Q and read-only.
 
-        The record of level m is built from those of levels m - 1 and 1
-        in r x r train coordinates (module docstring), so neither the
+        The record of level m is built from that of level m - 1 in r x r
+        train coordinates (module docstring), so neither the
         n^m x n^m power Q^(x)m nor any word-space row is formed.  H is
         not diagonalized here: a reader that needs a function of Q_m calls
         eigenpairs with the system's rank_tol.  Every Q-weighted level-m
@@ -340,66 +345,70 @@ class SubproductSystem:
         return rec
 
     def _record(self, Q: np.ndarray, key: tuple, m: int, hermitian: bool) -> Weighted:
-        if (m, key) not in self._memo:
-            L = self.level(m)
-            if m >= 2:
-                below = self._record(Q, key, m - 1, hermitian)
-                first = self._record(Q, key, 1, hermitian)
-                H, G, G_adj, F = below.H, below.G, below.G_adj, first.H
-            else:  # level 0 weighs the empty word by 1, level 1 the letters by Q
-                one = np.ones((1, 1), dtype=complex)
-                H, G, G_adj, F = one, 0 * one, 0 * one, Q if m == 1 else one
-            Hm, Gm = _weigh(H, G, F, L.T)
-            grams = [Gm] if hermitian else [Gm, _weigh(dag(H), G_adj, dag(F), L.T)[1]]
+        if m == 0:
+            return self._empty
+        if (m, key) not in self._memo:  # carried from level m - 1, with Q on the new letter
+            below, T = self._record(Q, key, m - 1, hermitian), self.level(m).T
+            H, G = _weigh(below.H, below.G, Q, T)
+            grams = [G] if hermitian else [G, _weigh(dag(below.H), below.G_adj, dag(Q), T)[1]]
             compat = float(np.sqrt(max(0.0, *map(_top, grams))))
-            self._memo[m, key] = Weighted(L, read_only(Hm), read_only(Gm), read_only(grams[-1]),
-                                          compat)
+            self._memo[m, key] = Weighted(self.level(m), read_only(H), read_only(G),
+                                          read_only(grams[-1]), compat)
         return self._memo[m, key]
+
+    @functools.cached_property
+    def _empty(self) -> Weighted:
+        """Level 0's record: the empty word, weighed by 1 whatever Q is."""
+        one = np.ones((1, 1), dtype=complex)
+        return Weighted(self.level(0), read_only(one), read_only(0 * one), read_only(0 * one), 0.0)
 
 
 def first_level(K: KrausSet, rank_tol: float = RANK_TOL) -> Level:
     """Level 1 of K's subproduct system, from the SVD of the n x d^2 Kraus matrix (svd_cut).
 
     Its rank is the number of linearly independent Kraus operators at
-    rank_tol.
+    rank_tol, and its core is V_1, the kept left singular vectors.  A
+    dependent set is reduced to the operators B_1 the level keeps (as
+    minimal_kraus does); their rows are orthogonal, so they are the
+    letters of a level with core 1_r.  Either way V_1 is unitary: p_1 = 1.
     """
     V, B = svd_cut(K.ops.reshape(K.n, -1), rank_tol)
-    return Level(V, B.reshape(-1, K.d, K.d), K.n, 1)
+    if len(B) < K.n:
+        V = np.eye(len(B), dtype=complex)
+    one = np.ones((1, 1), dtype=complex)
+    empty = Level(one, np.eye(K.d, dtype=complex)[np.newaxis], len(V), 0)
+    return Level(V, B.reshape(-1, K.d, K.d), len(V), 1, empty)
 
 
 def _next_level(below: Level, first: Level, rank_tol: float) -> Level:
-    """Level m + 1 from level m and level 1 (see the module docstring)."""
+    """Level m + 1 from the SVD of the products B_m[i] B_1[j] (see the module docstring)."""
     # T may have 0 columns: a level of products that all vanish
     T, B = svd_cut(_rows(_pairs(below.B, first.B)), rank_tol)
-    return Level(T, B.reshape(-1, *first.B.shape[1:]), first.n, below.m + 1, below, first)
+    core = _letter_product(first.T, T, below.rank).reshape(below.rank * first.n, T.shape[1])
+    return Level(core, B.reshape(-1, *first.B.shape[1:]), first.n, below.m + 1, below)
 
 
 def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL) -> SubproductSystem:
     """Build levels 0..M of the subproduct system of K.
 
     K is reduced to a linearly independent set first when needed
-    (minimal_kraus); the level-1 projector of the reduced set is then the
-    full identity, and the system records the reduced set's operators.
-    rank_tol decides which words span each level, and the system keeps
-    it: every later rank cut on its levels uses the same tolerance.
-    Each level above the first costs the SVD of an r_{m-1} r_1 x d^2
-    matrix, taken by its short side when it is wide (svd_cut); no word
-    stack and no word-space row is formed.  M must be an integer (a bool
-    is refused).
+    (first_level), and the system then records the reduced set's
+    operators.  rank_tol decides which words span each level, and the
+    system keeps it: every later rank cut on its levels uses the same
+    tolerance.  Level m + 1 costs the SVD of the r_m r_1 x d^2 matrix of
+    products B_m[i] B_1[j], taken by its short side when it is wide
+    (svd_cut), and one mode product of V_1 with the kept singular
+    vectors; no word stack and no word-space row is formed.  M must be an
+    integer (a bool is refused).
     """
     M = require_word_length(M, "M")
     require_word_budget(K.n, M)
     first = first_level(K, rank_tol)
-    if first.rank < K.n:
-        K = minimal_kraus(K, rank_tol)
-        first = first_level(K, rank_tol)
-        if first.rank < K.n:
-            raise ValueError("level-1 dependence survived minimization")
-    one = np.ones((1, 1), dtype=complex)
-    levels = [Level(one, np.eye(K.d, dtype=complex)[np.newaxis], K.n, 0), first]
+    levels = [first.below, first]
     while len(levels) <= M:
         levels.append(_next_level(levels[-1], first, rank_tol))
-    return SubproductSystem(n=K.n, M=M, rank_tol=rank_tol, ops=K.ops,
+    return SubproductSystem(n=first.n, M=M, rank_tol=rank_tol,
+                            ops=K.ops if first.n == K.n else first.B,
                             levels=dict(enumerate(levels[:M + 1])))
 
 

@@ -45,7 +45,7 @@ def test_decode_matrix_rejects_malformed():
 def test_channel_spec_round_trip(tmp_path):
     K = random_channel(2, 3, 60)
     rho = np.eye(2, dtype=complex) / 2
-    payload = channel_spec_dict(K, rho0=rho, Q=np.eye(3), Q_normalization="raw")
+    payload = channel_spec_dict(K, rho0=rho)
     path = tmp_path / "chan.json"
     dump_payload(payload, str(path))
     spec = parse_channel_spec(load_payload(str(path)))
@@ -53,7 +53,6 @@ def test_channel_spec_round_trip(tmp_path):
     for a, b in zip(spec.kraus.ops, K.ops):
         assert np.array_equal(a, b)  # json float round trip is exact
     assert np.array_equal(spec.rho0, rho)
-    assert spec.Q_normalization == "raw"
     assert spec.options["max_level"] == 2
 
 
@@ -172,6 +171,33 @@ def test_reverse_rejects_depth_below_one(tmp_path, capsys, depth):
     assert "--depth" in captured.err
     assert captured.out == ""
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("mode, message", [("qsphere", "correlation matrix is singular"),
+                                           ("crooks", "crooks_dual requires an invertible state")])
+def test_reverse_reads_the_spec_rank_tol(tmp_path, capsys, mode, message):
+    # at rank_tol 0.5 two of gad's four Kraus operators and rho0 = diag(0.75, 0.25)
+    # are cut, as analyze and stinespring cut them from the same spec
+    payload = gen_example("gad")
+    payload["options"]["rank_tol"] = 0.5
+    path, out_path = tmp_path / "gad.json", tmp_path / "rev.json"
+    dump_payload(payload, str(path))
+    assert main(["reverse", str(path), "--mode", mode, "-o", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert not out_path.exists()
+
+
+def test_a_spec_carrying_Q_exits_two(tmp_path, capsys):
+    # the weight Q is computed from rho0, so a file's Q is refused, not ignored
+    payload = gen_example("gad")
+    payload["Q"] = {"matrix": encode_matrix(np.diag([5.0, 1, 1, 1])), "normalization": "bogus"}
+    path = tmp_path / "gad_q.json"
+    dump_payload(payload, str(path))
+    assert main(["analyze", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a spec carries no Q: the weight is computed from rho0\n"
 
 
 def test_reverse_refuses_depth_over_the_word_budget(tmp_path, capsys):

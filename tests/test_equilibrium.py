@@ -12,7 +12,6 @@ from detbal.equilibrium import (
     kms_state_eval,
     modular_flow,
     orthogonalize_kraus,
-    trace_qm,
     zero_mean_check,
 )
 from detbal.errors import HypothesisFailure
@@ -171,8 +170,8 @@ def test_trace_qm():
     Qtb = Qraw.with_normalization("trace_balanced")
     S = build_subproduct(Kp, 2)
     assert spectral_norm(Qtb.Q - np.eye(2)) < 1e-12
-    assert abs(trace_qm(Qtb, S, 1) - 2.0) < 1e-12
-    assert abs(trace_qm(Qtb, S, 2) - 2.0) < 1e-12  # rank of p2
+    assert abs(np.trace(S.weighted(Qtb.Q, 1).H).real - 2.0) < 1e-12
+    assert abs(np.trace(S.weighted(Qtb.Q, 2).H).real - 2.0) < 1e-12  # rank of p2
 
 
 def test_phi_symmetric_normal_level_one_is_generic():
@@ -370,7 +369,7 @@ def test_level_readers_refuse_a_bool_or_float_level():
     Qtb.attach_levels(S)  # the records of levels 1 and 2 are in the memo
     reads = (lambda: check_Q_compatibility(S, Qtb.Q, True),
              lambda: check_Q_compatibility(S, Qtb.Q, 2.0),
-             lambda: trace_qm(Qtb, S, True),
+             lambda: S.weighted(Qtb.Q, True),
              lambda: check_subproduct_inclusion(S, True, 2.0))
     for read in reads:
         with pytest.raises(ValueError, match="m must be an integer"):

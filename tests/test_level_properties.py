@@ -1,6 +1,6 @@
 """Invariants of the subproduct levels, over random channels with d, n <= 3.
 
-Each level is stored as a transfer T_m from the level below it, with its
+Each level is stored as a core T_m linked to the level below it, with its
 compressed word stack B_m, and its isometry V_m is expanded on first
 read; these properties hold for any Kraus set and any weight Q, so
 hypothesis draws the channel and Q.  The levels must equal the dense
@@ -16,6 +16,10 @@ channels they equal the word-at-a-time loops of ``loop_oracle`` to
 boundary defect of e_1^(x)m, are read through the train and equal the
 expanded V_m and the oracle's dense Q^(x)m V_m.  The levels of one rank
 are read in stacked calls, and each reads the same bits there as alone.
+The train is left-canonical: every core T_m is an isometry, a row of V_m
+is the product of the cores' letter slices, and a linearly dependent
+Kraus set builds the levels of its minimal set, with the identity as its
+first core.
 """
 import tracemalloc
 
@@ -27,7 +31,7 @@ st = hypothesis.strategies
 
 import loop_oracle as oracle  # noqa: E402
 from conftest import random_channel, random_unitary  # noqa: E402
-from detbal.channel import KrausSet, remix, word_stack  # noqa: E402
+from detbal.channel import KrausSet, minimal_kraus, remix, word_stack  # noqa: E402
 from detbal.equilibrium import (  # noqa: E402
     check_phi_symmetric,
     correlation_matrix,
@@ -92,8 +96,8 @@ def assert_levels_match_dense(K, M):
         assert L.rank == r_ref, m
         np.testing.assert_allclose(L.V @ dag(L.V), p_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(L.B, remix(word_stack(K.ops, m), L.V), rtol=0, atol=1e-12)
-        if m >= 2:
-            W = np.kron(S.level(m - 1).V, S.level(1).V)
+        if m >= 1:
+            W = np.kron(S.level(m - 1).V, np.eye(S.n))
             np.testing.assert_allclose(W @ L.T, L.V, rtol=0, atol=1e-12)
     return S
 
@@ -171,6 +175,50 @@ def test_compress_equals_the_remixed_word_stack(case):
     other = rng.normal(size=(S.n, 3, 3)) + 1j * rng.normal(size=(S.n, 3, 3))  # 3 x 3, no channel
     for ops in (S.ops, other):
         assert_compress_matches_the_word_stack(S, ops)
+
+
+@pytest.mark.parametrize("case", sorted(POOL))
+def test_every_core_is_an_isometry_and_a_row_is_a_product_of_core_slices(case):
+    # V_m = (V_{m-1} (x) 1_n) T_m with T_m* T_m = 1: a left-canonical train, whose
+    # row a is T_1[a_1] ... T_m[a_m] for the slices T_k[a] = T_k.reshape(r_{k-1}, n, r_k)[:, a]
+    K, _, M, rank_tol = POOL[case]()
+    S = build_subproduct(K, M, rank_tol)
+    rng = np.random.default_rng(len(case))
+    for m in range(1, M + 1):
+        L = S.level(m)
+        np.testing.assert_allclose(dag(L.T) @ L.T, np.eye(L.rank), rtol=0, atol=1e-12)
+        for a in {0, len(L.V) - 1, *rng.integers(len(L.V), size=3).tolist()}:
+            word = np.unravel_index(a, (S.n,) * m)
+            row = np.ones(1)
+            for k, letter in enumerate(word, 1):
+                Lk = S.level(k)
+                row = row @ Lk.T.reshape(Lk.below.rank, S.n, Lk.rank)[:, letter]
+            slices = L.T.reshape(L.below.rank, S.n, L.rank)
+            np.testing.assert_allclose(L.row(word), L.below.row(word[:-1]) @ slices[:, word[-1]],
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(L.row(word), row, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(L.V[a], row, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", sorted(POOL))
+def test_a_dependent_set_builds_the_levels_of_its_minimal_set(case):
+    K, _, M, rank_tol = POOL[case]()
+    extra = (0.5 - 0.2j) * K.ops[0] + 1j * K.ops[-1]
+    dependent = KrausSet(np.concatenate([K.ops, extra[np.newaxis]]))
+    S = build_subproduct(dependent, M, rank_tol)
+    ref = build_subproduct(minimal_kraus(dependent, rank_tol), M, rank_tol)
+    assert S.n == ref.n < dependent.n
+    np.testing.assert_array_equal(S.ops, ref.ops)
+    np.testing.assert_array_equal(S.level(1).T, np.eye(S.n))  # the kept operators are the letters
+    rng = np.random.default_rng(len(case))
+    Q = rng.normal(size=(S.n, S.n)) + 1j * rng.normal(size=(S.n, S.n))
+    for m in range(1, M + 1):
+        L, R = S.level(m), ref.level(m)
+        assert L.rank == R.rank, m
+        np.testing.assert_allclose(L.V @ dag(L.V), R.V @ dag(R.V), rtol=0, atol=1e-12)
+        for P in (Q, Q + dag(Q)):
+            got, want = S.weighted(P, m).compat, ref.weighted(P, m).compat
+            assert abs(got - want) <= 1e-12 * max(1.0, want), (m, got, want)
 
 
 def test_compress_of_the_kraus_array_is_B_at_any_cut():

@@ -27,7 +27,6 @@ from detbal.equilibrium import (
     kms_state_eval,
     modular_flow,
     orthogonalize_kraus,
-    trace_qm,
 )
 from detbal.errors import HypothesisFailure
 from detbal.factories import commuting_db_kraus, gad_kraus
@@ -190,7 +189,7 @@ def test_level_functions_match_dense_oracle(case):
             assert_matches(check_subproduct_inclusion(S, m, l),
                            oracle.check_subproduct_inclusion(S, m, l))
     for m in range(1, M + 1):
-        assert_matches(trace_qm(Qd, S, m), oracle.trace_qm(Qd, S, m))
+        assert_matches(np.trace(S.weighted(Qd.Q, m).H).real, oracle.trace_qm(Qd, S, m))
         V = S.level(m).V
         (U, w, keep) = (X[0] for X in eigenpairs([S.weighted(Qd.Q, m)], S.rank_tol))
         for z, fn in ((-1, lambda w: 1.0 / w), (-0.7j, lambda w: np.power(w, -0.7j))):
