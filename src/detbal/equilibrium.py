@@ -21,8 +21,8 @@ from .channel import KrausSet, gram, remix, require_word_length, symmetric_unita
 from .errors import HypothesisFailure
 from .matcore import (RANK_TOL, RESIDUAL_TOL, as_complex, dag, frobenius_norm, is_hermitian,
                       rank_mask, spectral_norm)
-from .stinespring import (SubproductSystem, _compat_hypothesis, _sphere, check_Q_compatibility,
-                          eigenpairs, level_power)
+from .stinespring import (SubproductSystem, _sphere, check_Q_compatibility, eigenpairs,
+                          level_power)
 
 NORMALIZATIONS = ("raw", "trace_balanced", "first_entry")
 
@@ -120,8 +120,11 @@ def _checked(q: np.ndarray) -> np.ndarray:
 
 
 def _require_nonsingular(eigenvalues: np.ndarray, rank_tol: float) -> None:
-    if not rank_mask(eigenvalues, rank_tol).all():
-        raise ValueError("correlation matrix is singular")
+    """Refuse a correlation matrix that rank_mask cuts, naming rank_tol and what it keeps."""
+    keep = rank_mask(eigenvalues, rank_tol)
+    if not keep.all():
+        raise ValueError(f"correlation matrix is singular at rank_tol={rank_tol:g}: it keeps "
+                         f"{keep.sum()} of its {keep.size} eigenvalues")
 
 
 def correlation_matrix(K: KrausSet, rho0, normalization: str = "trace_balanced",
@@ -237,20 +240,34 @@ def _max_entries(V: np.ndarray, Es: np.ndarray) -> np.ndarray:
     return functools.reduce(np.maximum, (np.abs(X @ Es @ Vh).max(axis=(1, 2)) for X in blocks))
 
 
-class _LevelRead(NamedTuple):
-    """What _read_levels reads of one level."""
+def _compat_hypothesis(m: int, compat: float, tol: float) -> str | None:
+    """The message of the HypothesisFailure that refuses level m, if its compat exceeds tol.
 
+    The one owner of the hypothesis of every Q-weighted level-m check:
+    Q^(x)m preserves level m.
+    """
+    if compat > tol:
+        return f"Q^(x){m} does not preserve the level-{m} subspace (residual {compat:.3g})"
+    return None
+
+
+class _LevelRead(NamedTuple):
+    """What _read_levels reads of one level; a level Q^(x)m does not preserve is not read."""
+
+    failure: str | None  # _compat_hypothesis of the level, None where the level is read
     residuals: np.ndarray | None  # normal phi, antinormal phi and KMS maxima; None without a state
-    defect: tuple  # (eigenvalues, eigenvectors) of the Hermitian part of the sphere defect
+    defect: tuple | None  # (eigenvalues, eigenvectors) of the Hermitian part of the sphere defect
 
 
 def _read_levels(S: SubproductSystem, Q: np.ndarray, ms, tol: float,
                  rho0: np.ndarray | None = None) -> dict:
     """m -> _LevelRead for every level m of ms, read in batched calls per level rank.
 
-    Each level's record is S.weighted(Q, m, tol), which raises
-    HypothesisFailure on a level that Q^(x)m does not preserve; there
-    Q_m = V H V*, and P = level_power(eigenpairs, -1) inverts H on the
+    The reader owns the compat hypothesis: it judges each level's record
+    S.weighted(Q, m) by _compat_hypothesis, and a level that Q^(x)m does
+    not preserve reads _LevelRead(failure, None, None) and nothing else.
+    On the levels it preserves Q_m = V H V*, and
+    P = level_power(eigenpairs, -1) inverts H on the
     eigenvalues rank_mask keeps (a dropped one enters as a zero), so
     V P V* inverts Q_m on the level.  The levels of one rank share one
     stacked eigh of their H's (eigenpairs), one word stack B and one
@@ -264,11 +281,12 @@ def _read_levels(S: SubproductSystem, Q: np.ndarray, ms, tol: float,
     Every stacked call works on each level alone, so a level reads the
     same bits in its rank group as in a call of its own.
     """
-    groups = {}
+    groups, out = {}, {}
     for m in ms:
-        rec = S.weighted(Q, m, tol)
-        groups.setdefault(rec.level.rank, []).append(rec)
-    out = {}
+        rec = S.weighted(Q, m)
+        out[m] = _LevelRead(_compat_hypothesis(m, rec.compat, tol), None, None)
+        if out[m].failure is None:  # read below, in the group of its rank
+            groups.setdefault(rec.level.rank, []).append(rec)
     for group in groups.values():
         U, w, keep = eigenpairs(group, S.rank_tol)
         P = level_power(U, w, keep, -1)
@@ -286,28 +304,37 @@ def _read_levels(S: SubproductSystem, Q: np.ndarray, ms, tol: float,
             Es[:, 2] = G_a - P @ G_n
             residuals = [_max_entries(rec.level.V, E) for rec, E in zip(group, Es)]
         for rec, res, defect in zip(group, residuals, defects):
-            out[rec.level.m] = _LevelRead(res, defect)
+            out[rec.level.m] = _LevelRead(None, res, defect)
     return out
 
 
-def _preserved(compat: dict, tol: float) -> list:
-    """The levels of compat (m -> compat residual) that Q^(x)m preserves at tol."""
-    return [m for m, c in compat.items() if _compat_hypothesis(m, c, tol) is None]
+def _read_level(K: KrausSet, S: SubproductSystem, Q: np.ndarray, m, tol: float,
+                rho0: np.ndarray | None = None) -> _LevelRead:
+    """Level m of _read_levels, read alone, for the system built from K.
+
+    An m that is not an integer and a K the system was not built from
+    raise ValueError, and a level that Q^(x)m does not preserve raises
+    its HypothesisFailure.
+    """
+    m = require_word_length(m, "m")
+    S.stack(K, m)  # refuses a K the system was not built from
+    read = _read_levels(S, Q, [m], tol, rho0)[m]
+    if read.failure is not None:
+        raise HypothesisFailure(read.failure)
+    return read
 
 
-def _kms_condition(compat: dict, read: dict, tol: float) -> float | str:
-    """The KMS maximum over the levels of compat, or the message that stops it.
+def _kms_condition(read: dict, tol: float) -> float | str:
+    """The KMS maximum over the levels of read, or the message that stops it.
 
-    compat maps levels 1, 2, ... to their compat residuals, in order, and
-    read holds _read_levels of the preserved ones.  The first hypothesis
+    read holds _read_levels of levels 1, 2, ....  The first hypothesis
     that fails in level order stops the maximum: Q^(x)m preserves level
     m, and then its normal-ordered residual is within tol.
     """
     mx = 0.0
-    for m, c in compat.items():
-        failure = _compat_hypothesis(m, c, tol)
-        if failure is not None:
-            return failure
+    for m in sorted(read):
+        if read[m].failure is not None:
+            return read[m].failure
         normal, _, kms = read[m].residuals
         if normal > tol:
             return f"normal-ordered correlations fail at level {m} (residual {normal:.3g})"
@@ -323,23 +350,23 @@ def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSys
     normal ordering compares Tr(K_j rho0 K_k*) against Q_m[j,k]/Tr(Q_m);
     antinormal compares Tr(rho0 K_j K_k*) against p_m[j,k]/Tr(Q_m), over
     all pairs of length-m words.  Raises HypothesisFailure when Q^(x)m
-    does not preserve the level subspace, and ValueError when S was not
-    built from K or m is not an integer.  The words are read as
+    does not preserve the level subspace (_compat_hypothesis), and
+    ValueError when S was not built from K or m is not an integer.  The
+    words are read as
     A_m = V_m B_m, which holds while every rank cut at levels <= m
     dropped only round-off; when S's rank_tol makes a cut drop more, this
     is the residual of the projected words p_m A_m (q_sphere_residual
     stays exact at any rank_tol).  Both orderings are read by
-    _read_levels on [m], the reader the verdict calls once on all its
-    levels; a level reads the same bits alone as in the verdict's rank
-    group, so a verdict record equals this check's value.
+    _read_level, that is _read_levels on [m], the reader the verdict
+    calls once on all its levels; a level reads the same bits alone as in
+    the verdict's rank group, so a verdict record equals this check's
+    value or message.
     """
     rho0 = check_state(rho0)
     require_state_size(K, rho0)
     if ordering not in ("normal", "antinormal"):
         raise ValueError("ordering must be 'normal' or 'antinormal'")
-    m = require_word_length(m, "m")
-    S.stack(K, m)  # refuses a K the system was not built from
-    residuals = _read_levels(S, Qd.Q, [m], tol, rho0)[m].residuals
+    residuals = _read_level(K, S, Qd.Q, m, tol, rho0).residuals
     return float(residuals[0 if ordering == "normal" else 1])
 
 
@@ -352,11 +379,15 @@ def modular_flow(Qd: CorrelationData, S: SubproductSystem, word, t,
     yields Q_m^{-1}).  Returns the coefficient row for the given word,
     aligned with the level's word list: row a of V P V*, for V the level
     isometry and P = level_power(eigenpairs, -it), so the eigenvalues of
-    H_m are cut at the system's rank_tol.
+    H_m are cut at the system's rank_tol.  Raises HypothesisFailure when
+    Q^(x)m does not preserve the level (_compat_hypothesis).
     """
     (x,), m = _word_letters(S.n, word)
     a = np.ravel_multi_index(x, (S.n,) * m)
-    rec = S.weighted(Qd.Q, m, tol)
+    rec = S.weighted(Qd.Q, m)
+    failure = _compat_hypothesis(m, rec.compat, tol)
+    if failure is not None:
+        raise HypothesisFailure(failure)
     (P,) = level_power(*eigenpairs([rec], S.rank_tol), -1j * complex(t))
     return rec.level.V[a] @ P @ dag(rec.level.V)
 
@@ -395,11 +426,12 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
     flow continuation expanded through the level data.  At each level
     Q^(x)m must preserve the level and the normal-ordered Gram must
     match Q_m; it then gives the right side, Qinv times it, and the
-    antinormal Gram the left.  Levels 1..m that Q^(x)m preserves are
-    read by one _read_levels call, in batched calls per level rank, the
-    reader check_phi_symmetric and the verdict call, so the
-    normal-ordered residual it tests is check_phi_symmetric's.  The first
-    failure in level order raises HypothesisFailure.  m must be an
+    antinormal Gram the left.  Levels 1..m are read by one _read_levels
+    call, in batched calls per level rank, the reader check_phi_symmetric
+    and the verdict call: it marks the levels Q^(x)m does not preserve
+    and reads the others, so the normal-ordered residual it tests is
+    check_phi_symmetric's.  The first failure in level order raises
+    HypothesisFailure.  m must be an
     integer >= 1.  Raises ValueError when S was not built from K.
     Like check_phi_symmetric, it reads the words as A_m = V_m B_m: when
     S's rank_tol makes a cut drop more than round-off, this is the
@@ -411,8 +443,7 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
     if m < 1:
         raise ValueError(f"word length m must be at least 1 (got m={m})")
     S.stack(K, m)  # refuses a K the system was not built from
-    compat = {mp: S.weighted(Qd.Q, mp).compat for mp in range(1, m + 1)}
-    kms = _kms_condition(compat, _read_levels(S, Qd.Q, _preserved(compat, tol), tol, rho0), tol)
+    kms = _kms_condition(_read_levels(S, Qd.Q, range(1, m + 1), tol, rho0), tol)
     if isinstance(kms, str):
         raise HypothesisFailure(kms)
     return kms

@@ -48,20 +48,19 @@ def _relation_record(name: str, R: np.ndarray, tol: float) -> CheckRecord:
         name=name,
         residual=res,
         tolerance=tol,
-        passed=bool(res < tol),
         frobenius=frobenius_norm(R),
         defect_rank=rank,
         off_defect_residual=off_defect,
     )
 
 
-def _spectrum_record(name: str, w: np.ndarray, tol: float) -> CheckRecord:
+def _spectrum_record(name: str, w: np.ndarray, tol: float, level: int | None = None) -> CheckRecord:
     """The _relation_record of a Hermitian residual, read from its eigenvalues w: the
     unitarity residuals (w from isometry_defect) and the first-row sphere sums (eigvalsh)."""
     a = np.abs(w)
-    res = float(a.max())
-    return CheckRecord(name=name, residual=res, tolerance=tol, passed=bool(res < tol),
-                       frobenius=float(np.linalg.norm(w)), defect_rank=int(np.sum(a > tol)),
+    return CheckRecord(name=name, residual=float(a.max()), tolerance=tol,
+                       frobenius=float(np.linalg.norm(w)), level=level,
+                       defect_rank=int(np.sum(a > tol)),
                        off_defect_residual=float(a[a <= tol].max(initial=0.0)))
 
 
@@ -91,14 +90,9 @@ def au_relations_check(W, F, tol: float = RESIDUAL_TOL) -> RelationsReport:
     relations with weight F*F at this representation.
     """
     W, F, d, n = _shapes(W, F)
-    checks = _au_records(W, f_conjugate(W, F, d, n), tol)
-    return RelationsReport(
-        relation="au",
-        verdict=all(c.passed for c in checks),
-        tolerance=tol,
-        checks=checks,
-        info={"d": d, "n": n},
-    )
+    return RelationsReport(relation="au", tolerance=tol,
+                           checks=_au_records(W, f_conjugate(W, F, d, n), tol),
+                           info={"d": d, "n": n})
 
 
 def bu_relations_check(W, F, tol: float = RESIDUAL_TOL) -> RelationsReport:
@@ -115,15 +109,9 @@ def bu_relations_check(W, F, tol: float = RESIDUAL_TOL) -> RelationsReport:
         scalar_res = float("inf")
     else:
         scalar_res = spectral_norm(FFc - lam * np.eye(n)) / abs(lam)
-    checks.append(CheckRecord(name="F_Fc_scalar", residual=float(scalar_res),
-                              tolerance=tol, passed=bool(scalar_res < tol)))
-    return RelationsReport(
-        relation="bu",
-        verdict=all(c.passed for c in checks),
-        tolerance=tol,
-        checks=checks,
-        info={"d": d, "n": n, "lambda": [float(lam.real), float(lam.imag)]},
-    )
+    checks.append(CheckRecord(name="F_Fc_scalar", residual=float(scalar_res), tolerance=tol))
+    return RelationsReport(relation="bu", tolerance=tol, checks=checks,
+                           info={"d": d, "n": n, "lambda": [float(lam.real), float(lam.imag)]})
 
 
 def invariant_state(Qv, normalize: bool = True) -> np.ndarray:
@@ -202,19 +190,10 @@ def first_row_q_sphere(W, F, S: SubproductSystem, m: int,
     R = _sphere(P, np.stack((L.compress(Z.conj()).swapaxes(-1, -2), L.compress(Z))))
     spectra = np.linalg.eigvalsh((R + dag(R)) / 2) - 1
     checks = [
-        CheckRecord(name="hypothesis_Q11", residual=hyp_q11, tolerance=tol,
-                    passed=bool(hyp_q11 < tol), level=m),
-        CheckRecord(name="hypothesis_boundary_vector", residual=hyp_e1,
-                    tolerance=tol, passed=bool(hyp_e1 < tol), level=m),
-        *(_spectrum_record(name, w, tol)
+        CheckRecord(name="hypothesis_Q11", residual=hyp_q11, tolerance=tol, level=m),
+        CheckRecord(name="hypothesis_boundary_vector", residual=hyp_e1, tolerance=tol, level=m),
+        *(_spectrum_record(name, w, tol, m)
           for name, w in zip(("row_sphere", "mirror_sphere"), spectra)),
     ]
-    for c_ in checks[2:]:
-        c_.level = m
-    return RelationsReport(
-        relation="first_row_q_sphere",
-        verdict=all(c.passed for c in checks),
-        tolerance=tol,
-        checks=checks,
-        info={"Q_diag": [float(x) for x in np.diag(Q).real]},
-    )
+    return RelationsReport(relation="first_row_q_sphere", tolerance=tol, checks=checks,
+                           info={"Q_diag": [float(x) for x in np.diag(Q).real]})

@@ -3,7 +3,10 @@
 Reports are plain data: every check carries its residual(s), the
 tolerance it was judged against and an optional defect rank or
 hypothesis-failure note, so a false verdict is always traceable to a
-reason.
+reason.  Every decision is derived from that data in one place: a
+record passes when no hypothesis failed and its residual is below its
+tolerance (CheckRecord.passed), and a report's verdict is that every
+record passes.
 """
 from __future__ import annotations
 
@@ -15,12 +18,16 @@ class CheckRecord:
     name: str
     residual: float | None
     tolerance: float
-    passed: bool
     frobenius: float | None = None
     level: int | None = None
     defect_rank: int | None = None
     off_defect_residual: float | None = None
     hypothesis_failure: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        """The pass rule of every check: no hypothesis failed, and the residual is below tol."""
+        return self.hypothesis_failure is None and bool(self.residual < self.tolerance)
 
     def to_dict(self) -> dict:
         out = {"name": self.name, "tolerance": self.tolerance, "passed": self.passed}
@@ -47,13 +54,16 @@ class CheckRecord:
 
 @dataclass
 class AnalysisReport:
-    verdict: bool
     reason: str | None
     residual_tol: float
     rank_tol: float
     max_level: int
     checks: list = field(default_factory=list)
     info: dict = field(default_factory=dict)
+
+    @property
+    def verdict(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -82,10 +92,13 @@ class AnalysisReport:
 @dataclass
 class RelationsReport:
     relation: str
-    verdict: bool
     tolerance: float
     checks: list = field(default_factory=list)
     info: dict = field(default_factory=dict)
+
+    @property
+    def verdict(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def check(self, name: str) -> CheckRecord:
         for c in self.checks:

@@ -24,7 +24,7 @@ from .channel import (
 from .equilibrium import (
     CorrelationData,
     _kms_condition,
-    _preserved,
+    _read_level,
     _read_levels,
     check_phi_symmetric,
     check_state,
@@ -42,7 +42,7 @@ from .matcore import (
     rank_mask,
 )
 from .report import AnalysisReport, CheckRecord
-from .stinespring import SubproductSystem, _compat_hypothesis, build_subproduct
+from .stinespring import SubproductSystem, build_subproduct
 
 
 def q_sphere_residual(K: KrausSet, Qd: CorrelationData, S: SubproductSystem,
@@ -53,17 +53,15 @@ def q_sphere_residual(K: KrausSet, Qd: CorrelationData, S: SubproductSystem,
     Qinv inverts Q^(x)m on the level subspace at the system's rank_tol;
     with Q_m = V H V*, Qinv = V P V* for P the inverse of H on the
     eigenvalues the cut keeps, and the sum is sum_ij P[j,i] B_i B_j*, read
-    from the level's B_m by _read_levels on [m], the reader the verdict
-    calls once on all its levels, so the verdict's sphere record equals
-    this check's.  Returns the norm and, from the same eigh, the
-    projector onto the defect eigenspace, which localizes boundary
-    effects of truncated representations.  Raises HypothesisFailure when
-    Q^(x)m does not preserve the level, and ValueError when S was not
-    built from K or m is not an integer.
+    from the level's B_m by _read_level, that is _read_levels on [m], the
+    reader the verdict calls once on all its levels, so the verdict's
+    sphere record equals this check's value or message.  Returns the norm
+    and, from the same eigh, the projector onto the defect eigenspace,
+    which localizes boundary effects of truncated representations.
+    Raises HypothesisFailure when Q^(x)m does not preserve the level, and
+    ValueError when S was not built from K or m is not an integer.
     """
-    m = require_word_length(m, "m")
-    S.stack(K, m)  # refuses a K the system was not built from
-    wR, U = _read_levels(S, Qd.Q, [m], tol)[m].defect
+    wR, U = _read_level(K, S, Qd.Q, m, tol).defect
     Uk = U[:, np.abs(wR) > tol]
     return float(np.abs(wR).max()), Uk @ dag(Uk)
 
@@ -177,10 +175,10 @@ def time_reversal_invariance(K: KrausSet, F: np.ndarray,
 def _check_record(name: str, m: int, tol: float, result, rank: int | None = None) -> CheckRecord:
     """A verdict record: a residual, or the message of the HypothesisFailure that stopped it."""
     if isinstance(result, str):
-        return CheckRecord(name=name, residual=None, tolerance=tol, passed=False, level=m,
+        return CheckRecord(name=name, residual=None, tolerance=tol, level=m,
                            hypothesis_failure=result)
-    return CheckRecord(name=name, residual=float(result), tolerance=tol,
-                       passed=bool(result < tol), level=m, defect_rank=rank)
+    return CheckRecord(name=name, residual=float(result), tolerance=tol, level=m,
+                       defect_rank=rank)
 
 
 def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
@@ -192,19 +190,20 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
     three normalizations, builds the subproduct system to level M, and
     runs the compatibility, symmetric-correlation, sphere and KMS checks
     at every level with the trace-balanced Q.  The inputs are validated
-    once, here.  The compat residuals that attach_levels records say
-    which levels Q^(x)m preserves, and one _read_levels call reads all of
-    them, in batched calls per level rank; the public phi, sphere and KMS
-    checks call the same reader on their own levels, and a level reads
-    the same bits alone as in its rank group, so every record equals what
-    the public check returns or raises at that level.  On a level that
-    Q^(x)m does not preserve, the message the public checks raise stands
-    for the level's three records and, unless a lower level stopped it,
-    for KMS.  The KMS record, after the last level, is the largest KMS
-    residual over the levels, stopped by the first hypothesis failure.
-    The verdict is true iff every residual is below tol and no hypothesis
-    fails; a false verdict names the sphere condition whenever that stage
-    is implicated.
+    once, here.  attach_levels records the compat residuals, and one
+    _read_levels call takes every level: it marks the levels that Q^(x)m
+    does not preserve and reads the others, in batched calls per level
+    rank.  The public phi, sphere and KMS checks call the same reader on
+    their own levels, and a level reads the same bits alone as in its rank
+    group, so every record equals what the public check returns or raises
+    at that level.  On a level that Q^(x)m does not preserve, the
+    reader's message, the one the public checks raise, stands for the
+    level's three records and, unless a lower level stopped it, for KMS.
+    The KMS record, after the last level, is the largest KMS residual
+    over the levels, stopped by the first hypothesis failure.  Each
+    record judges itself (CheckRecord.passed), so the verdict is true iff
+    every residual is below tol and no hypothesis fails; a false verdict
+    names the sphere condition whenever that stage is implicated.
     """
     M = require_word_length(M, "M")
     if M < 1:
@@ -229,34 +228,25 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
     Qtb.attach_levels(S)
 
     compat = Qtb.compat_residuals
-    read = _read_levels(S, Qtb.Q, _preserved(compat, tol), tol, rho0)
+    read = _read_levels(S, Qtb.Q, compat, tol, rho0)
     checks: list[CheckRecord] = []
     for m, c in compat.items():
         checks.append(_check_record("q_compatibility", m, tol, c))
-        if m not in read:
-            failure = _compat_hypothesis(m, c, tol)
+        failure, residuals, defect = read[m]
+        if failure is not None:
             checks += [_check_record(name, m, tol, failure) for name in
                        ("phi_symmetric_normal", "phi_symmetric_antinormal", "q_sphere")]
             continue
-        (normal, antinormal, _), (wR, _) = read[m]
+        (normal, antinormal, _), (wR, _) = residuals, defect
         sphere = np.abs(wR)
         checks += [_check_record("phi_symmetric_normal", m, tol, normal),
                    _check_record("phi_symmetric_antinormal", m, tol, antinormal),
                    _check_record("q_sphere", m, tol, sphere.max(), int(np.sum(sphere > tol)))]
-    checks.append(_check_record("kms_condition", M, tol, _kms_condition(compat, read, tol)))
+    checks.append(_check_record("kms_condition", M, tol, _kms_condition(read, tol)))
 
-    verdict = all(c.passed for c in checks)
-    reason = None
-    if not verdict:
-        failed = [c for c in checks if not c.passed]
-        if any(c.name == "q_sphere" for c in failed):
-            reason = "q_sphere"
-        else:
-            reason = failed[0].name
-
+    failed = [c.name for c in checks if not c.passed]
     return AnalysisReport(
-        verdict=verdict,
-        reason=reason,
+        reason="q_sphere" if "q_sphere" in failed else next(iter(failed), None),
         residual_tol=tol,
         rank_tol=rank_tol,
         max_level=M,

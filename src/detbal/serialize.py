@@ -24,6 +24,8 @@ DEFAULT_OPTIONS = {
     "residual_tol": RESIDUAL_TOL,
     "rank_tol": RANK_TOL,
 }
+CHANNEL_KEYS = ("format", "d", "kraus", "rho0", "F", "dilation", "options")
+CLASSICAL_KEYS = ("format", "transition", "pi")
 
 
 def encode_matrix(A: np.ndarray) -> list:
@@ -122,7 +124,16 @@ def parse_channel_spec(payload: dict) -> ChannelSpec:
         if isinstance(v, bool) or not isinstance(v, kind) or not 0 < v < np.inf:
             what = "an integer >= 1" if kind is int else "a finite number > 0"
             raise SpecFileError(f"options.{key} must be {what} (got {v!r})")
+    _refuse_unknown(payload, CHANNEL_KEYS)
+    _refuse_unknown(options, tuple(DEFAULT_OPTIONS), "options.")
     return spec
+
+
+def _refuse_unknown(obj: dict, known: tuple, prefix: str = "") -> None:
+    """Refuse a key of obj outside known, naming it: a misspelt key is an error, not a default."""
+    for key in obj:
+        if key not in known:
+            raise SpecFileError(f"unknown key '{prefix}{key}' (known keys: {', '.join(known)})")
 
 
 def classical_spec_dict(M, pi=None) -> dict:
@@ -140,6 +151,7 @@ def parse_classical_spec(payload: dict):
         raise SpecFileError("classical spec carries no transition matrix")
     M = _real_array(payload, "transition", "transition matrix")
     pi = _real_array(payload, "pi", "stationary vector pi") if "pi" in payload else None
+    _refuse_unknown(payload, CLASSICAL_KEYS)
     return M, pi
 
 

@@ -262,13 +262,6 @@ def _sphere(P: np.ndarray, X: np.ndarray) -> np.ndarray:
     return (X @ dag(PX)).sum(-3)
 
 
-def _compat_hypothesis(m: int, compat: float, tol: float) -> str | None:
-    """The message of the HypothesisFailure that refuses level m, if its compat exceeds tol."""
-    if compat > tol:
-        return f"Q^(x){m} does not preserve the level-{m} subspace (residual {compat:.3g})"
-    return None
-
-
 def _weigh(H: np.ndarray, G: np.ndarray, F: np.ndarray, T: np.ndarray):
     """(H_m, G_m) from (H_{m-1}, G_{m-1}), the letter factor F and T_m (module docstring).
 
@@ -318,7 +311,7 @@ class SubproductSystem:
             raise ValueError("K is not the Kraus set the subproduct system was built from")
         return self.level(m).B
 
-    def weighted(self, Q, m: int, tol: float | None = None) -> Weighted:
+    def weighted(self, Q, m: int) -> Weighted:
         """The level-m record of the weight Q, built once per Q and read-only.
 
         The record of level m is built from that of level m - 1 in r x r
@@ -326,23 +319,21 @@ class SubproductSystem:
         n^m x n^m power Q^(x)m nor any word-space row is formed.  H is
         not diagonalized here: a reader that needs a function of Q_m calls
         eigenpairs with the system's rank_tol.  Every Q-weighted level-m
-        quantity needs Q^(x)m to preserve the level: with tol, a compat
-        above tol raises HypothesisFailure.
+        quantity needs Q^(x)m to preserve the level: the record carries its
+        compat, and equilibrium._compat_hypothesis, the one owner of that
+        hypothesis, judges it.
         """
         m = require_word_length(m, "m")  # before the memo, where True and 1.0 would read level 1
         Q = np.asarray(Q, dtype=complex)
         key = (Q.dtype.str, Q.shape, Q.tobytes())
         rec = self._memo.get((m, key))
-        if rec is None:  # a Q found in the memo passed these checks when it was stored
-            Q = as_complex(Q)
-            if Q.shape != (self.n, self.n):
-                raise ValueError(f"Q is {Q.shape[0]} x {Q.shape[1]} but the subproduct "
-                                 f"system's alphabet has size {self.n}")
-            rec = self._record(Q, key, m, np.array_equal(Q, dag(Q)))
-        failure = None if tol is None else _compat_hypothesis(m, rec.compat, tol)
-        if failure is not None:
-            raise HypothesisFailure(failure)
-        return rec
+        if rec is not None:  # a Q found in the memo passed these checks when it was stored
+            return rec
+        Q = as_complex(Q)
+        if Q.shape != (self.n, self.n):
+            raise ValueError(f"Q is {Q.shape[0]} x {Q.shape[1]} but the subproduct "
+                             f"system's alphabet has size {self.n}")
+        return self._record(Q, key, m, np.array_equal(Q, dag(Q)))
 
     def _record(self, Q: np.ndarray, key: tuple, m: int, hermitian: bool) -> Weighted:
         if m == 0:

@@ -200,6 +200,37 @@ def test_a_spec_carrying_Q_exits_two(tmp_path, capsys):
     assert captured.err == "error: a spec carries no Q: the weight is computed from rho0\n"
 
 
+def _misspell_rho0(payload):
+    payload["rh0"] = payload.pop("rho0")
+
+
+def _misspell_max_level(payload):
+    payload["options"]["max_levle"] = payload["options"].pop("max_level")
+
+
+@pytest.mark.parametrize("misspell, key", [(_misspell_rho0, "rh0"),
+                                           (_misspell_max_level, "options.max_levle")])
+def test_a_misspelt_spec_key_exits_two_naming_it(tmp_path, capsys, misspell, key):
+    # read as absent, "rh0" would analyze the maximally mixed state and "max_levle" level 2
+    payload = gen_example("gad")
+    misspell(payload)
+    path = tmp_path / "typo.json"
+    dump_payload(payload, str(path))
+    assert main(["analyze", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unknown key '{key}' (known keys: ")
+
+
+def test_a_misspelt_classical_key_exits_two_naming_it(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    dump_payload({**classical_spec_dict(np.eye(2)), "p": [0.5, 0.5]}, str(path))
+    assert main(["classical", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown key 'p' (known keys: format, transition, pi)\n"
+
+
 def test_reverse_refuses_depth_over_the_word_budget(tmp_path, capsys):
     path = write_example(tmp_path, "gad")
     out_path = tmp_path / "rev.json"

@@ -1,0 +1,85 @@
+"""Each check decision has one owner in ``src/``.
+
+A record's pass is ``CheckRecord.passed`` (no hypothesis failed, and the
+residual is below the tolerance) and a report's verdict is that every
+record passes, so no caller may hand either one in.  The compat
+hypothesis, Q^(x)m preserves level m, is judged by
+``equilibrium._compat_hypothesis`` alone: the level reader and
+``modular_flow`` call it, and no other module names it.  Most of these
+tests read the source, so a second copy of either rule is caught before
+any input shows the two copies disagree; the last pins the pass rule
+itself at its edge, where a residual equals its tolerance.
+"""
+import ast
+import dataclasses
+from pathlib import Path
+
+from detbal.qgroup import au_relations_check, suq2_dilation, suq2_generators
+from detbal.report import AnalysisReport, CheckRecord, RelationsReport
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "detbal"
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _decision_keywords(tree: ast.Module) -> list:
+    """The passed= and verdict= keywords of every call in tree, by line."""
+    return [(kw.arg, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Call)
+            for kw in node.keywords if kw.arg in ("passed", "verdict")]
+
+
+def _names(tree: ast.Module, name: str) -> list:
+    """Every definition, call, import or other reference of name in tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            found.append("def")
+        elif isinstance(node, ast.Name) and node.id == name:
+            found.append("name")
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            found.append("attribute")
+        elif isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names):
+            found.append("import")
+    return found
+
+
+def test_no_src_call_hands_in_a_pass_or_a_verdict():
+    assert {mod: kws for mod, tree in _trees().items() if (kws := _decision_keywords(tree))} == {}
+
+
+def test_pass_and_verdict_are_derived_not_stored():
+    assert "passed" not in {f.name for f in dataclasses.fields(CheckRecord)}
+    for cls in (AnalysisReport, RelationsReport):
+        assert "verdict" not in {f.name for f in dataclasses.fields(cls)}
+
+
+def test_only_equilibrium_knows_the_compat_hypothesis():
+    owners = {mod for mod, tree in _trees().items() if _names(tree, "_compat_hypothesis")}
+    assert owners == {"equilibrium"}
+    assert _names(_trees()["equilibrium"], "_compat_hypothesis").count("def") == 1
+
+
+def test_the_scans_see_keywords_imports_and_attributes():
+    src = ("from .stinespring import _compat_hypothesis\n"
+           "def f():\n    return R(verdict=1, x=2), stinespring._compat_hypothesis(1, 0.0, 1.0)\n"
+           "C(name='a', passed=True)\n")
+    tree = ast.parse(src)
+    assert sorted(_decision_keywords(tree)) == [("passed", 4), ("verdict", 3)]
+    assert sorted(_names(tree, "_compat_hypothesis")) == ["attribute", "import"]
+
+
+def test_a_residual_equal_to_its_tolerance_fails():
+    assert not CheckRecord(name="r", residual=0.5, tolerance=0.5).passed
+    assert CheckRecord(name="r", residual=0.25, tolerance=0.5).passed
+    assert not CheckRecord(name="r", residual=None, tolerance=0.5, hypothesis_failure="x").passed
+    a, c, _, F = suq2_generators(0.5, 6)
+    W = suq2_dilation(a, c, 0.5)
+    res = au_relations_check(W, F).check("W_unitary_left").residual
+    assert res > 0
+    rep = au_relations_check(W, F, tol=res)
+    rec = rep.check("W_unitary_left")
+    assert rec.residual == rec.tolerance and not rec.passed and not rep.verdict
+    assert rec.to_dict()["passed"] is False and rec.render().startswith("  [FAIL]")

@@ -92,6 +92,14 @@ def test_correlation_matrix_rejects_singular():
         correlation_matrix(KrausSet([I2 / np.sqrt(2), I2 / np.sqrt(2)]), MIXED2, "raw")
 
 
+def test_the_singular_correlation_message_names_rank_tol_and_the_count():
+    # rank_tol 0.5 keeps only the largest of gad's four raw eigenvalues (0.80, 0.094, 0.094, 0.011)
+    with pytest.raises(ValueError) as exc:
+        correlation_matrix(gad_kraus(0.75, 0.5), GAD_RHO, rank_tol=0.5)
+    assert str(exc.value) == \
+        "correlation matrix is singular at rank_tol=0.5: it keeps 1 of its 4 eigenvalues"
+
+
 def test_orthogonalize_tests_singularity_at_the_given_rank_tol():
     # the raw correlation matrix's eigenvalue ratio is 6.1e-12: singular at
     # the default rank_tol 1e-9 but not at 1e-13, which the verdict passes on

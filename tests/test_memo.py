@@ -30,10 +30,10 @@ import loop_oracle as oracle
 from conftest import random_channel, random_hermitian
 from detbal import KrausSet, equilibrium, reversal
 from detbal.equilibrium import (
-    _preserved,
     _read_levels,
     check_phi_symmetric,
     kms_condition_residual,
+    modular_flow,
     orthogonalize_kraus,
 )
 from detbal.errors import HypothesisFailure
@@ -241,17 +241,16 @@ def test_orthogonalize_validates_once_without_correlation_matrix(monkeypatch, ca
     assert len(calls) == 1
 
 
-def test_weighted_with_tol_refuses_a_level_Q_does_not_preserve():
+def test_the_reader_refuses_a_level_Q_does_not_preserve():
     S = build_subproduct(random_channel(2, 3, 5), 2)
     Q = random_hermitian(3, 5)
     rec = S.weighted(Q, 2)
     assert rec.compat > 1e-8
-    with pytest.raises(HypothesisFailure) as exc:
-        S.weighted(Q, 2, rec.compat / 2)
-    assert str(exc.value) == \
-        f"Q^(x)2 does not preserve the level-2 subspace (residual {rec.compat:.3g})"
-    assert S.weighted(Q, 2, rec.compat) is rec
-    assert S.weighted(np.eye(3), 2, 1e-12).compat <= 1e-12
+    message = f"Q^(x)2 does not preserve the level-2 subspace (residual {rec.compat:.3g})"
+    assert _read_levels(S, Q, [2], rec.compat / 2)[2] == (message, None, None)
+    assert _read_levels(S, Q, [2], rec.compat)[2].failure is None
+    assert S.weighted(Q, 2) is rec
+    assert _read_levels(S, np.eye(3), [2], 1e-12)[2].failure is None
 
 
 def test_weighted_compat_of_a_non_hermitian_Q_matches_the_oracle():
@@ -355,6 +354,30 @@ def test_the_record_pool_meets_every_kind_of_record():
     assert {rep.rank_tol for rep in reps} == {RANK_TOL, 0.1, 0.4}
 
 
+def _raised(check):
+    """The message of the HypothesisFailure check() raises; None when it returns."""
+    try:
+        check()
+    except HypothesisFailure as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("case", sorted(POOL))
+def test_the_reader_marks_exactly_the_levels_Q_does_not_preserve(case):
+    # the message of a marked level is the one each public level check raises there
+    K, rho0, M, rank_tol = POOL[case]()
+    Kp, Qtb, S = _cold(K, rho0, M, rank_tol)
+    read = _read_levels(S, Qtb.Q, range(1, M + 1), RESIDUAL_TOL)
+    assert sorted(read) == list(range(1, M + 1))
+    for m, r in read.items():
+        assert (r.failure is not None) == (S.weighted(Qtb.Q, m).compat > RESIDUAL_TOL), m
+        raised = {_raised(lambda: check_phi_symmetric(Kp, rho0, Qtb, S, m)),
+                  _raised(lambda: q_sphere_residual(Kp, Qtb, S, m)),
+                  _raised(lambda: modular_flow(Qtb, S, (1,) * m, 0.5))}
+        assert raised == {r.failure}, m
+
+
 def _read_bits(read):
     return [X.tobytes() for X in (read.residuals, *read.defect)]
 
@@ -367,9 +390,9 @@ def assert_stack_parity(S, Q, rho0, tol=RESIDUAL_TOL):
     starts cold.  The eigenpairs (U, w, keep) of each rank group's stacked
     eigh must equal those of the level's eigenpairs alone too.
     """
-    ms = _preserved({m: S.weighted(Q, m).compat for m in range(S.M + 1)}, tol)
-    together = _read_levels(S, Q, ms, tol, rho0)
-    assert sorted(together) == ms
+    together = _read_levels(S, Q, range(S.M + 1), tol, rho0)
+    assert sorted(together) == list(range(S.M + 1))
+    ms = [m for m in sorted(together) if together[m].failure is None]
     groups, stacked = {}, {}
     for m in ms:
         groups.setdefault(S.level(m).rank, []).append(m)
@@ -398,8 +421,8 @@ def test_the_pool_stacks_levels_that_keep_different_numbers_of_eigenvalues():
     for case, make in POOL.items():
         K, rho0, M, rank_tol = make()
         _, Qtb, S = _cold(K, rho0, M, rank_tol)
-        for m in _preserved({m: S.weighted(Qtb.Q, m).compat for m in range(1, M + 1)},
-                            RESIDUAL_TOL):
+        read = _read_levels(S, Qtb.Q, range(1, M + 1), RESIDUAL_TOL)
+        for m in [m for m, r in read.items() if r.failure is None]:
             keep = eigenpairs([S.weighted(Qtb.Q, m)], S.rank_tol)[2]
             kept.setdefault((case, S.level(m).rank), set()).add(int(keep.sum()))
     assert any(len(counts) > 1 for counts in kept.values())
