@@ -21,8 +21,7 @@ from .channel import KrausSet, gram, remix, require_word_length, symmetric_unita
 from .errors import HypothesisFailure
 from .matcore import (RANK_TOL, RESIDUAL_TOL, as_complex, dag, frobenius_norm, is_hermitian,
                       rank_mask, spectral_norm)
-from .stinespring import (SubproductSystem, _sphere, check_Q_compatibility, eigenpairs,
-                          level_power)
+from .stinespring import SubproductSystem, _sphere, eigenpairs, level_power
 
 NORMALIZATIONS = ("raw", "trace_balanced", "first_entry")
 
@@ -84,9 +83,9 @@ class CorrelationData:
                 or spectral_norm(off) <= tol * max(1.0, spectral_norm(self.Q)))
 
     def attach_levels(self, S: SubproductSystem):
-        """Record the compatibility residual of every built level, for the report."""
-        for m in range(1, S.M + 1):
-            self.compat_residuals[m] = check_Q_compatibility(S, self.Q, m)
+        """Record the compat residual of every level of S, replacing any earlier record."""
+        S.weighted(self.Q, S.M)  # first, so the whole tower is weighed in one pass
+        self.compat_residuals = {m: S.weighted(self.Q, m).compat for m in range(1, S.M + 1)}
 
     def with_normalization(self, normalization: str) -> "CorrelationData":
         return CorrelationData(
@@ -266,18 +265,17 @@ def _read_levels(S: SubproductSystem, Q: np.ndarray, ms, tol: float,
     The reader owns the compat hypothesis: it judges each level's record
     S.weighted(Q, m) by _compat_hypothesis, and a level that Q^(x)m does
     not preserve reads _LevelRead(failure, None, None) and nothing else.
-    On the levels it preserves Q_m = V H V*, and
-    P = level_power(eigenpairs, -1) inverts H on the
-    eigenvalues rank_mask keeps (a dropped one enters as a zero), so
-    V P V* inverts Q_m on the level.  The levels of one rank share one
-    stacked eigh of their H's (eigenpairs), one word stack B and one
-    stacked eigh of their sphere defects _sphere(P, B) - 1.  With
-    a state rho0 they share the Grams G_n = gram(B rho0, B) and
-    G_a = gram(rho0 B, B) (V G V* is the word Gram while the cuts dropped
-    only round-off), and each level reads max |V E V*| for E = G_n - H/Tr H
-    (normal phi), G_a - 1/Tr H (antinormal phi) and G_a - P G_n (KMS) from
-    one _max_entries call, since N = n^m differs between levels.  Reading
-    Q_m as p_m Q^(x)m p_m moves each phi entry by at most compat / Tr(Q_m).
+    On the others Q_m = V H V*, and P = level_power(eigenpairs, -1)
+    inverts H on the eigenvalues rank_mask keeps (a dropped one enters as
+    a zero), so V P V* inverts Q_m on the level.  The levels of one rank
+    share one stacked eigh of their H's and one word stack B; with a state
+    rho0, the Grams G_n = gram(B rho0, B) and G_a = gram(rho0 B, B) (V G V*
+    is the word Gram while the cuts dropped only round-off), and each
+    level reads max |V E V*| for E = G_n - H/Tr H (normal phi),
+    G_a - 1/Tr H (antinormal phi) and G_a - P G_n (KMS) from one
+    _max_entries call.  Reading Q_m as p_m Q^(x)m p_m moves each phi entry
+    by at most compat / Tr(Q_m).  The d x d sphere defects
+    _sphere(P, B) - 1 of the levels of every rank share one stacked eigh.
     Every stacked call works on each level alone, so a level reads the
     same bits in its rank group as in a call of its own.
     """
@@ -287,12 +285,12 @@ def _read_levels(S: SubproductSystem, Q: np.ndarray, ms, tol: float,
         out[m] = _LevelRead(_compat_hypothesis(m, rec.compat, tol), None, None)
         if out[m].failure is None:  # read below, in the group of its rank
             groups.setdefault(rec.level.rank, []).append(rec)
+    read, spheres = [], []  # (record, residuals) per read level; _sphere(P, B) per rank group
     for group in groups.values():
         U, w, keep = eigenpairs(group, S.rank_tol)
         P = level_power(U, w, keep, -1)
         B = np.array([rec.level.B for rec in group])
-        R = _sphere(P, B)
-        defects = zip(*np.linalg.eigh((R + dag(R)) / 2 - np.eye(B.shape[-1])))
+        spheres.append(_sphere(P, B))
         residuals = [None] * len(group)
         if rho0 is not None:
             H = np.array([rec.H for rec in group])
@@ -303,7 +301,11 @@ def _read_levels(S: SubproductSystem, Q: np.ndarray, ms, tol: float,
             Es[:, 1] = G_a - np.eye(G_a.shape[-1]) / tr
             Es[:, 2] = G_a - P @ G_n
             residuals = [_max_entries(rec.level.V, E) for rec, E in zip(group, Es)]
-        for rec, res, defect in zip(group, residuals, defects):
+        read += zip(group, residuals)
+    if read:  # every sphere defect is d x d, whatever the rank: one stacked eigh
+        R = np.concatenate(spheres)
+        defects = zip(*np.linalg.eigh((R + dag(R)) / 2 - np.eye(R.shape[-1])))
+        for (rec, res), defect in zip(read, defects):
             out[rec.level.m] = _LevelRead(None, res, defect)
     return out
 
@@ -427,15 +429,13 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
     Q^(x)m must preserve the level and the normal-ordered Gram must
     match Q_m; it then gives the right side, Qinv times it, and the
     antinormal Gram the left.  Levels 1..m are read by one _read_levels
-    call, in batched calls per level rank, the reader check_phi_symmetric
-    and the verdict call: it marks the levels Q^(x)m does not preserve
-    and reads the others, so the normal-ordered residual it tests is
-    check_phi_symmetric's.  The first failure in level order raises
-    HypothesisFailure.  m must be an
-    integer >= 1.  Raises ValueError when S was not built from K.
-    Like check_phi_symmetric, it reads the words as A_m = V_m B_m: when
-    S's rank_tol makes a cut drop more than round-off, this is the
-    residual of the projected words p_m A_m.
+    call, the reader check_phi_symmetric and the verdict call, so the
+    normal-ordered residual it tests is check_phi_symmetric's.  The first
+    failure in level order raises HypothesisFailure.  m must be an
+    integer >= 1.  Raises ValueError when S was not built from K.  Like
+    check_phi_symmetric, it reads the words as A_m = V_m B_m: when S's
+    rank_tol makes a cut drop more than round-off, this is the residual
+    of the projected words p_m A_m.
     """
     rho0 = check_state(rho0)
     require_state_size(K, rho0)

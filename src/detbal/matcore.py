@@ -40,11 +40,11 @@ def svd_cut(X: np.ndarray, rank_tol: float = RANK_TOL):
     rows, cols = X.shape
     if cols >= 4 * rows and rows * cols >= 1024:
         U, s, _ = np.linalg.svd(dag(np.linalg.qr(dag(X), mode="r")))
-        U = U[:, rank_mask(s, rank_tol)]
+        U = U[:, :np.count_nonzero(rank_mask(s, rank_tol))]
         return U, dag(U) @ X
     U, s, Vh = np.linalg.svd(X, full_matrices=False)
-    keep = rank_mask(s, rank_tol)
-    return U[:, keep], s[keep, np.newaxis] * Vh[keep]
+    k = np.count_nonzero(rank_mask(s, rank_tol))  # s descends, so the kept values lead
+    return U[:, :k], s[:k, np.newaxis] * Vh[:k]
 
 
 def read_only(X: np.ndarray) -> np.ndarray:

@@ -46,31 +46,26 @@ preserves reads compat at round-off, not at sqrt(eps).  The residual
 ||[Q^(x)m, p_m]|| is sqrt(lambda_max(G_m)), the larger of its values for
 Q and Q*.  Every (x) is two mode products on T_m's (r_{m-1}, n, r)
 reshape.  Each (level, Q) record is built once and read-only, so the
-checks of one verdict share it.
+checks of one verdict share it; the records missing below a level are
+built in one pass, with one stacked eigvalsh per Gram size for compat.
 
 The checks read the words of a level through B_m alone
 (SubproductSystem.stack): while the cuts dropped only round-off,
-A_m = V_m B_m, so every word Gram is V_m (a Gram of B_m) V_m*.  On a
-level that Q^(x)m preserves, Q_m = V_m H_m V_m*, so every word-pair
-residual is max |V_m E V_m*| for an r x r E, read in row blocks for a
-stack of E's at once (equilibrium._max_entries); V_m is the only
-word-space array a check expands.  Everything else a check reads of a
-level is r x r or d x d, so the levels of one rank r are read together
-(equilibrium._read_levels): one stacked eigh of their H_m (eigenpairs),
-one batched pair of Grams of B_m and one stacked eigh of their sphere
-defects per rank, whatever the depth.  A single row of V_m or
-Q^(x)m V_m, and the boundary defect of e_1^(x)m, are read through the
-train (Level.row, Level.boundary_defect), with no word-space row.
+A_m = V_m B_m, so every word Gram is V_m (a Gram of B_m) V_m*, and on a
+level that Q^(x)m preserves Q_m = V_m H_m V_m*.  So every word-pair
+residual is max |V_m E V_m*| for an r x r E (equilibrium._max_entries),
+V_m is the only word-space array a check expands, and all else a check
+reads is r x r or d x d: equilibrium._read_levels reads the levels of
+one rank in stacked calls, and the sphere defects of all in one.  Rows
+of V_m and Q^(x)m V_m, and the boundary defect of e_1^(x)m, are read
+through the train (Level.row, Level.boundary_defect).
 
-Every function of Q_m on a preserved level is V_m f(H_m) V_m*, formed in
-one place: eigenpairs takes the stacked eigh of the H_m's and cuts their
-eigenvalues at the system's rank_tol, and level_power forms
-P = U diag(w^z) U* over the kept ones, so V_m P V_m* is Q_m^z on the
-level (z = -1 for the inverse the sphere sums and the KMS term read,
-z = -it for the modular flow).  Every weighted word sum
-sum_ab Qinv[b,a] Z_a Z_b* is then sum_ij P[i,j] C_j C_i* = _sphere(P, C)
-for C = V_m* Z, and Level.compress reads C through the train, one
-letter at a time, so no n^m-word stack is formed.
+Every function of Q_m on a preserved level is V_m P V_m* for
+P = level_power(eigenpairs, z), which cuts the eigenvalues of H_m at the
+system's rank_tol (z = -1 for the inverse the sphere sums and the KMS
+term read, z = -it for the modular flow).  A weighted word sum
+sum_ab Qinv[b,a] Z_a Z_b* is then _sphere(P, C) for C = V_m* Z, which
+Level.compress reads through the train, one letter at a time.
 """
 from __future__ import annotations
 
@@ -276,11 +271,6 @@ def _weigh(H: np.ndarray, G: np.ndarray, F: np.ndarray, T: np.ndarray):
     return H, dag(Y) @ Y + dag(P.reshape(T.shape)) @ (G @ P).reshape(T.shape)
 
 
-def _top(G: np.ndarray) -> float:
-    """The largest eigenvalue of a Gram; 0 for an empty one."""
-    return float(np.linalg.eigvalsh(G)[-1]) if len(G) else 0.0
-
-
 @dataclass(frozen=True)
 class SubproductSystem:
     """Levels 0..M of a Kraus set's subproduct system (build_subproduct).
@@ -314,16 +304,17 @@ class SubproductSystem:
     def weighted(self, Q, m: int) -> Weighted:
         """The level-m record of the weight Q, built once per Q and read-only.
 
-        The record of level m is built from that of level m - 1 in r x r
-        train coordinates (module docstring), so neither the
-        n^m x n^m power Q^(x)m nor any word-space row is formed.  H is
-        not diagonalized here: a reader that needs a function of Q_m calls
-        eigenpairs with the system's rank_tol.  Every Q-weighted level-m
-        quantity needs Q^(x)m to preserve the level: the record carries its
-        compat, and equilibrium._compat_hypothesis, the one owner of that
-        hypothesis, judges it.
+        A level that is not built raises ValueError before any is weighed.
+        The records missing up to m are built in one pass, each from the
+        record below in r x r train coordinates (module docstring), so no
+        n^m x n^m power Q^(x)m and no word-space row is formed; their compat
+        reads take one stacked eigvalsh per Gram size.  H is not
+        diagonalized here: a reader that needs a function of Q_m calls
+        eigenpairs with the system's rank_tol, and the record's compat is
+        judged by equilibrium._compat_hypothesis alone.
         """
         m = require_word_length(m, "m")  # before the memo, where True and 1.0 would read level 1
+        self.level(m)  # refuses a level that is not built
         Q = np.asarray(Q, dtype=complex)
         key = (Q.dtype.str, Q.shape, Q.tobytes())
         rec = self._memo.get((m, key))
@@ -333,19 +324,28 @@ class SubproductSystem:
         if Q.shape != (self.n, self.n):
             raise ValueError(f"Q is {Q.shape[0]} x {Q.shape[1]} but the subproduct "
                              f"system's alphabet has size {self.n}")
-        return self._record(Q, key, m, np.array_equal(Q, dag(Q)))
-
-    def _record(self, Q: np.ndarray, key: tuple, m: int, hermitian: bool) -> Weighted:
-        if m == 0:
-            return self._empty
-        if (m, key) not in self._memo:  # carried from level m - 1, with Q on the new letter
-            below, T = self._record(Q, key, m - 1, hermitian), self.level(m).T
-            H, G = _weigh(below.H, below.G, Q, T)
-            grams = [G] if hermitian else [G, _weigh(dag(below.H), below.G_adj, dag(Q), T)[1]]
-            compat = float(np.sqrt(max(0.0, *map(_top, grams))))
-            self._memo[m, key] = Weighted(self.level(m), read_only(H), read_only(G),
-                                          read_only(grams[-1]), compat)
-        return self._memo[m, key]
+        # the memo holds levels 1..k for some k < m: carry level k's record (0's if k = 0) to m
+        k = next((k for k in range(m - 1, 0, -1) if (k, key) in self._memo), 0)
+        rec = self._memo[k, key] if k else self._empty
+        H, G, G_adj, new = rec.H, rec.G, rec.G_adj, []
+        hermitian = np.array_equal(Q, dag(Q))
+        for level in (self.levels[j] for j in range(k + 1, m + 1)):
+            if not hermitian:  # the Gram for Q*, from the H of the level below
+                G_adj = _weigh(dag(H), G_adj, dag(Q), level.T)[1]
+            H, G = _weigh(H, G, Q, level.T)
+            new.append((level, H, G, G if hermitian else G_adj))
+        # compat: sqrt(lambda_max) of G, and of G_adj if Q is not Hermitian (grams lists every G
+        # first), by one stacked eigvalsh per Gram size, run on each Gram alone; empty reads 0
+        grams = [x[i] for i in ((2,) if hermitian else (2, 3)) for x in new]
+        tops = [0.0] * len(grams)
+        for size in {len(X) for X in grams} - {0}:
+            at = [i for i, X in enumerate(grams) if len(X) == size]
+            for i, top in zip(at, np.linalg.eigvalsh(np.array([grams[i] for i in at]))[:, -1]):
+                tops[i] = float(top)
+        for i, (level, *arrays) in enumerate(new):
+            compat = float(np.sqrt(max(0.0, *tops[i::len(new)])))
+            self._memo[level.m, key] = rec = Weighted(level, *map(read_only, arrays), compat)
+        return rec
 
     @functools.cached_property
     def _empty(self) -> Weighted:

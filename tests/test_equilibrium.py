@@ -233,6 +233,17 @@ def test_compat_record_of_another_system_is_not_read():
         check_phi_symmetric(K, MIXED2, Qd, build_subproduct(K, 2), 2)
 
 
+def test_attach_levels_keeps_no_level_of_an_earlier_system():
+    # an M = 4 system and then an M = 2 one: levels 3 and 4 of the first do not stay behind
+    Kp, Qraw, _ = orthogonalize_kraus(gad_kraus(0.7, 0.4), np.diag([0.7, 0.3]))
+    Qtb = Qraw.with_normalization("trace_balanced")
+    Qtb.attach_levels(build_subproduct(Kp, 4))
+    assert sorted(Qtb.compat_residuals) == [1, 2, 3, 4]
+    S = build_subproduct(Kp, 2)
+    Qtb.attach_levels(S)
+    assert Qtb.compat_residuals == {m: S.weighted(Qtb.Q, m).compat for m in (1, 2)}
+
+
 def test_modular_flow_cuts_Q_m_at_the_system_rank_tol():
     # Q_2 = diag(1, 1e-4)^(x)2 has eigenvalue 1e-8 on the word (2, 2)
     Q = np.diag([1.0, 1e-4]).astype(complex)

@@ -16,7 +16,12 @@ systems return.  That call reads the levels of one rank in stacked
 calls: a level reads the same bits in its rank group as alone, also
 where the group's levels keep different numbers of H eigenvalues, and a
 true commuting_db verdict takes 3 eigh calls at any depth and M + 1
-SVDs.  They also pin that no public check calls another: a true verdict
+SVDs.  The records of a tower are weighed in one pass, with one stacked
+eigvalsh per Gram size for their compat: each compat reads the bits it
+reads when its level is weighed alone, a true verdict takes one eigvalsh
+at any depth and a false Haar verdict one per level rank, and a level
+that is not built is refused before any is weighed.  They also pin that
+no public check calls another: a true verdict
 calls check_state 3 times at any depth and runs its checks once, and
 that neither ``kms_condition_residual`` nor ``orthogonalize_kraus`` goes
 through ``check_phi_symmetric`` or ``correlation_matrix``.
@@ -262,6 +267,53 @@ def test_weighted_compat_of_a_non_hermitian_Q_matches_the_oracle():
         assert abs(S.weighted(Q, m).compat - ref) <= 1e-12 * max(1.0, ref)
 
 
+def _compat_alone(rec):
+    """compat from one eigvalsh of each of the record's Grams alone, as a single level reads it."""
+    tops = [float(np.linalg.eigvalsh(G)[-1]) if len(G) else 0.0 for G in (rec.G, rec.G_adj)]
+    return float(np.sqrt(max(0.0, *tops)))
+
+
+def assert_compat_parity(S, Q):
+    """Every record of S weighed in one pass reads the bits it reads when weighed alone.
+
+    One cold system weighs levels 1..M in one pass; another weighs them in
+    level order, so each pass builds one record, whose compat takes one
+    eigvalsh per Gram; _compat_alone takes an eigvalsh of each Gram alone.
+    """
+    one_pass, alone = (build_subproduct(KrausSet(S.ops), S.M, S.rank_tol) for _ in range(2))
+    one_pass.weighted(Q, S.M)
+    assert sorted(m for m, _ in one_pass._memo) == list(range(1, S.M + 1))
+    for m in range(1, S.M + 1):
+        rec, ref = one_pass.weighted(Q, m), alone.weighted(Q, m)
+        assert [X.tobytes() for X in (rec.H, rec.G, rec.G_adj)] == \
+            [X.tobytes() for X in (ref.H, ref.G, ref.G_adj)], m
+        assert rec.compat.hex() == ref.compat.hex() == _compat_alone(rec).hex(), m
+
+
+def test_a_non_hermitian_Q_weighs_the_tower_in_one_pass(monkeypatch):
+    S = build_subproduct(random_channel(2, 3, 6), 4)
+    rng = np.random.default_rng(6)
+    Q = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    assert_compat_parity(S, Q)
+    # a cold system: G and G_adj of every level share the one stacked call of their size
+    S = build_subproduct(KrausSet(S.ops), S.M)
+    calls = _count_calls(monkeypatch, "eigvalsh", np.linalg)
+    assert S.weighted(Q, S.M).compat > 1e-8
+    ranks = {S.level(m).rank for m in range(1, S.M + 1)}
+    assert len(calls) == len(ranks) > 1 and 0 not in ranks
+
+
+@pytest.mark.parametrize("m", [3, 7, -1])
+def test_weighted_refuses_a_level_not_built_before_weighing_any(m):
+    S = build_subproduct(random_channel(2, 3, 7), 2)
+    Q = random_hermitian(3, 7)
+    S.weighted(Q, 1)
+    memo = dict(S._memo)
+    with pytest.raises(ValueError, match=f"level {m} not built"):
+        S.weighted(Q, m)
+    assert S._memo == memo
+
+
 def _cold(K, rho0, M, rank_tol=RANK_TOL):
     """A fresh orthogonalized set, trace-balanced Q and subproduct system."""
     Kp, Qraw, _ = orthogonalize_kraus(K, rho0, rank_tol=rank_tol)
@@ -388,7 +440,8 @@ def assert_stack_parity(S, Q, rho0, tol=RESIDUAL_TOL):
     The group read takes levels 0..M of S at once; each level is then read
     alone on a fresh system built from the same operators, so every memo
     starts cold.  The eigenpairs (U, w, keep) of each rank group's stacked
-    eigh must equal those of the level's eigenpairs alone too.
+    eigh must equal those of the level's eigenpairs alone too, and so must
+    every compat of a tower weighed in one pass (assert_compat_parity).
     """
     together = _read_levels(S, Q, range(S.M + 1), tol, rho0)
     assert sorted(together) == list(range(S.M + 1))
@@ -405,6 +458,7 @@ def assert_stack_parity(S, Q, rho0, tol=RESIDUAL_TOL):
         assert _read_bits(together[m]) == _read_bits(alone), m
         cold = eigenpairs([fresh.weighted(Q, m)], fresh.rank_tol)
         assert stacked[m] == [X[0].tobytes() for X in cold], m
+    assert_compat_parity(S, Q)
 
 
 @pytest.mark.parametrize("case", sorted(POOL))
@@ -428,13 +482,14 @@ def test_the_pool_stacks_levels_that_keep_different_numbers_of_eigenvalues():
     assert any(len(counts) > 1 for counts in kept.values())
 
 
-@pytest.mark.parametrize("M", [2, 3, 4, 5, 6])
-def test_true_verdict_linalg_call_budget(monkeypatch, M):
-    # the level pass stacks the levels of one rank: every commuting_db level has rank 2, so
-    # the eigh count stays flat in M; the SVDs are the verdict's rank check and one per level
-    K = commuting_db_kraus(np.pi / 6)
-    detailed_balance_verdict(K, np.eye(2) / 2, M)  # reads K's residuals, kept on K
-    calls = {"eigh": 0, "svd": 0}
+def _linalg_calls(monkeypatch, K, rho0, M):
+    """The verdict on (K, rho0, M) and its numpy.linalg eigh, eigvalsh and svd counts.
+
+    A first verdict reads K's residuals, kept on K, and remembers the state,
+    so the counted verdict makes only the calls of its own levels.
+    """
+    detailed_balance_verdict(K, rho0, M)
+    calls = {"eigh": 0, "eigvalsh": 0, "svd": 0}
     for name in calls:
         fn = getattr(np.linalg, name)
 
@@ -443,8 +498,31 @@ def test_true_verdict_linalg_call_budget(monkeypatch, M):
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    assert detailed_balance_verdict(K, np.eye(2) / 2, M).verdict
-    assert calls == {"eigh": 3, "svd": M + 1}
+    return detailed_balance_verdict(K, rho0, M), calls
+
+
+@pytest.mark.parametrize("M", [2, 3, 4, 5, 6])
+def test_true_verdict_linalg_call_budget(monkeypatch, M):
+    # the level pass stacks the levels of one rank: every commuting_db level has rank 2, so
+    # the eigh count (orthogonalize_kraus, eigenpairs, sphere defects) and the eigvalsh count
+    # (the compat Grams, weighed in one pass) stay flat in M; the SVDs are the verdict's rank
+    # check and one per level
+    rep, calls = _linalg_calls(monkeypatch, commuting_db_kraus(np.pi / 6), np.eye(2) / 2, M)
+    assert rep.verdict
+    assert calls == {"eigh": 3, "eigvalsh": 1, "svd": M + 1}
+
+
+@pytest.mark.parametrize("d, n, M, ranks, groups", [(3, 2, 8, 4, 3), (2, 3, 5, 2, 1)])
+def test_false_haar_verdict_linalg_call_budget(monkeypatch, d, n, M, ranks, groups):
+    # one eigvalsh per level rank for the compat Grams; eigh for orthogonalize_kraus, one
+    # per rank group of the levels Q^(x)m preserves (eigenpairs) and one for every sphere
+    # defect of the read levels
+    rep, calls = _linalg_calls(monkeypatch, random_channel(d, n, 0), np.eye(d) / d, M)
+    assert not rep.verdict
+    level_ranks = rep.info["level_ranks"]
+    read = {level_ranks[c.level] for c in rep.checks if c.name == "q_compatibility" and c.passed}
+    assert (len(set(level_ranks.values())), len(read)) == (ranks, groups)
+    assert (calls["eigvalsh"], calls["eigh"]) == (ranks, 1 + groups + 1)
 
 
 @pytest.mark.parametrize("case", ["gad", "commuting_db"])
