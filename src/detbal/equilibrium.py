@@ -239,21 +239,22 @@ def _max_entries(V: np.ndarray, Es: np.ndarray) -> np.ndarray:
     return functools.reduce(np.maximum, (np.abs(X @ Es @ Vh).max(axis=(1, 2)) for X in blocks))
 
 
-def _compat_hypothesis(m: int, compat: float, tol: float) -> str | None:
-    """The message of the HypothesisFailure that refuses level m, if its compat exceeds tol.
+def _compat_hypothesis(m: int, compat: float, tol: float) -> HypothesisFailure | None:
+    """The HypothesisFailure that refuses level m, if its compat exceeds tol.
 
     The one owner of the hypothesis of every Q-weighted level-m check:
     Q^(x)m preserves level m.
     """
     if compat > tol:
-        return f"Q^(x){m} does not preserve the level-{m} subspace (residual {compat:.3g})"
+        return HypothesisFailure(f"Q^(x){m} does not preserve the level-{m} subspace "
+                                 f"(residual {compat:.3g})")
     return None
 
 
 class _LevelRead(NamedTuple):
-    """What _read_levels reads of one level; a level Q^(x)m does not preserve is not read."""
+    """What _read_levels reads of one level; a level it refuses is not read."""
 
-    failure: str | None  # _compat_hypothesis of the level, None where the level is read
+    failure: Exception | None  # what refuses the level, None where the level is read
     residuals: np.ndarray | None  # normal phi, antinormal phi and KMS maxima; None without a state
     defect: tuple | None  # (eigenvalues, eigenvectors) of the Hermitian part of the sphere defect
 
@@ -266,9 +267,14 @@ def _read_levels(S: SubproductSystem, Q: np.ndarray, ms, tol: float,
     S.weighted(Q, m) by _compat_hypothesis, and a level that Q^(x)m does
     not preserve reads _LevelRead(failure, None, None) and nothing else.
     On the others Q_m = V H V*, and P = level_power(eigenpairs, -1)
-    inverts H on the eigenvalues rank_mask keeps (a dropped one enters as
-    a zero), so V P V* inverts Q_m on the level.  The levels of one rank
-    share one stacked eigh of their H's and one word stack B; with a state
+    inverts H on the whole level, so V P V* inverts Q_m there; a level
+    whose H is not invertible at round-off reads _LevelRead(refusal, None,
+    None) with the ValueError of eigenpairs.  The failure is the exception
+    the one-level readers raise, and its message stands for the level in
+    the verdict.
+    Level max(ms) is weighed first, so the records below it are built in
+    one pass.  The levels of one rank share one stacked eigh of their H's
+    and one word stack B; with a state
     rho0, the Grams G_n = gram(B rho0, B) and G_a = gram(rho0 B, B) (V G V*
     is the word Gram while the cuts dropped only round-off), and each
     level reads max |V E V*| for E = G_n - H/Tr H (normal phi),
@@ -280,6 +286,7 @@ def _read_levels(S: SubproductSystem, Q: np.ndarray, ms, tol: float,
     same bits in its rank group as in a call of its own.
     """
     groups, out = {}, {}
+    S.weighted(Q, max(ms, default=0))  # first, so the levels below are weighed in one pass
     for m in ms:
         rec = S.weighted(Q, m)
         out[m] = _LevelRead(_compat_hypothesis(m, rec.compat, tol), None, None)
@@ -287,8 +294,15 @@ def _read_levels(S: SubproductSystem, Q: np.ndarray, ms, tol: float,
             groups.setdefault(rec.level.rank, []).append(rec)
     read, spheres = [], []  # (record, residuals) per read level; _sphere(P, B) per rank group
     for group in groups.values():
-        U, w, keep = eigenpairs(group, S.rank_tol)
-        P = level_power(U, w, keep, -1)
+        U, w, refusals = eigenpairs(group)
+        if any(refusals):  # a level whose H is not invertible is marked, not read
+            out.update((rec.level.m, _LevelRead(refusal, None, None))
+                       for rec, refusal in zip(group, refusals) if refusal is not None)
+            keep = [refusal is None for refusal in refusals]
+            group, U, w = [rec for rec, k in zip(group, keep) if k], U[keep], w[keep]
+            if not group:
+                continue
+        P = level_power(U, w, -1)
         B = np.array([rec.level.B for rec in group])
         spheres.append(_sphere(P, B))
         residuals = [None] * len(group)
@@ -315,23 +329,25 @@ def _read_level(K: KrausSet, S: SubproductSystem, Q: np.ndarray, m, tol: float,
     """Level m of _read_levels, read alone, for the system built from K.
 
     An m that is not an integer and a K the system was not built from
-    raise ValueError, and a level that Q^(x)m does not preserve raises
-    its HypothesisFailure.
+    raise ValueError, and a level the reader refuses raises what refuses
+    it: the HypothesisFailure of a level Q^(x)m does not preserve, the
+    ValueError of a level whose H_m is not invertible at round-off.
     """
     m = require_word_length(m, "m")
     S.stack(K, m)  # refuses a K the system was not built from
     read = _read_levels(S, Q, [m], tol, rho0)[m]
     if read.failure is not None:
-        raise HypothesisFailure(read.failure)
+        raise read.failure
     return read
 
 
-def _kms_condition(read: dict, tol: float) -> float | str:
-    """The KMS maximum over the levels of read, or the message that stops it.
+def _kms_condition(read: dict, tol: float) -> float | Exception:
+    """The KMS maximum over the levels of read, or the exception that stops it.
 
     read holds _read_levels of levels 1, 2, ....  The first hypothesis
-    that fails in level order stops the maximum: Q^(x)m preserves level
-    m, and then its normal-ordered residual is within tol.
+    that fails in level order stops the maximum: the reader reads level
+    m (Q^(x)m preserves it and H_m is invertible), and then its
+    normal-ordered residual is within tol.
     """
     mx = 0.0
     for m in sorted(read):
@@ -339,7 +355,8 @@ def _kms_condition(read: dict, tol: float) -> float | str:
             return read[m].failure
         normal, _, kms = read[m].residuals
         if normal > tol:
-            return f"normal-ordered correlations fail at level {m} (residual {normal:.3g})"
+            return HypothesisFailure(f"normal-ordered correlations fail at level {m} "
+                                     f"(residual {normal:.3g})")
         mx = max(mx, float(kms))
     return mx
 
@@ -380,17 +397,21 @@ def modular_flow(Qd: CorrelationData, S: SubproductSystem, word, t,
     subspace; imaginary t gives the analytic continuation (t = -1j
     yields Q_m^{-1}).  Returns the coefficient row for the given word,
     aligned with the level's word list: row a of V P V*, for V the level
-    isometry and P = level_power(eigenpairs, -it), so the eigenvalues of
-    H_m are cut at the system's rank_tol.  Raises HypothesisFailure when
-    Q^(x)m does not preserve the level (_compat_hypothesis).
+    isometry and P = level_power(eigenpairs, -it) over every eigenvalue of
+    H_m.  Raises HypothesisFailure when Q^(x)m does not preserve the level
+    (_compat_hypothesis), and ValueError when H_m is not invertible at
+    round-off (eigenpairs).
     """
     (x,), m = _word_letters(S.n, word)
     a = np.ravel_multi_index(x, (S.n,) * m)
     rec = S.weighted(Qd.Q, m)
     failure = _compat_hypothesis(m, rec.compat, tol)
     if failure is not None:
-        raise HypothesisFailure(failure)
-    (P,) = level_power(*eigenpairs([rec], S.rank_tol), -1j * complex(t))
+        raise failure
+    U, w, (refusal,) = eigenpairs([rec])
+    if refusal is not None:
+        raise refusal
+    (P,) = level_power(U, w, -1j * complex(t))
     return rec.level.V[a] @ P @ dag(rec.level.V)
 
 
@@ -431,7 +452,8 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
     antinormal Gram the left.  Levels 1..m are read by one _read_levels
     call, the reader check_phi_symmetric and the verdict call, so the
     normal-ordered residual it tests is check_phi_symmetric's.  The first
-    failure in level order raises HypothesisFailure.  m must be an
+    failure in level order raises: HypothesisFailure, or the ValueError
+    of a level whose H_m is not invertible at round-off.  m must be an
     integer >= 1.  Raises ValueError when S was not built from K.  Like
     check_phi_symmetric, it reads the words as A_m = V_m B_m: when S's
     rank_tol makes a cut drop more than round-off, this is the residual
@@ -444,6 +466,6 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
         raise ValueError(f"word length m must be at least 1 (got m={m})")
     S.stack(K, m)  # refuses a K the system was not built from
     kms = _kms_condition(_read_levels(S, Qd.Q, range(1, m + 1), tol, rho0), tol)
-    if isinstance(kms, str):
-        raise HypothesisFailure(kms)
+    if isinstance(kms, Exception):
+        raise kms
     return kms

@@ -6,8 +6,8 @@ class HypothesisFailure(RuntimeError):
 
     Raised when a quantity is well-defined only under a side condition
     (e.g. a weight matrix must commute with the level projector, or the
-    reference basis vector must lie in the generated subspace) and that
-    condition fails.  Distinct from a large residual: the check itself
+    normal-ordered correlations must match the weight before the KMS
+    condition is read) and that condition fails.  Distinct from a large residual: the check itself
     does not apply, so no residual is reported.
     """
 

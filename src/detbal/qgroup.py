@@ -168,11 +168,12 @@ def first_row_q_sphere(W, F, S: SubproductSystem, m: int,
                        tol: float = RESIDUAL_TOL) -> RelationsReport:
     """Level-m sphere identity for the first-row blocks z_k of W.
 
-    The weight is Q = F*F, inverted on the level subspace at the
-    system's rank_tol: Qinv = V P V* for V the level isometry and
-    P = level_power(eigenpairs, -1).  Both orderings are evaluated: the
-    row form sum Qinv[k,j] z_j* z_k (the identity asserted for first-row
-    elements) and its adjoint-side mirror sum Qinv[k,j] z_j z_k*.  Each is
+    The weight is Q = F*F, inverted on the whole level subspace:
+    Qinv = V P V* for V the level isometry and P = level_power(eigenpairs,
+    -1); a level where Q_m is not invertible at round-off raises
+    ValueError (eigenpairs).  Both orderings are evaluated: the row form sum Qinv[k,j] z_j* z_k (the
+    identity asserted for first-row elements) and its adjoint-side mirror
+    sum Qinv[k,j] z_j z_k*.  Each is
     _sphere(P, X) over the words compressed to the level through the
     train (Level.compress), so no n^m-word stack is formed: the mirror sum
     reads X = V* Z and the row sum X_i = (V* conj Z)_i^T, for Z the words
@@ -184,7 +185,10 @@ def first_row_q_sphere(W, F, S: SubproductSystem, m: int,
     hyp_q11 = float(abs(Q[0, 0] - 1.0))
     hyp_e1 = S.level(m).boundary_defect()
     rec = S.weighted(Q, m)
-    (P,) = level_power(*eigenpairs([rec], S.rank_tol), -1)
+    U, w, (refusal,) = eigenpairs([rec])
+    if refusal is not None:
+        raise refusal
+    (P,) = level_power(U, w, -1)
     Z = W.reshape(d, n, d, n)[:, 0].transpose(2, 0, 1)  # z_k = W_{0k}
     L = rec.level  # the row sum reads X_i = (V* conj Z)_i^T, the mirror sum X = V* Z
     R = _sphere(P, np.stack((L.compress(Z.conj()).swapaxes(-1, -2), L.compress(Z))))

@@ -50,16 +50,17 @@ def q_sphere_residual(K: KrausSet, Qd: CorrelationData, S: SubproductSystem,
     """Deviation of the level-m weighted word sum from the identity.
 
     Evaluates sum over word pairs of Qinv[k,j] K_j K_k* minus 1, where
-    Qinv inverts Q^(x)m on the level subspace at the system's rank_tol;
-    with Q_m = V H V*, Qinv = V P V* for P the inverse of H on the
-    eigenvalues the cut keeps, and the sum is sum_ij P[j,i] B_i B_j*, read
+    Qinv inverts Q^(x)m on the whole level subspace; with Q_m = V H V*,
+    Qinv = V P V* for P the inverse of H, and the sum is
+    sum_ij P[j,i] B_i B_j*, read
     from the level's B_m by _read_level, that is _read_levels on [m], the
     reader the verdict calls once on all its levels, so the verdict's
     sphere record equals this check's value or message.  Returns the norm
     and, from the same eigh, the projector onto the defect eigenspace,
     which localizes boundary effects of truncated representations.
     Raises HypothesisFailure when Q^(x)m does not preserve the level, and
-    ValueError when S was not built from K or m is not an integer.
+    ValueError when S was not built from K, m is not an integer or H is
+    not invertible at round-off.
     """
     wR, U = _read_level(K, S, Qd.Q, m, tol).defect
     Uk = U[:, np.abs(wR) > tol]
@@ -173,10 +174,10 @@ def time_reversal_invariance(K: KrausSet, F: np.ndarray,
 
 
 def _check_record(name: str, m: int, tol: float, result, rank: int | None = None) -> CheckRecord:
-    """A verdict record: a residual, or the message of the HypothesisFailure that stopped it."""
-    if isinstance(result, str):
+    """A verdict record: a residual, or the message of the exception that stopped it."""
+    if isinstance(result, Exception):
         return CheckRecord(name=name, residual=None, tolerance=tol, level=m,
-                           hypothesis_failure=result)
+                           hypothesis_failure=str(result))
     return CheckRecord(name=name, residual=float(result), tolerance=tol, level=m,
                        defect_rank=rank)
 
@@ -192,13 +193,14 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
     at every level with the trace-balanced Q.  The inputs are validated
     once, here.  attach_levels records the compat residuals, and one
     _read_levels call takes every level: it marks the levels that Q^(x)m
-    does not preserve and reads the others, in batched calls per level
-    rank.  The public phi, sphere and KMS checks call the same reader on
-    their own levels, and a level reads the same bits alone as in its rank
-    group, so every record equals what the public check returns or raises
-    at that level.  On a level that Q^(x)m does not preserve, the
-    reader's message, the one the public checks raise, stands for the
-    level's three records and, unless a lower level stopped it, for KMS.
+    does not preserve or whose H_m is not invertible at round-off, and
+    reads the others, in batched calls per level rank.  The public phi,
+    sphere and KMS checks call the same reader on their own levels, and a
+    level reads the same bits alone as in its rank group, so every record
+    equals what the public check returns or raises at that level.  On a
+    level the reader marks, its message, the one the public checks raise,
+    stands for the level's three records and, unless a lower level
+    stopped it, for KMS.
     The KMS record, after the last level, is the largest KMS residual
     over the levels, stopped by the first hypothesis failure.  Each
     record judges itself (CheckRecord.passed), so the verdict is true iff

@@ -61,11 +61,17 @@ of V_m and Q^(x)m V_m, and the boundary defect of e_1^(x)m, are read
 through the train (Level.row, Level.boundary_defect).
 
 Every function of Q_m on a preserved level is V_m P V_m* for
-P = level_power(eigenpairs, z), which cuts the eigenvalues of H_m at the
-system's rank_tol (z = -1 for the inverse the sphere sums and the KMS
-term read, z = -it for the modular flow).  A weighted word sum
-sum_ab Qinv[b,a] Z_a Z_b* is then _sphere(P, C) for C = V_m* Z, which
-Level.compress reads through the train, one letter at a time.
+P = level_power(eigenpairs, z) over every eigenvalue of H_m (z = -1 for
+the inverse the sphere sums and the KMS term read, z = -it for the
+modular flow).  No eigenvalue is cut: for a positive definite Q,
+H_m >= lambda_min(Q)^m > 0, and rank_tol decides only the ranks of the
+levels (svd_cut).  eigenpairs marks a level whose H_m is not positive
+definite at round-off, as a singular or indefinite Q gives, or a Q with
+cond(Q)^m past 1/(r eps): the level reader records it as it records a
+level Q^(x)m does not preserve, and the one-level readers raise its
+ValueError.  A weighted word sum sum_ab Qinv[b,a] Z_a Z_b* is then
+_sphere(P, C) for C = V_m* Z, which Level.compress reads through the
+train, one letter at a time.
 """
 from __future__ import annotations
 
@@ -82,17 +88,7 @@ from .channel import (
     require_word_budget,
     require_word_length,
 )
-from .errors import HypothesisFailure
-from .matcore import (
-    RANK_TOL,
-    RESIDUAL_TOL,
-    as_complex,
-    dag,
-    rank_mask,
-    read_only,
-    spectral_norm,
-    svd_cut,
-)
+from .matcore import RANK_TOL, as_complex, dag, read_only, spectral_norm, svd_cut
 
 
 def _letter_product(F: np.ndarray, T: np.ndarray, r0: int) -> np.ndarray:
@@ -225,27 +221,37 @@ class Weighted:
     compat: float  # ||[Q^(x)m, p_m]||, zero iff Q^(x)m preserves the level
 
 
-def eigenpairs(recs, rank_tol: float) -> tuple:
-    """(U, w, keep) for Weighted records of one rank: one stacked eigh of their H's.
+def eigenpairs(recs) -> tuple:
+    """(U, w, refusals) for Weighted records of one rank: one stacked eigh of their H's.
 
-    U and w stack every eigenpair of each (H + H*)/2, and keep is rank_mask
-    of each record's eigenvalues at rank_tol.  A stacked eigh runs LAPACK
-    on each matrix alone, so a record reads the bits it would read alone.
+    U and w stack every eigenpair of each (H + H*)/2; no eigenvalue is
+    cut, since for a positive definite Q, H_m >= lambda_min(Q)^m > 0.
+    refusals[i] is None, or the ValueError naming record i's level when
+    its smallest eigenvalue is not above len(w) eps times its largest: a
+    singular or indefinite Q gives one, and so does a Q whose cond(Q)^m
+    passes 1/(len(w) eps), where eigh no longer resolves the small end of
+    the spectrum.  Below that, the inverse read from these eigenpairs is
+    within about len(w) eps cond(H) of the exact one, relative to its
+    norm.  A stacked eigh runs LAPACK on each matrix alone, so a record
+    reads the bits it would read alone.
     """
     H = np.array([rec.H for rec in recs])
     w, U = np.linalg.eigh((H + dag(H)) / 2)
-    return U, w, rank_mask(w, rank_tol)
+    r = w.shape[-1]
+    resolved = np.all(w[:, :1] > r * np.finfo(float).eps * w[:, -1:], axis=-1)  # rank 0 passes
+    return U, w, [None if ok else ValueError(
+        f"Q_{m} is not invertible at round-off on level {m}: the smallest eigenvalue of "
+        f"H_{m}, {x[0]:.3g}, is not above {r} eps times its largest, {x[-1]:.3g}")
+        for m, ok, x in zip((rec.level.m for rec in recs), resolved, w)]
 
 
-def level_power(U: np.ndarray, w: np.ndarray, keep: np.ndarray, z) -> np.ndarray:
-    """U diag(w^z) U* over the eigenvalues keep marks; a dropped eigenvalue enters as 0.
+def level_power(U: np.ndarray, w: np.ndarray, z) -> np.ndarray:
+    """U diag(w^z) U* over every eigenvalue, for the (U, w) of eigenpairs, stacked or not.
 
-    Takes the (U, w, keep) of eigenpairs, stacked or not, so V P V* is
-    Q_m^z on the level for P = level_power(..., z): the inverse at z = -1,
-    the modular flow at z = -it.
+    V P V* is Q_m^z on the level for P = level_power(..., z): the inverse
+    at z = -1, the modular flow at z = -it.
     """
-    f = keep * np.where(keep, w, 1.0) ** z
-    return (U * f[..., np.newaxis, :]) @ dag(U)
+    return (U * (w ** z)[..., np.newaxis, :]) @ dag(U)
 
 
 def _sphere(P: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -283,7 +289,6 @@ class SubproductSystem:
 
     n: int
     M: int
-    rank_tol: float  # matcore.rank_mask's tolerance for every rank cut on the levels
     ops: np.ndarray  # the read-only Kraus array the levels were built from
     levels: dict = field(default_factory=dict)  # m -> Level
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -310,8 +315,8 @@ class SubproductSystem:
         n^m x n^m power Q^(x)m and no word-space row is formed; their compat
         reads take one stacked eigvalsh per Gram size.  H is not
         diagonalized here: a reader that needs a function of Q_m calls
-        eigenpairs with the system's rank_tol, and the record's compat is
-        judged by equilibrium._compat_hypothesis alone.
+        eigenpairs, and the record's compat is judged by
+        equilibrium._compat_hypothesis alone.
         """
         m = require_word_length(m, "m")  # before the memo, where True and 1.0 would read level 1
         self.level(m)  # refuses a level that is not built
@@ -384,13 +389,12 @@ def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL) -> Sub
 
     K is reduced to a linearly independent set first when needed
     (first_level), and the system then records the reduced set's
-    operators.  rank_tol decides which words span each level, and the
-    system keeps it: every later rank cut on its levels uses the same
-    tolerance.  Level m + 1 costs the SVD of the r_m r_1 x d^2 matrix of
-    products B_m[i] B_1[j], taken by its short side when it is wide
+    operators.  rank_tol decides which words span each level, and nothing
+    else: every function of Q_m on its levels covers the whole level
+    (eigenpairs).  Level m + 1 costs the SVD of the r_m r_1 x d^2 matrix
+    of products B_m[i] B_1[j], taken by its short side when it is wide
     (svd_cut), and one mode product of V_1 with the kept singular
-    vectors; no word stack and no word-space row is formed.  M must be an
-    integer (a bool is refused).
+    vectors; no word stack and no word-space row is formed.  M must be an integer (a bool is refused).
     """
     M = require_word_length(M, "M")
     require_word_budget(K.n, M)
@@ -398,7 +402,7 @@ def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL) -> Sub
     levels = [first.below, first]
     while len(levels) <= M:
         levels.append(_next_level(levels[-1], first, rank_tol))
-    return SubproductSystem(n=first.n, M=M, rank_tol=rank_tol,
+    return SubproductSystem(n=first.n, M=M,
                             ops=K.ops if first.n == K.n else first.B,
                             levels=dict(enumerate(levels[:M + 1])))
 
@@ -420,33 +424,22 @@ def check_Q_compatibility(S: SubproductSystem, Q: np.ndarray, m: int) -> float:
     return S.weighted(Q, m).compat
 
 
-def verify_power_dilation(K: KrausSet, S: SubproductSystem, m: int, A: np.ndarray,
-                          tol: float = RESIDUAL_TOL) -> float:
-    """Residual of the level-m dilation identity D_m*(A (x) 1)D_m = Phi^m(A).
+def verify_power_dilation(K: KrausSet, S: SubproductSystem, m: int, A: np.ndarray) -> float:
+    """Residual ||D_m*(A (x) 1)D_m - Phi^m(A)|| of the level-m dilation identity.
 
-    D_m maps xi to the sum over words of K_w xi (x) p_m e_w.  Requires
-    the reference vector e_1^{(x)m} to lie in the level-m subspace;
-    otherwise a HypothesisFailure is raised (the first-column reading of
-    the blocks is not available).  The Gram whitening of D_m cuts its
-    eigenvalues at the system's rank_tol.  m must be an integer.
+    D_m maps xi to the sum over words of K_w xi (x) p_m e_w; in level
+    coordinates (p_m e_w -> V_m* e_w) it is B_m, so the left side is
+    sum_k B_k* A B_k.  With the word stack split as A_m = V_m B_m + R,
+    V_m* R = 0, the words give Phi^m(A) = sum_k B_k* A B_k +
+    R*(A (x) 1)R, so the residual is at most ||A|| (Tr Phi^m(1) -
+    ||B_m||_F^2), the mass the rank cuts drop: round-off at the default
+    rank_tol.  No hypothesis on e_1^(x)m and no normalization of D_m
+    enters, so the identity is checked for any operation, trace
+    preserving or not.  m must be an integer.
     """
-    m = require_word_length(m, "m")
+    B = S.level(m).B
     A = as_complex(A)
-    defect = S.level(m).boundary_defect()
-    if defect > tol:
-        raise HypothesisFailure(
-            f"e_1^(x){m} not in the level-{m} subspace (defect {defect:.3g})"
-        )
-    # D_m in level coordinates (p_m e_w -> V_m* e_w) is B_m, read as a (d, r, d) array
-    D = S.level(m).B.transpose(1, 0, 2).reshape(-1, K.d)
-    # whiten with the Gram pseudo-inverse square root (a no-op when D_m
-    # is already an isometry, which the word relations guarantee)
-    G = dag(D) @ D
-    wG, UG = np.linalg.eigh((G + dag(G)) / 2)
-    keep = rank_mask(wG, S.rank_tol)
-    D = D @ ((UG[:, keep] * (1.0 / np.sqrt(wG[keep]))) @ dag(UG[:, keep]))
-    lhs = dag(D) @ (A @ D.reshape(K.d, -1)).reshape(D.shape)
-    rhs = A.copy()
+    rhs = A
     for _ in range(m):
         rhs = apply(K, rhs, "heisenberg")
-    return spectral_norm(lhs - rhs)
+    return spectral_norm((dag(B) @ A @ B).sum(0) - rhs)

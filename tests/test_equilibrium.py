@@ -244,15 +244,56 @@ def test_attach_levels_keeps_no_level_of_an_earlier_system():
     assert Qtb.compat_residuals == {m: S.weighted(Qtb.Q, m).compat for m in (1, 2)}
 
 
-def test_modular_flow_cuts_Q_m_at_the_system_rank_tol():
-    # Q_2 = diag(1, 1e-4)^(x)2 has eigenvalue 1e-8 on the word (2, 2)
+def test_modular_flow_inverts_all_of_Q_2_at_any_rank_tol():
+    # Q_2 = diag(1, 1e-4)^(x)2 has eigenvalue 1e-8 on the word (2, 2); rank_tol decides the
+    # ranks of the levels alone, so a coarse one does not cut it from the inverse
     Q = np.diag([1.0, 1e-4]).astype(complex)
     Qd = CorrelationData(Q=Q, normalization="raw", raw=Q)
     K = random_channel(2, 2, 5)
     fine, coarse = build_subproduct(K, 2), build_subproduct(K, 2, rank_tol=1e-6)
     assert fine.level(2).rank == coarse.level(2).rank == 4
-    assert abs(modular_flow(Qd, fine, (2, 2), -1j)[3] / 1e8 - 1) < 1e-6
-    assert np.max(np.abs(modular_flow(Qd, coarse, (2, 2), -1j))) < 1e-3
+    for S in (fine, coarse):
+        assert abs(modular_flow(Qd, S, (2, 2), -1j)[3] / 1e8 - 1) < 1e-6
+
+
+def test_a_singular_Q_is_refused_not_inverted():
+    # diag(1, 0) preserves every level of commuting_db (its level 1 is the whole alphabet), but
+    # H_1 is singular: the readers raise, naming the level, where a cut-free inverse reads 1/0
+    Q = np.diag([1.0, 0.0]).astype(complex)
+    Qd = CorrelationData(Q=Q, normalization="raw", raw=Q)
+    K = commuting_db_kraus(np.pi / 6)
+    S = build_subproduct(K, 2)
+    assert S.weighted(Q, 1).compat == 0.0
+    with pytest.raises(ValueError, match="not invertible at round-off on level 1"):
+        modular_flow(Qd, S, (1,), -1j)
+    with pytest.raises(ValueError, match="not invertible at round-off on level 1"):
+        q_sphere_residual(K, Qd, S, 1)
+
+
+def test_a_verdict_records_a_level_Q_m_is_not_invertible_on():
+    # rho0 = diag(0.9999, 0.0001) gives commuting_db(0.7) the trace-balanced Q diag(100, 0.01),
+    # positive definite, yet H_4 spreads over 1e16, past 1/(2 eps): the verdict stays a verdict,
+    # with level 4 marked by the refusal the public checks raise there, and reads level 3,
+    # spread over 1e12, from the inverse of all of Q_3
+    K, rho0 = commuting_db_kraus(0.7), np.diag([0.9999, 0.0001])
+    rep = detailed_balance_verdict(K, rho0, 4)
+    assert not rep.verdict and rep.reason == "q_sphere"
+    level4 = {c.name: c.hypothesis_failure for c in rep.checks if c.level == 4}
+    refusal = level4["q_sphere"]
+    assert "Q_4 is not invertible at round-off on level 4" in refusal
+    assert {name for name, f in level4.items() if f == refusal} == {
+        "phi_symmetric_normal", "phi_symmetric_antinormal", "q_sphere"}
+    Kp, Qraw, _ = orthogonalize_kraus(K, rho0)
+    Qtb = Qraw.with_normalization("trace_balanced")
+    S = build_subproduct(Kp, 4)
+    for check in (lambda: q_sphere_residual(Kp, Qtb, S, 4),
+                  lambda: check_phi_symmetric(Kp, rho0, Qtb, S, 4)):
+        with pytest.raises(ValueError) as exc:
+            check()
+        assert str(exc.value) == refusal
+    (sphere3,) = [c.residual for c in rep.checks if c.name == "q_sphere" and c.level == 3]
+    ref = oracle.q_sphere_residual(Kp, Qtb, S, 3)[0]
+    assert abs(sphere3 - ref) <= 1e-12 * ref and round(ref) == 999849
 
 
 def test_phi_symmetric_rejects_unknown_ordering():

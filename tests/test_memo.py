@@ -13,18 +13,18 @@ Each level's Grams of a state are formed in the one call that reads a
 level's phi and KMS residuals: a true verdict forms one pair per level,
 and a system checked with one state and then another returns what fresh
 systems return.  That call reads the levels of one rank in stacked
-calls: a level reads the same bits in its rank group as alone, also
-where the group's levels keep different numbers of H eigenvalues, and a
+calls: a level reads the same bits in its rank group as alone, and a
 true commuting_db verdict takes 3 eigh calls at any depth and M + 1
 SVDs.  The records of a tower are weighed in one pass, with one stacked
 eigvalsh per Gram size for their compat: each compat reads the bits it
-reads when its level is weighed alone, a true verdict takes one eigvalsh
-at any depth and a false Haar verdict one per level rank, and a level
-that is not built is refused before any is weighed.  They also pin that
-no public check calls another: a true verdict
-calls check_state 3 times at any depth and runs its checks once, and
-that neither ``kms_condition_residual`` nor ``orthogonalize_kraus`` goes
-through ``check_phi_symmetric`` or ``correlation_matrix``.
+reads when its level is weighed alone, a true verdict and the public KMS
+check on a cold system take one eigvalsh at any depth and a false Haar
+verdict one per level rank, and a level that is not built is refused
+before any is weighed.  They also pin that no public check calls
+another: a true verdict calls check_state 3 times at any depth and runs
+its checks once, and that neither ``kms_condition_residual`` nor
+``orthogonalize_kraus`` goes through ``check_phi_symmetric`` or
+``correlation_matrix``.
 """
 import gc
 
@@ -86,10 +86,9 @@ def test_level_V_and_derived_data_are_read_only():
             X[0] = 1.0
 
 
-def _arrays(S, rec):
-    """(V, H, U, w) of a record, with w the eigenvalues that S's rank cut keeps."""
-    U, w, keep = eigenpairs([rec], S.rank_tol)
-    return rec.level.V, rec.H, U, w[keep]
+def _arrays(rec):
+    """(V, H, U, w) of a record, with (U, w) its eigenpairs."""
+    return (rec.level.V, rec.H, *eigenpairs([rec])[:2])
 
 
 def test_level_memo_is_keyed_by_Q_and_rank_tol():
@@ -102,16 +101,17 @@ def test_level_memo_is_keyed_by_Q_and_rank_tol():
     Q2[1, 0] += 1e-3
     inputs = (Q1, Q2, Q1.real)
     # (V, H, U, w) for every input from one system, so later inputs meet a warm memo
-    warm = [_arrays(S, S.weighted(Q, 2)) for Q in inputs]
+    warm = [_arrays(S.weighted(Q, 2)) for Q in inputs]
     for Q, got in zip(inputs, warm):
         cold = build_subproduct(K, 2)
-        want = _arrays(cold, cold.weighted(Q, 2))
+        want = _arrays(cold.weighted(Q, 2))
         assert [X.tobytes() for X in got] == [X.tobytes() for X in want]
     assert not np.array_equal(warm[0][1], warm[1][1])  # Q1 and Q2 differ
-    # a system built with a larger rank_tol keeps fewer Q_m eigenvalues on the same level
+    # rank_tol decides the ranks of the levels alone: a system built with a larger one
+    # inverts Q_m on the whole of a level of the same rank
     coarse = build_subproduct(K, 2, rank_tol=0.5)
-    assert coarse.rank_tol == 0.5 and coarse.level(2).rank == S.level(2).rank
-    assert len(_arrays(coarse, coarse.weighted(Q1, 2))[3]) < len(warm[0][3])
+    assert coarse.level(2).rank == S.level(2).rank == 4
+    assert _arrays(coarse.weighted(Q1, 2))[3].shape == warm[0][3].shape == (1, 4)
 
 
 def _verdict_and_system(monkeypatch, case):
@@ -138,9 +138,9 @@ def test_verdict_builds_one_record_per_level(monkeypatch):
 def test_verdict_forms_no_eigenpair_on_levels_Q_does_not_preserve(monkeypatch):
     decomposed = []  # the level of every record whose H eigenpairs decomposes
 
-    def spy(recs, rank_tol):
+    def spy(recs):
         decomposed.extend(rec.level.m for rec in recs)
-        return eigenpairs(recs, rank_tol)
+        return eigenpairs(recs)
 
     monkeypatch.setattr(equilibrium, "eigenpairs", spy)
     rep, M, S = _verdict_and_system(monkeypatch, "haar")
@@ -252,8 +252,15 @@ def test_the_reader_refuses_a_level_Q_does_not_preserve():
     rec = S.weighted(Q, 2)
     assert rec.compat > 1e-8
     message = f"Q^(x)2 does not preserve the level-2 subspace (residual {rec.compat:.3g})"
-    assert _read_levels(S, Q, [2], rec.compat / 2)[2] == (message, None, None)
-    assert _read_levels(S, Q, [2], rec.compat)[2].failure is None
+    failure, *unread = _read_levels(S, Q, [2], rec.compat / 2)[2]
+    assert isinstance(failure, HypothesisFailure) and str(failure) == message
+    assert unread == [None, None]
+    # read at tol = compat, the indefinite Q has no inverse on the level to weigh words with:
+    # the reader marks the level with the ValueError the one-level readers raise
+    failure, *unread = _read_levels(S, Q, [2], rec.compat)[2]
+    assert isinstance(failure, ValueError)
+    assert str(failure).startswith("Q_2 is not invertible at round-off on level 2")
+    assert unread == [None, None]
     assert S.weighted(Q, 2) is rec
     assert _read_levels(S, np.eye(3), [2], 1e-12)[2].failure is None
 
@@ -273,14 +280,14 @@ def _compat_alone(rec):
     return float(np.sqrt(max(0.0, *tops)))
 
 
-def assert_compat_parity(S, Q):
-    """Every record of S weighed in one pass reads the bits it reads when weighed alone.
+def assert_compat_parity(S, Q, rank_tol=RANK_TOL):
+    """Every record of S (built at rank_tol) weighed in one pass reads the bits it reads alone.
 
     One cold system weighs levels 1..M in one pass; another weighs them in
     level order, so each pass builds one record, whose compat takes one
     eigvalsh per Gram; _compat_alone takes an eigvalsh of each Gram alone.
     """
-    one_pass, alone = (build_subproduct(KrausSet(S.ops), S.M, S.rank_tol) for _ in range(2))
+    one_pass, alone = (build_subproduct(KrausSet(S.ops), S.M, rank_tol) for _ in range(2))
     one_pass.weighted(Q, S.M)
     assert sorted(m for m, _ in one_pass._memo) == list(range(1, S.M + 1))
     for m in range(1, S.M + 1):
@@ -341,8 +348,8 @@ def _orthogonal_diagonal(n, seed):
 
     Every level is the rank-n span of the diagonal words, and a diagonal
     state's Q^(x)m preserves it with H_m of spectrum proportional to the
-    state's diagonal to the power m, so a coarse rank_tol keeps fewer of
-    its eigenvalues at each level of one rank.
+    state's diagonal to the power m, so the levels of one rank read
+    spectra whose spread grows with m.
     """
     O, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
     return KrausSet([np.diag(O[:, j]) for j in range(n)])
@@ -351,7 +358,7 @@ def _orthogonal_diagonal(n, seed):
 # (K, rho0, M, rank_tol): the CASES, commuting_db at every depth to 6, seeded Haar channels
 # with d, n <= 3 (Q^(x)m fails to preserve a level of some, and the normal-ordered
 # correlations, so the KMS hypothesis, fail on others), coarse rank_tol cuts, and one rank
-# group whose levels keep 3, 2 and 1 eigenvalues of H_m
+# group of levels whose H_m spreads grow with m
 POOL = {
     **{name: lambda make=make: (*make(), RANK_TOL) for name, make in CASES.items()},
     **{f"commuting_db-M{M}": lambda M=M: (commuting_db_kraus(np.pi / 6), np.eye(2) / 2, M,
@@ -427,21 +434,22 @@ def test_the_reader_marks_exactly_the_levels_Q_does_not_preserve(case):
         raised = {_raised(lambda: check_phi_symmetric(Kp, rho0, Qtb, S, m)),
                   _raised(lambda: q_sphere_residual(Kp, Qtb, S, m)),
                   _raised(lambda: modular_flow(Qtb, S, (1,) * m, 0.5))}
-        assert raised == {r.failure}, m
+        assert raised == {r.failure and str(r.failure)}, m
 
 
 def _read_bits(read):
     return [X.tobytes() for X in (read.residuals, *read.defect)]
 
 
-def assert_stack_parity(S, Q, rho0, tol=RESIDUAL_TOL):
+def assert_stack_parity(S, Q, rho0, rank_tol=RANK_TOL, tol=RESIDUAL_TOL):
     """Every level of S that Q^(x)m preserves reads the same bits in its rank group as alone.
 
     The group read takes levels 0..M of S at once; each level is then read
-    alone on a fresh system built from the same operators, so every memo
-    starts cold.  The eigenpairs (U, w, keep) of each rank group's stacked
-    eigh must equal those of the level's eigenpairs alone too, and so must
-    every compat of a tower weighed in one pass (assert_compat_parity).
+    alone on a fresh system built from the same operators at rank_tol, the
+    one S was built at, so every memo starts cold.  The eigenpairs (U, w)
+    of each rank group's stacked eigh must equal those of the level's
+    eigenpairs alone too, and so must every compat of a tower weighed in
+    one pass (assert_compat_parity).
     """
     together = _read_levels(S, Q, range(S.M + 1), tol, rho0)
     assert sorted(together) == list(range(S.M + 1))
@@ -450,15 +458,15 @@ def assert_stack_parity(S, Q, rho0, tol=RESIDUAL_TOL):
     for m in ms:
         groups.setdefault(S.level(m).rank, []).append(m)
     for group in groups.values():
-        eig = eigenpairs([S.weighted(Q, m) for m in group], S.rank_tol)
+        eig = eigenpairs([S.weighted(Q, m) for m in group])[:2]
         stacked.update({m: [X[i].tobytes() for X in eig] for i, m in enumerate(group)})
     for m in ms:
-        fresh = build_subproduct(KrausSet(S.ops), S.M, S.rank_tol)
+        fresh = build_subproduct(KrausSet(S.ops), S.M, rank_tol)
         alone = _read_levels(fresh, Q, [m], tol, rho0)[m]
         assert _read_bits(together[m]) == _read_bits(alone), m
-        cold = eigenpairs([fresh.weighted(Q, m)], fresh.rank_tol)
+        cold = eigenpairs([fresh.weighted(Q, m)])[:2]
         assert stacked[m] == [X[0].tobytes() for X in cold], m
-    assert_compat_parity(S, Q)
+    assert_compat_parity(S, Q, rank_tol)
 
 
 @pytest.mark.parametrize("case", sorted(POOL))
@@ -466,20 +474,7 @@ def test_a_level_reads_the_same_bits_alone_and_in_its_rank_group(case, monkeypat
     monkeypatch.setattr(equilibrium, "ROW_BLOCK", ROW_BLOCKS.get(case, equilibrium.ROW_BLOCK))
     K, rho0, M, rank_tol = POOL[case]()
     _, Qtb, S = _cold(K, rho0, M, rank_tol)
-    assert_stack_parity(S, Qtb.Q, rho0)
-
-
-def test_the_pool_stacks_levels_that_keep_different_numbers_of_eigenvalues():
-    # a rank group whose masks differ, so a dropped eigenvalue enters as a zero in 1/w
-    kept = {}  # (case, rank) -> the numbers of H eigenvalues its preserved levels keep
-    for case, make in POOL.items():
-        K, rho0, M, rank_tol = make()
-        _, Qtb, S = _cold(K, rho0, M, rank_tol)
-        read = _read_levels(S, Qtb.Q, range(1, M + 1), RESIDUAL_TOL)
-        for m in [m for m, r in read.items() if r.failure is None]:
-            keep = eigenpairs([S.weighted(Qtb.Q, m)], S.rank_tol)[2]
-            kept.setdefault((case, S.level(m).rank), set()).add(int(keep.sum()))
-    assert any(len(counts) > 1 for counts in kept.values())
+    assert_stack_parity(S, Qtb.Q, rho0, rank_tol)
 
 
 def _linalg_calls(monkeypatch, K, rho0, M):
@@ -510,6 +505,15 @@ def test_true_verdict_linalg_call_budget(monkeypatch, M):
     rep, calls = _linalg_calls(monkeypatch, commuting_db_kraus(np.pi / 6), np.eye(2) / 2, M)
     assert rep.verdict
     assert calls == {"eigh": 3, "eigvalsh": 1, "svd": M + 1}
+
+
+def test_the_public_kms_check_weighs_a_cold_system_in_one_pass(monkeypatch):
+    # the reader weighs its highest level first, so the compat Grams of levels 1..6 share
+    # one stacked eigvalsh; _cold has validated the state, which is remembered
+    Kp, Qtb, S = _cold(commuting_db_kraus(np.pi / 6), np.eye(2) / 2, 6)
+    calls = _count_calls(monkeypatch, "eigvalsh", np.linalg)
+    assert kms_condition_residual(Kp, np.eye(2) / 2, Qtb, S, 6) < RESIDUAL_TOL
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("d, n, M, ranks, groups", [(3, 2, 8, 4, 3), (2, 3, 5, 2, 1)])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from detbal.channel import KrausSet, Word, apply, channel_distance, index_words, minimal_kraus
-from detbal.errors import HypothesisFailure
 from detbal.factories import commuting_db_kraus, gad_kraus
 from detbal.matcore import dag, spectral_norm
 from detbal.stinespring import (
@@ -171,18 +170,36 @@ def test_power_dilation_unitary_channel():
     assert verify_power_dilation(K, S, 3, A) < 1e-12
 
 
-def test_power_dilation_hypothesis_failure():
-    # words (1,2) and (2,1) collapse, so e_1 (x) e_1 leaves the level space
-    K = commuting_db_kraus(np.pi / 6)
-    S = build_subproduct(K, 2)
+def _unit_hermitian(d, seed):
+    A = random_hermitian(d, seed)
+    return A / spectral_norm(A)
+
+
+@pytest.mark.parametrize("K", [commuting_db_kraus(np.pi / 6), gad_kraus(0.75, 0.5)],
+                         ids=["commuting_db", "gad"])
+def test_power_dilation_holds_where_e1_leaves_the_level(K):
+    # words (1,2) and (2,1) collapse, so e_1^(x)m leaves the level space from m = 2; the
+    # identity D_m*(A (x) 1)D_m = Phi^m(A) needs no such hypothesis, and the check returns
+    # its residual
+    S = build_subproduct(K, 5)
+    for m in range(2, 6):
+        assert S.level(m).boundary_defect() > 0.5, m
+        for seed in range(3):
+            assert verify_power_dilation(K, S, m, _unit_hermitian(2, seed)) <= 1e-14, (m, seed)
+    # the channel-power identity itself, over the word family
     A = random_hermitian(2, 43)
-    with pytest.raises(HypothesisFailure):
-        verify_power_dilation(K, S, 2, A)
-    # the channel-power identity itself still holds for the word family
     twice = apply(K, apply(K, A))
-    ops = [K[a] @ K[b] for a, b in index_words(2, 2)]
+    ops = [K[a] @ K[b] for a, b in index_words(K.n, 2)]
     direct = sum(dag(op) @ A @ op for op in ops)
     assert spectral_norm(direct - twice) < 1e-12
+
+
+def test_power_dilation_of_an_operation_that_is_not_trace_preserving():
+    # 0.5 gad: D_1 is no isometry, and the identity holds for it as it stands
+    K = KrausSet(np.sqrt(0.5) * gad_kraus(0.75, 0.5).ops)
+    S = build_subproduct(K, 1)
+    for seed in range(3):
+        assert verify_power_dilation(K, S, 1, _unit_hermitian(2, seed)) <= 1e-14
 
 
 def test_build_subproduct_budget():

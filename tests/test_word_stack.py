@@ -30,7 +30,7 @@ from detbal.equilibrium import (
 )
 from detbal.errors import HypothesisFailure
 from detbal.factories import commuting_db_kraus, gad_kraus
-from detbal.matcore import dag
+from detbal.matcore import dag, spectral_norm
 from detbal.qgroup import first_row_q_sphere, suq2_dilation, suq2_generators
 from detbal.reversal import crooks_check, crooks_dual, q_sphere_residual
 from detbal.stinespring import (
@@ -191,9 +191,9 @@ def test_level_functions_match_dense_oracle(case):
     for m in range(1, M + 1):
         assert_matches(np.trace(S.weighted(Qd.Q, m).H).real, oracle.trace_qm(Qd, S, m))
         V = S.level(m).V
-        (U, w, keep) = (X[0] for X in eigenpairs([S.weighted(Qd.Q, m)], S.rank_tol))
+        (U, w) = (X[0] for X in eigenpairs([S.weighted(Qd.Q, m)])[:2])
         for z, fn in ((-1, lambda w: 1.0 / w), (-0.7j, lambda w: np.power(w, -0.7j))):
-            assert_matrix_matches(V @ level_power(U, w, keep, z) @ dag(V),
+            assert_matrix_matches(V @ level_power(U, w, z) @ dag(V),
                                   oracle._qm_function(Qd.Q, S, m, fn))
         # one flowed row per word; levels where Q^(x)m fails to preserve the
         # subspace must refuse the flow instead
@@ -270,6 +270,45 @@ def test_first_row_q_sphere_matches_the_oracles_deep_on_suq2(m):
         W, F, S, m, sums=oracle._first_row_sums_by_words))
     if m == 8:
         assert_first_row_matches(new, oracle.first_row_q_sphere(W, F, S, m))
+
+
+@pytest.mark.parametrize("m", [10, 11])
+def test_q_sphere_inverts_all_of_a_deep_Q_m(m):
+    # the trace-balanced Q of commuting_db(0.7) at rho0 = diag(0.9, 0.1) is diag(3, 1/3), so
+    # H_m spreads over 9^m, past 1/rank_tol = 1e9 from m = 10; the residual must still be the
+    # one of the inverse of all of Q_m, 3^m - 1, as the word-space oracle reads it
+    Kp, Qraw, _ = orthogonalize_kraus(commuting_db_kraus(0.7), np.diag([0.9, 0.1]))
+    Qd = Qraw.with_normalization("trace_balanced")
+    S = build_subproduct(Kp, m)
+    new = q_sphere_residual(Kp, Qd, S, m)[0]
+    mirror = oracle._first_row_sums_by_words(Kp.ops, Qd.Q, S, m)[1]
+    ref = spectral_norm(mirror - np.eye(2))
+    assert abs(new - ref) <= RTOL * max(1.0, ref), (new, ref)
+    assert round(ref) == 3 ** m - 1
+
+
+@pytest.mark.parametrize("spread", [1e12, 1e13, 1e14])
+@pytest.mark.parametrize("d, n, m", [(3, 2, 3), (3, 3, 2)])
+def test_q_sphere_of_an_ill_conditioned_non_diagonal_H_m_is_within_its_condition_bound(
+        d, n, m, spread):
+    # level m of a Haar channel spans all n^m words, so Q_m = Q^(x)m and its exact inverse is
+    # (Q^-1)^(x)m, with no eigensolve; H_m = V* Q^(x)m V is not diagonal in the train's basis.
+    # Past 1/rank_tol no eigenvalue is cut, and below the guard the reading is within
+    # r eps cond(H_m) of the exact residual, relative to it; no double-precision eigensolve
+    # does much better on a matrix this spread, so the bar is that bound, not RTOL
+    K = random_channel(d, n, 0)
+    S = build_subproduct(K, m)
+    q = np.geomspace(1.0, spread ** (-1 / m), n)
+    Q = np.diag(q).astype(complex)
+    Qd = CorrelationData(Q=Q, normalization="raw", raw=Q)
+    H = S.weighted(Q, m).H
+    r = S.level(m).rank
+    assert r == n ** m and np.abs(H - np.diag(np.diag(H))).max() > 1e-2 * np.abs(H).max()
+    exact = sum(word_operator(K.ops, w) @ dag(word_operator(K.ops, w)) / np.prod(q[list(w)])
+                for w in index_words(n, m))
+    ref = spectral_norm(exact - np.eye(d))
+    got = q_sphere_residual(K, Qd, S, m)[0]
+    assert abs(got - ref) <= r * np.finfo(float).eps * spread * ref, (got, ref)
 
 
 def test_level_zero_is_the_empty_word():

@@ -1,20 +1,36 @@
-"""Only channel.power_kraus forms an n^m-word stack.
+"""Two functions with few callers, pinned by reading the source.
 
-The level layer reads the words of a level through the tensor train
-(Level.compress, the level's B_m), so a call of ``channel.word_stack``
-anywhere else in ``src/`` would bring back an array that grows as n^m.
-This test reads the source, so it catches a new caller before any input
-is large enough to show the cost.
+Only channel.power_kraus forms an n^m-word stack.  The level layer
+reads the words of a level through the tensor train (Level.compress, the
+level's B_m), so a call of ``channel.word_stack`` anywhere else in
+``src/`` would bring back an array that grows as n^m.
+
+Only the functions that decide a rank or refuse a singular input call
+``matcore.rank_mask``.  rank_tol decides where svd_cut ends the rank of
+a level; a function of Q_m inverts all of the level, so a new eigenvalue
+cut in the level layer must be named here before it can enter.
+
+These tests read the source, so they catch a new caller before any input
+is large enough to show it.
 """
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "detbal"
-ALLOWED = {("channel", "power_kraus")}
+WORD_STACK_CALLERS = {("channel", "power_kraus")}
+RANK_MASK_CALLERS = {
+    ("matcore", "svd_cut"),
+    ("matcore", "matrix_power_analytic"),
+    ("matcore", "projector_onto_span"),
+    ("equilibrium", "_require_nonsingular"),
+    ("qgroup", "invariant_state"),
+    ("reversal", "crooks_dual"),
+    ("reversal", "detailed_balance_verdict"),
+}
 
 
-def _callers(tree: ast.Module, module: str) -> set:
-    """(module, qualified function name) of every call of word_stack; "" outside any function."""
+def _callers(tree: ast.Module, module: str, callee: str) -> set:
+    """(module, qualified function name) of every call of callee; "" outside any function."""
     found = set()
 
     def visit(node, scope):
@@ -25,7 +41,7 @@ def _callers(tree: ast.Module, module: str) -> set:
             if isinstance(child, ast.Call):
                 f = child.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name == "word_stack":
+                if name == callee:
                     found.add((module, scope))
             visit(child, scope)
 
@@ -33,14 +49,23 @@ def _callers(tree: ast.Module, module: str) -> set:
     return found
 
 
-def test_only_power_kraus_calls_word_stack():
+def _src_callers(callee: str) -> set:
     callers = set()
     for path in sorted(SRC.glob("*.py")):
-        callers |= _callers(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    assert callers == ALLOWED
+        callers |= _callers(ast.parse(path.read_text(encoding="utf-8")), path.stem, callee)
+    return callers
+
+
+def test_only_power_kraus_calls_word_stack():
+    assert _src_callers("word_stack") == WORD_STACK_CALLERS
+
+
+def test_only_rank_decisions_and_singularity_refusals_call_rank_mask():
+    assert _src_callers("rank_mask") == RANK_MASK_CALLERS
 
 
 def test_the_caller_scan_sees_calls_in_methods_and_by_attribute():
     src = ("class L:\n    def f(self):\n        return channel.word_stack(x, 2)\n"
-           "def g():\n    def h():\n        return word_stack(x, 3)\n    return h\n")
-    assert _callers(ast.parse(src), "m") == {("m", "L.f"), ("m", "g.h")}
+           "def g():\n    def h():\n        return word_stack(x, 3)\n    return rank_mask(w)\n")
+    assert _callers(ast.parse(src), "m", "word_stack") == {("m", "L.f"), ("m", "g.h")}
+    assert _callers(ast.parse(src), "m", "rank_mask") == {("m", "g")}
