@@ -13,6 +13,7 @@ from .channel import (
     dilation_from_kraus,
     f_conjugate,
     kraus_from_dilation,
+    products,
     require_invertible_F,
     require_word_budget,
     require_word_length,
@@ -119,7 +120,8 @@ def crooks_check(K: KrausSet, Kbar: KrausSet, rho0, m: int) -> float:
 
     Compares Tr(rho0 Kbar_w~* Kbar_w~) with Tr(rho0 K_w* K_w), where w~
     is w read backwards, as the squared norms of Kbar_w~ L and K_w L with
-    rho0 = L L*.
+    rho0 = L L*.  Each length is one products step per side, and the
+    squared norms are one einsum over the float view of each stack.
     """
     m = require_word_length(m, "m")
     if m < 1:
@@ -133,11 +135,11 @@ def crooks_check(K: KrausSet, Kbar: KrausSet, rho0, m: int) -> float:
     A = B = (U * np.sqrt(np.maximum(w, 0.0)))[np.newaxis]  # L, with rho0 = L L*
     mx = 0.0
     for _ in range(m):
-        # K_w L gains a new first letter and Kbar_w~ L a new last letter of w, so
-        # in both the first letter of w stays the most significant digit of the row
-        A = (K.ops[:, np.newaxis] @ A[np.newaxis]).reshape(-1, K.d, K.d)
-        B = (Kbar.ops[np.newaxis] @ B[:, np.newaxis]).reshape(-1, K.d, K.d)
-        pA, pB = (np.square(X.view(float)).sum(axis=(1, 2)) for X in (A, B))
+        # K_w L gains a new first letter and Kbar_w~ L a new last letter of w; products puts
+        # the new letter major, so B is swapped back to keep w's first letter major in both
+        A = products(K.ops, A)
+        B = products(Kbar.ops, B).reshape(K.n, -1, K.d, K.d).swapaxes(0, 1).reshape(A.shape)
+        pA, pB = (np.einsum("wij,wij->w", X.view(float), X.view(float)) for X in (A, B))
         mx = max(mx, float(np.max(np.abs(pB - pA))))
     return mx
 

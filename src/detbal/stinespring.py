@@ -15,7 +15,8 @@ the product T_1[a_1] ... T_m[a_m] of the cores' letter slices.  Level 1
 factors the n x d^2 Kraus matrix, V_1 = T_1, and build_subproduct first
 reduces K to an independent set, so V_1 is unitary (p_1 = 1).  For
 m >= 2 the r_{m-1} r_1 x d^2 matrix C of products B_{m-1}[i] B_1[j]
-satisfies A_m = (V_{m-1} (x) V_1) C; its SVD cut by rank_mask keeps the
+(channel.products, one matmul for all the pairs) satisfies
+A_m = (V_{m-1} (x) V_1) C; its SVD cut by rank_mask keeps the
 left singular vectors S and gives B_m = S* C, and the stored core is
 T_m = (1 (x) V_1) S, one mode product of V_1.  Both SVDs are
 matcore.svd_cut, which takes a wide matrix (few rows against d^2
@@ -84,6 +85,7 @@ from .channel import (
     KrausSet,
     _rows,
     apply,
+    products,
     remix,
     require_word_budget,
     require_word_length,
@@ -95,11 +97,6 @@ def _letter_product(F: np.ndarray, T: np.ndarray, r0: int) -> np.ndarray:
     """(1_{r0} (x) F) T, the mode product of F with T's middle index, as an r0 x len(F) r matrix."""
     r = T.shape[1]
     return (F @ T.reshape(r0, F.shape[1], r)).reshape(r0, len(F) * r)
-
-
-def _pairs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Every product X[i] Y[j] of two (r, k, k) stacks, i major, as an (r_X r_Y, k, k) stack."""
-    return (X[:, np.newaxis] @ Y[np.newaxis]).reshape(len(X) * len(Y), *X.shape[1:])
 
 
 def _expand(X: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -153,13 +150,14 @@ class Level:
 
         C_0 = [1] and C_m = T_m* [C_{m-1}[i] ops[j]], since the words of
         length m are the words of length m - 1 times a letter and
-        V_m = (V_{m-1} (x) 1_n) T_m.  The identity holds for any stack and at
-        any cut, and no word-space stack is formed; compress of the system's
-        Kraus array is B_m.
+        V_m = (V_{m-1} (x) 1_n) T_m.  Each level's pairs C_{m-1}[i] ops[j]
+        are one products call, a single matmul.  The identity holds for any
+        stack and at any cut, and no word-space stack is formed; compress of
+        the system's Kraus array is B_m.
         """
         if self.below is None:  # the empty word, 1
             return np.eye(ops.shape[-1], dtype=complex)[np.newaxis]
-        return remix(_pairs(self.below.compress(ops), ops), self.T)
+        return remix(products(self.below.compress(ops), ops), self.T)
 
     def row(self, word, F: np.ndarray | None = None) -> np.ndarray:
         """Row `word` of V, or with an n x n F of F^(x)m V, read through the train.
@@ -377,9 +375,12 @@ def first_level(K: KrausSet, rank_tol: float = RANK_TOL) -> Level:
 
 
 def _next_level(below: Level, first: Level, rank_tol: float) -> Level:
-    """Level m + 1 from the SVD of the products B_m[i] B_1[j] (see the module docstring)."""
+    """Level m + 1 from the SVD of the products B_m[i] B_1[j] (see the module docstring).
+
+    The r_m r_1 products are one products call, a single matmul, whatever the ranks.
+    """
     # T may have 0 columns: a level of products that all vanish
-    T, B = svd_cut(_rows(_pairs(below.B, first.B)), rank_tol)
+    T, B = svd_cut(_rows(products(below.B, first.B)), rank_tol)
     core = _letter_product(first.T, T, below.rank).reshape(below.rank * first.n, T.shape[1])
     return Level(core, B.reshape(-1, *first.B.shape[1:]), first.n, below.m + 1, below)
 

@@ -106,6 +106,51 @@ def test_star_commuting_when_only_the_last_pair_fails():
     assert is_star_commuting(KrausSet([0.5 * np.eye(2), 0.3 * np.eye(2), N + N.T])) is True
 
 
+def _svd_inputs(monkeypatch):
+    """The arrays given to numpy.linalg.svd, or to numpy.linalg.norm as a spectral norm, until the test ends."""
+    inputs = []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def counted_svd(a, *args, **kwargs):
+        inputs.append(a)
+        return svd(a, *args, **kwargs)
+
+    def counted_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            inputs.append(x)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "norm", counted_norm)
+    return inputs
+
+
+@pytest.mark.parametrize("delta, commuting", [(0.95e-10, True), (1.05e-10, False)])
+def test_star_commuting_decides_a_borderline_commutator_by_its_spectral_norm(
+        monkeypatch, delta, commuting):
+    # [A, B] = [A, B*] has spectral norm 6 delta against the bound tol ||A|| ||B|| = 6e-10
+    # (1 + delta / 2), and Frobenius norm sqrt(2) times that: inside the screen's margin, so
+    # the SVD decides, one call besides the operators' own norms
+    A, B = 3 * np.diag([1.0, -1.0]), 2 * np.eye(2) + delta * np.array([[0.0, 1.0], [1.0, 0.0]])
+    K = KrausSet([A, B])
+    scale = 1e-10 * 3 * (2 + delta)
+    fro = np.linalg.norm(A @ B - B @ A)
+    assert scale / 2 < fro <= 2 * np.sqrt(2) * scale
+    inputs = _svd_inputs(monkeypatch)
+    assert is_star_commuting(K) is commuting
+    assert len(inputs) == 2 and inputs[0] is K.ops
+    assert oracle.is_star_commuting(K) is commuting
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_star_commuting_refuses_a_haar_channel_without_an_svd_of_a_commutator(monkeypatch, seed):
+    # the Frobenius screen decides every pair: the only SVD is of the operators, for the bound
+    K = random_channel(3, 3, seed)
+    inputs = _svd_inputs(monkeypatch)
+    assert is_star_commuting(K) is False
+    assert len(inputs) == 1 and inputs[0] is K.ops
+
+
 def test_zero_operator_rule_is_the_spectral_norm():
     # Frobenius norm 1.27e-12 > ZERO_OP_TOL, spectral norm 0.9e-12 < ZERO_OP_TOL: still zero
     small = np.diag([0.9e-12, 0.9e-12])

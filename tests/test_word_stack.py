@@ -16,6 +16,7 @@ from detbal.channel import (
     dilation_from_kraus,
     index_words,
     minimal_kraus,
+    products,
     word_operator,
     word_stack,
 )
@@ -117,6 +118,35 @@ def test_word_stack_follows_index_words(m):
         np.testing.assert_allclose(stack[a], word_operator(K.ops, w), rtol=0, atol=1e-15)
     if m == 0:
         assert np.array_equal(stack[0], np.eye(2))
+
+
+@pytest.mark.parametrize("a, b, k", [(1, 1, 2), (3, 4, 2), (8, 3, 5), (2, 256, 2), (5, 2, 1),
+                                     (0, 3, 2), (3, 0, 2), (0, 0, 3)])
+def test_products_is_the_broadcast_matmul(a, b, k):
+    rng = np.random.default_rng(a + 10 * b + 100 * k)
+    X, Y = (rng.normal(size=(c, k, k)) + 1j * rng.normal(size=(c, k, k)) for c in (a, b))
+    got = products(X, Y)
+    assert got.shape == (a * b, k, k)
+    ref = (X[:, np.newaxis] @ Y[np.newaxis]).reshape(a * b, k, k)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+
+
+def test_a_level_of_vanishing_products_has_rank_zero_and_so_do_the_levels_above():
+    # N^2 = 0: level 2 keeps no word, and level 3 is built from an empty stack
+    S = build_subproduct(KrausSet([[[0, 1], [0, 0]]]), 3)
+    assert [S.level(m).rank for m in range(4)] == [1, 1, 0, 0]
+    assert S.level(3).B.shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("d, n, depth", [(5, 2, 6), (2, 3, 5), (2, 2, 8), (4, 2, 7)])
+def test_crooks_matches_loop_oracle_at_the_benchmark_depths(d, n, depth):
+    # an unrelated Kbar makes every word pair differ, so a misordered reversal shows
+    K, Kbar = random_channel(d, n, 31), random_channel(d, n, 32)
+    X = random_hermitian(d, 33)
+    rho0 = X @ X + np.eye(d)
+    rho0 /= np.trace(rho0).real
+    assert_matches(crooks_check(K, Kbar, rho0, depth), oracle.crooks_check(K, Kbar, rho0, depth))
+    assert crooks_check(K, crooks_dual(K, rho0), rho0, depth) < 1e-12
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -1,4 +1,4 @@
-"""Two functions with few callers, pinned by reading the source.
+"""Two functions with few callers and one kernel, pinned by reading the source.
 
 Only channel.power_kraus forms an n^m-word stack.  The level layer
 reads the words of a level through the tensor train (Level.compress, the
@@ -9,6 +9,13 @@ Only the functions that decide a rank or refuse a singular input call
 ``matcore.rank_mask``.  rank_tol decides where svd_cut ends the rank of
 a level; a function of Q_m inverts all of the level, so a new eigenvalue
 cut in the level layer must be named here before it can enter.
+
+Stacks of operators are multiplied pairwise by ``channel.products``, one
+2-D matmul.  An ``@`` whose operand inserts an axis (``X[:, None] @
+Y[None]``) makes numpy run one small matmul per pair, so no such operand
+may appear in ``src/``.  The scan reads each operand itself and what it
+calls or reads an attribute of; a subscript under elementwise arithmetic
+(a vector of scales broadcast over a stack) does not loop and passes.
 
 These tests read the source, so they catch a new caller before any input
 is large enough to show it.
@@ -56,6 +63,35 @@ def _src_callers(callee: str) -> set:
     return callers
 
 
+def _inserts_axis(sub: ast.Subscript) -> bool:
+    """Whether a subscript's index holds None or newaxis."""
+    index = sub.slice.elts if isinstance(sub.slice, ast.Tuple) else [sub.slice]
+    return any((isinstance(x, ast.Constant) and x.value is None)
+               or (isinstance(x, (ast.Name, ast.Attribute))
+                   and getattr(x, "id", getattr(x, "attr", None)) == "newaxis")
+               for x in index)
+
+
+def _axis_subscripts(node):
+    """The axis-inserting subscripts an operand reads, not under elementwise arithmetic.
+
+    An inner @ is a BinOp too, and is scanned as an @ of its own.
+    """
+    if isinstance(node, ast.BinOp):
+        return
+    if isinstance(node, ast.Subscript) and _inserts_axis(node):
+        yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _axis_subscripts(child)
+
+
+def _broadcast_matmuls(tree: ast.Module, module: str) -> set:
+    """(module, line) of every @ with an operand that subscripts with None or newaxis."""
+    return {(module, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and any(True for side in (node.left, node.right) for _ in _axis_subscripts(side))}
+
+
 def test_only_power_kraus_calls_word_stack():
     assert _src_callers("word_stack") == WORD_STACK_CALLERS
 
@@ -69,3 +105,24 @@ def test_the_caller_scan_sees_calls_in_methods_and_by_attribute():
            "def g():\n    def h():\n        return word_stack(x, 3)\n    return rank_mask(w)\n")
     assert _callers(ast.parse(src), "m", "word_stack") == {("m", "L.f"), ("m", "g.h")}
     assert _callers(ast.parse(src), "m", "rank_mask") == {("m", "g")}
+
+
+def test_no_matmul_broadcasts_a_stack_against_a_stack():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        found |= _broadcast_matmuls(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert not found, f"use channel.products, not a broadcast @: {sorted(found)}"
+
+
+def test_the_matmul_scan_sees_none_and_newaxis_and_passes_elementwise_scales():
+    flagged = ["X[:, None] @ Y[None]",
+               "(K.ops[:, np.newaxis] @ A[np.newaxis]).reshape(-1, d, d)",
+               "A @ dag(B[None])",
+               "A @ B[:, newaxis].conj()",
+               "A @ (X[None] @ Y)"]
+    passed = ["A @ B", "(U * (w ** z)[..., np.newaxis, :]) @ dag(U)", "X[0] @ Y[:, 1]",
+              "A[np.newaxis] * B"]
+    for src in flagged:
+        assert _broadcast_matmuls(ast.parse(src), "m"), src
+    for src in passed:
+        assert not _broadcast_matmuls(ast.parse(src), "m"), src
