@@ -5,13 +5,17 @@ channel quantity is a contraction over the leading Kraus index.  Stacks
 of words grow by products, which forms every product X_i Y_j of two
 operator stacks as one 2-D matmul: numpy runs a broadcast
 X[:, None] @ Y[None] as one small matmul per pair, and at d <= 5 that
-loop, not the arithmetic, is the cost.
+loop, not the arithmetic, is the cost.  The commutators that
+is_star_commuting judges are products too.
 
 A unitary W on the product of the d-dimensional system space and the
 n-dimensional auxiliary space is handled as an n x n matrix of d x d
 blocks, system index major: block (j, k) is W.reshape(d,n,d,n)[:, j, :, k],
 and the first block-column occupies the interleaved scalar columns
 W[:, 0::n]; first_block_column returns those n blocks as an (n, d, d) stack.
+A pair (W, F) of such a W and an invertible n x n intertwiner F, as in
+Van Daele and Wang's A_u(F), is checked in one place,
+require_dilation_pair, which every function taking a pair calls.
 """
 from __future__ import annotations
 
@@ -36,6 +40,8 @@ from .matcore import (
 )
 
 ZERO_OP_TOL = 1e-12
+COMMUTE_TOL = 1e-10  # is_star_commuting: commutator norm per unit of ||K_i|| ||K_j||
+DIAG_TOL = 1e-9  # _simultaneous_diag: off-diagonal entry per unit of ||K_j||
 
 
 def _is_zero(ops: np.ndarray, tol=ZERO_OP_TOL) -> np.ndarray:
@@ -166,10 +172,25 @@ def blockwise_dagger(W: np.ndarray, d: int, n: int) -> np.ndarray:
     return R.conj().transpose(2, 1, 0, 3).reshape(d * n, d * n)
 
 
-def require_invertible_F(F: np.ndarray) -> None:
+def require_dilation_pair(W, F):
+    """(W, F, d, n) for a block matrix W and an intertwiner F, both complex.
+
+    The one check of the pair (W, F) that the A_u(F) relations are stated
+    for: F is a nonempty square matrix, n x n, and invertible (its
+    smallest singular value is above 1e-12 of its largest), and W is a
+    square matrix with n x n blocks of size d.  Whether W is unitary is
+    each caller's own question.
+    """
+    W, F = as_complex(W), as_complex(F)
+    n = F.shape[0] if F.ndim == 2 else 0
+    if n == 0 or F.shape != (n, n):
+        raise ValueError("F must be square")
     s = np.linalg.svd(F, compute_uv=False)
     if s[-1] <= 1e-12 * s[0]:
         raise ValueError("F must be invertible")
+    if W.ndim != 2 or W.shape[0] != W.shape[1] or W.shape[0] % n != 0:
+        raise ValueError("W must be square with n x n block structure")
+    return W, F, W.shape[0] // n, n
 
 
 def f_conjugate(W: np.ndarray, F: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -196,24 +217,29 @@ def isometry_from_kraus(K: KrausSet) -> np.ndarray:
     return K.ops.transpose(1, 0, 2).reshape(K.d * K.n, K.d)
 
 
-def is_star_commuting(K: KrausSet, tol: float = 1e-10) -> bool:
-    """Whether every pair of operators commutes, [K_i, K_j] = [K_i, K_j*] = 0, up to tol.
+def is_star_commuting(K: KrausSet) -> bool:
+    """Whether every pair of operators commutes, [K_i, K_j] = [K_i, K_j*] = 0, up to COMMUTE_TOL.
 
     A pair passes when both commutators have spectral norm at most
-    tol max(1, ||K_i|| ||K_j||), decided by _is_zero: a Frobenius norm
-    screen, and an SVD only for a commutator near that bound.
+    COMMUTE_TOL max(1, ||K_i|| ||K_j||), decided by _is_zero: a Frobenius
+    norm screen, and an SVD only for a commutator near that bound.  The
+    commutators come from one products call on the stack X = (K, K*):
+    G[a, i, b, j] = X_{a i} X_{b j}, so [K_i, X_{b j}] is
+    G[0, i, b, j] - G[b, j, 0, i].
     """
-    A, B = K.ops[:, np.newaxis], K.ops[np.newaxis]
-    norms = np.linalg.svd(K.ops, compute_uv=False)[:, 0]  # largest singular values: spectral norms
-    scale = tol * np.maximum(1.0, np.outer(norms, norms)).ravel()
-    comms = np.array([A @ B - B @ A, A @ dag(B) - dag(B) @ A]).reshape(-1, K.d, K.d)
-    return bool(_is_zero(comms, np.tile(scale, 2)).all())
+    n, d, ops = K.n, K.d, K.ops
+    X = np.concatenate((ops, dag(ops)))
+    G = products(X, X).reshape(2, n, 2, n, d, d)
+    norms = np.linalg.svd(ops, compute_uv=False)[:, 0]  # largest singular values: spectral norms
+    scale = COMMUTE_TOL * np.maximum(1.0, np.outer(norms, norms)).ravel()
+    comms = G[0].transpose(1, 0, 2, 3, 4) - G[:, :, 0].transpose(0, 2, 1, 3, 4)  # [b, i, j]
+    return bool(_is_zero(comms.reshape(-1, d, d), np.tile(scale, 2)).all())
 
 
-def _simultaneous_diag(K: KrausSet, tol: float = 1e-9) -> np.ndarray:
-    """Unitary T with T* K_j T diagonal for a commuting *-family."""
+def _simultaneous_diag(K: KrausSet) -> np.ndarray:
+    """Unitary T with T* K_j T diagonal for a commuting *-family, off-diagonals within DIAG_TOL."""
     rng = np.random.default_rng(12345)
-    scale = tol * np.maximum(1.0, np.linalg.norm(K.ops, 2, axis=(1, 2)))
+    scale = DIAG_TOL * np.maximum(1.0, np.linalg.norm(K.ops, 2, axis=(1, 2)))
     off_diag = 1.0 - np.eye(K.d)
     for _ in range(20):
         c = rng.normal(size=K.n) + 1j * rng.normal(size=K.n)

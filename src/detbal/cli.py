@@ -2,7 +2,9 @@
 
 Exit codes: 0 when the requested verdict holds (or the command has no
 verdict), 1 when the analysis ran but the verdict is false, 2 on input
-errors.
+errors.  Inputs are read through serialize and factories alone: a spec
+file by parse_channel_spec, a --F file by decode_square, and example
+names and parameters by the factories.EXAMPLES table.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from .reversal import (
 from .serialize import (
     channel_spec_dict,
     classical_spec_dict,
-    decode_matrix,
+    decode_square,
     dump_payload,
     load_payload,
     parse_channel_spec,
@@ -147,9 +149,7 @@ def cmd_qgroup_check(args) -> int:
         fobj = load_payload(args.F)
         if not isinstance(fobj, dict):
             raise SpecFileError("--F payload must be an object carrying a matrix")
-        F = decode_matrix(fobj.get("matrix"))
-        if F.shape != (spec.kraus.n, spec.kraus.n):
-            raise SpecFileError("F dimension mismatch")
+        F = decode_square(fobj.get("matrix"), spec.kraus.n, "F")
     elif spec.F is not None:
         F = spec.F
     else:

@@ -1,14 +1,19 @@
-"""Deterministic example factories emitting channel spec dictionaries."""
+"""Deterministic example factories emitting channel spec dictionaries.
+
+EXAMPLES is the one table of the named examples: each name maps to the
+builder of its spec dictionary and to its parameters, each with its
+default and its ndim (0 for a number, 1 for a list of numbers, 2 for a
+list of rows of numbers).  gen_example and the CLI's --name choices read
+it.
+"""
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import KrausSet, first_block_column
+from .channel import KrausSet, first_block_column, is_star_commuting
 from .matcore import dag
 from .qgroup import suq2_dilation, suq2_generators
 from .serialize import channel_spec_dict, classical_spec_dict
-
-EXAMPLE_NAMES = ("measurement", "gad", "commuting_db", "suq2", "classical")
 
 _DEFAULT_A = np.diag([1.0, -1.0]).astype(complex)
 _DEFAULT_B = np.array([[0.9, 0.35 - 0.2j], [0.35 + 0.2j, -0.4]], dtype=complex)
@@ -32,10 +37,8 @@ def measurement_channel(A=None, B=None):
     d, n = A.shape[0], B.shape[0]
     W = _expi_hermitian(np.kron(A, B))
     K = KrausSet(first_block_column(W, d, n))
-    X, Y = K.ops[:, np.newaxis], K.ops[np.newaxis]
-    worst = np.linalg.norm(X @ Y - Y @ X, 2, axis=(2, 3)).max()
-    if worst > 1e-10:
-        raise ValueError(f"measurement Kraus operators fail to commute ({worst:.3g})")
+    if not is_star_commuting(K):
+        raise ValueError("measurement Kraus operators fail to commute")
     return K, W
 
 
@@ -64,51 +67,53 @@ def commuting_db_kraus(theta: float) -> KrausSet:
     ])
 
 
+def _measurement_spec(A, B) -> dict:
+    K, W = measurement_channel(A, B)
+    return channel_spec_dict(K, rho0=np.eye(K.d) / K.d, dilation=W)
+
+
+def _gad_spec(p, gamma) -> dict:
+    return channel_spec_dict(gad_kraus(p, gamma), rho0=np.diag([p, 1.0 - p]).astype(complex))
+
+
+def _commuting_db_spec(theta) -> dict:
+    return channel_spec_dict(commuting_db_kraus(theta), rho0=np.eye(2, dtype=complex) / 2)
+
+
+def _suq2_spec(q, N) -> dict:
+    a, c, K, F = suq2_generators(q, N)
+    return channel_spec_dict(K, F=F, dilation=suq2_dilation(a, c, q))
+
+
 _CYCLE3 = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+
+EXAMPLES = {  # name -> (builder, {parameter: (default, ndim)})
+    "measurement": (_measurement_spec, {"A": (None, 2), "B": (None, 2)}),
+    "gad": (_gad_spec, {"p": (0.75, 0), "gamma": (0.5, 0)}),
+    "commuting_db": (_commuting_db_spec, {"theta": (np.pi / 6, 0)}),
+    "suq2": (_suq2_spec, {"q": (0.5, 0), "N": (6, 0)}),
+    "classical": (classical_spec_dict, {"M": (_CYCLE3, 2), "pi": (None, 1)}),
+}
+EXAMPLE_NAMES = tuple(EXAMPLES)
 
 
 def gen_example(name: str, params: dict | None = None) -> dict:
-    """Build the named example as a spec dictionary.
+    """Build the named example of EXAMPLES as a spec dictionary.
 
-    Recognized names: measurement (A, B), gad (p, gamma),
-    commuting_db (theta), suq2 (q, N), classical (M, pi); A, B and M
-    are lists of rows of numbers, pi a list, the rest numbers.
+    params maps parameter names to values.  An absent one takes its
+    default; a value that is not a number or a list of the parameter's
+    ndim, an unknown parameter or an unknown name raises ValueError.
     """
     if params is not None and not isinstance(params, dict):
         raise ValueError(f"params must be an object of named parameters (got {params!r})")
+    if name not in EXAMPLES:
+        raise ValueError(f"unknown example name {name!r}")
+    build, defaults = EXAMPLES[name]
     params = dict(params or {})
-    if name == "measurement":
-        A = _param(params, "A", None, 2)
-        B = _param(params, "B", None, 2)
-        _check_no_extras(name, params)
-        K, W = measurement_channel(A, B)
-        rho0 = np.eye(K.d) / K.d
-        return channel_spec_dict(K, rho0=rho0, dilation=W)
-    if name == "gad":
-        p = _param(params, "p", 0.75)
-        gamma = _param(params, "gamma", 0.5)
-        _check_no_extras(name, params)
-        K = gad_kraus(p, gamma)
-        rho0 = np.diag([p, 1.0 - p]).astype(complex)
-        return channel_spec_dict(K, rho0=rho0)
-    if name == "commuting_db":
-        theta = _param(params, "theta", np.pi / 6)
-        _check_no_extras(name, params)
-        K = commuting_db_kraus(theta)
-        return channel_spec_dict(K, rho0=np.eye(2, dtype=complex) / 2)
-    if name == "suq2":
-        q = _param(params, "q", 0.5)
-        N = _param(params, "N", 6)
-        _check_no_extras(name, params)
-        a, c, K, F = suq2_generators(q, N)
-        W = suq2_dilation(a, c, q)
-        return channel_spec_dict(K, F=F, dilation=W)
-    if name == "classical":
-        M = _param(params, "M", _CYCLE3, 2)
-        pi = _param(params, "pi", None, 1)
-        _check_no_extras(name, params)
-        return classical_spec_dict(M, pi)
-    raise ValueError(f"unknown example name {name!r}")
+    kwargs = {key: _param(params, key, default, ndim) for key, (default, ndim) in defaults.items()}
+    if params:
+        raise ValueError(f"unknown parameters for {name}: {sorted(params)}")
+    return build(**kwargs)
 
 
 def _param(params: dict, key: str, default, ndim: int = 0):
@@ -124,8 +129,3 @@ def _param(params: dict, key: str, default, ndim: int = 0):
         what = ("a number", "a list of numbers", "a list of rows of numbers")[ndim]
         raise ValueError(f"parameter {key!r} must be {what} (got {value!r})")
     return float(a) if ndim == 0 else a
-
-
-def _check_no_extras(name: str, params: dict) -> None:
-    if params:
-        raise ValueError(f"unknown parameters for {name}: {sorted(params)}")

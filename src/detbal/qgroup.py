@@ -4,13 +4,15 @@ All checks are representation-level: a pass means the supplied block
 matrix satisfies the defining relations within tolerance.  Truncations
 of infinite-dimensional representations fail the strict relations on a
 boundary subspace; every record therefore carries the defect projector
-rank and the residual away from the defect.
+rank and the residual away from the defect.  Every check taking a pair
+(W, F) has it checked, and its sizes (d, n) read, by
+channel.require_dilation_pair.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .channel import KrausSet, f_conjugate, require_invertible_F
+from .channel import KrausSet, f_conjugate, require_dilation_pair
 from .equilibrium import balance_scalar, check_state
 from .matcore import (
     RESIDUAL_TOL,
@@ -64,18 +66,6 @@ def _spectrum_record(name: str, w: np.ndarray, tol: float, level: int | None = N
                        off_defect_residual=float(a[a <= tol].max(initial=0.0)))
 
 
-def _shapes(W: np.ndarray, F: np.ndarray):
-    W = as_complex(W)
-    F = as_complex(F)
-    n = F.shape[0]
-    if F.shape != (n, n):
-        raise ValueError("F must be square")
-    require_invertible_F(F)
-    if W.shape[0] != W.shape[1] or W.shape[0] % n != 0:
-        raise ValueError("W must be square with n x n block structure")
-    return W, F, W.shape[0] // n, n
-
-
 def _au_records(W: np.ndarray, Wc_F: np.ndarray, tol: float) -> list[CheckRecord]:
     # X*X - 1 and XX* - 1 of a square X share the eigenvalues isometry_defect(X)
     return [_spectrum_record(f"{name}_unitary_{side}", w, tol)
@@ -89,7 +79,7 @@ def au_relations_check(W, F, tol: float = RESIDUAL_TOL) -> RelationsReport:
     Passing certifies the blocks of W satisfy the free-unitary defining
     relations with weight F*F at this representation.
     """
-    W, F, d, n = _shapes(W, F)
+    W, F, d, n = require_dilation_pair(W, F)
     return RelationsReport(relation="au", tolerance=tol,
                            checks=_au_records(W, f_conjugate(W, F, d, n), tol),
                            info={"d": d, "n": n})
@@ -99,7 +89,7 @@ def bu_relations_check(W, F, tol: float = RESIDUAL_TOL) -> RelationsReport:
     """Self-conjugacy W = (1 (x) F) W^c (1 (x) F^-1) plus the unitarity
     battery, plus the requirement that F Fbar be scalar.
     """
-    W, F, d, n = _shapes(W, F)
+    W, F, d, n = require_dilation_pair(W, F)
     Wc_F = f_conjugate(W, F, d, n)
     checks = _au_records(W, Wc_F, tol)
     checks.append(_relation_record("self_conjugacy", W - Wc_F, tol))
@@ -180,7 +170,7 @@ def first_row_q_sphere(W, F, S: SubproductSystem, m: int,
     of the blocks z_k.  The hypotheses Q_11 = 1 and e_1^(x)m in the level
     subspace are checked and reported rather than assumed.
     """
-    W, F, d, n = _shapes(W, F)
+    W, F, d, n = require_dilation_pair(W, F)
     Q = dag(F) @ F
     hyp_q11 = float(abs(Q[0, 0] - 1.0))
     hyp_e1 = S.level(m).boundary_defect()

@@ -6,7 +6,8 @@ hypothesis-failure note, so a false verdict is always traceable to a
 reason.  Every decision is derived from that data in one place: a
 record passes when no hypothesis failed and its residual is below its
 tolerance (CheckRecord.passed), and a report's verdict is that every
-record passes.
+record passes (the verdict of _Report, the base of both report types,
+which also renders their info and check lines).
 """
 from __future__ import annotations
 
@@ -52,12 +53,13 @@ class CheckRecord:
                 f" (tol {self.tolerance:.1e}){extra}")
 
 
-@dataclass
-class AnalysisReport:
-    reason: str | None
-    residual_tol: float
-    rank_tol: float
-    max_level: int
+@dataclass(kw_only=True)
+class _Report:
+    """What every report owns: its records, its info, the verdict that
+    every record passes, and the info and check lines of its rendering
+    and its dict.  A report type adds its own fields, its header lines
+    (_header_lines) and the leading keys of its dict (_leading_keys)."""
+
     checks: list = field(default_factory=list)
     info: dict = field(default_factory=dict)
 
@@ -66,39 +68,36 @@ class AnalysisReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "residual_tol": self.residual_tol,
-            "rank_tol": self.rank_tol,
-            "max_level": self.max_level,
-            "checks": [c.to_dict() for c in self.checks],
-            "info": self.info,
-        }
+        checks = [c.to_dict() for c in self.checks]
+        return {**self._leading_keys(), "checks": checks, "info": self.info}
 
     def render(self) -> str:
-        lines = [
-            f"detailed balance verdict: {'true' if self.verdict else 'false'}"
-            + (f" (reason: {self.reason})" if self.reason else ""),
-            f"tolerances: residual {self.residual_tol:.1e}, rank {self.rank_tol:.1e},"
-            f" max level {self.max_level}",
-        ]
-        for key, val in self.info.items():
-            lines.append(f"  {key}: {val}")
-        lines.extend(c.render() for c in self.checks)
-        return "\n".join(lines)
+        info = (f"  {key}: {val}" for key, val in self.info.items())
+        return "\n".join([*self._header_lines(), *info, *(c.render() for c in self.checks)])
 
 
 @dataclass
-class RelationsReport:
+class AnalysisReport(_Report):
+    reason: str | None
+    residual_tol: float
+    rank_tol: float
+    max_level: int
+
+    def _leading_keys(self) -> dict:
+        return {"verdict": self.verdict, "reason": self.reason, "residual_tol": self.residual_tol,
+                "rank_tol": self.rank_tol, "max_level": self.max_level}
+
+    def _header_lines(self) -> list:
+        return [f"detailed balance verdict: {'true' if self.verdict else 'false'}"
+                + (f" (reason: {self.reason})" if self.reason else ""),
+                f"tolerances: residual {self.residual_tol:.1e}, rank {self.rank_tol:.1e},"
+                f" max level {self.max_level}"]
+
+
+@dataclass
+class RelationsReport(_Report):
     relation: str
     tolerance: float
-    checks: list = field(default_factory=list)
-    info: dict = field(default_factory=dict)
-
-    @property
-    def verdict(self) -> bool:
-        return all(c.passed for c in self.checks)
 
     def check(self, name: str) -> CheckRecord:
         for c in self.checks:
@@ -106,19 +105,9 @@ class RelationsReport:
                 return c
         raise KeyError(name)
 
-    def to_dict(self) -> dict:
-        return {
-            "relation": self.relation,
-            "verdict": self.verdict,
-            "tolerance": self.tolerance,
-            "checks": [c.to_dict() for c in self.checks],
-            "info": self.info,
-        }
+    def _leading_keys(self) -> dict:
+        return {"relation": self.relation, "verdict": self.verdict, "tolerance": self.tolerance}
 
-    def render(self) -> str:
-        lines = [f"{self.relation} relations: {'true' if self.verdict else 'false'}"
-                 f" (tol {self.tolerance:.1e})"]
-        for key, val in self.info.items():
-            lines.append(f"  {key}: {val}")
-        lines.extend(c.render() for c in self.checks)
-        return "\n".join(lines)
+    def _header_lines(self) -> list:
+        return [f"{self.relation} relations: {'true' if self.verdict else 'false'}"
+                f" (tol {self.tolerance:.1e})"]

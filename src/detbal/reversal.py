@@ -1,5 +1,9 @@
 """Sphere-condition checks, time-reversed channels, Crooks duals, the
 detailed-balance verdict pipeline and the classical Markov baseline.
+
+reversed_unitary has its pair (W, F) checked by
+channel.require_dilation_pair, and time_reversal_invariance judges the
+conjugate dilation and reads its Kraus set at the one tol it is given.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from .channel import (
     f_conjugate,
     kraus_from_dilation,
     products,
-    require_invertible_F,
+    require_dilation_pair,
     require_word_budget,
     require_word_length,
 )
@@ -37,7 +41,6 @@ from .equilibrium import (
 from .matcore import (
     RANK_TOL,
     RESIDUAL_TOL,
-    as_complex,
     dag,
     isometry_defect,
     rank_mask,
@@ -72,14 +75,14 @@ def reversed_unitary(W: np.ndarray, F: np.ndarray, d: int, n: int,
                      tol: float = 1e-6):
     """Conjugate dilation (1 (x) F) W^c (1 (x) F^-1) and its unitarity residual.
 
-    W^c takes every block to its own adjoint.  No error is raised when
-    the result fails to be unitary; the residual is the diagnostic.
+    W^c takes every block to its own adjoint.  The pair (W, F) is checked
+    by require_dilation_pair, and must have blocks of size d, n of them.
+    No error is raised when the result fails to be unitary; the residual
+    is the diagnostic.
     """
-    W = as_complex(W)
-    F = as_complex(F)
-    if W.shape != (d * n, d * n) or F.shape != (n, n):
+    W, F, dW, nF = require_dilation_pair(W, F)
+    if (dW, nF) != (d, n):
         raise ValueError("shape mismatch")
-    require_invertible_F(F)
     if np.abs(isometry_defect(W)).max() > tol:
         raise ValueError("W must be unitary")
     Wbar = f_conjugate(W, F, d, n)
@@ -155,17 +158,20 @@ def time_reversal_invariance(K: KrausSet, F: np.ndarray,
     """Check whether the F-reversed channel coincides with the original.
 
     Builds the deterministic dilation, conjugates it, and when the
-    conjugate is unitary compares the reversed channel with the input at
-    the Choi level.  A nonunitary conjugate yields a false verdict with
-    the unitarity residual as the reason.
+    conjugate is unitary within tol reads the reversed Kraus set from its
+    first block-column, at the same tol, and compares the reversed
+    channel with the input at the Choi level.  A nonunitary conjugate
+    yields a false verdict with the unitarity residual as the reason; so
+    does a conjugate whose first block-column holds a zero block, which
+    KrausSet refuses.
     """
     _, W = dilation_from_kraus(K)
     Wbar, ures = reversed_unitary(W, F, K.d, K.n)
     if ures > tol:
         return TRInvariance(False, float("nan"), ures)
     try:
-        Kbar = kraus_from_dilation(Wbar, K.d, K.n, "first_column")
-    except ValueError:
+        Kbar = kraus_from_dilation(Wbar, K.d, K.n, "first_column", tol=tol)
+    except ValueError:  # a zero block in the conjugate's first block-column
         return TRInvariance(False, float("nan"), ures)
     dist = channel_distance(K, Kbar)
     return TRInvariance(dist < tol, dist, ures)

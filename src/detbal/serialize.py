@@ -3,7 +3,9 @@
 Two formats are recognized: ``detbal-channel/1`` (Kraus operators plus
 optional state, weight matrix, intertwiner, dilation and analysis
 options) and ``detbal-classical/1`` (a column-stochastic transition
-matrix with optional stationary vector).
+matrix with optional stationary vector).  decode_matrix reads one
+[re, im] matrix, and decode_square is the one reader of a matrix of a
+known size (a spec's rho0, F and dilation, and the CLI's --F file).
 """
 from __future__ import annotations
 
@@ -43,6 +45,16 @@ def decode_matrix(obj) -> np.ndarray:
     return A[..., 0] + 1j * A[..., 1]
 
 
+def decode_square(obj, size: int, key: str) -> np.ndarray:
+    """obj decoded as a size x size matrix: the one reader of a sized spec
+    matrix (rho0, F, dilation and the CLI's --F); any other shape raises
+    "{key} dimension mismatch"."""
+    A = decode_matrix(obj)
+    if A.shape != (size, size):
+        raise SpecFileError(f"{key} dimension mismatch")
+    return A
+
+
 def encode_real_matrix(A: np.ndarray) -> list:
     return [[float(x) for x in row] for row in np.asarray(A, dtype=float)]
 
@@ -67,12 +79,9 @@ def channel_spec_dict(kraus, rho0=None, F=None, dilation=None, options=None) -> 
         "d": int(kraus[0].shape[0]),
         "kraus": [encode_matrix(K) for K in kraus],
     }
-    if rho0 is not None:
-        out["rho0"] = encode_matrix(rho0)
-    if F is not None:
-        out["F"] = encode_matrix(F)
-    if dilation is not None:
-        out["dilation"] = encode_matrix(dilation)
+    for key, A in (("rho0", rho0), ("F", F), ("dilation", dilation)):
+        if A is not None:
+            out[key] = encode_matrix(A)
     merged = dict(DEFAULT_OPTIONS)
     if options:
         merged.update(options)
@@ -99,22 +108,11 @@ def parse_channel_spec(payload: dict) -> ChannelSpec:
         raise SpecFileError(f"d must be an integer (got {d!r})")
     if d is not None and d != kraus.d:
         raise SpecFileError(f"declared dimension {d} does not match operators")
-    spec = ChannelSpec(kraus=kraus)
-    if "rho0" in payload:
-        spec.rho0 = decode_matrix(payload["rho0"])
-        if spec.rho0.shape != (kraus.d, kraus.d):
-            raise SpecFileError("rho0 dimension mismatch")
     if "Q" in payload:
         raise SpecFileError("a spec carries no Q: the weight is computed from rho0")
-    if "F" in payload:
-        spec.F = decode_matrix(payload["F"])
-        if spec.F.shape != (kraus.n, kraus.n):
-            raise SpecFileError("F dimension mismatch")
-    if "dilation" in payload:
-        spec.dilation = decode_matrix(payload["dilation"])
-        dn = kraus.d * kraus.n
-        if spec.dilation.shape != (dn, dn):
-            raise SpecFileError("dilation dimension mismatch")
+    sizes = {"rho0": kraus.d, "F": kraus.n, "dilation": kraus.d * kraus.n}
+    spec = ChannelSpec(kraus=kraus, **{key: decode_square(payload[key], size, key)
+                                       for key, size in sizes.items() if key in payload})
     options = payload.get("options", {})
     if not isinstance(options, dict):
         raise SpecFileError("options must be an object")

@@ -46,6 +46,7 @@ from detbal.channel import (
     block,
     index_words,
     remix,
+    require_dilation_pair,
     symmetric_unitary_first_col,
     word_labels,
     word_operator,
@@ -63,7 +64,6 @@ from detbal.matcore import (
     rank_mask,
     spectral_norm,
 )
-from detbal.qgroup import _shapes
 from detbal.report import CheckRecord, RelationsReport
 
 
@@ -245,7 +245,7 @@ def _first_row_sums_by_words(z, Q, S, m):
 
 
 def first_row_q_sphere(W, F, S, m, tol=RESIDUAL_TOL, sums=_first_row_sums_by_pairs):
-    W, F, d, n = _shapes(W, F)
+    W, F, d, n = require_dilation_pair(W, F)
     if n != S.n:
         raise ValueError("subproduct system size mismatch")
     Q = dag(F) @ F
@@ -461,7 +461,7 @@ def f_conjugate(W, F, d, n):
 
 
 def au_relations_check(W, F, tol: float = RESIDUAL_TOL) -> RelationsReport:
-    W, F, d, n = _shapes(W, F)
+    W, F, d, n = require_dilation_pair(W, F)
     I = np.eye(d * n)
     Wc_F = f_conjugate(W, F, d, n)
     checks = [
@@ -479,7 +479,7 @@ def au_relations_check(W, F, tol: float = RESIDUAL_TOL) -> RelationsReport:
 
 
 def bu_relations_check(W, F, tol: float = RESIDUAL_TOL) -> RelationsReport:
-    W, F, d, n = _shapes(W, F)
+    W, F, d, n = require_dilation_pair(W, F)
     rep = au_relations_check(W, F, tol)
     Wc_F = f_conjugate(W, F, d, n)
     checks = list(rep.checks)

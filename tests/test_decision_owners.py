@@ -9,11 +9,18 @@ hypothesis, Q^(x)m preserves level m, is judged by
 tests read the source, so a second copy of either rule is caught before
 any input shows the two copies disagree; the last pins the pass rule
 itself at its edge, where a residual equals its tolerance.
+
+Each input contract has one owner too: ``channel.require_dilation_pair``
+checks a pair (W, F), ``serialize.decode_square`` reads every sized
+spec matrix (so only ``serialize`` calls ``decode_matrix``), the
+``factories.EXAMPLES`` table names the examples, and the report base
+owns the verdict.
 """
 import ast
 import dataclasses
 from pathlib import Path
 
+from detbal import factories
 from detbal.qgroup import au_relations_check, suq2_dilation, suq2_generators
 from detbal.report import AnalysisReport, CheckRecord, RelationsReport
 
@@ -60,6 +67,38 @@ def test_only_equilibrium_knows_the_compat_hypothesis():
     owners = {mod for mod, tree in _trees().items() if _names(tree, "_compat_hypothesis")}
     assert owners == {"equilibrium"}
     assert _names(_trees()["equilibrium"], "_compat_hypothesis").count("def") == 1
+
+
+def _strings(tree: ast.Module) -> list:
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+
+def test_only_channel_checks_the_dilation_pair():
+    trees = _trees()
+    owners = {mod for mod, tree in trees.items() if "F must be invertible" in _strings(tree)}
+    assert owners == {"channel"}
+    assert _strings(trees["channel"]).count("F must be invertible") == 1
+    assert _names(trees["channel"], "require_dilation_pair").count("def") == 1
+    assert {mod for mod, tree in trees.items()
+            if _names(tree, "require_invertible_F") or _names(tree, "_shapes")} == set()
+
+
+def test_only_serialize_decodes_a_spec_matrix():
+    assert {mod for mod, tree in _trees().items() if _names(tree, "decode_matrix")} == {"serialize"}
+
+
+def test_the_example_names_are_the_keys_of_the_example_table():
+    assert factories.EXAMPLE_NAMES == tuple(factories.EXAMPLES)
+    assert factories.EXAMPLE_NAMES == ("measurement", "gad", "commuting_db", "suq2", "classical")
+    (value,) = [node.value for node in ast.walk(_trees()["factories"])
+                if isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == ["EXAMPLE_NAMES"]]
+    assert ast.unparse(value) == "tuple(EXAMPLES)"
+
+
+def test_report_defines_the_verdict_once():
+    assert _names(_trees()["report"], "verdict").count("def") == 1
 
 
 def test_the_scans_see_keywords_imports_and_attributes():

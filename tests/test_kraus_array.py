@@ -106,6 +106,23 @@ def test_star_commuting_when_only_the_last_pair_fails():
     assert is_star_commuting(KrausSet([0.5 * np.eye(2), 0.3 * np.eye(2), N + N.T])) is True
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_star_commuting_matches_the_oracle_near_the_bound_of_every_pair(k):
+    # commuting normal operators of norms 0.1, 1 and 10, so each pair has its own bound;
+    # operator k gains eps N with N nilpotent, which fails [K_k, K_k*] = 0 before
+    # [K_k, K_k] and moves each pair (i, k) across its bound at its own eps
+    base = [0.1 * np.diag([1.0, -0.5, 0.25]), np.diag([0.3, 1.0, -0.7]),
+            10 * np.diag([1.0, 0.2, -0.6])]
+    N = np.zeros((3, 3))
+    N[0, 2] = 1.0
+    decisions = set()
+    for eps in np.geomspace(1e-13, 1e-8, 41):
+        K = KrausSet([op + eps * N if j == k else op for j, op in enumerate(base)])
+        decisions.add(is_star_commuting(K))
+        assert is_star_commuting(K) is oracle.is_star_commuting(K), eps
+    assert decisions == {True, False}
+
+
 def _svd_inputs(monkeypatch):
     """The arrays given to numpy.linalg.svd, or to numpy.linalg.norm as a spectral norm, until the test ends."""
     inputs = []

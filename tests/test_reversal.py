@@ -85,6 +85,20 @@ def test_reversed_unitary_input_validation():
         reversed_unitary(random_unitary(4, 1), np.eye(3), 2, 2)
 
 
+@pytest.mark.parametrize("shape, F, message", [
+    ((6, 6), np.eye(3), "shape mismatch"),  # a valid pair with d = 2, n = 3, not (2, 2)
+    ((4, 4), np.ones((2, 3)), "F must be square"),
+    ((4, 4), np.zeros((2, 2)), "F must be invertible"),
+    ((4, 6), np.eye(2), "W must be square with n x n block structure"),
+    ((4,), np.eye(2), "W must be square with n x n block structure"),
+    ((4, 4), np.array(2.0), "F must be square"),
+    ((4, 4), np.zeros((0, 0)), "F must be square"),
+])
+def test_reversed_unitary_names_what_is_wrong_with_the_pair(shape, F, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        reversed_unitary(np.ones(shape), F, 2, 2)
+
+
 def test_reversed_kraus_commuting_db():
     Kp, Qraw, _ = orthogonalize_kraus(commuting_db_kraus(np.pi / 6), MIXED2)
     Qfe = Qraw.with_normalization("first_entry")
@@ -181,6 +195,15 @@ def test_time_reversal_generic_unitary_reverses_to_inverse():
     assert not tri.invariant
     assert tri.unitarity_residual < 1e-10
     assert abs(tri.distance - 2.544343466819) < 1e-9
+
+
+def test_time_reversal_reads_the_conjugate_at_the_callers_tol():
+    # F = diag(1, 1 + 1e-7) makes the conjugate unitary within 1e-6 but not within
+    # RESIDUAL_TOL; the reversed set is read at the tol the caller passed
+    tri = time_reversal_invariance(commuting_db_kraus(np.pi / 6), np.diag([1.0, 1.0 + 1e-7]),
+                                   tol=1e-6)
+    assert 1e-8 < tri.unitarity_residual < 1e-6
+    assert tri.invariant and 1e-8 < tri.distance < 1e-6
 
 
 def test_time_reversal_nonunitary_conjugate():

@@ -14,8 +14,10 @@ Stacks of operators are multiplied pairwise by ``channel.products``, one
 2-D matmul.  An ``@`` whose operand inserts an axis (``X[:, None] @
 Y[None]``) makes numpy run one small matmul per pair, so no such operand
 may appear in ``src/``.  The scan reads each operand itself and what it
-calls or reads an attribute of; a subscript under elementwise arithmetic
-(a vector of scales broadcast over a stack) does not loop and passes.
+calls or reads an attribute of, and follows a name that the same
+function binds to such a subscript (``A, B = X[:, None], X[None]``); a
+subscript under elementwise arithmetic (a vector of scales broadcast
+over a stack) does not loop and passes.
 
 These tests read the source, so they catch a new caller before any input
 is large enough to show it.
@@ -72,24 +74,56 @@ def _inserts_axis(sub: ast.Subscript) -> bool:
                for x in index)
 
 
-def _axis_subscripts(node):
-    """The axis-inserting subscripts an operand reads, not under elementwise arithmetic.
+def _axis_subscripts(node, bound=frozenset()):
+    """The axis-inserting subscripts an operand reads, not under elementwise arithmetic,
+    and the names in bound that it reads.
 
     An inner @ is a BinOp too, and is scanned as an @ of its own.
     """
     if isinstance(node, ast.BinOp):
         return
-    if isinstance(node, ast.Subscript) and _inserts_axis(node):
+    if (isinstance(node, ast.Subscript) and _inserts_axis(node)) or (
+            isinstance(node, ast.Name) and node.id in bound):
         yield node
     for child in ast.iter_child_nodes(node):
-        yield from _axis_subscripts(child)
+        yield from _axis_subscripts(child, bound)
+
+
+def _own_nodes(scope):
+    """The nodes of a module or function, not those of the functions defined in it."""
+    for child in ast.iter_child_nodes(scope):
+        yield child
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _own_nodes(child)
+
+
+def _broadcast_names(scope) -> set:
+    """The names a scope binds to an axis-inserting subscript, unpacked tuples included."""
+    names = set()
+    for node in _own_nodes(scope):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            names |= {t.id for t, v in pairs
+                      if isinstance(t, ast.Name) and any(True for _ in _axis_subscripts(v))}
+    return names
 
 
 def _broadcast_matmuls(tree: ast.Module, module: str) -> set:
-    """(module, line) of every @ with an operand that subscripts with None or newaxis."""
-    return {(module, node.lineno) for node in ast.walk(tree)
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
-            and any(True for side in (node.left, node.right) for _ in _axis_subscripts(side))}
+    """(module, line) of every @ with an operand that subscripts with None or newaxis,
+    or reads a name its function binds to such a subscript."""
+    found = set()
+    for scope in (tree, *(n for n in ast.walk(tree)
+                          if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))):
+        bound = _broadcast_names(scope)
+        found |= {(module, node.lineno) for node in _own_nodes(scope)
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                  and any(True for side in (node.left, node.right)
+                          for _ in _axis_subscripts(side, bound))}
+    return found
 
 
 def test_only_power_kraus_calls_word_stack():
@@ -122,6 +156,23 @@ def test_the_matmul_scan_sees_none_and_newaxis_and_passes_elementwise_scales():
                "A @ (X[None] @ Y)"]
     passed = ["A @ B", "(U * (w ** z)[..., np.newaxis, :]) @ dag(U)", "X[0] @ Y[:, 1]",
               "A[np.newaxis] * B"]
+    for src in flagged:
+        assert _broadcast_matmuls(ast.parse(src), "m"), src
+    for src in passed:
+        assert not _broadcast_matmuls(ast.parse(src), "m"), src
+
+
+def test_the_matmul_scan_follows_a_broadcast_bound_to_a_name():
+    # the commutator stacks of channel.is_star_commuting and factories.measurement_channel
+    flagged = ["def f(K):\n    A, B = K.ops[:, np.newaxis], K.ops[np.newaxis]\n"
+               "    return np.array([A @ B - B @ A, A @ dag(B) - dag(B) @ A])\n",
+               "def g(K):\n    X, Y = K.ops[:, np.newaxis], K.ops[np.newaxis]\n"
+               "    return np.linalg.norm(X @ Y - Y @ X, 2, axis=(2, 3)).max()\n",
+               "def h(x):\n    A = B = x[None]\n    return B @ x\n"]
+    passed = ["def f(x):\n    s = x[:, None] * x\n    return s @ x\n",
+              "def f(x):\n    A, B = x[None], x\n    return B @ x\n",
+              "def f(x):\n    A = x[None]\n    return A * 2\n"
+              "def g(A):\n    return A @ A\n"]
     for src in flagged:
         assert _broadcast_matmuls(ast.parse(src), "m"), src
     for src in passed:
