@@ -83,8 +83,10 @@ class CorrelationData:
                 or spectral_norm(off) <= tol * max(1.0, spectral_norm(self.Q)))
 
     def attach_levels(self, S: SubproductSystem):
-        """Record the compat residual of every level of S, replacing any earlier record."""
-        S.weighted(self.Q, S.M)  # first, so the whole tower is weighed in one pass
+        """Record the compat residual of every level of S, replacing any earlier record.
+
+        The first S.weighted call for this Q weighs the whole tower in one pass.
+        """
         self.compat_residuals = {m: S.weighted(self.Q, m).compat for m in range(1, S.M + 1)}
 
     def with_normalization(self, normalization: str) -> "CorrelationData":
@@ -263,30 +265,29 @@ def _read_levels(S: SubproductSystem, Q: np.ndarray, ms, tol: float,
                  rho0: np.ndarray | None = None) -> dict:
     """m -> _LevelRead for every level m of ms, read in batched calls per level rank.
 
-    The reader owns the compat hypothesis: it judges each level's record
-    S.weighted(Q, m) by _compat_hypothesis, and a level that Q^(x)m does
-    not preserve reads _LevelRead(failure, None, None) and nothing else.
-    On the others Q_m = V H V*, and P = level_power(eigenpairs, -1)
-    inverts H on the whole level, so V P V* inverts Q_m there; a level
-    whose H is not invertible at round-off reads _LevelRead(refusal, None,
-    None) with the ValueError of eigenpairs.  The failure is the exception
-    the one-level readers raise, and its message stands for the level in
-    the verdict.
-    Level max(ms) is weighed first, so the records below it are built in
-    one pass.  The levels of one rank share one stacked eigh of their H's
-    and one word stack B; with a state
-    rho0, the Grams G_n = gram(B rho0, B) and G_a = gram(rho0 B, B) (V G V*
-    is the word Gram while the cuts dropped only round-off), and each
-    level reads max |V E V*| for E = G_n - H/Tr H (normal phi),
-    G_a - 1/Tr H (antinormal phi) and G_a - P G_n (KMS) from one
-    _max_entries call.  Reading Q_m as p_m Q^(x)m p_m moves each phi entry
-    by at most compat / Tr(Q_m).  The d x d sphere defects
-    _sphere(P, B) - 1 of the levels of every rank share one stacked eigh.
+    The reader judges each level's record S.weighted(Q, m) by
+    _compat_hypothesis, as _level_power judges its one level, and a level
+    that Q^(x)m does not preserve reads _LevelRead(failure, None, None)
+    and nothing else.  On the others Q_m = V H V*, and
+    P = level_power(eigenpairs, -1) inverts H on the whole level, so
+    V P V* inverts Q_m there; a level whose H is not invertible at
+    round-off reads _LevelRead(refusal, None, None) with the ValueError
+    of eigenpairs.  The failure is the exception the one-level readers
+    raise, and its message stands for the level in the verdict.
+    The first S.weighted call for Q weighs every level of S in one pass.
+    The levels of one rank share one stacked eigh of their H's and one
+    word stack B; with a state rho0, the Grams G_n = gram(B rho0, B) and
+    G_a = gram(rho0 B, B) (V G V* is the word Gram while the cuts dropped
+    only round-off), and each level reads max |V E V*| for
+    E = G_n - H/Tr H (normal phi), G_a - 1/Tr H (antinormal phi) and
+    G_a - P G_n (KMS) from one _max_entries call.  Reading Q_m as
+    p_m Q^(x)m p_m moves each phi entry by at most compat / Tr(Q_m).  The
+    d x d sphere defects _sphere(P, B) - 1 of the levels of every rank
+    share one stacked eigh.
     Every stacked call works on each level alone, so a level reads the
     same bits in its rank group as in a call of its own.
     """
     groups, out = {}, {}
-    S.weighted(Q, max(ms, default=0))  # first, so the levels below are weighed in one pass
     for m in ms:
         rec = S.weighted(Q, m)
         out[m] = _LevelRead(_compat_hypothesis(m, rec.compat, tol), None, None)
@@ -322,6 +323,26 @@ def _read_levels(S: SubproductSystem, Q: np.ndarray, ms, tol: float,
         for (rec, res), defect in zip(read, defects):
             out[rec.level.m] = _LevelRead(None, res, defect)
     return out
+
+
+def _level_power(S: SubproductSystem, Q: np.ndarray, m: int, z, tol: float) -> tuple:
+    """(record, P) for level m of S weighed by Q, with V P V* = Q_m^z on the level.
+
+    The reader of one function of Q_m, as _read_levels reads the inverse
+    on many levels: it raises the HypothesisFailure of _compat_hypothesis
+    on a level Q^(x)m does not preserve, and then the ValueError of
+    eigenpairs on a level whose H_m is not invertible at round-off.  P is
+    level_power(eigenpairs, z) over every eigenvalue of H_m.
+    """
+    rec = S.weighted(Q, m)
+    failure = _compat_hypothesis(m, rec.compat, tol)
+    if failure is not None:
+        raise failure
+    U, w, (refusal,) = eigenpairs([rec])
+    if refusal is not None:
+        raise refusal
+    (P,) = level_power(U, w, z)
+    return rec, P
 
 
 def _read_level(K: KrausSet, S: SubproductSystem, Q: np.ndarray, m, tol: float,
@@ -397,21 +418,14 @@ def modular_flow(Qd: CorrelationData, S: SubproductSystem, word, t,
     subspace; imaginary t gives the analytic continuation (t = -1j
     yields Q_m^{-1}).  Returns the coefficient row for the given word,
     aligned with the level's word list: row a of V P V*, for V the level
-    isometry and P = level_power(eigenpairs, -it) over every eigenvalue of
-    H_m.  Raises HypothesisFailure when Q^(x)m does not preserve the level
-    (_compat_hypothesis), and ValueError when H_m is not invertible at
-    round-off (eigenpairs).
+    isometry and P = Q_m^(-it) read by _level_power over every eigenvalue
+    of H_m.  Raises HypothesisFailure when Q^(x)m does not preserve the
+    level (_compat_hypothesis), and ValueError when H_m is not invertible
+    at round-off (eigenpairs).
     """
     (x,), m = _word_letters(S.n, word)
     a = np.ravel_multi_index(x, (S.n,) * m)
-    rec = S.weighted(Qd.Q, m)
-    failure = _compat_hypothesis(m, rec.compat, tol)
-    if failure is not None:
-        raise failure
-    U, w, (refusal,) = eigenpairs([rec])
-    if refusal is not None:
-        raise refusal
-    (P,) = level_power(U, w, -1j * complex(t))
+    rec, P = _level_power(S, Qd.Q, m, -1j * complex(t), tol)
     return rec.level.V[a] @ P @ dag(rec.level.V)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import KrausSet, f_conjugate, require_dilation_pair
-from .equilibrium import balance_scalar, check_state
+from .equilibrium import _level_power, balance_scalar, check_state
 from .matcore import (
     RESIDUAL_TOL,
     as_complex,
@@ -25,7 +25,7 @@ from .matcore import (
     spectral_norm,
 )
 from .report import CheckRecord, RelationsReport
-from .stinespring import SubproductSystem, _sphere, eigenpairs, level_power
+from .stinespring import SubproductSystem, _sphere
 
 
 def _relation_record(name: str, R: np.ndarray, tol: float) -> CheckRecord:
@@ -159,11 +159,13 @@ def first_row_q_sphere(W, F, S: SubproductSystem, m: int,
     """Level-m sphere identity for the first-row blocks z_k of W.
 
     The weight is Q = F*F, inverted on the whole level subspace:
-    Qinv = V P V* for V the level isometry and P = level_power(eigenpairs,
-    -1); a level where Q_m is not invertible at round-off raises
-    ValueError (eigenpairs).  Both orderings are evaluated: the row form sum Qinv[k,j] z_j* z_k (the
-    identity asserted for first-row elements) and its adjoint-side mirror
-    sum Qinv[k,j] z_j z_k*.  Each is
+    Qinv = V P V* for V the level isometry and P = Q_m^-1 read by
+    equilibrium._level_power.  So a level that Q^(x)m does not preserve
+    raises its HypothesisFailure (equilibrium._compat_hypothesis, at tol),
+    and a level where Q_m is not invertible at round-off raises ValueError
+    (eigenpairs).  Both orderings are evaluated: the row form
+    sum Qinv[k,j] z_j* z_k (the identity asserted for first-row elements)
+    and its adjoint-side mirror sum Qinv[k,j] z_j z_k*.  Each is
     _sphere(P, X) over the words compressed to the level through the
     train (Level.compress), so no n^m-word stack is formed: the mirror sum
     reads X = V* Z and the row sum X_i = (V* conj Z)_i^T, for Z the words
@@ -174,11 +176,7 @@ def first_row_q_sphere(W, F, S: SubproductSystem, m: int,
     Q = dag(F) @ F
     hyp_q11 = float(abs(Q[0, 0] - 1.0))
     hyp_e1 = S.level(m).boundary_defect()
-    rec = S.weighted(Q, m)
-    U, w, (refusal,) = eigenpairs([rec])
-    if refusal is not None:
-        raise refusal
-    (P,) = level_power(U, w, -1)
+    rec, P = _level_power(S, Q, m, -1, tol)
     Z = W.reshape(d, n, d, n)[:, 0].transpose(2, 0, 1)  # z_k = W_{0k}
     L = rec.level  # the row sum reads X_i = (V* conj Z)_i^T, the mirror sum X = V* Z
     R = _sphere(P, np.stack((L.compress(Z.conj()).swapaxes(-1, -2), L.compress(Z))))

@@ -160,19 +160,17 @@ def time_reversal_invariance(K: KrausSet, F: np.ndarray,
     Builds the deterministic dilation, conjugates it, and when the
     conjugate is unitary within tol reads the reversed Kraus set from its
     first block-column, at the same tol, and compares the reversed
-    channel with the input at the Choi level.  A nonunitary conjugate
-    yields a false verdict with the unitarity residual as the reason; so
-    does a conjugate whose first block-column holds a zero block, which
-    KrausSet refuses.
+    channel with the input at the Choi level.  The set is read with the
+    bath in e_1 ("general_state"), which drops a zero block of that column
+    as an operator carrying no dynamics; every other block is the same
+    bits as "first_column" reads.  A nonunitary conjugate yields a false
+    verdict with the unitarity residual as the reason.
     """
     _, W = dilation_from_kraus(K)
     Wbar, ures = reversed_unitary(W, F, K.d, K.n)
     if ures > tol:
         return TRInvariance(False, float("nan"), ures)
-    try:
-        Kbar = kraus_from_dilation(Wbar, K.d, K.n, "first_column", tol=tol)
-    except ValueError:  # a zero block in the conjugate's first block-column
-        return TRInvariance(False, float("nan"), ures)
+    Kbar = kraus_from_dilation(Wbar, K.d, K.n, "general_state", sigma=np.eye(1, K.n)[0], tol=tol)
     dist = channel_distance(K, Kbar)
     return TRInvariance(dist < tol, dist, ures)
 

@@ -46,9 +46,10 @@ not recomputed as a difference of Grams, so a level that Q^(x)m
 preserves reads compat at round-off, not at sqrt(eps).  The residual
 ||[Q^(x)m, p_m]|| is sqrt(lambda_max(G_m)), the larger of its values for
 Q and Q*.  Every (x) is two mode products on T_m's (r_{m-1}, n, r)
-reshape.  Each (level, Q) record is built once and read-only, so the
-checks of one verdict share it; the records missing below a level are
-built in one pass, with one stacked eigvalsh per Gram size for compat.
+reshape.  The first call for a Q weighs levels 0..M in one pass, with
+one stacked eigvalsh per Gram size for compat, and the system keeps the
+read-only records, so the checks of one verdict share them; G_m is a
+local of the pass.
 
 The checks read the words of a level through B_m alone
 (SubproductSystem.stack): while the cuts dropped only round-off,
@@ -68,11 +69,13 @@ modular flow).  No eigenvalue is cut: for a positive definite Q,
 H_m >= lambda_min(Q)^m > 0, and rank_tol decides only the ranks of the
 levels (svd_cut).  eigenpairs marks a level whose H_m is not positive
 definite at round-off, as a singular or indefinite Q gives, or a Q with
-cond(Q)^m past 1/(r eps): the level reader records it as it records a
-level Q^(x)m does not preserve, and the one-level readers raise its
-ValueError.  A weighted word sum sum_ab Qinv[b,a] Z_a Z_b* is then
-_sphere(P, C) for C = V_m* Z, which Level.compress reads through the
-train, one letter at a time.
+cond(Q)^m past 1/(r eps).  Two readers take these functions, and each
+judges compat by equilibrium._compat_hypothesis first:
+equilibrium._read_levels records the refusal as it records a level
+Q^(x)m does not preserve, and equilibrium._level_power, the reader of
+one level, raises it.  A weighted word sum sum_ab Qinv[b,a] Z_a Z_b*
+is then _sphere(P, C) for C = V_m* Z, which Level.compress reads
+through the train, one letter at a time.
 """
 from __future__ import annotations
 
@@ -203,10 +206,9 @@ class Level:
 class Weighted:
     """Q_m = Q^(x)m p_m on one level, in level coordinates (SubproductSystem.weighted).
 
-    H, the Grams G (for Q) and G_adj (for Q*) of the out-of-level part
-    and compat are formed with the record, in r x r train coordinates
-    from the record of level m - 1 (see the module docstring).
-    A record is plain data: its arrays are read-only and nothing is
+    H and compat are formed in the pass that weighs the system's levels
+    for Q, in r x r train coordinates from the level below (see the module
+    docstring).  A record is plain data: H is read-only and nothing is
     written into it once it is built.  It links to its level alone.  On a
     level that Q^(x)m preserves, Q_m = V H V* for the level's isometry V,
     and every function of Q_m is V f(H) V* (eigenpairs, level_power).
@@ -214,8 +216,6 @@ class Weighted:
 
     level: Level
     H: np.ndarray  # V* Q^(x)m V
-    G: np.ndarray  # Gram of (1 - p_m) Q^(x)m V
-    G_adj: np.ndarray  # the same for Q*
     compat: float  # ||[Q^(x)m, p_m]||, zero iff Q^(x)m preserves the level
 
 
@@ -279,10 +279,9 @@ def _weigh(H: np.ndarray, G: np.ndarray, F: np.ndarray, T: np.ndarray):
 class SubproductSystem:
     """Levels 0..M of a Kraus set's subproduct system (build_subproduct).
 
-    The system memoizes one Weighted record per level m >= 1 and weight
-    Q, keyed by Q's dtype, shape and bytes, so a different Q never reads a
-    stale entry; level 0 weighs the empty word by 1 and keeps one record
-    for every Q.  The memo lives as long as the system.
+    The system memoizes one tuple of Weighted records, levels 0..M, per
+    weight Q, keyed by Q's dtype, shape and bytes, so a different Q never
+    reads a stale entry.  The memo lives as long as the system.
     """
 
     n: int
@@ -305,56 +304,52 @@ class SubproductSystem:
         return self.level(m).B
 
     def weighted(self, Q, m: int) -> Weighted:
-        """The level-m record of the weight Q, built once per Q and read-only.
+        """The level-m record of the weight Q; the first call for a Q weighs levels 0..M.
 
         A level that is not built raises ValueError before any is weighed.
-        The records missing up to m are built in one pass, each from the
-        record below in r x r train coordinates (module docstring), so no
-        n^m x n^m power Q^(x)m and no word-space row is formed; their compat
-        reads take one stacked eigvalsh per Gram size.  H is not
-        diagonalized here: a reader that needs a function of Q_m calls
-        eigenpairs, and the record's compat is judged by
-        equilibrium._compat_hypothesis alone.
+        The pass builds each record from the record below in r x r train
+        coordinates (module docstring), so no n^m x n^m power Q^(x)m and no
+        word-space row is formed, and reads every compat with one stacked
+        eigvalsh per Gram size; the memo keeps the tuple of records.  H is
+        not diagonalized here, and compat is judged by
+        equilibrium._compat_hypothesis alone, which also guards every
+        function of Q_m (equilibrium._read_levels, equilibrium._level_power).
         """
         m = require_word_length(m, "m")  # before the memo, where True and 1.0 would read level 1
         self.level(m)  # refuses a level that is not built
         Q = np.asarray(Q, dtype=complex)
         key = (Q.dtype.str, Q.shape, Q.tobytes())
-        rec = self._memo.get((m, key))
-        if rec is not None:  # a Q found in the memo passed these checks when it was stored
-            return rec
+        recs = self._memo.get(key)
+        if recs is not None:  # a Q found in the memo passed these checks when it was stored
+            return recs[m]
         Q = as_complex(Q)
         if Q.shape != (self.n, self.n):
             raise ValueError(f"Q is {Q.shape[0]} x {Q.shape[1]} but the subproduct "
                              f"system's alphabet has size {self.n}")
-        # the memo holds levels 1..k for some k < m: carry level k's record (0's if k = 0) to m
-        k = next((k for k in range(m - 1, 0, -1) if (k, key) in self._memo), 0)
-        rec = self._memo[k, key] if k else self._empty
-        H, G, G_adj, new = rec.H, rec.G, rec.G_adj, []
+        # level 0 weighs the empty word by 1 whatever Q is: H_0 = 1, G_0 = 0, compat 0
+        H = read_only(np.ones((1, 1), dtype=complex))
+        G = G_adj = 0 * H
         hermitian = np.array_equal(Q, dag(Q))
-        for level in (self.levels[j] for j in range(k + 1, m + 1)):
+        Hs, grams, adj = [H], [], []  # H of every level; the Grams for Q and, unless Hermitian, Q*
+        for level in (self.levels[j] for j in range(1, self.M + 1)):
             if not hermitian:  # the Gram for Q*, from the H of the level below
                 G_adj = _weigh(dag(H), G_adj, dag(Q), level.T)[1]
+                adj.append(G_adj)
             H, G = _weigh(H, G, Q, level.T)
-            new.append((level, H, G, G if hermitian else G_adj))
+            Hs.append(read_only(H))
+            grams.append(G)
         # compat: sqrt(lambda_max) of G, and of G_adj if Q is not Hermitian (grams lists every G
         # first), by one stacked eigvalsh per Gram size, run on each Gram alone; empty reads 0
-        grams = [x[i] for i in ((2,) if hermitian else (2, 3)) for x in new]
+        grams += adj
         tops = [0.0] * len(grams)
         for size in {len(X) for X in grams} - {0}:
             at = [i for i, X in enumerate(grams) if len(X) == size]
             for i, top in zip(at, np.linalg.eigvalsh(np.array([grams[i] for i in at]))[:, -1]):
                 tops[i] = float(top)
-        for i, (level, *arrays) in enumerate(new):
-            compat = float(np.sqrt(max(0.0, *tops[i::len(new)])))
-            self._memo[level.m, key] = rec = Weighted(level, *map(read_only, arrays), compat)
-        return rec
-
-    @functools.cached_property
-    def _empty(self) -> Weighted:
-        """Level 0's record: the empty word, weighed by 1 whatever Q is."""
-        one = np.ones((1, 1), dtype=complex)
-        return Weighted(self.level(0), read_only(one), read_only(0 * one), read_only(0 * one), 0.0)
+        compats = [0.0] + [float(np.sqrt(max(0.0, *tops[i::self.M]))) for i in range(self.M)]
+        self._memo[key] = recs = tuple(Weighted(self.levels[j], H, compat)
+                                       for j, (H, compat) in enumerate(zip(Hs, compats)))
+        return recs[m]
 
 
 def first_level(K: KrausSet, rank_tol: float = RANK_TOL) -> Level:
@@ -420,7 +415,7 @@ def check_Q_compatibility(S: SubproductSystem, Q: np.ndarray, m: int) -> float:
 
     Zero certifies that Q^{(x)m} preserves the level-m subspace, the
     standing hypothesis of every Q-weighted level-m quantity.  Read from
-    the level's weighted record, so memoized on the system per level and Q.
+    the level's weighted record, so memoized on the system per Q.
     """
     return S.weighted(Q, m).compat
 

@@ -4,8 +4,9 @@ A record's pass is ``CheckRecord.passed`` (no hypothesis failed, and the
 residual is below the tolerance) and a report's verdict is that every
 record passes, so no caller may hand either one in.  The compat
 hypothesis, Q^(x)m preserves level m, is judged by
-``equilibrium._compat_hypothesis`` alone: the level reader and
-``modular_flow`` call it, and no other module names it.  Most of these
+``equilibrium._compat_hypothesis`` alone: the level readers
+``_read_levels`` and ``_level_power`` call it, and no other module
+names it.  Most of these
 tests read the source, so a second copy of either rule is caught before
 any input shows the two copies disagree; the last pins the pass rule
 itself at its edge, where a residual equals its tolerance.

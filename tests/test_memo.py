@@ -1,7 +1,8 @@
 """The memoized level data: read-only, keyed safely, and equal to a cold computation.
 
-A subproduct system memoizes one record per level and weight Q
-(``SubproductSystem.weighted``), so the checks of one verdict share it.
+A subproduct system memoizes one tuple of records, levels 0..M, per
+weight Q (``SubproductSystem.weighted``), so the checks of one verdict
+share them.
 These tests pin that the memo cannot go stale (the inputs it rests on
 are read-only, its key includes Q, and its rank cuts follow the rank_tol
 of the level's own system), that a verdict builds one record per level
@@ -15,12 +16,13 @@ and a system checked with one state and then another returns what fresh
 systems return.  That call reads the levels of one rank in stacked
 calls: a level reads the same bits in its rank group as alone, and a
 true commuting_db verdict takes 3 eigh calls at any depth and M + 1
-SVDs.  The records of a tower are weighed in one pass, with one stacked
-eigvalsh per Gram size for their compat: each compat reads the bits it
-reads when its level is weighed alone, a true verdict and the public KMS
-check on a cold system take one eigvalsh at any depth and a false Haar
-verdict one per level rank, and a level that is not built is refused
-before any is weighed.  They also pin that no public check calls
+SVDs.  The first call for a Q weighs levels 0..M in one pass, whatever
+level it asks for, with one stacked eigvalsh per Gram size for their
+compat: each H and compat reads the bits it reads when its level is
+carried on its own and its Grams read alone, a true verdict and the
+public KMS check on a cold system take one eigvalsh at any depth and a
+false Haar verdict one per level rank, and a level that is not built is
+refused before any is weighed.  They also pin that no public check calls
 another: a true verdict calls check_state 3 times at any depth and runs
 its checks once, and that neither ``kms_condition_residual`` nor
 ``orthogonalize_kraus`` goes through ``check_phi_symmetric`` or
@@ -43,9 +45,9 @@ from detbal.equilibrium import (
 )
 from detbal.errors import HypothesisFailure
 from detbal.factories import commuting_db_kraus, gad_kraus
-from detbal.matcore import RANK_TOL, RESIDUAL_TOL
+from detbal.matcore import RANK_TOL, RESIDUAL_TOL, dag
 from detbal.reversal import detailed_balance_verdict, q_sphere_residual
-from detbal.stinespring import build_subproduct, check_Q_compatibility, eigenpairs
+from detbal.stinespring import _weigh, build_subproduct, check_Q_compatibility, eigenpairs
 
 
 def _haar_state(d, seed):
@@ -81,7 +83,7 @@ def test_level_V_and_derived_data_are_read_only():
     with pytest.raises(ValueError):  # before any derived data exists
         S.level(2).V[0] = 1.0
     rec, rec2 = S.weighted(Q, 2), S.weighted(Q @ Q, 2)
-    for X in (rec.level.V, rec.H, rec.G, rec2.G_adj):
+    for X in (rec.level.V, rec.H, rec2.H, S.weighted(Q, 0).H):
         with pytest.raises(ValueError):
             X[0] = 1.0
 
@@ -129,10 +131,17 @@ def _verdict_and_system(monkeypatch, case):
     return rep, M, S
 
 
+def _records(S):
+    """The one tuple of records S memoizes, for the one Q it was weighed by."""
+    (recs,) = S._memo.values()
+    return recs
+
+
 def test_verdict_builds_one_record_per_level(monkeypatch):
     _, M, S = _verdict_and_system(monkeypatch, "gad")
-    # every check weighs levels 1..M by the same trace-balanced Q; level 0 is never weighed
-    assert sorted(m for m, _ in S._memo) == list(range(1, M + 1))
+    # every check weighs the levels by the same trace-balanced Q, in the one pass of the
+    # first call, which weighs levels 0..M
+    assert [rec.level for rec in _records(S)] == [S.level(m) for m in range(M + 1)]
 
 
 def test_verdict_forms_no_eigenpair_on_levels_Q_does_not_preserve(monkeypatch):
@@ -146,11 +155,10 @@ def test_verdict_forms_no_eigenpair_on_levels_Q_does_not_preserve(monkeypatch):
     rep, M, S = _verdict_and_system(monkeypatch, "haar")
     failing = {c.level for c in rep.checks if c.name == "q_compatibility" and not c.passed}
     assert failing and failing != set(range(1, M + 1))
-    assert sorted(m for m, _ in S._memo) == list(range(1, M + 1))
+    assert [rec.level.m for rec in _records(S)] == list(range(M + 1))
     assert sorted(decomposed) == sorted(set(range(1, M + 1)) - failing)
     # the records stay plain data: reading them writes nothing into them
-    fields = {"level", "H", "G", "G_adj", "compat"}
-    assert all(set(vars(rec)) == fields for rec in S._memo.values())
+    assert all(set(vars(rec)) == {"level", "H", "compat"} for rec in _records(S))
 
 
 def _count_calls(monkeypatch, name, *modules):
@@ -274,27 +282,40 @@ def test_weighted_compat_of_a_non_hermitian_Q_matches_the_oracle():
         assert abs(S.weighted(Q, m).compat - ref) <= 1e-12 * max(1.0, ref)
 
 
-def _compat_alone(rec):
-    """compat from one eigvalsh of each of the record's Grams alone, as a single level reads it."""
-    tops = [float(np.linalg.eigvalsh(G)[-1]) if len(G) else 0.0 for G in (rec.G, rec.G_adj)]
-    return float(np.sqrt(max(0.0, *tops)))
+def _weighed_alone(S, Q):
+    """(H, compat) of levels 0..M of S, each compat from one eigvalsh of each Gram alone.
+
+    The recursion of stinespring._weigh is carried one level at a time,
+    with the Gram of Q* taken only for a non-Hermitian Q.
+    """
+    Q = np.asarray(Q, dtype=complex)
+    H, hermitian, out = np.ones((1, 1), dtype=complex), np.array_equal(Q, dag(Q)), []
+    G = G_adj = 0 * H
+    for m in range(S.M + 1):
+        if m:
+            if not hermitian:
+                G_adj = _weigh(dag(H), G_adj, dag(Q), S.level(m).T)[1]
+            H, G = _weigh(H, G, Q, S.level(m).T)
+        grams = (G,) if hermitian else (G, G_adj)
+        tops = [float(np.linalg.eigvalsh(X)[-1]) if m and len(X) else 0.0 for X in grams]
+        out.append((H, float(np.sqrt(max(0.0, *tops)))))
+    return out
 
 
 def assert_compat_parity(S, Q, rank_tol=RANK_TOL):
     """Every record of S (built at rank_tol) weighed in one pass reads the bits it reads alone.
 
-    One cold system weighs levels 1..M in one pass; another weighs them in
-    level order, so each pass builds one record, whose compat takes one
-    eigvalsh per Gram; _compat_alone takes an eigvalsh of each Gram alone.
+    A cold system weighs levels 0..M in one pass, whose compat reads take
+    one stacked eigvalsh per Gram size; _weighed_alone carries each level
+    on its own and takes an eigvalsh of each Gram alone.
     """
-    one_pass, alone = (build_subproduct(KrausSet(S.ops), S.M, rank_tol) for _ in range(2))
-    one_pass.weighted(Q, S.M)
-    assert sorted(m for m, _ in one_pass._memo) == list(range(1, S.M + 1))
-    for m in range(1, S.M + 1):
-        rec, ref = one_pass.weighted(Q, m), alone.weighted(Q, m)
-        assert [X.tobytes() for X in (rec.H, rec.G, rec.G_adj)] == \
-            [X.tobytes() for X in (ref.H, ref.G, ref.G_adj)], m
-        assert rec.compat.hex() == ref.compat.hex() == _compat_alone(rec).hex(), m
+    one_pass = build_subproduct(KrausSet(S.ops), S.M, rank_tol)
+    one_pass.weighted(Q, 0)
+    recs = _records(one_pass)
+    assert [rec.level.m for rec in recs] == list(range(S.M + 1))
+    for m, (rec, (H, compat)) in enumerate(zip(recs, _weighed_alone(one_pass, Q))):
+        assert rec.H.tobytes() == H.tobytes(), m
+        assert rec.compat.hex() == compat.hex(), m
 
 
 def test_a_non_hermitian_Q_weighs_the_tower_in_one_pass(monkeypatch):
@@ -302,12 +323,15 @@ def test_a_non_hermitian_Q_weighs_the_tower_in_one_pass(monkeypatch):
     rng = np.random.default_rng(6)
     Q = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     assert_compat_parity(S, Q)
-    # a cold system: G and G_adj of every level share the one stacked call of their size
+    # a cold system: asked for level 1, the first call weighs every level, and the Grams of
+    # Q and Q* of every level share the one stacked call of their size
     S = build_subproduct(KrausSet(S.ops), S.M)
     calls = _count_calls(monkeypatch, "eigvalsh", np.linalg)
-    assert S.weighted(Q, S.M).compat > 1e-8
+    S.weighted(Q, 1)
     ranks = {S.level(m).rank for m in range(1, S.M + 1)}
     assert len(calls) == len(ranks) > 1 and 0 not in ranks
+    assert S.weighted(Q, S.M).compat > 1e-8
+    assert len(calls) == len(ranks)
 
 
 @pytest.mark.parametrize("m", [3, 7, -1])
@@ -508,7 +532,7 @@ def test_true_verdict_linalg_call_budget(monkeypatch, M):
 
 
 def test_the_public_kms_check_weighs_a_cold_system_in_one_pass(monkeypatch):
-    # the reader weighs its highest level first, so the compat Grams of levels 1..6 share
+    # the reader's first S.weighted call weighs levels 0..6, so their compat Grams share
     # one stacked eigvalsh; _cold has validated the state, which is remembered
     Kp, Qtb, S = _cold(commuting_db_kraus(np.pi / 6), np.eye(2) / 2, 6)
     calls = _count_calls(monkeypatch, "eigvalsh", np.linalg)

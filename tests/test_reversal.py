@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from detbal.channel import KrausSet, classify, dilation_from_kraus
+from detbal.channel import KrausSet, classify, dilation_from_kraus, kraus_from_dilation
 from detbal.equilibrium import CorrelationData, correlation_matrix, orthogonalize_kraus
 from detbal.factories import commuting_db_kraus, gad_kraus
 from detbal.matcore import dag, spectral_norm
@@ -204,6 +204,23 @@ def test_time_reversal_reads_the_conjugate_at_the_callers_tol():
                                    tol=1e-6)
     assert 1e-8 < tri.unitarity_residual < 1e-6
     assert tri.invariant and 1e-8 < tri.distance < 1e-6
+
+
+def test_time_reversal_drops_a_zero_block_of_the_conjugate():
+    # every channel on C is the identity, so its reversal is too; F, the rotation by
+    # arctan(1/3), makes the conjugate of K's dilation [[~1e-16, 1], [1, ~1e-16]], whose
+    # first block-column holds a zero block: the reversed set drops it, as an operator
+    # carrying no dynamics, instead of refusing it
+    t = np.arctan(1 / 3)
+    F = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    tri = time_reversal_invariance(KrausSet([[[0.6]], [[0.8]]]), F)
+    assert tri.invariant and tri.distance == 0.0
+    assert tri.unitarity_residual < 1e-15
+    # with no zero block, the bath in e_1 reads the first block-column's bits
+    K = commuting_db_kraus(np.pi / 6)
+    Wbar, _ = reversed_unitary(dilation_from_kraus(K)[1], np.eye(2), K.d, K.n)
+    assert kraus_from_dilation(Wbar, K.d, K.n, "general_state", sigma=np.eye(1, 2)[0]) \
+        .ops.tobytes() == kraus_from_dilation(Wbar, K.d, K.n, "first_column").ops.tobytes()
 
 
 def test_time_reversal_nonunitary_conjugate():

@@ -281,10 +281,23 @@ def assert_first_row_matches(new, ref):
                 assert_matches(getattr(c, field), getattr(c_ref, field))
 
 
+# case -> the levels that Q^(x)m, Q = F*F, does not preserve: with F = diag(1, 0.7), levels 2
+# and 3 of commuting_db(0.4), where first_row_q_sphere raises _compat_hypothesis's message
+UNPRESERVED = {5: (2, 3)}
+
+
 @pytest.mark.parametrize("index", range(7))
 def test_first_row_q_sphere_matches_loop_oracle(index):
     W, F, S = list(_first_row_cases())[index]
     for m in range(1, S.M + 1):
+        if m in UNPRESERVED.get(index, ()):
+            compat = check_Q_compatibility(S, dag(F) @ F, m)
+            assert compat > 0.1
+            with pytest.raises(HypothesisFailure) as exc:
+                first_row_q_sphere(W, F, S, m)
+            assert str(exc.value) == (f"Q^(x){m} does not preserve the level-{m} subspace "
+                                      f"(residual {compat:.3g})")
+            continue
         assert_first_row_matches(first_row_q_sphere(W, F, S, m),
                                  oracle.first_row_q_sphere(W, F, S, m))
 

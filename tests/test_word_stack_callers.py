@@ -1,4 +1,4 @@
-"""Two functions with few callers and one kernel, pinned by reading the source.
+"""Four functions with few callers and one kernel, pinned by reading the source.
 
 Only channel.power_kraus forms an n^m-word stack.  The level layer
 reads the words of a level through the tensor train (Level.compress, the
@@ -9,6 +9,12 @@ Only the functions that decide a rank or refuse a singular input call
 ``matcore.rank_mask``.  rank_tol decides where svd_cut ends the rank of
 a level; a function of Q_m inverts all of the level, so a new eigenvalue
 cut in the level layer must be named here before it can enter.
+
+Only the two level readers of equilibrium call ``stinespring.eigenpairs``
+and ``stinespring.level_power``: ``_read_levels`` on many levels and
+``_level_power`` on one.  Both judge compat by ``_compat_hypothesis``
+before they take a function of Q_m, so a new caller elsewhere could read
+p_m Q^(x)m p_m on a level that Q^(x)m does not preserve.
 
 Stacks of operators are multiplied pairwise by ``channel.products``, one
 2-D matmul.  An ``@`` whose operand inserts an axis (``X[:, None] @
@@ -36,6 +42,7 @@ RANK_MASK_CALLERS = {
     ("reversal", "crooks_dual"),
     ("reversal", "detailed_balance_verdict"),
 }
+LEVEL_POWER_CALLERS = {("equilibrium", "_read_levels"), ("equilibrium", "_level_power")}
 
 
 def _callers(tree: ast.Module, module: str, callee: str) -> set:
@@ -132,6 +139,11 @@ def test_only_power_kraus_calls_word_stack():
 
 def test_only_rank_decisions_and_singularity_refusals_call_rank_mask():
     assert _src_callers("rank_mask") == RANK_MASK_CALLERS
+
+
+def test_only_the_level_readers_take_functions_of_Q_m():
+    for callee in ("eigenpairs", "level_power"):
+        assert _src_callers(callee) == LEVEL_POWER_CALLERS, callee
 
 
 def test_the_caller_scan_sees_calls_in_methods_and_by_attribute():
