@@ -10,9 +10,15 @@ is_star_commuting judges are products too.
 
 A unitary W on the product of the d-dimensional system space and the
 n-dimensional auxiliary space is handled as an n x n matrix of d x d
-blocks, system index major: block (j, k) is W.reshape(d,n,d,n)[:, j, :, k],
-and the first block-column occupies the interleaved scalar columns
-W[:, 0::n]; first_block_column returns those n blocks as an (n, d, d) stack.
+blocks, system index major: entry (x, y) of block W_{jk} sits at row
+x n + j and column y n + k of W.  This module owns that layout: blocks
+gives the (n, n, d, d) view whose [j, k] is W_{jk}, from_blocks builds
+W back from such an array, and every other function that reads or builds
+blocks goes through them, but f_conjugate, whose mode products act on a
+reshape of W^c here.  The one other place that knows the layout is
+matcore.orthonormal_completion, which keeps the isometry it completes at
+the interleaved columns W[:, 0::n], the first block-column.
+
 A pair (W, F) of such a W and an invertible n x n intertwiner F, as in
 Van Daele and Wang's A_u(F), is checked in one place,
 require_dilation_pair, which every function taking a pair calls.
@@ -162,14 +168,24 @@ def apply(K: KrausSet, X: np.ndarray, picture: str = "heisenberg") -> np.ndarray
 # block conventions
 
 
+def blocks(W: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The (n, n, d, d) view of W whose [j, k] is the block W_{jk}."""
+    return W.reshape(d, n, d, n).transpose(1, 3, 0, 2)
+
+
+def from_blocks(X: np.ndarray) -> np.ndarray:
+    """The dn x dn matrix whose block W_{jk} is X[j, k], for an (n, n, d, d) array X."""
+    n, d = X.shape[1], X.shape[-1]
+    return X.transpose(2, 0, 3, 1).reshape(d * n, d * n)
+
+
 def block(W: np.ndarray, d: int, n: int, j: int, k: int) -> np.ndarray:
-    return W.reshape(d, n, d, n)[:, j, :, k]
+    return blocks(W, d, n)[j, k]
 
 
 def blockwise_dagger(W: np.ndarray, d: int, n: int) -> np.ndarray:
     """W^c: replace every block by its own adjoint, indices in place."""
-    R = as_complex(W).reshape(d, n, d, n)
-    return R.conj().transpose(2, 1, 0, 3).reshape(d * n, d * n)
+    return from_blocks(dag(blocks(as_complex(W), d, n)))
 
 
 def require_dilation_pair(W, F):
@@ -205,7 +221,7 @@ def f_conjugate(W: np.ndarray, F: np.ndarray, d: int, n: int) -> np.ndarray:
 
 def first_block_column(W: np.ndarray, d: int, n: int) -> np.ndarray:
     """The blocks W_{j0} as an (n, d, d) stack."""
-    return W.reshape(d, n, d, n)[..., 0].transpose(1, 0, 2)
+    return blocks(W, d, n)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +298,7 @@ def _completion_structured(K: KrausSet) -> np.ndarray:
     T = _simultaneous_diag(K)
     # slot i holds the vector (T* K_j T)_ii over j, one (n, n) unitary each
     slots = symmetric_unitary_first_col(np.diagonal(dag(T) @ K.ops @ T, axis1=1, axis2=2).T)
-    W = np.einsum("ai,ijk,bi->ajbk", T, slots, T.conj())
-    return W.reshape(K.d * K.n, K.d * K.n)
+    return from_blocks(np.einsum("ai,ijk,bi->jkab", T, slots, T.conj()))
 
 
 def dilation_from_kraus(K: KrausSet, tol: float = RESIDUAL_TOL):
@@ -291,23 +306,23 @@ def dilation_from_kraus(K: KrausSet, tol: float = RESIDUAL_TOL):
     completion whose first block-column is V.
 
     Commuting *-families get a block-symmetric completion (so the
-    blockwise-dagger matrix stays unitary); anything else gets the
-    generic Gram-Schmidt completion.
+    blockwise-dagger matrix stays unitary); anything else, and a family
+    _simultaneous_diag fails to diagonalize, gets the generic Gram-Schmidt
+    completion.  The block-symmetric W is not checked for unitarity: it
+    is (T (x) 1)(sum_i |i><i| (x) S_i)(T (x) 1)*, with T the unitary
+    eigenvector matrix of an eigh and each S_i = D H D a Householder
+    reflection between phase diagonals, so it is unitary for any input,
+    to round-off.
     """
     if K.unital_residual >= tol:
         raise ValueError("dilation requires a channel (sum K*K = 1)")
     V = isometry_from_kraus(K)
-    W = None
     if is_star_commuting(K):
         try:
-            W = _completion_structured(K)
+            return V, _completion_structured(K)
         except ValueError:
-            W = None
-        if W is not None and np.abs(isometry_defect(W)).max() > 1e-10:
-            W = None
-    if W is None:
-        W = orthonormal_completion(V)
-    return V, W
+            pass
+    return V, orthonormal_completion(V)
 
 
 def kraus_from_dilation(W: np.ndarray, d: int, n: int, mode: str = "first_column",
@@ -340,9 +355,8 @@ def kraus_from_dilation(W: np.ndarray, d: int, n: int, mode: str = "first_column
             probs = sigma.real
         if probs.shape != (n,) or np.any(probs < -1e-12) or abs(probs.sum() - 1) > 1e-10:
             raise ValueError("sigma must be an n-point probability vector")
-        blocks = W.reshape(d, n, d, n).transpose(1, 3, 0, 2)  # [j, k] is W_{jk}
         scale = np.sqrt(np.maximum(probs, 0.0))[:, np.newaxis, np.newaxis]
-        ops = (blocks * scale).reshape(n * n, d, d)
+        ops = (blocks(W, d, n) * scale).reshape(n * n, d, d)
         return KrausSet(ops[~_is_zero(ops)])
     raise ValueError("mode must be 'first_column' or 'general_state'")
 

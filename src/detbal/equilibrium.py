@@ -354,8 +354,7 @@ def _read_level(K: KrausSet, S: SubproductSystem, Q: np.ndarray, m, tol: float,
     it: the HypothesisFailure of a level Q^(x)m does not preserve, the
     ValueError of a level whose H_m is not invertible at round-off.
     """
-    m = require_word_length(m, "m")
-    S.stack(K, m)  # refuses a K the system was not built from
+    S.stack(K, m)  # refuses a K the system was not built from, and an m that is not an integer
     read = _read_levels(S, Q, [m], tol, rho0)[m]
     if read.failure is not None:
         raise read.failure

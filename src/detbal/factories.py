@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import KrausSet, first_block_column, is_star_commuting
-from .matcore import dag
+from .matcore import dag, is_hermitian
 from .qgroup import suq2_dilation, suq2_generators
 from .serialize import channel_spec_dict, classical_spec_dict
 
@@ -28,12 +28,16 @@ def _expi_hermitian(H: np.ndarray) -> np.ndarray:
 def measurement_channel(A=None, B=None):
     """Kraus set of the interaction W = exp(-i A (x) B), plus W itself.
 
-    A acts on the system, B on the auxiliary space, both Hermitian.  The
-    resulting Kraus operators commute pairwise; a diagonal B decouples
-    the evolution and produces zero operators, which are rejected.
+    A acts on the system, B on the auxiliary space, both Hermitian: a
+    non-Hermitian one raises ValueError naming it.  The resulting Kraus
+    operators commute pairwise; a diagonal B decouples the evolution and
+    produces zero operators, which are rejected.
     """
     A = _DEFAULT_A if A is None else np.asarray(A, dtype=complex)
     B = _DEFAULT_B if B is None else np.asarray(B, dtype=complex)
+    for name, X in (("A", A), ("B", B)):
+        if not is_hermitian(X):
+            raise ValueError(f"measurement parameter {name} must be Hermitian")
     d, n = A.shape[0], B.shape[0]
     W = _expi_hermitian(np.kron(A, B))
     K = KrausSet(first_block_column(W, d, n))

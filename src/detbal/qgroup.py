@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import KrausSet, f_conjugate, require_dilation_pair
+from .channel import KrausSet, blocks, f_conjugate, from_blocks, require_dilation_pair
 from .equilibrium import _level_power, balance_scalar, check_state
 from .matcore import (
     RESIDUAL_TOL,
@@ -144,14 +144,7 @@ def suq2_generators(q: float, N: int):
 def suq2_dilation(a: np.ndarray, c: np.ndarray, q: float) -> np.ndarray:
     """The defining 2x2 block matrix [[a, -q c], [c, a*]] of the truncated
     representation, system index major."""
-    N = a.shape[0]
-    W = np.zeros((2 * N, 2 * N), dtype=complex)
-    R = W.reshape(N, 2, N, 2)
-    R[:, 0, :, 0] = a
-    R[:, 0, :, 1] = -q * c
-    R[:, 1, :, 0] = c
-    R[:, 1, :, 1] = dag(a)
-    return W
+    return from_blocks(np.array([[a, -q * c], [c, dag(a)]], dtype=complex))
 
 
 def first_row_q_sphere(W, F, S: SubproductSystem, m: int,
@@ -177,7 +170,7 @@ def first_row_q_sphere(W, F, S: SubproductSystem, m: int,
     hyp_q11 = float(abs(Q[0, 0] - 1.0))
     hyp_e1 = S.level(m).boundary_defect()
     rec, P = _level_power(S, Q, m, -1, tol)
-    Z = W.reshape(d, n, d, n)[:, 0].transpose(2, 0, 1)  # z_k = W_{0k}
+    Z = blocks(W, d, n)[0]  # z_k = W_{0k}
     L = rec.level  # the row sum reads X_i = (V* conj Z)_i^T, the mirror sum X = V* Z
     R = _sphere(P, np.stack((L.compress(Z.conj()).swapaxes(-1, -2), L.compress(Z))))
     spectra = np.linalg.eigvalsh((R + dag(R)) / 2) - 1

@@ -315,8 +315,9 @@ class SubproductSystem:
         equilibrium._compat_hypothesis alone, which also guards every
         function of Q_m (equilibrium._read_levels, equilibrium._level_power).
         """
-        m = require_word_length(m, "m")  # before the memo, where True and 1.0 would read level 1
-        self.level(m)  # refuses a level that is not built
+        # refuses an m that is not an integer, before the memo, where True and 1.0 would
+        # read level 1, and a level that is not built
+        self.level(m)
         Q = np.asarray(Q, dtype=complex)
         key = (Q.dtype.str, Q.shape, Q.tobytes())
         recs = self._memo.get(key)

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
+from detbal import channel
 from detbal.channel import (
     KrausSet,
     Word,
     apply,
     block,
+    blocks,
     blockwise_dagger,
     channel_choi,
     channel_distance,
     classify,
     dilation_from_kraus,
     first_block_column,
+    from_blocks,
     index_words,
     is_star_commuting,
     isometry_from_kraus,
@@ -22,7 +25,7 @@ from detbal.channel import (
     word_operator,
 )
 from detbal.factories import commuting_db_kraus, gad_kraus
-from detbal.matcore import dag, spectral_norm
+from detbal.matcore import dag, orthonormal_completion, spectral_norm
 from conftest import random_channel, random_hermitian, random_unitary
 
 
@@ -266,3 +269,29 @@ def test_first_block_column_shapes():
     assert all(c.shape == (2, 2) for c in cols)
     V = isometry_from_kraus(KrausSet(cols))
     assert np.allclose(V, W[:, 0::3])
+
+
+@pytest.mark.parametrize("d, n", [(3, 2), (2, 3), (1, 4), (4, 1)])
+def test_blocks_reads_the_block_layout_and_from_blocks_inverts_it(d, n):
+    W = random_unitary(d * n, 10 * d + n)
+    X = blocks(W, d, n)
+    assert X.shape == (n, n, d, d)
+    for j in range(n):
+        for k in range(n):
+            assert np.array_equal(X[j, k], W[j::n, k::n])
+    assert np.array_equal(from_blocks(X), W)
+
+
+def test_dilation_falls_back_to_gram_schmidt_when_diagonalization_fails(monkeypatch):
+    K = commuting_db_kraus(np.pi / 6)
+    structured = dilation_from_kraus(K)[1]
+
+    def fail(K):
+        raise ValueError("simultaneous diagonalization failed")
+
+    monkeypatch.setattr(channel, "_simultaneous_diag", fail)
+    V, W = dilation_from_kraus(K)
+    assert np.array_equal(W, orthonormal_completion(V))
+    assert not np.allclose(W, structured)
+    assert spectral_norm(dag(W) @ W - np.eye(4)) < 1e-12
+    assert np.array_equal(first_block_column(W, 2, 2), K.ops)

@@ -473,3 +473,27 @@ def test_gen_example_measurement_rejects_decoupled_interaction(tmp_path, capsys)
                  "--params", '{"B": [[1.0, 0.0], [0.0, -1.0]]}', "-o", out])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, matrix", [("A", [[1.0, 0.5], [0.0, -1.0]]),
+                                          ("B", [[0.3, 1.0], [0.2, 0.0]])])
+def test_gen_example_measurement_refuses_a_non_hermitian_parameter(tmp_path, capsys, name, matrix):
+    # a non-Hermitian B would be read as its Hermitian part, [[0.3, 0.6], [0.6, 0.0]] here, which builds
+    with pytest.raises(ValueError, match=f"{name} must be Hermitian"):
+        gen_example("measurement", {name: matrix})
+    out = tmp_path / "m.json"
+    params = json.dumps({name: matrix})
+    assert main(["gen-example", "--name", "measurement", "--params", params, "-o", str(out)]) == 2
+    assert f"{name} must be Hermitian" in capsys.readouterr().err
+    assert not out.exists()
+    gen_example("measurement", {"B": [[0.3, 0.6], [0.6, 0.0]]})
+
+
+def test_qgroup_check_without_F_uses_the_identity(tmp_path, capsys):
+    path = write_example(tmp_path, "commuting_db")
+    assert "F" not in load_payload(path)
+    for relation in ("au", "bu"):
+        assert main(["qgroup-check", path, "--relation", relation]) == 0
+        out = capsys.readouterr().out
+        assert f"{relation} relations: true" in out
+    assert "lambda: [1.0, 0.0]" in out

@@ -17,7 +17,8 @@ boundary defect of e_1^(x)m, are read through the train and equal the
 expanded V_m and the oracle's dense Q^(x)m V_m.  The levels of one rank
 are read in stacked calls, and each reads the same bits there as alone.
 The power dilation residual of a level is at most ||A|| times the mass
-its rank cuts drop, Tr Phi^m(1) - ||B_m||_F^2.
+its rank cuts drop, Tr Phi^m(1) - ||B_m||_F^2.  The KMS residual up to
+level m is the maximum over levels 1..m, so it never falls as m grows.
 The train is left-canonical: every core T_m is an isometry, a row of V_m
 is the product of the cores' letter slices, and a linearly dependent
 Kraus set builds the levels of its minimal set, with the identity as its
@@ -436,3 +437,15 @@ def test_checks_read_from_the_levels_match_the_loop_oracle(d, n, M, diagonal, mi
                     _assert_close(row, Qit[a])
                 else:
                     assert isinstance(row, HypothesisFailure)
+
+
+@hypothesis.settings(max_examples=20, deadline=None, database=None)
+@hypothesis.given(theta=st.floats(0.15, 1.4))
+def test_kms_residual_never_falls_as_the_depth_grows(theta):
+    # each level reads the same bits in any call, so the running maximum compares exactly
+    rho0 = np.eye(2) / 2
+    Kp, Qraw, _ = orthogonalize_kraus(commuting_db_kraus(theta), rho0)
+    Qd = Qraw.with_normalization("trace_balanced")
+    S = build_subproduct(Kp, 5)
+    kms = [kms_condition_residual(Kp, rho0, Qd, S, m) for m in range(1, 6)]
+    assert all(a <= b for a, b in zip(kms, kms[1:])), kms

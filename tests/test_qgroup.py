@@ -198,3 +198,13 @@ def test_relations_report_render():
     d = rep.to_dict()
     assert d["relation"] == "bu"
     assert len(d["checks"]) == 6
+
+
+def test_bu_fails_an_F_whose_F_Fbar_is_traceless():
+    # F Fbar = diag(-i, i) has trace 0, so it is no multiple lambda 1 with lambda != 0
+    _, W = dilation_from_kraus(commuting_db_kraus(np.pi / 6))
+    rep = bu_relations_check(W, np.array([[0.0, 1.0], [1j, 0.0]]))
+    scalar = rep.check("F_Fc_scalar")
+    assert scalar.residual == float("inf") and not scalar.passed
+    assert rep.info["lambda"] == [0.0, 0.0]
+    assert not rep.verdict
