@@ -375,13 +375,20 @@ def word_labels(n: int, m: int) -> list:
     return [Word(tuple(k + 1 for k in w)) for w in index_words(n, m)]
 
 
-def require_word_length(m, name: str) -> int:
-    """m as an int; a bool, or anything but an integer, raises ValueError naming it."""
-    if type(m) is int:  # the common case, without the slower abstract-class check
-        return m
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
-        raise ValueError(f"{name} must be an integer (got {name}={m!r})")
-    return int(m)
+def require_word_length(m, name: str, least: int | None = None) -> int:
+    """m as an int, the one check of a word length or level; it raises ValueError naming m.
+
+    A bool, or anything but an integer, is refused, and so is an m below
+    least when least is given.  The floors in use: 1 for the verdict, KMS
+    and Crooks checks, 0 for build_subproduct and power_kraus.
+    """
+    if type(m) is not int:  # the common case skips the slower abstract-class check
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+            raise ValueError(f"{name} must be an integer (got {name}={m!r})")
+        m = int(m)
+    if least is not None and m < least:
+        raise ValueError(f"{name} must be at least {least} (got {name}={m})")
+    return m
 
 
 def require_word_budget(n: int, m: int) -> None:
@@ -446,8 +453,7 @@ def power_kraus(K: KrausSet, m: int):
     order.  These represent the m-th channel power with one operator per
     word, excessively many but convenient.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    m = require_word_length(m, "m", least=0)
     require_word_budget(K.n, m)
     return word_labels(K.n, m), list(word_stack(K.ops, m))
 

@@ -23,27 +23,22 @@ from .matcore import (RANK_TOL, RESIDUAL_TOL, as_complex, dag, frobenius_norm, i
                       rank_mask, spectral_norm)
 from .stinespring import SubproductSystem, _sphere, eigenpairs, level_power
 
-NORMALIZATIONS = ("raw", "trace_balanced", "first_entry")
+def check_state(rho, atol: float = 1e-12, *, d: int | None = None) -> np.ndarray:
+    """Validate a density matrix: Hermitian, PSD, unit trace, and d x d when d is given.
 
-
-def check_state(rho, atol: float = 1e-12) -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD, unit trace.
-
+    The one check of a state for a Kraus set is check_state(rho0, d=K.d):
+    a state of another size is refused with a message naming both sizes.
     Full rank is not required; a pure state is acceptable.  The last few
     states that passed are remembered by dtype, shape, exact bytes and
-    atol, so validating an unchanged state again costs one comparison;
-    an array written in place, or another atol, is validated afresh.
+    atol (not d: the size is read after the memo), so validating an
+    unchanged state again costs one comparison; an array written in
+    place, or another atol, is validated afresh.
     """
     rho = np.asarray(rho, dtype=complex)
     _validate_state(rho.dtype.str, rho.shape, rho.tobytes(), atol)
+    if d is not None and len(rho) != d:
+        raise ValueError(f"rho0 is {len(rho)} x {len(rho)} but the Kraus operators are {d} x {d}")
     return rho
-
-
-def require_state_size(K: KrausSet, rho0: np.ndarray) -> None:
-    """Refuse a checked state that K's d x d operators cannot act on, naming both sizes."""
-    if len(rho0) != K.d:
-        raise ValueError(f"rho0 is {len(rho0)} x {len(rho0)} but the Kraus operators "
-                         f"are {K.d} x {K.d}")
 
 
 @functools.lru_cache(maxsize=8)
@@ -133,12 +128,10 @@ def correlation_matrix(K: KrausSet, rho0, normalization: str = "trace_balanced",
     """Correlation matrix of rho0 for the Kraus set, in the given normalization.
 
     Requires every diagonal raw entry to be positive (no operator may
-    annihilate rho0) and the raw matrix to be nonsingular.
+    annihilate rho0) and the raw matrix to be nonsingular; an unknown
+    normalization is refused by _normalize.
     """
-    rho0 = check_state(rho0)
-    require_state_size(K, rho0)
-    if normalization not in NORMALIZATIONS:
-        raise ValueError(f"unknown normalization {normalization!r}")
+    rho0 = check_state(rho0, d=K.d)
     q = _checked(gram(K.ops @ rho0, K.ops))
     _require_nonsingular(np.linalg.eigvalsh(q), rank_tol)
     return CorrelationData(Q=_normalize(q, normalization), normalization=normalization, raw=q)
@@ -160,10 +153,12 @@ def orthogonalize_kraus(K: KrausSet, rho0, tol: float = 1e-10, rank_tol: float =
     of the mean vector Tr(rho0 K_j) lying in the block, then every
     column's largest-modulus entry is made positive real.  This keeps
     the output deterministic and concentrates nonzero means on as few
-    operators as the eigenspaces allow.
+    operators as the eigenspaces allow.  A tie block holds the
+    eigenvalues within tol of its largest, relative to it, so a rotation
+    inside it moves an off-diagonal entry of the new correlation by at
+    most tol lam <= tol Tr q, within what is_diagonal(tol) accepts.
     """
-    rho0 = check_state(rho0)
-    require_state_size(K, rho0)
+    rho0 = check_state(rho0, d=K.d)
     q = _checked(gram(K.ops @ rho0, K.ops))
     lam, U = np.linalg.eigh(q)
     _require_nonsingular(lam, rank_tol)
@@ -173,7 +168,7 @@ def orthogonalize_kraus(K: KrausSet, rho0, tol: float = 1e-10, rank_tol: float =
     groups = []
     start = 0
     for i in range(1, n + 1):
-        if i == n or abs(lam[i] - lam[start]) > 1e-8 * max(1.0, abs(lam[start])):
+        if i == n or abs(lam[i] - lam[start]) > tol * abs(lam[start]):
             groups.append((start, i))
             start = i
     t = np.trace(rho0 @ K.ops, axis1=1, axis2=2)
@@ -202,8 +197,7 @@ def zero_mean_check(K: KrausSet, rho0) -> list[float]:
     tolerance (the component along the identity, when present); the
     caller decides what to do when several survive.
     """
-    rho0 = check_state(rho0)
-    require_state_size(K, rho0)
+    rho0 = check_state(rho0, d=K.d)
     return np.abs(np.trace(rho0 @ K.ops, axis1=1, axis2=2)).tolist()
 
 
@@ -401,8 +395,7 @@ def check_phi_symmetric(K: KrausSet, rho0, Qd: CorrelationData, S: SubproductSys
     the verdict's rank group, so a verdict record equals this check's
     value or message.
     """
-    rho0 = check_state(rho0)
-    require_state_size(K, rho0)
+    rho0 = check_state(rho0, d=K.d)
     if ordering not in ("normal", "antinormal"):
         raise ValueError("ordering must be 'normal' or 'antinormal'")
     residuals = _read_level(K, S, Qd.Q, m, tol, rho0).residuals
@@ -472,11 +465,8 @@ def kms_condition_residual(K: KrausSet, rho0, Qd: CorrelationData,
     rank_tol makes a cut drop more than round-off, this is the residual
     of the projected words p_m A_m.
     """
-    rho0 = check_state(rho0)
-    require_state_size(K, rho0)
-    m = require_word_length(m, "m")
-    if m < 1:
-        raise ValueError(f"word length m must be at least 1 (got m={m})")
+    rho0 = check_state(rho0, d=K.d)
+    m = require_word_length(m, "m", least=1)
     S.stack(K, m)  # refuses a K the system was not built from
     kms = _kms_condition(_read_levels(S, Qd.Q, range(1, m + 1), tol, rho0), tol)
     if isinstance(kms, Exception):

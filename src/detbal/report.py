@@ -11,6 +11,7 @@ which also renders their info and check lines).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -31,11 +32,12 @@ class CheckRecord:
         return self.hypothesis_failure is None and bool(self.residual < self.tolerance)
 
     def to_dict(self) -> dict:
+        """The record as JSON data: a field that is None or a non-finite float is left out."""
         out = {"name": self.name, "tolerance": self.tolerance, "passed": self.passed}
         for key in ("residual", "frobenius", "level", "defect_rank",
                     "off_defect_residual", "hypothesis_failure"):
             val = getattr(self, key)
-            if val is not None:
+            if val is not None and (not isinstance(val, float) or math.isfinite(val)):
                 out[key] = val
         return out
 

@@ -35,7 +35,6 @@ from .equilibrium import (
     check_state,
     kms_condition_residual,
     orthogonalize_kraus,
-    require_state_size,
     zero_mean_check,
 )
 from .matcore import (
@@ -108,8 +107,7 @@ def crooks_dual(K: KrausSet, rho0, rank_tol: float = RANK_TOL) -> KrausSet:
 
     rho0 must be invertible here, unlike the entrywise reversal.
     """
-    rho0 = check_state(rho0)
-    require_state_size(K, rho0)
+    rho0 = check_state(rho0, d=K.d)
     w, U = np.linalg.eigh((rho0 + dag(rho0)) / 2)
     if not rank_mask(w, rank_tol).all():
         raise ValueError("crooks_dual requires an invertible state")
@@ -126,14 +124,11 @@ def crooks_check(K: KrausSet, Kbar: KrausSet, rho0, m: int) -> float:
     rho0 = L L*.  Each length is one products step per side, and the
     squared norms are one einsum over the float view of each stack.
     """
-    m = require_word_length(m, "m")
-    if m < 1:
-        raise ValueError(f"word length m must be at least 1 (got m={m})")
+    m = require_word_length(m, "m", least=1)
     if K.n != Kbar.n or K.d != Kbar.d:
         raise ValueError("Kraus sets must share shape")
     require_word_budget(K.n, m)
-    rho0 = check_state(rho0)
-    require_state_size(K, rho0)
+    rho0 = check_state(rho0, d=K.d)
     w, U = np.linalg.eigh((rho0 + dag(rho0)) / 2)
     A = B = (U * np.sqrt(np.maximum(w, 0.0)))[np.newaxis]  # L, with rho0 = L L*
     mx = 0.0
@@ -213,14 +208,11 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
     every residual is below tol and no hypothesis fails; a false verdict
     names the sphere condition whenever that stage is implicated.
     """
-    M = require_word_length(M, "M")
-    if M < 1:
-        raise ValueError(f"max level M must be at least 1 (got M={M})")
+    M = require_word_length(M, "M", least=1)
     for name, value in (("tol", tol), ("rank_tol", rank_tol)):
         if not value > 0:
             raise ValueError(f"{name} must be positive (got {name}={value})")
-    rho0 = check_state(rho0)
-    require_state_size(K, rho0)
+    rho0 = check_state(rho0, d=K.d)
     if K.unital_residual >= tol:
         raise ValueError("detailed balance verdict requires a channel")
     # Q is formed for the orthogonalized set, so the levels must keep all of it

@@ -391,9 +391,10 @@ def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL) -> Sub
     (eigenpairs).  Level m + 1 costs the SVD of the r_m r_1 x d^2 matrix
     of products B_m[i] B_1[j], taken by its short side when it is wide
     (svd_cut), and one mode product of V_1 with the kept singular
-    vectors; no word stack and no word-space row is formed.  M must be an integer (a bool is refused).
+    vectors; no word stack and no word-space row is formed.  M must be an
+    integer of at least 0 (a bool is refused).
     """
-    M = require_word_length(M, "M")
+    M = require_word_length(M, "M", least=0)
     require_word_budget(K.n, M)
     first = first_level(K, rank_tol)
     levels = [first.below, first]

@@ -486,10 +486,7 @@ def bu_relations_check(W, F, tol: float = RESIDUAL_TOL) -> RelationsReport:
     checks.append(_relation_record("self_conjugacy", W - Wc_F, tol))
     FFc = F @ F.conj()
     lam = np.trace(FFc) / n
-    if abs(lam) < 1e-14:
-        scalar_res = float("inf")
-    else:
-        scalar_res = spectral_norm(FFc - lam * np.eye(n)) / abs(lam)
+    scalar_res = spectral_norm(FFc - lam * np.eye(n)) / abs(lam) if lam else float("inf")
     checks.append(CheckRecord(name="F_Fc_scalar", residual=float(scalar_res), tolerance=tol))
     return RelationsReport(
         relation="bu",

@@ -195,6 +195,14 @@ def test_power_kraus():
     assert spectral_norm(sum(dag(op) @ A @ op for op in ops2) - twice) < 1e-12
 
 
+@pytest.mark.parametrize("m, message", [(2.0, r"m must be an integer \(got m=2\.0\)"),
+                                        (True, r"m must be an integer \(got m=True\)"),
+                                        (-1, r"m must be at least 0 \(got m=-1\)")])
+def test_power_kraus_refuses_a_length_that_is_not_a_nonnegative_integer(m, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        power_kraus(commuting_db_kraus(0.7), m)
+
+
 def test_minimal_kraus_collapses_duplicates():
     I2 = np.eye(2, dtype=complex)
     K = KrausSet([I2 / np.sqrt(2), I2 / np.sqrt(2)])

@@ -347,6 +347,21 @@ def test_qgroup_check_au_with_F_file(tmp_path, capsys):
     assert "au relations: false" in out
 
 
+def test_qgroup_check_json_leaves_out_an_infinite_residual(tmp_path, capsys):
+    # F Fbar = diag(-i, i) is traceless, so F_Fc_scalar has no finite residual
+    path = write_example(tmp_path, "commuting_db")
+    f_path = tmp_path / "F.json"
+    f_path.write_text(json.dumps({"matrix": encode_matrix(np.array([[0, 1], [1j, 0]]))}))
+    assert main(["qgroup-check", path, "--relation", "bu", "--F", str(f_path), "--json"]) == 1
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    data = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    (scalar,) = [c for c in data["checks"] if c["name"] == "F_Fc_scalar"]
+    assert scalar["passed"] is False and "residual" not in scalar
+
+
 def test_qgroup_check_rejects_spec_F_of_wrong_size(tmp_path, capsys):
     # an 8 x 8 F for gad's n = 4 would otherwise be read as d = 1, n = 8
     payload = gen_example("gad")

@@ -15,7 +15,9 @@ Each input contract has one owner too: ``channel.require_dilation_pair``
 checks a pair (W, F), ``serialize.decode_square`` reads every sized
 spec matrix (so only ``serialize`` calls ``decode_matrix``), the
 ``factories.EXAMPLES`` table names the examples, and the report base
-owns the verdict.
+owns the verdict.  A state for a Kraus set is checked by
+``equilibrium.check_state(rho0, d=K.d)``, and a word length or level by
+``channel.require_word_length``, whose ``least`` sets every floor.
 """
 import ast
 import dataclasses
@@ -96,6 +98,35 @@ def test_the_example_names_are_the_keys_of_the_example_table():
                 if isinstance(node, ast.Assign)
                 and [ast.unparse(t) for t in node.targets] == ["EXAMPLE_NAMES"]]
     assert ast.unparse(value) == "tuple(EXAMPLES)"
+
+
+def _holders(text: str) -> list:
+    """(module, innermost function) of every string literal in src/ that holds text.
+
+    The literal parts of an f-string count; a string outside any function names None.
+    """
+    found = []
+
+    def visit(node, mod, fn):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value:
+            found.append((mod, fn))
+        for child in ast.iter_child_nodes(node):
+            visit(child, mod, child.name if isinstance(child, ast.FunctionDef) else fn)
+
+    for mod, tree in _trees().items():
+        visit(tree, mod, None)
+    return found
+
+
+def test_only_check_state_sizes_a_state():
+    assert _holders("but the Kraus operators are") == [("equilibrium", "check_state")]
+    assert {mod for mod, tree in _trees().items()
+            if "def" in _names(tree, "require_state_size")} == set()
+
+
+def test_only_require_word_length_sets_a_floor():
+    assert sorted(_holders("must be at least")) == [
+        ("channel", "require_word_length"), ("cli", "cmd_reverse"), ("cli", "cmd_stinespring")]
 
 
 def test_report_defines_the_verdict_once():

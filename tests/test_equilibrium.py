@@ -163,6 +163,18 @@ def test_orthogonalize_commuting_db():
     assert means[1] < 1e-12
 
 
+def test_orthogonalize_splits_eigenvalues_a_hair_apart():
+    # q has eigenvalues (1 +- cos phi)/2, 2e-9 apart: a tie rule coarser than tol mixes them,
+    # and the rotation leaves an off-diagonal entry above tol
+    phi = np.pi / 2 - 2e-9
+    K = KrausSet([np.eye(2) / np.sqrt(2), (np.cos(phi) * np.eye(2) + 1j * np.sin(phi)
+                                           * np.diag([1.0, -1.0])) / np.sqrt(2)])
+    Kp, Qd, _ = orthogonalize_kraus(K, MIXED2)
+    assert channel_distance(Kp, K) <= 1e-12
+    assert Qd.is_diagonal()
+    assert detailed_balance_verdict(K, MIXED2).checks
+
+
 def test_orthogonalize_random_channel_properties():
     for seed in (45, 46):
         K = random_channel(3, 3, seed)

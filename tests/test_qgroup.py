@@ -200,6 +200,14 @@ def test_relations_report_render():
     assert len(d["checks"]) == 6
 
 
+def test_bu_judges_a_small_scalar_F_by_its_relative_defect():
+    # F Fbar = 1e-16 1 is exactly scalar, and F is invertible
+    _, W = dilation_from_kraus(commuting_db_kraus(0.5))
+    rep = bu_relations_check(W, 1e-8 * np.eye(2))
+    assert rep.check("F_Fc_scalar").residual == 0.0
+    assert rep.verdict
+
+
 def test_bu_fails_an_F_whose_F_Fbar_is_traceless():
     # F Fbar = diag(-i, i) has trace 0, so it is no multiple lambda 1 with lambda != 0
     _, W = dilation_from_kraus(commuting_db_kraus(np.pi / 6))

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from detbal.channel import KrausSet, classify, dilation_from_kraus, kraus_from_dilation
-from detbal.equilibrium import CorrelationData, correlation_matrix, orthogonalize_kraus
+from detbal.equilibrium import (
+    CorrelationData,
+    check_phi_symmetric,
+    correlation_matrix,
+    kms_condition_residual,
+    orthogonalize_kraus,
+    zero_mean_check,
+)
 from detbal.factories import commuting_db_kraus, gad_kraus
 from detbal.matcore import dag, spectral_norm
 from detbal.qgroup import suq2_generators
@@ -291,13 +298,33 @@ def test_verdict_and_build_accept_a_numpy_integer_M():
     assert rep.to_dict() == detailed_balance_verdict(K, MIXED2, 2).to_dict()
 
 
+def test_every_word_length_floor_is_refused_in_one_wording():
+    K = commuting_db_kraus(np.pi / 6)
+    Kp, Qd, S = orthogonal_data(K, MIXED2)
+    calls = [
+        ("M", 1, 0, lambda: detailed_balance_verdict(K, MIXED2, 0)),
+        ("m", 1, 0, lambda: crooks_check(K, K, MIXED2, 0)),
+        ("m", 1, -1, lambda: kms_condition_residual(Kp, MIXED2, Qd, S, -1)),
+        ("M", 0, -1, lambda: build_subproduct(K, -1)),
+    ]
+    for name, least, got, call in calls:
+        message = rf"^{name} must be at least {least} \(got {name}={got}\)$"
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_state_of_another_size_is_refused_by_name():
     K, rho3 = gad_kraus(0.75, 0.5), np.eye(3) / 3
+    Qd, S = correlation_matrix(K, np.diag([0.75, 0.25])), build_subproduct(K, 2)
     calls = {
         "detailed_balance_verdict": lambda: detailed_balance_verdict(K, rho3),
         "correlation_matrix": lambda: correlation_matrix(K, rho3),
         "crooks_dual": lambda: crooks_dual(K, rho3),
         "crooks_check": lambda: crooks_check(K, K, rho3, 2),
+        "orthogonalize_kraus": lambda: orthogonalize_kraus(K, rho3),
+        "zero_mean_check": lambda: zero_mean_check(K, rho3),
+        "check_phi_symmetric": lambda: check_phi_symmetric(K, rho3, Qd, S, 1),
+        "kms_condition_residual": lambda: kms_condition_residual(K, rho3, Qd, S, 2),
     }
     for name, call in calls.items():
         with pytest.raises(ValueError, match=r"^rho0 is 3 x 3 but the Kraus operators are 2 x 2$"):
