@@ -129,9 +129,8 @@ def suq2_generators(q: float, N: int):
     if not float(N).is_integer() or N < 2:
         raise ValueError(f"N must be an integer of at least 2 (got {N!r})")
     N = int(N)
-    a = np.zeros((N, N), dtype=complex)
-    for k in range(1, N):
-        a[k - 1, k] = np.sqrt(1.0 - q ** (2 * k))
+    # Python-float powers: q ** np.arange can differ from them in the last bit
+    a = np.diag(np.sqrt(1.0 - np.array([q ** (2 * k) for k in range(1, N)])).astype(complex), 1)
     c = np.diag([q ** k for k in range(N)]).astype(complex)
     K = KrausSet([a, c])
     F = np.array([[0.0, q], [-1.0, 0.0]], dtype=complex)
@@ -159,17 +158,26 @@ def first_row_q_sphere(W, F, S: SubproductSystem, m: int,
     _sphere(P, X) over the words compressed to the level through the
     train (Level.compress), so no n^m-word stack is formed: the mirror sum
     reads X = V* Z and the row sum X_i = (V* conj Z)_i^T, for Z the words
-    of the blocks z_k.  The hypotheses Q_11 = 1 and e_1^(x)m in the level
-    subspace are checked and reported rather than assumed.
+    of the blocks z_k.  A real first row (conj Z = Z, as on every suq2
+    ladder) is compressed once, and its row sum reads the mirror's stack
+    transposed.  W's blocks must be the size of S's operators.  The
+    hypotheses Q_11 = 1 and e_1^(x)m in the level subspace are checked and
+    reported rather than assumed.
     """
     W, F, d, n = require_dilation_pair(W, F)
+    if S.ops.shape[-1] != d:
+        k = S.ops.shape[-1]
+        raise ValueError(f"W has {d} x {d} blocks but the subproduct system's operators "
+                         f"are {k} x {k}")
     Q = dag(F) @ F
     hyp_q11 = float(abs(Q[0, 0] - 1.0))
     hyp_e1 = S.level(m).boundary_defect()
     rec, P = _level_power(S, Q, m, -1, tol)
     Z = blocks(W, d, n)[0]  # z_k = W_{0k}
     L = rec.level  # the row sum reads X_i = (V* conj Z)_i^T, the mirror sum X = V* Z
-    R = _sphere(P, np.stack((L.compress(Z.conj()).swapaxes(-1, -2), L.compress(Z))))
+    X = L.compress(Z)
+    Xc = X if np.array_equal(Z.conj(), Z) else L.compress(Z.conj())
+    R = _sphere(P, np.stack((Xc.swapaxes(-1, -2), X)))
     spectra = np.linalg.eigvalsh((R + dag(R)) / 2) - 1
     checks = [
         CheckRecord(name="hypothesis_Q11", residual=hyp_q11, tolerance=tol, level=m),

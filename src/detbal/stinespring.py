@@ -151,16 +151,17 @@ class Level:
     def compress(self, ops: np.ndarray) -> np.ndarray:
         """V* Z for Z the n^m words of an (n, k, k) stack ops, read through the train.
 
-        C_0 = [1] and C_m = T_m* [C_{m-1}[i] ops[j]], since the words of
-        length m are the words of length m - 1 times a letter and
-        V_m = (V_{m-1} (x) 1_n) T_m.  Each level's pairs C_{m-1}[i] ops[j]
-        are one products call, a single matmul.  The identity holds for any
+        C_0 = [1], C_1 = T_1* ops and C_m = T_m* [C_{m-1}[i] ops[j]], since
+        the words of length m are the words of length m - 1 times a letter
+        and V_m = (V_{m-1} (x) 1_n) T_m.  Each level from 2 on forms its
+        pairs C_{m-1}[i] ops[j] in one products call, a single matmul, so a
+        pass to level m makes m - 1 of them.  The identity holds for any
         stack and at any cut, and no word-space stack is formed; compress of
         the system's Kraus array is B_m.
         """
         if self.below is None:  # the empty word, 1
             return np.eye(ops.shape[-1], dtype=complex)[np.newaxis]
-        return remix(products(self.below.compress(ops), ops), self.T)
+        return remix(ops if self.m == 1 else products(self.below.compress(ops), ops), self.T)
 
     def row(self, word, F: np.ndarray | None = None) -> np.ndarray:
         """Row `word` of V, or with an n x n F of F^(x)m V, read through the train.

@@ -139,6 +139,20 @@ def test_suq2_closed_forms():
     assert np.allclose(np.diag(c), [1.0, q, q ** 2])
 
 
+@pytest.mark.parametrize("q", [0.3, 0.55, 0.8])
+@pytest.mark.parametrize("N", [2, 6, 40])
+def test_suq2_ladder_entries_are_the_scalar_ones_bit_for_bit(q, N):
+    a, c, K, F = suq2_generators(q, N)
+    a_ref = np.zeros((N, N), dtype=complex)
+    for k in range(1, N):
+        a_ref[k - 1, k] = np.sqrt(1.0 - q ** (2 * k))
+    c_ref = np.zeros((N, N), dtype=complex)
+    for k in range(N):
+        c_ref[k, k] = q ** k
+    assert np.array_equal(a, a_ref) and np.array_equal(c, c_ref)
+    assert a.dtype == c.dtype == complex
+
+
 def test_suq2_generator_validation():
     with pytest.raises(ValueError):
         suq2_generators(1.0, 6)
@@ -187,6 +201,16 @@ def test_first_row_q_sphere_size_mismatch():
     S1 = build_subproduct(KrausSet([np.eye(2)]), 1)
     with pytest.raises(ValueError):
         first_row_q_sphere(W, F, S1, 1)
+
+
+def test_first_row_q_sphere_refuses_a_system_of_another_size():
+    # the same alphabet (n = 2) but blocks of 5 against operators of 6: unchecked, the sums
+    # are formed all the same and read mirror_sphere 1.64 at m = 2
+    a, c, K, F = suq2_generators(0.5, 5)
+    S = build_subproduct(suq2_generators(0.5, 6)[2], 2)
+    with pytest.raises(ValueError) as exc:
+        first_row_q_sphere(suq2_dilation(a, c, 0.5), F, S, 2)
+    assert str(exc.value) == "W has 5 x 5 blocks but the subproduct system's operators are 6 x 6"
 
 
 def test_relations_report_render():

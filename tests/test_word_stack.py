@@ -17,9 +17,11 @@ from detbal.channel import (
     index_words,
     minimal_kraus,
     products,
+    remix,
     word_operator,
     word_stack,
 )
+from detbal import stinespring
 from detbal.equilibrium import (
     CorrelationData,
     check_phi_symmetric,
@@ -35,6 +37,7 @@ from detbal.matcore import dag, spectral_norm
 from detbal.qgroup import first_row_q_sphere, suq2_dilation, suq2_generators
 from detbal.reversal import crooks_check, crooks_dual, q_sphere_residual
 from detbal.stinespring import (
+    Level,
     build_subproduct,
     check_Q_compatibility,
     check_subproduct_inclusion,
@@ -313,6 +316,45 @@ def test_first_row_q_sphere_matches_the_oracles_deep_on_suq2(m):
         W, F, S, m, sums=oracle._first_row_sums_by_words))
     if m == 8:
         assert_first_row_matches(new, oracle.first_row_q_sphere(W, F, S, m))
+
+
+# case of _first_row_cases -> the train passes one first_row_q_sphere call makes: one for
+# the real first rows of the suq2 ladders, two for the complex row of the random channel
+PASSES = {0: 1, 1: 1, 2: 1, 3: 1, 6: 2}
+
+
+@pytest.mark.parametrize("index", sorted(PASSES))
+def test_a_real_first_row_is_compressed_once(index, monkeypatch):
+    W, F, S = list(_first_row_cases())[index]
+    compress, depth, passes = Level.compress, [0], []
+
+    def counted(self, ops):  # counts the top-level calls, not the recursion below them
+        passes.append(depth[0] == 0)
+        depth[0] += 1
+        try:
+            return compress(self, ops)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Level, "compress", counted)
+    for m in range(1, S.M + 1):
+        passes.clear()
+        first_row_q_sphere(W, F, S, m)
+        assert sum(passes) == PASSES[index], m
+
+
+def test_compress_starts_at_level_one(monkeypatch):
+    # C_1 = T_1* ops, and each level from 2 on is one products call
+    a, c, K, _ = suq2_generators(0.55, 7)
+    S = build_subproduct(K, 4)
+    Z = np.stack((a, -0.55 * c))
+    assert np.array_equal(S.level(1).compress(Z), remix(Z, S.level(1).T))
+    calls = []
+    monkeypatch.setattr(stinespring, "products", lambda X, Y: calls.append(1) or products(X, Y))
+    for m in range(S.M + 1):
+        calls.clear()
+        S.level(m).compress(Z)
+        assert len(calls) == max(m - 1, 0), m
 
 
 @pytest.mark.parametrize("m", [10, 11])
