@@ -331,7 +331,7 @@ def kraus_from_dilation(W: np.ndarray, d: int, n: int, mode: str = "first_column
 
     mode "first_column" reads the n blocks of the first block-column.
     mode "general_state" takes a diagonal bath density sigma (matrix or
-    vector of probabilities) and returns the products sqrt(sigma_k) W_{jk},
+    vector of real probabilities) and returns the products sqrt(sigma_k) W_{jk},
     ordered with j major.  Products of spectral norm at most ZERO_OP_TOL
     (zero blocks, zero-weight bath states) carry no dynamics and are
     dropped.
@@ -350,10 +350,10 @@ def kraus_from_dilation(W: np.ndarray, d: int, n: int, mode: str = "first_column
         if sigma.ndim == 2:
             if spectral_norm(sigma - np.diag(np.diag(sigma))) > 1e-12:
                 raise ValueError("sigma must be supplied in diagonalized form")
-            probs = np.diag(sigma).real
-        else:
-            probs = sigma.real
-        if probs.shape != (n,) or np.any(probs < -1e-12) or abs(probs.sum() - 1) > 1e-10:
+            sigma = np.diag(sigma)
+        probs = sigma.real
+        if (probs.shape != (n,) or np.any(probs < -1e-12) or np.any(np.abs(sigma.imag) > 1e-12)
+                or abs(probs.sum() - 1) > 1e-10):
             raise ValueError("sigma must be an n-point probability vector")
         scale = np.sqrt(np.maximum(probs, 0.0))[:, np.newaxis, np.newaxis]
         ops = (blocks(W, d, n) * scale).reshape(n * n, d, d)

@@ -208,41 +208,37 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--version", action="version", version=f"detbal {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
+    spec = argparse.ArgumentParser(add_help=False)  # every subcommand but gen-example
+    spec.add_argument("spec")
+    spec.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("analyze", help="run the detailed-balance pipeline on a channel spec")
-    p.add_argument("spec")
+    p = sub.add_parser("analyze", parents=[spec],
+                       help="run the detailed-balance pipeline on a channel spec")
     p.add_argument("--max-level", type=int, default=None)
     p.add_argument("--residual-tol", type=float, default=None)
     p.add_argument("--rank-tol", type=float, default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("reverse", help="emit the time-reversed channel")
-    p.add_argument("spec")
+    p = sub.add_parser("reverse", parents=[spec], help="emit the time-reversed channel")
     p.add_argument("--mode", choices=("qsphere", "crooks"), required=True)
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_reverse)
 
-    p = sub.add_parser("stinespring", help="build and check the subproduct system")
-    p.add_argument("spec")
+    p = sub.add_parser("stinespring", parents=[spec],
+                       help="build and check the subproduct system")
     p.add_argument("--max-level", type=int, default=4)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_stinespring)
 
-    p = sub.add_parser("qgroup-check", help="check quantum-group defining relations")
-    p.add_argument("spec")
+    p = sub.add_parser("qgroup-check", parents=[spec],
+                       help="check quantum-group defining relations")
     p.add_argument("--relation", choices=("au", "bu"), required=True)
     p.add_argument("--F", default=None, help="JSON file with a {\"matrix\": [re,im]} payload")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_qgroup_check)
 
-    p = sub.add_parser("classical", help="analyze a classical chain")
-    p.add_argument("spec")
+    p = sub.add_parser("classical", parents=[spec], help="analyze a classical chain")
     p.add_argument("--reverse", action="store_true")
     p.add_argument("-o", "--output", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classical)
 
     p = sub.add_parser("gen-example", help="write a named example spec file")

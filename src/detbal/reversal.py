@@ -207,6 +207,11 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
     record judges itself (CheckRecord.passed), so the verdict is true iff
     every residual is below tol and no hypothesis fails; a false verdict
     names the sphere condition whenever that stage is implicated.
+    The Kraus rank is level 1's (build_subproduct): a rank_tol that
+    leaves the set dependent raises ValueError.  No word budget is
+    checked up front; a level the reader must read past the budget
+    refuses from Level.V, and a level whose compat fails is never
+    expanded, so a false verdict answers at any M.
     """
     M = require_word_length(M, "M", least=1)
     for name, value in (("tol", tol), ("rank_tol", rank_tol)):
@@ -215,16 +220,16 @@ def detailed_balance_verdict(K: KrausSet, rho0, M: int = 2,
     rho0 = check_state(rho0, d=K.d)
     if K.unital_residual >= tol:
         raise ValueError("detailed balance verdict requires a channel")
-    # Q is formed for the orthogonalized set, so the levels must keep all of it
-    rank = int(rank_mask(np.linalg.svd(K.ops.reshape(K.n, -1), compute_uv=False), rank_tol).sum())
-    if rank < K.n:
-        raise ValueError(f"rank_tol={rank_tol:g} leaves {rank} of the {K.n} Kraus operators "
-                         f"linearly independent; the verdict needs an independent set")
     Kp, Qraw, lambdas = orthogonalize_kraus(K, rho0, rank_tol=rank_tol)
     means = zero_mean_check(Kp, rho0)
     Qtb = Qraw.with_normalization("trace_balanced")
     Qfe = Qraw.with_normalization("first_entry")
     S = build_subproduct(Kp, M, rank_tol)
+    # Q is formed for the orthogonalized set, so the levels must keep all of it; level 1 cuts
+    # K' = U* K, whose singular values are K's
+    if S.n < K.n:
+        raise ValueError(f"rank_tol={rank_tol:g} leaves {S.n} of the {K.n} Kraus operators "
+                         f"linearly independent; the verdict needs an independent set")
     Qtb.attach_levels(S)
 
     compat = Qtb.compat_residuals

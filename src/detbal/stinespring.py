@@ -134,9 +134,16 @@ class Level:
 
     @functools.cached_property
     def V(self) -> np.ndarray:
-        """The n^m x rank isometry onto the level subspace."""
+        """The n^m x rank isometry onto the level subspace, the tower's one word-space array.
+
+        Expanding it is where the word budget refuses inside the tower
+        (channel.require_word_budget): a level of more than MAX_DIM words
+        raises ValueError here, while the train readers (compress, row,
+        boundary_defect) and the weighted records work at any depth.
+        """
         if self.m <= 1:  # V_0 = [[1]], so V_0 and V_1 are their cores
             return self.T
+        require_word_budget(self.n, self.m)
         return _expand(self.below.V, self.core)
 
     @property
@@ -392,11 +399,12 @@ def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL) -> Sub
     (eigenpairs).  Level m + 1 costs the SVD of the r_m r_1 x d^2 matrix
     of products B_m[i] B_1[j], taken by its short side when it is wide
     (svd_cut), and one mode product of V_1 with the kept singular
-    vectors; no word stack and no word-space row is formed.  M must be an
-    integer of at least 0 (a bool is refused).
+    vectors; no word stack and no word-space row is formed, so the build
+    takes no word budget and M may be any integer of at least 0 (a bool
+    is refused).  The budget refuses where a word-space array is formed:
+    on reading Level.V of a level past it.
     """
     M = require_word_length(M, "M", least=0)
-    require_word_budget(K.n, M)
     first = first_level(K, rank_tol)
     levels = [first.below, first]
     while len(levels) <= M:
@@ -407,9 +415,13 @@ def build_subproduct(K: KrausSet, M: int = 4, rank_tol: float = RANK_TOL) -> Sub
 
 
 def check_subproduct_inclusion(S: SubproductSystem, m: int, l: int) -> float:
-    """Residual of range(p_{m+l}) within range(p_m (x) p_l)."""
-    W = np.kron(S.level(m).V, S.level(l).V)
+    """Residual of range(p_{m+l}) within range(p_m (x) p_l).
+
+    V_{m+l} is read first: the kron of V_m and V_l has as many rows, so
+    a level past the word budget refuses before the kron is formed.
+    """
     V = S.level(m + l).V
+    W = np.kron(S.level(m).V, S.level(l).V)
     return spectral_norm(V - W @ (dag(W) @ V))
 
 

@@ -164,6 +164,16 @@ def test_general_state_mode_drops_zero_products(W, d, n, sigma):
     assert kraus_from_dilation(W, d, n, "general_state", sigma).unital_residual <= 1e-12
 
 
+@pytest.mark.parametrize("as_matrix", [False, True])
+def test_general_state_mode_refuses_a_complex_sigma(as_matrix):
+    # the real parts alone are [0.25] * 4, a probability vector, so a check of the real parts
+    # alone would read this sigma as the uniform bath
+    _, W = dilation_from_kraus(gad_kraus(0.75, 0.5))
+    sigma = np.array([0.25 + 0.3j, 0.25 - 0.3j, 0.25, 0.25])
+    with pytest.raises(ValueError, match="^sigma must be an n-point probability vector$"):
+        kraus_from_dilation(W, 2, 4, "general_state", np.diag(sigma) if as_matrix else sigma)
+
+
 def test_general_state_mode_on_gad_with_a_pure_bath_matches_first_column():
     _, W = dilation_from_kraus(gad_kraus(0.75, 0.5))
     K = kraus_from_dilation(W, 2, 4, "general_state", [1.0, 0.0, 0.0, 0.0])

@@ -250,14 +250,15 @@ def test_analyze_names_the_word_budget(tmp_path, capsys):
 
 
 def test_analyze_names_both_sizes_when_rank_tol_shrinks_the_alphabet(tmp_path, capsys):
-    # at rank_tol 0.5 only two of gad's four Kraus operators are linearly
-    # independent; Q is formed for all four, so the verdict refuses up front
+    # at rank_tol 0.5 gad's correlation matrix keeps one of its four eigenvalues, so
+    # orthogonalize_kraus refuses before the tower is built, with the message
+    # `reverse --mode qsphere` gives on this spec
     path = write_example(tmp_path, "gad")
     assert main(["analyze", path, "--rank-tol", "0.5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: rank_tol=0.5 leaves 2 of the 4 Kraus operators linearly "
-                            "independent; the verdict needs an independent set\n")
+    assert captured.err == ("error: correlation matrix is singular at rank_tol=0.5: it keeps 1 "
+                            "of its 4 eigenvalues\n")
 
 
 def test_stinespring_command(tmp_path, capsys):

@@ -524,11 +524,11 @@ def _linalg_calls(monkeypatch, K, rho0, M):
 def test_true_verdict_linalg_call_budget(monkeypatch, M):
     # the level pass stacks the levels of one rank: every commuting_db level has rank 2, so
     # the eigh count (orthogonalize_kraus, eigenpairs, sphere defects) and the eigvalsh count
-    # (the compat Grams, weighed in one pass) stay flat in M; the SVDs are the verdict's rank
-    # check and one per level
+    # (the compat Grams, weighed in one pass) stay flat in M; the SVDs are one per level, and
+    # level 1's decides the Kraus rank
     rep, calls = _linalg_calls(monkeypatch, commuting_db_kraus(np.pi / 6), np.eye(2) / 2, M)
     assert rep.verdict
-    assert calls == {"eigh": 3, "eigvalsh": 1, "svd": M + 1}
+    assert calls == {"eigh": 3, "eigvalsh": 1, "svd": M}
 
 
 def test_the_public_kms_check_weighs_a_cold_system_in_one_pass(monkeypatch):

@@ -203,5 +203,9 @@ def test_power_dilation_of_an_operation_that_is_not_trace_preserving():
 
 
 def test_build_subproduct_budget():
-    with pytest.raises(ValueError):
-        build_subproduct(random_channel(2, 4, 44), 7)
+    # the build forms only r x r cores and r x d x d stacks, so it takes any depth; V_m, the
+    # tower's one word-space array, refuses past 4096 rows
+    S = build_subproduct(random_channel(2, 4, 44), 7)
+    with pytest.raises(ValueError, match=r"4\*\*7 = 16384 words exceeds the budget of 4096"):
+        S.level(7).V
+    assert S.level(6).V.shape[0] == 4096

@@ -40,7 +40,6 @@ RANK_MASK_CALLERS = {
     ("equilibrium", "_require_nonsingular"),
     ("qgroup", "invariant_state"),
     ("reversal", "crooks_dual"),
-    ("reversal", "detailed_balance_verdict"),
 }
 LEVEL_POWER_CALLERS = {("equilibrium", "_read_levels"), ("equilibrium", "_level_power")}
 
